@@ -10,7 +10,7 @@
 //	            [-metrics-addr ADDR] [-pprof-addr ADDR] [-progress] [-telemetry]
 //	            [-coverage]
 //	            [-json] [-compare FILE [-max-regress PCT] [-max-allocs-regress PCT]]
-//	            [-explore] [-engine.baton]
+//	            [-explore]
 //
 // -workers spreads each cell's rounds over N worker goroutines (0 =
 // GOMAXPROCS, 1 = serial; results are identical for every worker count).
@@ -42,8 +42,7 @@
 // allocs_per_run by more than -max-allocs-regress percent — the CI bench
 // gate. -explore adds exhaustive-exploration throughput cells (the full
 // litmus suite enumerated serially and on 8 workers) to -json/-compare
-// measurements. -engine.baton runs everything on the legacy baton
-// scheduler (escape hatch; same schedules, slower).
+// measurements.
 //
 // -checkpoint-dir arms the durable checkpoint layer: each benchmark ×
 // strategy cell periodically (every -checkpoint-every trials) writes an
@@ -95,7 +94,6 @@ func main() {
 		maxRegress  = flag.Float64("max-regress", 15, "with -compare: fail when ns_per_event regresses by more than this percent")
 		maxAllocs   = flag.Float64("max-allocs-regress", 25, "with -compare: fail when allocs_per_run regresses by more than this percent (plus absolute slack)")
 		exploreFlag = flag.Bool("explore", false, "with -json/-compare: add exhaustive-exploration throughput cells over the litmus suite (serial and workers-8)")
-		baton       = flag.Bool("engine.baton", false, "use the legacy baton scheduler (escape hatch; identical schedules)")
 		reproDir    = flag.String("repro-dir", "", "write replayable repro bundles for failing trials under this directory")
 		maxRepros   = flag.Int("max-repros", 3, "with -repro-dir: cap triaged bundles per benchmark × strategy cell")
 		ckptDir     = flag.String("checkpoint-dir", "", "write periodic durable campaign checkpoints under this directory")
@@ -182,7 +180,6 @@ func main() {
 	}
 	optsFor := func(b *benchprog.Benchmark) engine.Options {
 		opts := b.Options()
-		opts.Baton = *baton
 		opts.Model = *model
 		// -coverage also applies to the -json/-compare measurement paths,
 		// so the bench gate can bound the fingerprinting overhead and the
@@ -207,7 +204,7 @@ func main() {
 
 	var exploreOpts *engine.Options
 	if *exploreFlag {
-		exploreOpts = &engine.Options{Baton: *baton, Model: *model}
+		exploreOpts = &engine.Options{Model: *model}
 	}
 	if *compare != "" {
 		code := runCompare(ctx, benches, dFor, optsFor, *runs, *seed, *history, *compare, *maxRegress, *maxAllocs, *telFlag, exploreOpts)

@@ -20,7 +20,7 @@
 // -distcheck (or -section distcheck) runs the statistical
 // strategy-conformance harness instead of the paper artifacts: the
 // shipped strategies are checked against exact ground truth from the
-// exhaustive explorer and the colliding-priority regression fixtures
+// exhaustive explorer and the colliding-priority regression fixture
 // must be detected; any failure exits nonzero (the CI gate).
 //
 // The default configuration uses the paper's experiment sizes (1000

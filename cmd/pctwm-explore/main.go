@@ -48,7 +48,6 @@ func main() {
 	var (
 		test    = flag.String("t", "", "litmus test name (empty = all)")
 		limit   = flag.Int("limit", 2000000, "maximum executions to explore per test")
-		baton   = flag.Bool("engine.baton", false, "use the legacy baton scheduler (escape hatch; identical schedules)")
 		model   = flag.String("engine.model", engine.ModelRC11, "memory model backend: rc11, sc, tso")
 		workers = flag.Int("workers", 0, "exploration workers (0 = GOMAXPROCS, 1 = serial; results identical)")
 		stats   = flag.Bool("stats", false, "print explorer telemetry (runs/steals/pruned) per test")
@@ -94,7 +93,7 @@ func main() {
 	var censuses []*enumerate.Census
 	for _, lt := range suite {
 		var tel telemetry.EngineCounters
-		opts := engine.Options{Baton: *baton, Model: *model}
+		opts := engine.Options{Model: *model}
 		if *stats {
 			opts.Telemetry = &tel
 		}

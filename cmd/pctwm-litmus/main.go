@@ -39,7 +39,6 @@ func main() {
 		depth    = flag.Int("d", 2, "bug depth (pct, pctwm)")
 		history  = flag.Int("y", 2, "history depth (pctwm)")
 		seed     = flag.Int64("s", 1, "base random seed")
-		baton    = flag.Bool("engine.baton", false, "use the legacy baton scheduler (escape hatch; identical schedules)")
 		model    = flag.String("engine.model", engine.ModelRC11, "memory model backend: rc11, sc, tso (outcomes classify against that model's table)")
 		covFlag  = flag.Bool("coverage", false, "run each test as a behavior-coverage campaign and print saturation per test")
 		workers  = flag.Int("workers", 1, "with -coverage: campaign workers (0 = GOMAXPROCS; results identical)")
@@ -87,7 +86,7 @@ func main() {
 
 	failures := 0
 	for _, t := range litmus.Suite() {
-		opts := engine.Options{Baton: *baton, Model: *model}
+		opts := engine.Options{Model: *model}
 		rep := t.RunOpts(newStrategy, *runs, *seed, opts)
 		status := "ok  "
 		switch {

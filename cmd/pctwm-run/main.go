@@ -32,7 +32,6 @@ func main() {
 		seed     = flag.Int64("s", 1, "base random seed")
 		extra    = flag.Int("extra", 0, "inserted relaxed writes (figure 6 instrumentation)")
 		verbose  = flag.Bool("v", false, "print the first detected failure")
-		baton    = flag.Bool("engine.baton", false, "use the legacy baton scheduler (escape hatch; identical schedules)")
 		model    = flag.String("engine.model", engine.ModelRC11, "memory model backend: rc11, sc, tso")
 	)
 	flag.Parse()
@@ -53,7 +52,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pctwm-run:", err)
 		os.Exit(2)
 	}
-	opts.Baton = *baton
 	opts.Model = *model
 	d := *depth
 	if d < 0 {
@@ -65,7 +63,7 @@ func main() {
 	case "c11tester":
 		factory = harness.C11Tester()
 	case "pct":
-		factory = harness.PCTFactory(maxInt(d, 1))
+		factory = harness.PCTFactory(max(d, 1))
 	case "pctwm":
 		factory = harness.PCTWMFactory(d, *history)
 	default:
@@ -96,7 +94,8 @@ func main() {
 		}
 	}
 
-	res := harness.RunTrials(prog(*extra), detect, func() engine.Strategy { return factory(est) }, *runs, *seed, opts)
+	res := harness.RunCampaign(prog(*extra), detect, func() engine.Strategy { return factory(est) }, *runs, *seed, opts,
+		harness.Campaign{Workers: 1})
 	fmt.Printf("bug hitting rate: %s\n", res.String())
 	if res.Aborted > 0 || res.Deadlock > 0 {
 		fmt.Printf("warning: %d aborted, %d deadlocked runs\n", res.Aborted, res.Deadlock)
@@ -121,11 +120,4 @@ func lookup(name string) (prog func(int) *engine.Program, detect func(*engine.Ou
 			a.Options(), 2, nil
 	}
 	return nil, nil, engine.Options{}, 0, fmt.Errorf("unknown benchmark or application %q", name)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

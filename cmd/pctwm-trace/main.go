@@ -40,7 +40,6 @@ func main() {
 		seed     = flag.Int64("s", 1, "base random seed")
 		rounds   = flag.Int("rounds", 2000, "maximum rounds to search for a failing execution")
 		dot      = flag.Bool("dot", false, "emit Graphviz DOT instead of text")
-		baton    = flag.Bool("engine.baton", false, "use the legacy baton scheduler (escape hatch; identical schedules)")
 		model    = flag.String("engine.model", engine.ModelRC11, "memory model backend: rc11, sc, tso (the recheck verifies the same model's axioms)")
 		perfOut  = flag.String("perfetto", "", "also write the failing schedule as Chrome trace-event JSON to this file")
 	)
@@ -58,7 +57,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pctwm-trace:", err)
 		os.Exit(2)
 	}
-	opts.Baton = *baton
 	opts.Model = *model
 	d := *depth
 	if d < 0 {
@@ -69,7 +67,7 @@ func main() {
 	case "c11tester":
 		factory = harness.C11Tester()
 	case "pct":
-		factory = harness.PCTFactory(maxInt(d, 1))
+		factory = harness.PCTFactory(max(d, 1))
 	case "pctwm":
 		factory = harness.PCTWMFactory(d, *history)
 	default:
@@ -173,11 +171,4 @@ func lookup(name string) (prog *engine.Program, detect func(*engine.Outcome) boo
 		return a.Program(), func(o *engine.Outcome) bool { return o.Failed() }, a.Options(), 2, nil
 	}
 	return nil, nil, engine.Options{}, 0, fmt.Errorf("unknown benchmark or application %q", name)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

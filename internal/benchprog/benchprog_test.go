@@ -11,6 +11,10 @@ import (
 
 const trialRuns = 250
 
+// serial runs every campaign on one worker (a zero Workers means
+// GOMAXPROCS).
+var serial = harness.Campaign{Workers: 1}
+
 // TestAllBenchmarksRunClean checks that every benchmark executes without
 // aborts or deadlocks under all strategies.
 func TestAllBenchmarksRunClean(t *testing.T) {
@@ -22,7 +26,7 @@ func TestAllBenchmarksRunClean(t *testing.T) {
 				harness.PCTFactory(b.Depth + 1),
 				harness.PCTWMFactory(b.Depth, 1),
 			} {
-				res, _ := harness.BenchTrials(b, factory, 100, 7, 0, 1)
+				res, _ := harness.BenchTrials(b, factory, 100, 7, 0, serial)
 				if res.Aborted > 0 || res.Deadlock > 0 {
 					t.Fatalf("aborted=%d deadlocked=%d", res.Aborted, res.Deadlock)
 				}
@@ -42,7 +46,7 @@ func TestDepthZeroBenchmarksAlwaysHit(t *testing.T) {
 		}
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			res, _ := harness.BenchTrials(b, harness.PCTWMFactory(0, 1), trialRuns, 11, 0, 1)
+			res, _ := harness.BenchTrials(b, harness.PCTWMFactory(0, 1), trialRuns, 11, 0, serial)
 			if res.Hits != res.Runs {
 				t.Fatalf("PCTWM d=0 hit %d/%d, want all", res.Hits, res.Runs)
 			}
@@ -58,8 +62,8 @@ func TestPCTWMBeatsBaselines(t *testing.T) {
 	for _, b := range benchprog.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			random, _ := harness.BenchTrials(b, harness.C11Tester(), trialRuns, 21, 0, 1)
-			pctwm, _ := harness.BestOverH(b, b.Depth, 2, trialRuns, 22, 1)
+			random, _ := harness.BenchTrials(b, harness.C11Tester(), trialRuns, 21, 0, serial)
+			pctwm, _ := harness.BestOverH(b, b.Depth, 2, trialRuns, 22, serial)
 			if b.Name == "seqlock" {
 				if pctwm.Rate() >= random.Rate() {
 					t.Fatalf("seqlock should favor random testing: pctwm %.1f%% vs random %.1f%%", pctwm.Rate(), random.Rate())
@@ -107,8 +111,8 @@ func TestExtraWritesDoNotChangeDepth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, _ := harness.BenchTrials(b, harness.PCTWMFactory(b.Depth, 1), trialRuns, 31, 0, 1)
-		loaded, _ := harness.BenchTrials(b, harness.PCTWMFactory(b.Depth, 1), trialRuns, 32, 10, 1)
+		base, _ := harness.BenchTrials(b, harness.PCTWMFactory(b.Depth, 1), trialRuns, 31, 0, serial)
+		loaded, _ := harness.BenchTrials(b, harness.PCTWMFactory(b.Depth, 1), trialRuns, 32, 10, serial)
 		if diff := base.Rate() - loaded.Rate(); diff > 25 || diff < -25 {
 			t.Fatalf("%s: PCTWM rate moved from %.1f%% to %.1f%% with 10 inserted writes", name, base.Rate(), loaded.Rate())
 		}
@@ -123,16 +127,16 @@ func TestPaperP1Probability(t *testing.T) {
 	prog := b.Program(0)
 	// The program has exactly one communication event (the assertion's
 	// load), so kcom = 1 pins the sink on it.
-	res := harness.RunTrials(prog, b.Detect, func() engine.Strategy {
+	res := harness.RunCampaign(prog, b.Detect, func() engine.Strategy {
 		return core.NewPCTWM(1, 2, 1)
-	}, 2000, 99, b.Options())
+	}, 2000, 99, b.Options(), serial)
 	if r := res.Rate(); r < 42 || r > 58 {
 		t.Fatalf("P1 d=1 h=2 rate %.1f%%, want ≈50%%", r)
 	}
 	// With h=1 the read is pinned on the mo-maximal write: always the bug.
-	res = harness.RunTrials(prog, b.Detect, func() engine.Strategy {
+	res = harness.RunCampaign(prog, b.Detect, func() engine.Strategy {
 		return core.NewPCTWM(1, 1, 1)
-	}, 500, 100, b.Options())
+	}, 500, 100, b.Options(), serial)
 	if res.Hits != res.Runs {
 		t.Fatalf("P1 d=1 h=1 hit %d/%d, want all", res.Hits, res.Runs)
 	}
@@ -144,15 +148,15 @@ func TestPaperMP2Depth(t *testing.T) {
 	b := benchprog.MP2()
 	prog := b.Program(0)
 	est := harness.EstimateParams(prog, 20, 5, b.Options())
-	d2 := harness.RunTrials(prog, b.Detect, func() engine.Strategy {
+	d2 := harness.RunCampaign(prog, b.Detect, func() engine.Strategy {
 		return core.NewPCTWM(2, 1, est.KCom)
-	}, 1000, 101, b.Options())
+	}, 1000, 101, b.Options(), serial)
 	if d2.Hits == 0 {
 		t.Fatalf("MP2 never detected at d=2 (kcom=%d)", est.KCom)
 	}
-	d0 := harness.RunTrials(prog, b.Detect, func() engine.Strategy {
+	d0 := harness.RunCampaign(prog, b.Detect, func() engine.Strategy {
 		return core.NewPCTWM(0, 1, est.KCom)
-	}, 500, 102, b.Options())
+	}, 500, 102, b.Options(), serial)
 	if d0.Hits != 0 {
 		t.Fatalf("MP2 detected %d times at d=0; the bug needs 2 communications", d0.Hits)
 	}
@@ -199,7 +203,7 @@ func TestFixedBenchmarksAreClean(t *testing.T) {
 // must still expose their bugs.
 func TestSeededBenchmarksStillDetect(t *testing.T) {
 	for _, b := range benchprog.All() {
-		res, _ := harness.BenchTrials(b, harness.PCTWMFactory(b.Depth, 1), 150, 13, 0, 1)
+		res, _ := harness.BenchTrials(b, harness.PCTWMFactory(b.Depth, 1), 150, 13, 0, serial)
 		if res.Hits == 0 {
 			t.Fatalf("%s: seeded bug no longer detected", b.Name)
 		}

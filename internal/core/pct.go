@@ -42,12 +42,10 @@ type PCT struct {
 	// ascending priority order; prio[band[i]-1] == highBase + i. Demoted
 	// threads leave the band (their slots above keep their values — gaps
 	// are harmless, distinctness is what matters).
-	band          []memmodel.ThreadID
-	sampleBuf     []int // scratch for sampleDistinct's dense path
-	started       int   // threads seen by OnThreadStart this run
-	minPrio       int
-	highBase      int
-	legacyCollide bool // see NewCollidingPCT
+	band      []memmodel.ThreadID
+	sampleBuf []int // scratch for sampleDistinct's dense path
+	minPrio   int
+	highBase  int
 }
 
 // NewPCT returns a PCT strategy with bug depth d and an estimate k of the
@@ -62,18 +60,6 @@ func NewPCT(d, k int) *PCT {
 	return &PCT{Depth: d, Events: k}
 }
 
-// NewCollidingPCT returns the pre-fix PCT whose OnThreadStart drew
-// priorities with replacement from a band of width 2·started, so two
-// threads frequently shared a priority and ties silently resolved
-// lowest-tid-first — biasing schedules and voiding the §2.2 bound. It is
-// kept ONLY as a regression fixture: the distcheck conformance harness
-// must flag this implementation (see internal/distcheck).
-func NewCollidingPCT(d, k int) *PCT {
-	s := NewPCT(d, k)
-	s.legacyCollide = true
-	return s
-}
-
 // Name implements engine.Strategy.
 func (s *PCT) Name() string { return "pct" }
 
@@ -83,7 +69,6 @@ func (s *PCT) Begin(info engine.ProgramInfo, r *rand.Rand) {
 	s.prio = s.prio[:0]
 	s.band = s.band[:0]
 	s.counter = 0
-	s.started = 0
 	s.highBase = s.Depth + 1
 	s.minPrio = 0
 	// Sample d−1 distinct change points from [1, k].
@@ -183,13 +168,6 @@ func (s *PCT) priority(tid memmodel.ThreadID) *int {
 // already demoted below the band (change points, OnSpin) are not in the
 // band and keep their low priorities untouched.
 func (s *PCT) OnThreadStart(tid, _ memmodel.ThreadID) {
-	s.started++
-	if s.legacyCollide {
-		// Pre-fix behavior (regression fixture): sample with replacement,
-		// so distinct threads collide and ties resolve lowest-tid-first.
-		*s.priority(tid) = s.highBase + s.rng.Intn(s.started*2)
-		return
-	}
 	at := s.rng.Intn(len(s.band) + 1)
 	s.band = bandInsert(s.band, tid, at)
 	s.priority(tid) // grow the dense table before renumbering

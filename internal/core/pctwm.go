@@ -83,12 +83,10 @@ type PCTWM struct {
 	// band lists the threads currently holding high-band priorities in
 	// ascending priority order; threads[band[i]-1].prio == highBase + i.
 	// Delayed and demoted threads leave the band.
-	band          []memmodel.ThreadID
-	commSeen      int
-	minPrio       int
-	highBase      int
-	started       int  // threads seen by OnThreadStart this run
-	legacyCollide bool // see NewCollidingPCTWM
+	band     []memmodel.ThreadID
+	commSeen int
+	minPrio  int
+	highBase int
 }
 
 // stickyEscapeAfter is the number of livelock notifications for one
@@ -113,18 +111,6 @@ func NewPCTWM(d, h, kcom int) *PCTWM {
 	return &PCTWM{Depth: d, History: h, CommEvents: kcom}
 }
 
-// NewCollidingPCTWM returns the pre-fix PCTWM whose OnThreadStart drew
-// priorities with replacement from a band of width 2·started, so two
-// threads frequently shared a priority and ties silently resolved
-// lowest-tid-first — biasing schedules and voiding the §5.4 bound. It is
-// kept ONLY as a regression fixture for the distcheck conformance
-// harness (see internal/distcheck).
-func NewCollidingPCTWM(d, h, kcom int) *PCTWM {
-	s := NewPCTWM(d, h, kcom)
-	s.legacyCollide = true
-	return s
-}
-
 // Name implements engine.Strategy.
 func (s *PCTWM) Name() string { return "pctwm" }
 
@@ -138,7 +124,6 @@ func (s *PCTWM) Begin(info engine.ProgramInfo, r *rand.Rand) {
 	s.commSeen = 0
 	s.minPrio = 0
 	s.highBase = s.Depth + 1
-	s.started = 0
 	s.sampleBuf, s.fyScratch = sampleDistinct(r, s.Depth, s.CommEvents, s.sampleBuf, s.fyScratch)
 	s.sampled = s.sampleBuf
 }
@@ -162,15 +147,7 @@ func (s *PCTWM) thread(tid memmodel.ThreadID) *pctwmThread {
 // already delayed or demoted are not in the band and keep their low
 // priorities untouched.
 func (s *PCTWM) OnThreadStart(tid, _ memmodel.ThreadID) {
-	s.started++
-	st := s.thread(tid)
-	if s.legacyCollide {
-		// Pre-fix behavior (regression fixture): sample with replacement,
-		// so distinct threads collide and ties resolve lowest-tid-first.
-		*st = pctwmThread{prio: s.highBase + s.rng.Intn(s.started*2), lastCounted: -1, reorderIdx: -1}
-		return
-	}
-	*st = pctwmThread{lastCounted: -1, reorderIdx: -1}
+	*s.thread(tid) = pctwmThread{lastCounted: -1, reorderIdx: -1}
 	at := s.rng.Intn(len(s.band) + 1)
 	s.band = bandInsert(s.band, tid, at)
 	for i, id := range s.band {

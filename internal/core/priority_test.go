@@ -68,37 +68,6 @@ func TestPCTWMDistinctPriorities(t *testing.T) {
 	}
 }
 
-// TestCollidingFixturesCollide: the regression fixtures preserve the
-// pre-fix bug — priorities drawn with replacement do collide.
-func TestCollidingFixturesCollide(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	pct := NewCollidingPCT(3, 50)
-	pctwm := NewCollidingPCTWM(2, 3, 10)
-	collPCT, collPCTWM := 0, 0
-	const rounds = 500
-	for round := 0; round < rounds; round++ {
-		startPCT(pct, 3, r)
-		prios := map[int]bool{}
-		for tid := 1; tid <= 3; tid++ {
-			prios[*pct.priority(memmodel.ThreadID(tid))] = true
-		}
-		if len(prios) < 3 {
-			collPCT++
-		}
-		startPCTWM(pctwm, 3, r)
-		prios = map[int]bool{}
-		for tid := 1; tid <= 3; tid++ {
-			prios[pctwm.thread(memmodel.ThreadID(tid)).prio] = true
-		}
-		if len(prios) < 3 {
-			collPCTWM++
-		}
-	}
-	if collPCT < rounds/10 || collPCTWM < rounds/10 {
-		t.Fatalf("fixtures should collide frequently: pct %d/%d, pctwm %d/%d", collPCT, rounds, collPCTWM, rounds)
-	}
-}
-
 // TestPCTRankPermutationUniform: inserting each arrival at a uniform
 // rank must yield a uniformly random permutation of thread ranks. With 3
 // threads there are 6 orderings; each should appear ≈1/6 of the time.

@@ -21,8 +21,8 @@
 //     is the initial rank permutation, uniform over t! for Random, PCT
 //     and PCTWM alike; colliding priorities bias ties toward low thread
 //     ids and a chi-square test detects it. This is the check that fails
-//     on the historical colliding assignment (core.NewCollidingPCT /
-//     core.NewCollidingPCTWM) and passes on the fixed strategies;
+//     on the historical colliding assignment (CollidingFixture) and
+//     passes on the fixed strategies;
 //   - bound: for priority strategies, every census behavior's empirical
 //     hit rate must be consistent with the strategy's per-behavior lower
 //     probability bound — the Wilson interval's upper edge must reach
@@ -88,7 +88,7 @@ type Strategy struct {
 
 // Config tunes the conformance campaign. The zero value is usable: every
 // field has a default chosen so the fixed-seed CI suite passes on the
-// correct strategies and fails on the colliding fixtures.
+// correct strategies and fails on the colliding fixture.
 type Config struct {
 	// Runs is the number of executions per (program, strategy) cell.
 	// Default 4000.
@@ -438,3 +438,54 @@ func permIndex(order []memmodel.ThreadID) int {
 	}
 	return idx
 }
+
+// CollidingFixture is the permutation check's regression fixture: the
+// priority assignment PCT and PCTWM used before priorities were made
+// distinct. Each arriving thread draws highBase + Intn(2·started) with
+// replacement, so threads often share a priority, and NextThread's strict
+// '>' resolves every tie toward the lowest thread id — the bias that voided
+// both papers' bounds. The permutation check must fail it.
+func CollidingFixture() Strategy {
+	return Strategy{Name: "colliding", New: func(Params) engine.Strategy { return &colliding{} }}
+}
+
+// colliding implements CollidingFixture. It has no change points: the
+// permutation check delivers no events, so only the initial assignment
+// matters.
+type colliding struct {
+	rng     *rand.Rand
+	prio    []int // index = tid-1
+	started int   // threads seen by OnThreadStart this run
+}
+
+func (s *colliding) Name() string { return "colliding" }
+
+func (s *colliding) Begin(_ engine.ProgramInfo, r *rand.Rand) {
+	s.rng = r
+	s.prio = s.prio[:0]
+	s.started = 0
+}
+
+func (s *colliding) OnThreadStart(tid, _ memmodel.ThreadID) {
+	s.started++
+	for len(s.prio) < int(tid) {
+		s.prio = append(s.prio, 0)
+	}
+	// The pre-fix highBase offset is left out: a constant shift of every
+	// priority changes no ordering.
+	s.prio[tid-1] = s.rng.Intn(2 * s.started)
+}
+
+func (s *colliding) NextThread(enabled []engine.PendingOp) memmodel.ThreadID {
+	best := enabled[0].TID
+	for _, op := range enabled[1:] {
+		if s.prio[op.TID-1] > s.prio[best-1] {
+			best = op.TID
+		}
+	}
+	return best
+}
+
+func (s *colliding) PickRead(rc engine.ReadContext) int { return s.rng.Intn(len(rc.Candidates)) }
+func (s *colliding) OnEvent(*memmodel.Event)            {}
+func (s *colliding) OnSpin(memmodel.ThreadID)           {}

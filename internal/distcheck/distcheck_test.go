@@ -76,15 +76,11 @@ func TestFixedStrategiesConform(t *testing.T) {
 }
 
 // TestCollidingFixturesFail pins the historical bug: the pre-fix
-// colliding priority assignment (preserved as core.NewCollidingPCT /
-// core.NewCollidingPCTWM) fails the permutation check, which is exactly
-// the check the distinct-priority fix makes pass.
+// colliding priority assignment (preserved as CollidingFixture) fails the
+// permutation check, which is exactly the check the distinct-priority fix
+// makes pass.
 func TestCollidingFixturesFail(t *testing.T) {
-	broken := []Strategy{
-		{Name: "pct-colliding", New: func(p Params) engine.Strategy { return core.NewCollidingPCT(3, p.Steps) }},
-		{Name: "pctwm-colliding", New: func(p Params) engine.Strategy { return core.NewCollidingPCTWM(2, 3, p.Comm) }},
-	}
-	rep, err := Run(nil, broken, Config{})
+	rep, err := Run(nil, []Strategy{CollidingFixture()}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,14 +115,12 @@ func TestPermutationSeedRobustness(t *testing.T) {
 		if !good.Pass {
 			t.Errorf("seed %d: fixed PCT failed (chi2=%.2f p=%g)", seed, good.Stat, good.P)
 		}
-		bad, err := permutationCheck(Strategy{
-			Name: "pct-colliding", New: func(p Params) engine.Strategy { return core.NewCollidingPCT(3, p.Steps) },
-		}, cfg)
+		bad, err := permutationCheck(CollidingFixture(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if bad.Pass {
-			t.Errorf("seed %d: colliding PCT passed (chi2=%.2f p=%g)", seed, bad.Stat, bad.P)
+			t.Errorf("seed %d: colliding fixture passed (chi2=%.2f p=%g)", seed, bad.Stat, bad.P)
 		}
 	}
 }

@@ -9,7 +9,6 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"pctwm/internal/coverage"
@@ -41,32 +40,18 @@ type Engine struct {
 	freeThreads []*Thread // recycled thread shells from earlier runs
 	nextTID     memmodel.ThreadID
 
-	// Direct-handoff scheduler state (all accesses serialized by the
-	// baton). The yielding thread publishes the next grant in
-	// granted/grantRes and yields; the host trampoline (runDirect)
-	// resumes granted, which reads grantRes. endRun tells the trampoline
-	// the run is over; killing turns teardown resumes into unwinds;
-	// startFn carries the ThreadFunc into a coroutine being started.
+	// Scheduler state (all accesses serialized by the baton, see
+	// sched.go). The yielding thread publishes the next grant in
+	// granted/grantRes and yields; the host trampoline (run) resumes
+	// granted, which reads grantRes. endRun tells the trampoline the run
+	// is over; killing turns teardown resumes into unwinds; startFn
+	// carries the ThreadFunc into a coroutine being started.
 	granted  *Thread
 	grantRes response
 	endRun   bool
 	killing  bool
 	startFn  ThreadFunc
-
-	// Legacy baton scheduler state (Options.Baton). parkCh/doneCh serve
-	// thread startup (first park / immediate finish); both are reused
-	// across runs. killed is closed at teardown and must be fresh per
-	// run. endCh (buffered) carries the end-of-run signal from whichever
-	// goroutine holds the baton back to the host.
-	parkCh chan *Thread
-	doneCh chan threadDone
-	endCh  chan struct{}
-	killed chan struct{}
-
-	// wg counts the legacy baton path's per-run thread goroutines. The
-	// direct path needs no counter: coroutines stop synchronously.
-	wg     sync.WaitGroup
-	closed bool
+	closed   bool
 
 	// model is the active memory-model backend (Options.Model): the
 	// semantics of every memory operation — candidate sets, view/buffer
@@ -105,8 +90,7 @@ type Engine struct {
 	// branch per hook, no allocation). lastGranted is the thread the
 	// previous grant ran, classifying each grant as a handoff (thread
 	// switch) or a same-thread grant; it is derived purely from the
-	// schedule, so the counts are bit-identical across scheduler
-	// protocols and worker counts.
+	// schedule, so the counts are bit-identical across worker counts.
 	tel         *telemetry.EngineCounters
 	lastGranted *Thread
 
@@ -152,32 +136,23 @@ func fvHash(vals []memmodel.Value) uint64 {
 	return h
 }
 
-type threadDone struct {
-	tid      memmodel.ThreadID
-	panicked bool
-	panicVal any
-}
-
 // Runner executes a program repeatedly, reusing location tables, message
-// bags, thread shells, thread goroutines, scratch buffers and scheduler
-// channels between runs so that a steady-state trial loop allocates
-// near-zero memory per run.
+// bags, thread shells, thread coroutines and scratch buffers between runs
+// so that a steady-state trial loop allocates near-zero memory per run.
 //
 // A Runner is bound to one immutable Program and one Options value. It is
 // NOT safe for concurrent use; for parallel trials give each worker its own
-// Runner (see internal/harness.RunTrialsPooled).
+// Runner (see internal/harness.RunCampaign).
 //
-// With the default direct-handoff scheduler a Runner pools thread
-// coroutines between runs (parked on their between-runs yield). Call Close
-// when done with a Runner to release them; a dropped unclosed Runner pins
-// its pooled coroutines (at most the program's thread count) until process
-// exit.
+// A Runner pools thread coroutines between runs (parked on their
+// between-runs yield). Call Close when done with a Runner to release them;
+// a dropped unclosed Runner pins its pooled coroutines (at most the
+// program's thread count) until process exit.
 //
 // Determinism guarantee: for a fixed program, strategy and seed, a run
 // produces the same Outcome (and byte-identical Recording) whether the
-// Runner is fresh or has executed any number of prior runs, whether the
-// trial executes on the serial or the pooled harness path, and whether the
-// direct-handoff or the legacy baton scheduler executes it.
+// Runner is fresh or has executed any number of prior runs, and whichever
+// campaign worker executes the trial.
 type Runner struct {
 	e Engine
 }
@@ -198,11 +173,6 @@ func NewRunner(prog *Program, opts Options) *Runner {
 		// The vector-clock race detector is defined over the rc11 view
 		// machine's happens-before; other backends do not maintain clocks.
 		e.opts.DetectRaces = false
-	}
-	if e.opts.Baton {
-		e.parkCh = make(chan *Thread)
-		e.doneCh = make(chan threadDone)
-		e.endCh = make(chan struct{}, 1)
 	}
 	return r
 }
@@ -245,9 +215,6 @@ func (e *Engine) reset(strat Strategy, seed int64) {
 	e.rngSrc.Seed(seed)
 	if e.rng == nil {
 		e.rng = rand.New(&e.rngSrc)
-	}
-	if e.opts.Baton {
-		e.killed = make(chan struct{})
 	}
 	e.nextTID = 0
 	e.model.resetRun()
@@ -398,17 +365,6 @@ func (e *Engine) locName(l memmodel.Loc) string {
 	return fmt.Sprintf("x%d", l)
 }
 
-// run dispatches to the active scheduling protocol. Both protocols share
-// driveStep/apply (and therefore every strategy interaction), so schedules
-// and outcomes are bit-identical across them for a fixed seed.
-func (e *Engine) run() {
-	if e.opts.Baton {
-		e.runBaton()
-	} else {
-		e.runDirect()
-	}
-}
-
 // startRoots creates and starts the root threads and announces them to the
 // strategy. The caller holds the baton.
 func (e *Engine) startRoots() {
@@ -437,30 +393,6 @@ func (e *Engine) startRoots() {
 	for i := 0; i < nRoots; i++ {
 		e.strat.OnThreadStart(e.threads[i].id, memmodel.InitThread)
 	}
-}
-
-// runBaton executes the legacy scheduling protocol. The engine serializes
-// threads with a baton: exactly one goroutine — the host (this function)
-// or one thread goroutine — may touch engine state at a time. A parked
-// thread that holds the baton drives the next scheduling decision itself
-// and hands the baton to the granted thread via an unbuffered channel
-// select (racing a kill channel), and thread goroutines are created per
-// run.
-func (e *Engine) runBaton() {
-	defer e.teardownBaton()
-	start := time.Now()
-	defer func() { e.outcome.Duration = time.Since(start) }()
-
-	e.startRoots()
-
-	// Kick off: the host performs the first scheduling decision, hands the
-	// baton to the granted thread, and waits for the end-of-run signal.
-	t, res, ended := e.driveStep()
-	if ended {
-		return
-	}
-	t.wake <- res
-	<-e.endCh
 }
 
 // driveStep performs one scheduling decision: it collects the enabled
@@ -532,13 +464,6 @@ func (e *Engine) deadlockMsg() string {
 		}
 	}
 	return msg
-}
-
-// signalEnd notifies the host that the run is over (legacy protocol).
-// endCh is buffered and at most one end is signalled per run (the baton is
-// unique), so the send never blocks.
-func (e *Engine) signalEnd() {
-	e.endCh <- struct{}{}
 }
 
 // initMemory creates the initialization writes (thread 0) and returns the
@@ -629,9 +554,6 @@ func (e *Engine) newThread(name string, parent *Thread, view memmodel.View, vc v
 		t.recycle()
 	} else {
 		t = &Thread{eng: e}
-		if e.opts.Baton {
-			t.wake = make(chan response)
-		}
 	}
 	t.id = e.nextTID
 	t.name = name
@@ -643,83 +565,12 @@ func (e *Engine) newThread(name string, parent *Thread, view memmodel.View, vc v
 	return t
 }
 
-// startThread launches (or, on the direct path, reuses) the goroutine for
-// t and waits for it to park on its first operation or finish immediately.
-// The caller holds the baton.
-func (e *Engine) startThread(t *Thread, fn ThreadFunc) {
-	if e.opts.Baton {
-		e.startThreadBaton(t, fn)
-	} else {
-		e.startThreadDirect(t, fn)
-	}
-}
-
-// startThreadBaton launches a per-run goroutine for t (legacy protocol).
-func (e *Engine) startThreadBaton(t *Thread, fn ThreadFunc) {
-	t.started = true
-	e.wg.Add(1)
-	go func() {
-		defer e.wg.Done()
-		defer func() {
-			r := recover()
-			if r != nil {
-				if _, ok := r.(killedError); ok {
-					return
-				}
-			}
-			if t.firstPark {
-				// Never parked: the starter is waiting on doneCh.
-				select {
-				case e.doneCh <- threadDone{tid: t.id, panicked: r != nil, panicVal: r}:
-				case <-e.killed:
-				}
-				return
-			}
-			// This goroutine holds the baton: account the completion and
-			// drive the next scheduling decision before exiting.
-			e.finishThread(t, threadDone{tid: t.id, panicked: r != nil, panicVal: r})
-			if e.stopped {
-				e.signalEnd()
-				return
-			}
-			t2, res, ended := e.driveStep()
-			if ended {
-				e.signalEnd()
-				return
-			}
-			select {
-			case t2.wake <- res:
-			case <-e.killed:
-			}
-		}()
-		fn(t)
-	}()
-	e.waitForPark(t)
-}
-
-// waitForPark blocks until thread t either parks on its first operation or
-// terminates (legacy protocol). It is used only during thread startup,
-// when the starter holds the baton and t is the only runnable thread.
-func (e *Engine) waitForPark(t *Thread) {
-	select {
-	case parked := <-e.parkCh:
-		if parked != t {
-			panic("pctwm: engine serialization violated: unexpected thread parked")
-		}
-	case done := <-e.doneCh:
-		if done.tid != t.id {
-			panic("pctwm: engine serialization violated: unexpected thread finished")
-		}
-		e.finishThread(t, done)
-	}
-}
-
-func (e *Engine) finishThread(t *Thread, done threadDone) {
+func (e *Engine) finishThread(t *Thread, panicked bool, panicVal any) {
 	t.finished = true
 	e.model.onThreadFinish(t)
 	e.stepsSinceProgress = 0
-	if done.panicked {
-		msg := fmt.Sprintf("thread %s (t%d) crashed: %v", t.Name(), t.id, done.panicVal)
+	if panicked {
+		msg := fmt.Sprintf("thread %s (t%d) crashed: %v", t.Name(), t.id, panicVal)
 		e.reportBug(msg)
 		e.setRunError(&RunError{Kind: PanicError, TID: t.id, Msg: msg})
 	}
@@ -856,9 +707,3 @@ func (e *Engine) finalValues() map[string]memmodel.Value {
 // without limit. The cached entries' hashes keep the lookup scan cheap
 // even when every run misses.
 const maxFinalValueCache = 64
-
-// teardownBaton unwinds the legacy protocol's per-run goroutines.
-func (e *Engine) teardownBaton() {
-	close(e.killed)
-	e.wg.Wait()
-}

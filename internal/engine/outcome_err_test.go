@@ -57,52 +57,48 @@ func spinForeverProgram() *Program {
 // TestRunErrorPanic: a panicking thread yields a structured PanicError
 // attributed to the panicking thread, alongside the BugHit report.
 func TestRunErrorPanic(t *testing.T) {
-	for _, baton := range []bool{false, true} {
-		o := run(t, crashProgram(), &scriptStrategy{}, Options{Baton: baton})
-		if !o.BugHit {
-			t.Fatalf("baton=%v: crash not reported as bug: %+v", baton, o)
-		}
-		if o.Err == nil {
-			t.Fatalf("baton=%v: Outcome.Err is nil for a panicking run", baton)
-		}
-		if o.Err.Kind != PanicError {
-			t.Errorf("baton=%v: Err.Kind = %v, want %v", baton, o.Err.Kind, PanicError)
-		}
-		if o.Err.TID != 2 {
-			t.Errorf("baton=%v: Err.TID = %d, want 2 (the panicking thread)", baton, o.Err.TID)
-		}
-		if !strings.Contains(o.Err.Msg, "kaboom") {
-			t.Errorf("baton=%v: Err.Msg = %q, want the panic value", baton, o.Err.Msg)
-		}
-		if o.Err.Error() != o.Err.Msg {
-			t.Errorf("baton=%v: Error() = %q, want Msg %q", baton, o.Err.Error(), o.Err.Msg)
-		}
+	o := run(t, crashProgram(), &scriptStrategy{}, Options{})
+	if !o.BugHit {
+		t.Fatalf("crash not reported as bug: %+v", o)
+	}
+	if o.Err == nil {
+		t.Fatal("Outcome.Err is nil for a panicking run")
+	}
+	if o.Err.Kind != PanicError {
+		t.Errorf("Err.Kind = %v, want %v", o.Err.Kind, PanicError)
+	}
+	if o.Err.TID != 2 {
+		t.Errorf("Err.TID = %d, want 2 (the panicking thread)", o.Err.TID)
+	}
+	if !strings.Contains(o.Err.Msg, "kaboom") {
+		t.Errorf("Err.Msg = %q, want the panic value", o.Err.Msg)
+	}
+	if o.Err.Error() != o.Err.Msg {
+		t.Errorf("Error() = %q, want Msg %q", o.Err.Error(), o.Err.Msg)
 	}
 }
 
 // TestRunErrorDeadlock: a join cycle yields a DeadlockError naming the
 // blocked threads, with no single-thread attribution.
 func TestRunErrorDeadlock(t *testing.T) {
-	for _, baton := range []bool{false, true} {
-		o := run(t, joinCycleProgram(), &scriptStrategy{}, Options{Baton: baton})
-		if !o.Deadlocked {
-			t.Fatalf("baton=%v: expected a deadlocked run: %+v", baton, o)
-		}
-		if o.Err == nil {
-			t.Fatalf("baton=%v: Outcome.Err is nil for a deadlocked run", baton)
-		}
-		if o.Err.Kind != DeadlockError {
-			t.Errorf("baton=%v: Err.Kind = %v, want %v", baton, o.Err.Kind, DeadlockError)
-		}
-		if o.Err.TID != 0 {
-			t.Errorf("baton=%v: Err.TID = %d, want 0 (no attribution)", baton, o.Err.TID)
-		}
-		if !strings.Contains(o.Err.Msg, "t1") || !strings.Contains(o.Err.Msg, "t2") {
-			t.Errorf("baton=%v: Err.Msg = %q, want both blocked threads named", baton, o.Err.Msg)
-		}
-		if !o.Failed() {
-			t.Errorf("baton=%v: a deadlocked run must report Failed()", baton)
-		}
+	o := run(t, joinCycleProgram(), &scriptStrategy{}, Options{})
+	if !o.Deadlocked {
+		t.Fatalf("expected a deadlocked run: %+v", o)
+	}
+	if o.Err == nil {
+		t.Fatal("Outcome.Err is nil for a deadlocked run")
+	}
+	if o.Err.Kind != DeadlockError {
+		t.Errorf("Err.Kind = %v, want %v", o.Err.Kind, DeadlockError)
+	}
+	if o.Err.TID != 0 {
+		t.Errorf("Err.TID = %d, want 0 (no attribution)", o.Err.TID)
+	}
+	if !strings.Contains(o.Err.Msg, "t1") || !strings.Contains(o.Err.Msg, "t2") {
+		t.Errorf("Err.Msg = %q, want both blocked threads named", o.Err.Msg)
+	}
+	if !o.Failed() {
+		t.Error("a deadlocked run must report Failed()")
 	}
 }
 
@@ -138,21 +134,19 @@ func TestFailedAccountsForErr(t *testing.T) {
 // TestRunErrorStepLimit: hitting MaxSteps yields a StepLimitError that
 // names the configured budget, consistent with the Aborted flag.
 func TestRunErrorStepLimit(t *testing.T) {
-	for _, baton := range []bool{false, true} {
-		o := run(t, spinForeverProgram(), &scriptStrategy{readPick: 0},
-			Options{MaxSteps: 200, Baton: baton})
-		if !o.Aborted {
-			t.Fatalf("baton=%v: expected an aborted run: %+v", baton, o)
-		}
-		if o.Err == nil {
-			t.Fatalf("baton=%v: Outcome.Err is nil for an aborted run", baton)
-		}
-		if o.Err.Kind != StepLimitError {
-			t.Errorf("baton=%v: Err.Kind = %v, want %v", baton, o.Err.Kind, StepLimitError)
-		}
-		if !strings.Contains(o.Err.Msg, "200") {
-			t.Errorf("baton=%v: Err.Msg = %q, want the step budget named", baton, o.Err.Msg)
-		}
+	o := run(t, spinForeverProgram(), &scriptStrategy{readPick: 0},
+		Options{MaxSteps: 200})
+	if !o.Aborted {
+		t.Fatalf("expected an aborted run: %+v", o)
+	}
+	if o.Err == nil {
+		t.Fatal("Outcome.Err is nil for an aborted run")
+	}
+	if o.Err.Kind != StepLimitError {
+		t.Errorf("Err.Kind = %v, want %v", o.Err.Kind, StepLimitError)
+	}
+	if !strings.Contains(o.Err.Msg, "200") {
+		t.Errorf("Err.Msg = %q, want the step budget named", o.Err.Msg)
 	}
 }
 
@@ -181,29 +175,27 @@ func TestRunErrorNilOnCleanAndAssertRuns(t *testing.T) {
 
 // TestRunErrorTimeout: a livelocked execution with a wall-clock bound is
 // cut off with a TimeoutError long before it burns through a huge step
-// budget, on both scheduler protocols.
+// budget.
 func TestRunErrorTimeout(t *testing.T) {
-	for _, baton := range []bool{false, true} {
-		o := run(t, spinForeverProgram(), &scriptStrategy{readPick: 0},
-			Options{MaxSteps: 1 << 30, MaxWallTime: 2 * time.Millisecond, Baton: baton})
-		if !o.TimedOut {
-			t.Fatalf("baton=%v: expected a timed-out run: %+v", baton, o)
-		}
-		if o.Err == nil || o.Err.Kind != TimeoutError {
-			t.Fatalf("baton=%v: Err = %+v, want TimeoutError", baton, o.Err)
-		}
-		if !strings.Contains(o.Err.Msg, "2ms") {
-			t.Errorf("baton=%v: Err.Msg = %q, want the configured limit named", baton, o.Err.Msg)
-		}
-		if o.Aborted {
-			t.Errorf("baton=%v: timeout also reported as step-limit abort", baton)
-		}
-		if o.Failed() {
-			t.Errorf("baton=%v: a timeout must not count as a program failure", baton)
-		}
-		if !o.Abnormal() {
-			t.Errorf("baton=%v: a timeout must count as abnormal", baton)
-		}
+	o := run(t, spinForeverProgram(), &scriptStrategy{readPick: 0},
+		Options{MaxSteps: 1 << 30, MaxWallTime: 2 * time.Millisecond})
+	if !o.TimedOut {
+		t.Fatalf("expected a timed-out run: %+v", o)
+	}
+	if o.Err == nil || o.Err.Kind != TimeoutError {
+		t.Fatalf("Err = %+v, want TimeoutError", o.Err)
+	}
+	if !strings.Contains(o.Err.Msg, "2ms") {
+		t.Errorf("Err.Msg = %q, want the configured limit named", o.Err.Msg)
+	}
+	if o.Aborted {
+		t.Error("timeout also reported as step-limit abort")
+	}
+	if o.Failed() {
+		t.Error("a timeout must not count as a program failure")
+	}
+	if !o.Abnormal() {
+		t.Error("a timeout must count as abnormal")
 	}
 }
 
@@ -213,59 +205,54 @@ func TestRunErrorTimeout(t *testing.T) {
 func TestRunErrorCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, baton := range []bool{false, true} {
-		o := run(t, spinForeverProgram(), &scriptStrategy{readPick: 0},
-			Options{MaxSteps: 1 << 30, Context: ctx, Baton: baton})
-		if !o.Canceled {
-			t.Fatalf("baton=%v: expected a canceled run: %+v", baton, o)
-		}
-		if o.Err == nil || o.Err.Kind != CanceledError {
-			t.Fatalf("baton=%v: Err = %+v, want CanceledError", baton, o.Err)
-		}
-		if o.Steps != 0 {
-			t.Errorf("baton=%v: pre-canceled run stepped %d times, want 0", baton, o.Steps)
-		}
-		if o.Failed() {
-			t.Errorf("baton=%v: cancellation must not count as a program failure", baton)
-		}
+	o := run(t, spinForeverProgram(), &scriptStrategy{readPick: 0},
+		Options{MaxSteps: 1 << 30, Context: ctx})
+	if !o.Canceled {
+		t.Fatalf("expected a canceled run: %+v", o)
+	}
+	if o.Err == nil || o.Err.Kind != CanceledError {
+		t.Fatalf("Err = %+v, want CanceledError", o.Err)
+	}
+	if o.Steps != 0 {
+		t.Errorf("pre-canceled run stepped %d times, want 0", o.Steps)
+	}
+	if o.Failed() {
+		t.Error("cancellation must not count as a program failure")
 	}
 }
 
 // TestCancelMidRunReleasesThreads: canceling from another goroutine while
 // the engine livelocks aborts the in-flight run within the watchdog
 // granularity; the threads parked mid-execution are unwound (the next run
-// on the same Runner works) and no goroutines leak after Close — on both
-// protocols.
+// on the same Runner works) and no goroutines leak after Close.
 func TestCancelMidRunReleasesThreads(t *testing.T) {
-	for _, baton := range []bool{false, true} {
-		base := runtime.NumGoroutine()
-		ctx, cancel := context.WithCancel(context.Background())
-		r := NewRunner(spinForeverProgram(), Options{
-			MaxSteps: 1 << 30, Context: ctx, Baton: baton,
-		})
-		timer := time.AfterFunc(2*time.Millisecond, cancel)
-		o := r.Run(&scriptStrategy{readPick: 0}, 1)
-		timer.Stop()
-		if !o.Canceled || o.Err == nil || o.Err.Kind != CanceledError {
-			t.Fatalf("baton=%v: expected a canceled run, got %+v", baton, o)
+	base := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	r := NewRunner(spinForeverProgram(), Options{
+		MaxSteps: 1 << 30, Context: ctx,
+	})
+	timer := time.AfterFunc(2*time.Millisecond, cancel)
+	o := r.Run(&scriptStrategy{readPick: 0}, 1)
+	timer.Stop()
+	if !o.Canceled || o.Err == nil || o.Err.Kind != CanceledError {
+		t.Fatalf("expected a canceled run, got %+v", o)
+	}
+	// The Runner must stay usable: the context is still canceled, so a
+	// second run aborts immediately instead of wedging on stale state.
+	o2 := r.Run(&scriptStrategy{readPick: 0}, 2)
+	if !o2.Canceled {
+		t.Fatalf("second run after cancel: %+v", o2)
+	}
+	r.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		if n := runtime.NumGoroutine(); n <= base {
+			break
+		} else if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked after canceled runs + Close: base %d, now %d", base, n)
 		}
-		// The Runner must stay usable: the context is still canceled, so a
-		// second run aborts immediately instead of wedging on stale state.
-		o2 := r.Run(&scriptStrategy{readPick: 0}, 2)
-		if !o2.Canceled {
-			t.Fatalf("baton=%v: second run after cancel: %+v", baton, o2)
-		}
-		r.Close()
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			runtime.GC()
-			if n := runtime.NumGoroutine(); n <= base {
-				break
-			} else if time.Now().After(deadline) {
-				t.Fatalf("baton=%v: goroutines leaked after canceled runs + Close: base %d, now %d", baton, base, n)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -303,23 +290,20 @@ func TestRunErrorKindString(t *testing.T) {
 
 // TestDurationMeasuredAroundExecution: Outcome.Duration covers the
 // execution phase only (initialization + stepping), so it is positive yet
-// bounded by the wall time around Run on both scheduler implementations —
-// the accounting the harness sums into TrialResult.Elapsed. Aborted runs
+// bounded by the wall time around Run — the accounting the harness sums into TrialResult.Elapsed. Aborted runs
 // make teardown (unwinding parked threads) as expensive as it gets, which
 // is exactly the portion that must not be billed to Duration.
 func TestDurationMeasuredAroundExecution(t *testing.T) {
-	for _, baton := range []bool{false, true} {
-		r := NewRunner(spinForeverProgram(), Options{MaxSteps: 500, Baton: baton})
-		start := time.Now()
-		o := r.Run(&scriptStrategy{readPick: 0}, 1)
-		wall := time.Since(start)
-		r.Close()
-		if !o.Aborted {
-			t.Fatalf("baton=%v: expected an aborted run", baton)
-		}
-		if o.Duration <= 0 || o.Duration > wall {
-			t.Errorf("baton=%v: Duration %v outside (0, wall %v]", baton, o.Duration, wall)
-		}
+	r := NewRunner(spinForeverProgram(), Options{MaxSteps: 500})
+	start := time.Now()
+	o := r.Run(&scriptStrategy{readPick: 0}, 1)
+	wall := time.Since(start)
+	r.Close()
+	if !o.Aborted {
+		t.Fatal("expected an aborted run")
+	}
+	if o.Duration <= 0 || o.Duration > wall {
+		t.Errorf("Duration %v outside (0, wall %v]", o.Duration, wall)
 	}
 }
 

@@ -72,8 +72,7 @@ func (k RunErrorKind) String() string {
 
 // RunError is the structured form of an abnormal execution ending,
 // surfaced as Outcome.Err. It complements the BugHit / Deadlocked /
-// Aborted booleans with machine-readable details, and is produced
-// identically by the direct-handoff and the legacy baton scheduler.
+// Aborted booleans with machine-readable details.
 type RunError struct {
 	Kind RunErrorKind
 	// TID is the thread the error is attributed to (the panicking thread
@@ -222,14 +221,6 @@ type Options struct {
 	// nil Telemetry costs exactly one predictable branch per hook and
 	// allocates nothing.
 	Telemetry *telemetry.EngineCounters `json:"-"`
-	// Baton selects the legacy channel-select baton scheduler instead of
-	// the default direct-handoff scheduler. Both produce bit-identical
-	// schedules and outcomes for the same seed; the legacy path is kept
-	// for one release as an escape hatch (cmd flag -engine.baton) and as
-	// the reference implementation for the trace-equivalence tests. It
-	// costs roughly 2× per event (two channel selects plus per-run
-	// goroutine creation on the hot path).
-	Baton bool
 }
 
 func (o Options) withDefaults() Options {

@@ -1,10 +1,9 @@
 package engine
 
-// Direct-handoff scheduler (the default; Options.Baton selects the legacy
-// protocol in engine.go).
+// Direct-handoff scheduler.
 //
 // The engine serializes simulated threads with a baton: exactly one
-// goroutine — the host (runDirect) or one thread coroutine — touches
+// goroutine — the host (run) or one thread coroutine — touches
 // engine state at a time. Threads run on coroutines (iter.Pull, backed by
 // the runtime's coroswitch), so a handoff is a direct goroutine switch
 // that never enters the Go scheduler: no run queue, no sudog, no timer
@@ -38,15 +37,14 @@ import (
 	"time"
 )
 
-// runDirect executes one run under the direct-handoff protocol. It is the
-// host: it starts the root threads, performs the first scheduling
-// decision, and then trampolines — it resumes whichever thread the last
-// decision granted until a decision ends the run. Duration covers
-// initialization + stepping; teardown (unwinding parked threads after
-// aborted runs) is excluded so per-event numbers are comparable across
-// protocols.
-func (e *Engine) runDirect() {
-	defer e.teardownDirect()
+// run executes one run. It is the host: it starts the root threads,
+// performs the first scheduling decision, and then trampolines — it
+// resumes whichever thread the last decision granted until a decision
+// ends the run. Duration covers initialization + stepping; teardown
+// (unwinding parked threads after aborted runs) is excluded so per-event
+// numbers do not depend on how a run ended.
+func (e *Engine) run() {
+	defer e.teardown()
 	start := time.Now()
 	defer func() { e.outcome.Duration = time.Since(start) }()
 
@@ -63,12 +61,12 @@ func (e *Engine) runDirect() {
 	}
 }
 
-// startThreadDirect hands fn to t's pooled coroutine (creating it on first
+// startThread hands fn to t's pooled coroutine (creating it on first
 // use of the shell) and resumes it; the resume call returns when the
 // thread parks on its first operation or finishes. The caller holds the
 // baton; the new thread's first yield returns control here (iter.Pull
 // yields return to the most recent resumer).
-func (e *Engine) startThreadDirect(t *Thread, fn ThreadFunc) {
+func (e *Engine) startThread(t *Thread, fn ThreadFunc) {
 	t.started = true
 	if !t.live {
 		t.live = true
@@ -99,7 +97,7 @@ func (t *Thread) coroLoop(yield func(struct{}) bool) {
 }
 
 // runBody runs one ThreadFunc to completion, unwinding (killedError) or
-// user panic, and performs the matching protocol epilogue.
+// user panic, and performs the completion epilogue (finish).
 func (t *Thread) runBody(fn ThreadFunc) {
 	defer func() {
 		r := recover()
@@ -110,30 +108,28 @@ func (t *Thread) runBody(fn ThreadFunc) {
 				return
 			}
 		}
-		t.finishDirect(r != nil, r)
+		t.finish(r != nil, r)
 	}()
 	fn(t)
 }
 
-// finishDirect is the completion protocol of a thread whose ThreadFunc
+// finish is the completion protocol of a thread whose ThreadFunc
 // returned or panicked with a user error. It runs inside the coroutine;
 // falling out parks the coroutine on its between-runs yield, handing
 // control back to the resumer (the starter for never-parked threads, the
 // host trampoline otherwise).
-func (t *Thread) finishDirect(panicked bool, val any) {
+func (t *Thread) finish(panicked bool, val any) {
 	e := t.eng
-	done := threadDone{tid: t.id, panicked: panicked, panicVal: val}
+	e.finishThread(t, panicked, val)
 	if t.firstPark {
 		// Finished without ever parking: the starter holds the baton and is
-		// blocked in startThreadDirect's resume call. Account the completion
-		// (we are serialized with the starter) and fall out.
-		e.finishThread(t, done)
+		// blocked in startThread's resume call. The completion is accounted
+		// (we are serialized with the starter), so fall out.
 		return
 	}
 	// This coroutine was the last granted: it holds the baton and drives
 	// the next scheduling decision before parking; the host resumes the
 	// granted thread.
-	e.finishThread(t, done)
 	if e.stopped {
 		e.endRun = true
 		return
@@ -146,17 +142,17 @@ func (t *Thread) finishDirect(panicked bool, val any) {
 	e.granted, e.grantRes = t2, res
 }
 
-// postDirect parks the thread on the request in t.req under the
-// direct-handoff protocol and returns the granted response.
+// park parks the thread on the request in t.req and returns the granted
+// response.
 //
 // The first park of a thread's life yields straight back to the starter
-// (blocked in startThreadDirect). Every later park means this thread was
+// (blocked in startThread). Every later park means this thread was
 // the last one granted, so it still holds the baton: it runs the
 // scheduling decision inline. If the strategy grants this thread again,
 // the response returns without any coroutine switch; otherwise the grant
 // is published in engine state and the thread yields to the host, which
 // resumes the granted thread.
-func (t *Thread) postDirect() response {
+func (t *Thread) park() response {
 	e := t.eng
 	if t.firstPark {
 		t.firstPark = false
@@ -183,14 +179,14 @@ func (t *Thread) postDirect() response {
 	return e.grantRes
 }
 
-// teardownDirect unwinds every thread coroutine still parked inside its
+// teardown unwinds every thread coroutine still parked inside its
 // ThreadFunc (aborted runs, deadlocks, StopOnBug) so no coroutine retains
 // user-code frames across runs. Finished threads are already parked on
 // their between-runs yield and need nothing. Each resume below returns
 // when the killed thread has finished unwinding its user-code stack and
 // parked between runs, so the run's pooled state is quiescent when
 // releaseRun executes.
-func (e *Engine) teardownDirect() {
+func (e *Engine) teardown() {
 	e.killing = true
 	for _, t := range e.threads {
 		if t.started && !t.finished {
@@ -202,8 +198,7 @@ func (e *Engine) teardownDirect() {
 
 // Close releases the Runner's pooled thread coroutines. It must not be
 // called concurrently with Run; after Close the Runner is dead (Run
-// panics). Close is idempotent. Runners on the legacy baton path have no
-// pooled coroutines, so Close only waits out their per-run goroutines.
+// panics). Close is idempotent.
 func (r *Runner) Close() {
 	e := &r.e
 	if e.closed {
@@ -224,5 +219,4 @@ func (r *Runner) Close() {
 	}
 	shutdown(e.freeThreads)
 	shutdown(e.threads) // defensive: empty between runs
-	e.wg.Wait()         // legacy baton path's per-run goroutines
 }

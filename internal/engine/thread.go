@@ -21,8 +21,8 @@ type ThreadHandle struct {
 // TID returns the thread id of the spawned thread.
 func (h *ThreadHandle) TID() memmodel.ThreadID { return h.tid }
 
-// errKilled is panicked inside thread goroutines when the engine tears an
-// execution down early (bug found, step limit, ...).
+// killedError is panicked inside thread coroutines when the engine tears
+// an execution down early (bug found, step limit, ...).
 type killedError struct{}
 
 func (killedError) Error() string { return "pctwm: execution torn down" }
@@ -47,12 +47,7 @@ type Thread struct {
 	ext  reqExt
 	pend PendingOp
 
-	// Legacy baton protocol (Options.Baton): a parked thread blocks on
-	// wake until a baton holder grants its pending request.
-	wake chan response
-
-	// Direct-handoff protocol (default): the thread body runs on a
-	// coroutine (iter.Pull). resume switches into the coroutine, yield
+	// The thread body runs on a coroutine (iter.Pull, see sched.go). resume switches into the coroutine, yield
 	// switches back to the most recent resumer, stop terminates the
 	// coroutine (Runner.Close) — all direct goroutine switches that never
 	// enter the Go scheduler. live marks the shell's pooled coroutine
@@ -104,9 +99,8 @@ func (t *Thread) Name() string {
 	return t.name
 }
 
-// recycle readies a thread shell from a previous run for reuse. The park
-// channel, the persistent goroutine and the views'/clocks' backing arrays
-// are retained.
+// recycle readies a thread shell from a previous run for reuse. The pooled
+// coroutine and the views'/clocks' backing arrays are retained.
 func (t *Thread) recycle() {
 	t.req = request{}
 	t.ext = reqExt{}
@@ -127,10 +121,9 @@ func (t *Thread) recycle() {
 }
 
 // submit parks the thread on the request stored in t.req and returns the
-// engine's response, dispatching to the active scheduling protocol. It
-// also caches the request's strategy-facing PendingOp summary, so
-// enabledOps does not recompute it on every scheduling decision while the
-// thread stays parked.
+// engine's response. It also caches the request's strategy-facing
+// PendingOp summary, so enabledOps does not recompute it on every
+// scheduling decision while the thread stays parked.
 func (t *Thread) submit() response {
 	kind := t.req.pendingKind()
 	t.pend = PendingOp{
@@ -141,52 +134,7 @@ func (t *Thread) submit() response {
 		Loc:   t.req.loc,
 		Comm:  t.eng.model.commSink(kind, t.req.order),
 	}
-	if t.eng.opts.Baton {
-		return t.postBaton()
-	}
-	return t.postDirect()
-}
-
-// postBaton is the legacy (Options.Baton) park/grant protocol.
-//
-// The first park of a thread's life signals the starter (which holds the
-// baton and is blocked in waitForPark) and waits to be granted. Every
-// later park means this thread was the last one granted, so it still holds
-// the baton: it drives the next scheduling decision itself. If the
-// strategy grants this thread again the request is applied without any
-// goroutine switch; otherwise the baton (and the granted thread's
-// response) is handed directly to the chosen thread.
-func (t *Thread) postBaton() response {
-	e := t.eng
-	if t.firstPark {
-		t.firstPark = false
-		select {
-		case e.parkCh <- t:
-		case <-e.killed:
-			panic(killedError{})
-		}
-	} else {
-		t2, res, ended := e.driveStep()
-		if ended {
-			e.signalEnd()
-			<-e.killed
-			panic(killedError{})
-		}
-		if t2 == t {
-			return res
-		}
-		select {
-		case t2.wake <- res:
-		case <-e.killed:
-			panic(killedError{})
-		}
-	}
-	select {
-	case res := <-t.wake:
-		return res
-	case <-e.killed:
-		panic(killedError{})
-	}
+	return t.park()
 }
 
 // Load performs an atomic (or, with memmodel.NonAtomic, a plain) load of

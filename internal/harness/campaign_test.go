@@ -209,31 +209,49 @@ func (s *blockingStrategy) OnSpin(memmodel.ThreadID)             {}
 // TestCampaignStuckWatchdog: a worker wedged inside a trial trips the
 // campaign watchdog — the campaign returns a partial result marked Stuck
 // with diagnostics naming the wedged worker, instead of hanging forever.
+// The one-worker cases (Workers: 1, and a single round capped to one
+// worker) pin that a pool of one is watched too. Each campaign runs under
+// a deadline so a missing watchdog fails the test instead of hanging it.
 func TestCampaignStuckWatchdog(t *testing.T) {
 	b, _ := benchprog.ByName("dekker")
 	prog := b.Program(0)
-	gate := make(chan struct{})
-	defer close(gate) // release the leaked worker after the test
-	var tookBlocker atomic.Bool
-	newStrategy := func() engine.Strategy {
-		if tookBlocker.CompareAndSwap(false, true) {
-			return &blockingStrategy{gate: gate}
-		}
-		return core.NewRandom()
-	}
+	for _, c := range []struct {
+		name          string
+		workers, runs int
+	}{
+		{"workers2", 2, 500},
+		{"workers1", 1, 500},
+		{"one-round", 2, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			gate := make(chan struct{})
+			defer close(gate) // release the leaked worker after the test
+			var tookBlocker atomic.Bool
+			newStrategy := func() engine.Strategy {
+				if tookBlocker.CompareAndSwap(false, true) {
+					return &blockingStrategy{gate: gate}
+				}
+				return core.NewRandom()
+			}
 
-	start := time.Now()
-	res := RunCampaign(prog, b.Detect, newStrategy, 500, 1, b.Options(),
-		Campaign{Workers: 2, StuckTimeout: 120 * time.Millisecond})
-	elapsed := time.Since(start)
-	if !res.Stuck {
-		t.Fatalf("watchdog did not flag the wedged worker: %+v", res)
-	}
-	if !strings.Contains(res.StuckDiag, "stuck workers") || !strings.Contains(res.StuckDiag, "goroutine") {
-		t.Fatalf("diagnostics missing worker/goroutine details:\n%s", res.StuckDiag)
-	}
-	if elapsed > 10*time.Second {
-		t.Fatalf("stuck campaign took %v to give up", elapsed)
+			done := make(chan TrialResult, 1)
+			go func() {
+				done <- RunCampaign(prog, b.Detect, newStrategy, c.runs, 1, b.Options(),
+					Campaign{Workers: c.workers, StuckTimeout: 120 * time.Millisecond})
+			}()
+			var res TrialResult
+			select {
+			case res = <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("stuck campaign never returned: the watchdog did not fire")
+			}
+			if !res.Stuck {
+				t.Fatalf("watchdog did not flag the wedged worker: %+v", res)
+			}
+			if !strings.Contains(res.StuckDiag, "stuck workers") || !strings.Contains(res.StuckDiag, "goroutine") {
+				t.Fatalf("diagnostics missing worker/goroutine details:\n%s", res.StuckDiag)
+			}
+		})
 	}
 }
 

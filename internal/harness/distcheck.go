@@ -41,16 +41,16 @@ func (c DistCheckConfig) withDefaults() DistCheckConfig {
 }
 
 // DistCheckResult pairs the two halves of a conformance campaign: the
-// shipped strategies must pass every check, and the preserved colliding
-// fixtures must fail their permutation checks (proof the harness still
-// detects the bug class it was built to catch).
+// shipped strategies must pass every check, and the colliding fixture
+// (distcheck.CollidingFixture) must fail its permutation check (proof the
+// harness still detects the bug class it was built to catch).
 type DistCheckResult struct {
 	// Conformance holds the fixed strategies' checks; all must pass.
 	Conformance *distcheck.Report `json:"conformance"`
-	// Fixtures holds the colliding fixtures' permutation checks; all
+	// Fixtures holds the colliding fixture's permutation check, which
 	// must fail.
 	Fixtures *distcheck.Report `json:"fixtures"`
-	// Detected is true when every colliding fixture failed.
+	// Detected is true when the colliding fixture failed.
 	Detected bool `json:"detected"`
 	// Passed is Conformance.Passed && Detected.
 	Passed bool `json:"passed"`
@@ -98,8 +98,8 @@ func distCheckStrategies(cfg DistCheckConfig) []distcheck.Strategy {
 
 // DistCheckCampaign runs the strategy-conformance suite over tests (nil
 // selects DistCheckSuite), with each program's bound parameters profiled
-// by EstimateParams, then re-runs the permutation check on the colliding
-// regression fixtures to prove detection still works.
+// by EstimateParams, then runs the permutation check on the colliding
+// regression fixture to prove detection still works.
 func DistCheckCampaign(tests []*litmus.Test, cfg DistCheckConfig) (*DistCheckResult, error) {
 	cfg = cfg.withDefaults()
 	if tests == nil {
@@ -121,28 +121,11 @@ func DistCheckCampaign(tests []*litmus.Test, cfg DistCheckConfig) (*DistCheckRes
 	if err != nil {
 		return nil, err
 	}
-	fixtures := []distcheck.Strategy{
-		{
-			Name: "pct-colliding",
-			New:  func(p distcheck.Params) engine.Strategy { return core.NewCollidingPCT(cfg.Depth, p.Steps) },
-		},
-		{
-			Name: "pctwm-colliding",
-			New: func(p distcheck.Params) engine.Strategy {
-				return core.NewCollidingPCTWM(cfg.WMDepth, cfg.History, p.Comm)
-			},
-		},
-	}
-	fix, err := distcheck.Run(nil, fixtures, cfg.Check)
+	fix, err := distcheck.Run(nil, []distcheck.Strategy{distcheck.CollidingFixture()}, cfg.Check)
 	if err != nil {
 		return nil, err
 	}
-	detected := true
-	for _, res := range fix.Results {
-		if res.Pass {
-			detected = false
-		}
-	}
+	detected := !fix.Passed
 	return &DistCheckResult{
 		Conformance: conf,
 		Fixtures:    fix,

@@ -16,7 +16,7 @@ func distCheckFastConfig() distcheck.Config {
 // TestDistCheckCampaign is the CI conformance gate: over the default
 // small-litmus suite with estimated parameters and the default fixed
 // seed, the shipped strategies pass every distributional check and the
-// colliding regression fixtures are detected.
+// colliding regression fixture is detected.
 func TestDistCheckCampaign(t *testing.T) {
 	res, err := DistCheckCampaign(nil, DistCheckConfig{})
 	if err != nil {
@@ -33,7 +33,7 @@ func TestDistCheckCampaign(t *testing.T) {
 		for _, r := range res.Fixtures.Results {
 			t.Logf("fixture %-16s pass=%v chi2=%.2f p=%g", r.Strategy, r.Pass, r.Stat, r.P)
 		}
-		t.Error("colliding fixtures were not detected")
+		t.Error("colliding fixture was not detected")
 	}
 	if res.Passed != (res.Conformance.Passed && res.Detected) {
 		t.Error("Passed is not the conjunction of Conformance.Passed and Detected")

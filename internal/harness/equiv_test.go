@@ -1,13 +1,13 @@
 package harness_test
 
-// Trace-equivalence gate for the direct-handoff scheduler: for every
-// litmus test and every paper benchmark, the legacy baton scheduler
-// (Options.Baton) and the default direct-handoff scheduler must produce
+// Trace-equivalence gate for Runner pooling: for every litmus test and
+// every paper benchmark, a warm Runner reused across all seeds (as every
+// campaign worker uses it) and a fresh one-shot engine.Run must produce
 // identical executions for the same strategy and seed — same recorded
-// event trace (po, rf, mo, SC order, spawn/join links), same outcome
-// classification, same final state. This is the "bit-identical schedules"
-// contract that lets the baton path serve as the reference implementation
-// while it remains available as an escape hatch.
+// event trace (po, rf, mo, SC order, spawn/join links, location names),
+// same outcome classification, same races, same final state. The golden
+// digests (model_golden_test.go) pin the schedules themselves; this suite
+// pins that pooled state never leaks from one run into the next.
 
 import (
 	"reflect"
@@ -20,90 +20,32 @@ import (
 )
 
 // equivSeeds is the number of seeds each program is replayed under per
-// strategy, on both scheduler implementations.
+// strategy, on the warm and on fresh Runners.
 const equivSeeds = 200
 
-// compareOutcomes fails the test when the two outcomes differ in anything
-// but wall-clock duration.
-func compareOutcomes(t *testing.T, name, strategy string, seed int64, direct, baton *engine.Outcome) {
-	t.Helper()
-	fail := func(field string, d, b any) {
-		t.Errorf("%s/%s seed %d: %s diverged: direct=%v baton=%v", name, strategy, seed, field, d, b)
-	}
-	if direct.Steps != baton.Steps {
-		fail("Steps", direct.Steps, baton.Steps)
-	}
-	if direct.Events != baton.Events {
-		fail("Events", direct.Events, baton.Events)
-	}
-	if direct.CommEvents != baton.CommEvents {
-		fail("CommEvents", direct.CommEvents, baton.CommEvents)
-	}
-	if direct.BugHit != baton.BugHit {
-		fail("BugHit", direct.BugHit, baton.BugHit)
-	}
-	if !reflect.DeepEqual(direct.BugMessages, baton.BugMessages) {
-		fail("BugMessages", direct.BugMessages, baton.BugMessages)
-	}
-	if direct.Aborted != baton.Aborted {
-		fail("Aborted", direct.Aborted, baton.Aborted)
-	}
-	if direct.Deadlocked != baton.Deadlocked {
-		fail("Deadlocked", direct.Deadlocked, baton.Deadlocked)
-	}
-	if !reflect.DeepEqual(direct.Err, baton.Err) {
-		fail("Err", direct.Err, baton.Err)
-	}
-	if !reflect.DeepEqual(direct.Races, baton.Races) {
-		fail("Races", direct.Races, baton.Races)
-	}
-	if !reflect.DeepEqual(direct.FinalValues, baton.FinalValues) {
-		fail("FinalValues", direct.FinalValues, baton.FinalValues)
-	}
-	switch {
-	case direct.Recording == nil || baton.Recording == nil:
-		fail("Recording presence", direct.Recording != nil, baton.Recording != nil)
-	case !reflect.DeepEqual(direct.Recording.Events, baton.Recording.Events):
-		fail("Recording.Events", len(direct.Recording.Events), len(baton.Recording.Events))
-	case !reflect.DeepEqual(direct.Recording.SCOrder, baton.Recording.SCOrder):
-		fail("Recording.SCOrder", direct.Recording.SCOrder, baton.Recording.SCOrder)
-	case !reflect.DeepEqual(direct.Recording.SpawnLinks, baton.Recording.SpawnLinks):
-		fail("Recording.SpawnLinks", direct.Recording.SpawnLinks, baton.Recording.SpawnLinks)
-	case !reflect.DeepEqual(direct.Recording.JoinLinks, baton.Recording.JoinLinks):
-		fail("Recording.JoinLinks", direct.Recording.JoinLinks, baton.Recording.JoinLinks)
-	case !reflect.DeepEqual(direct.Recording.LocNames, baton.Recording.LocNames):
-		fail("Recording.LocNames", direct.Recording.LocNames, baton.Recording.LocNames)
-	}
-}
-
-// checkEquivalence runs prog under mk()-built strategies on both
-// scheduler implementations for seeds 1..n and compares every execution.
-// Each seed gets a fresh strategy instance per path so no strategy state
-// leaks between the two runs being compared.
+// checkEquivalence runs prog under mk()-built strategies on one warm
+// Runner and on a fresh Runner per seed, for seeds 1..n, and compares
+// every execution. Each run gets a fresh strategy instance so no strategy
+// state leaks between the two runs being compared.
 func checkEquivalence(t *testing.T, name string, prog *engine.Program, opts engine.Options, strategy string, mk func() engine.Strategy, n int) {
 	t.Helper()
 	opts.Record = true
-	direct := engine.NewRunner(prog, opts)
-	defer direct.Close()
-	batonOpts := opts
-	batonOpts.Baton = true
-	baton := engine.NewRunner(prog, batonOpts)
-	defer baton.Close()
-
+	warm := engine.NewRunner(prog, opts)
+	defer warm.Close()
 	for seed := int64(1); seed <= int64(n); seed++ {
-		od := direct.Run(mk(), seed)
-		ob := baton.Run(mk(), seed)
-		compareOutcomes(t, name, strategy, seed, od, ob)
-		if t.Failed() {
-			t.Fatalf("%s/%s: stopping at first divergent seed %d", name, strategy, seed)
+		ow := warm.Run(mk(), seed)
+		of := engine.Run(prog, mk(), seed, opts)
+		ow.Duration, of.Duration = 0, 0
+		if !reflect.DeepEqual(ow, of) {
+			t.Fatalf("%s/%s seed %d: warm Runner diverged from a fresh one\nwarm:  %+v\nfresh: %+v",
+				name, strategy, seed, ow, of)
 		}
 	}
 }
 
-// strategies under which equivalence is checked: the random baseline
+// equivStrategies under which equivalence is checked: the random baseline
 // exercises broad schedule diversity; PCTWM additionally exercises the
-// strategy-state protocol (priority changes, OnSpin, read picks) along
-// the direct handoff path.
+// strategy-state protocol (priority changes, OnSpin, read picks).
 func equivStrategies(depth int) map[string]func() engine.Strategy {
 	if depth < 1 {
 		depth = 1
@@ -115,7 +57,7 @@ func equivStrategies(depth int) map[string]func() engine.Strategy {
 }
 
 // TestTraceEquivalenceLitmus: every litmus test produces identical traces
-// on both schedulers for 200 seeds.
+// on warm and fresh Runners for 200 seeds.
 func TestTraceEquivalenceLitmus(t *testing.T) {
 	for _, lt := range litmus.Suite() {
 		lt := lt
@@ -129,7 +71,7 @@ func TestTraceEquivalenceLitmus(t *testing.T) {
 }
 
 // TestTraceEquivalenceBenchmarks: every paper benchmark produces
-// identical traces on both schedulers for 200 seeds, under the
+// identical traces on warm and fresh Runners for 200 seeds, under the
 // benchmark's own options (race detection on, stop at first bug).
 func TestTraceEquivalenceBenchmarks(t *testing.T) {
 	for _, b := range benchprog.All() {

@@ -10,7 +10,6 @@ package harness
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"pctwm/internal/benchprog"
@@ -207,16 +206,6 @@ func (r TrialResult) String() string {
 	return s
 }
 
-// RunTrials executes prog for runs rounds on one pooled Runner, counting
-// rounds whose outcome detect() flags as a bug hit. newStrategy is invoked
-// once; the returned strategy is reset by its Begin on every round (the
-// engine.Strategy contract). Round i runs with seed+i, so results are
-// reproducible and identical to RunTrialsPooled with any worker count.
-func RunTrials(prog *engine.Program, detect func(*engine.Outcome) bool,
-	newStrategy func() engine.Strategy, runs int, seed int64, opts engine.Options) TrialResult {
-	return RunTrialsPooled(prog, detect, newStrategy, runs, seed, opts, 1)
-}
-
 // StrategyFactory builds a fresh strategy per run from the measured
 // program parameters.
 type StrategyFactory func(est Estimate) engine.Strategy
@@ -245,15 +234,9 @@ func PCTWMFactory(d, h int) StrategyFactory {
 }
 
 // BenchTrials profiles the benchmark, then runs trials with the factory
-// spread over the given number of workers (0 = GOMAXPROCS, 1 = serial).
-func BenchTrials(b *benchprog.Benchmark, factory StrategyFactory, runs int, seed int64, extraWrites, workers int) (TrialResult, Estimate) {
-	return BenchTrialsCampaign(b, factory, runs, seed, extraWrites, Campaign{Workers: workers})
-}
-
-// BenchTrialsCampaign is BenchTrials with the full campaign resilience
-// layer (cancellation, repro bundles, watchdogs). The parameter estimate
-// runs before the trials and is not subject to the campaign context.
-func BenchTrialsCampaign(b *benchprog.Benchmark, factory StrategyFactory, runs int, seed int64, extraWrites int, camp Campaign) (TrialResult, Estimate) {
+// as one campaign (RunCampaign). The parameter estimate runs before the
+// trials and is not subject to the campaign context.
+func BenchTrials(b *benchprog.Benchmark, factory StrategyFactory, runs int, seed int64, extraWrites int, camp Campaign) (TrialResult, Estimate) {
 	prog := b.Program(extraWrites)
 	opts := b.Options()
 	if camp.Model != "" {
@@ -265,15 +248,10 @@ func BenchTrialsCampaign(b *benchprog.Benchmark, factory StrategyFactory, runs i
 }
 
 // BestOverH runs PCTWM for h = 1..maxH and returns the best rate together
-// with the h that achieved it (Table 2 reports "Rate (h:x)").
-func BestOverH(b *benchprog.Benchmark, d, maxH, runs int, seed int64, workers int) (TrialResult, int) {
-	return BestOverHCampaign(b, d, maxH, runs, seed, Campaign{Workers: workers})
-}
-
-// BestOverHCampaign is BestOverH under a campaign: each h-sweep row runs
-// with the campaign's resilience knobs, and the sweep stops early (returning
-// the best row so far) when the campaign context is canceled.
-func BestOverHCampaign(b *benchprog.Benchmark, d, maxH, runs int, seed int64, camp Campaign) (TrialResult, int) {
+// with the h that achieved it (Table 2 reports "Rate (h:x)"). Each h-sweep
+// row runs as one campaign, and the sweep stops early (returning the best
+// row so far) when the campaign context is canceled.
+func BestOverH(b *benchprog.Benchmark, d, maxH, runs int, seed int64, camp Campaign) (TrialResult, int) {
 	var best TrialResult
 	bestH := 1
 	for h := 1; h <= maxH; h++ {
@@ -281,7 +259,7 @@ func BestOverHCampaign(b *benchprog.Benchmark, d, maxH, runs int, seed int64, ca
 			best.Interrupted = true
 			break
 		}
-		res, _ := BenchTrialsCampaign(b, PCTWMFactory(d, h), runs, seed+int64(1000*h), 0, camp)
+		res, _ := BenchTrials(b, PCTWMFactory(d, h), runs, seed+int64(1000*h), 0, camp)
 		if res.Rate() > best.Rate() || (h == 1 && best.Runs == 0) {
 			best, bestH = res, h
 		}
@@ -295,23 +273,12 @@ func BestOverHCampaign(b *benchprog.Benchmark, d, maxH, runs int, seed int64, ca
 }
 
 // RSD returns the relative standard deviation (percent) of the samples,
-// as reported in Table 4.
+// as reported in Table 4: the population standard deviation over the
+// mean, 0 for an empty or zero-mean sample.
 func RSD(samples []float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, s := range samples {
-		sum += s
-	}
-	mean := sum / float64(len(samples))
+	mean := stats.Mean(samples)
 	if mean == 0 {
 		return 0
 	}
-	var sq float64
-	for _, s := range samples {
-		sq += (s - mean) * (s - mean)
-	}
-	sd := math.Sqrt(sq / float64(len(samples)))
-	return 100 * sd / mean
+	return 100 * stats.StdDev(samples) / mean
 }

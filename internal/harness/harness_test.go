@@ -32,8 +32,8 @@ func TestEstimateParams(t *testing.T) {
 
 func TestRunTrialsCountsHits(t *testing.T) {
 	p := simpleProgram()
-	res := RunTrials(p, func(o *engine.Outcome) bool { return o.BugHit },
-		func() engine.Strategy { return C11Tester()(Estimate{}) }, 200, 3, engine.Options{})
+	res := RunCampaign(p, func(o *engine.Outcome) bool { return o.BugHit },
+		func() engine.Strategy { return C11Tester()(Estimate{}) }, 200, 3, engine.Options{}, Campaign{Workers: 1})
 	if res.Runs != 200 {
 		t.Fatalf("runs %d", res.Runs)
 	}
@@ -88,7 +88,7 @@ func TestBestOverH(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, h := BestOverH(b, b.Depth, 2, 60, 5, 1)
+	res, h := BestOverH(b, b.Depth, 2, 60, 5, Campaign{Workers: 1})
 	if h < 1 || h > 2 {
 		t.Fatalf("best h out of range: %d", h)
 	}

@@ -7,6 +7,7 @@ import (
 	"runtime/debug"
 	"runtime/pprof"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,15 +36,15 @@ func ResolveWorkers(workers, runs int) int {
 	return workers
 }
 
-// Campaign configures the resilience layer of a trial batch: worker
-// count, cooperative cancellation, the campaign-level stuck-worker
-// watchdog, and the repro-bundle sink with its flake triage. The zero
-// value reproduces the plain RunTrialsPooled behaviour (serial, no
-// watchdogs, no bundles) with zero hot-path overhead.
+// Campaign configures a trial batch: worker count, cooperative
+// cancellation, the campaign-level stuck-worker watchdog, and the
+// repro-bundle sink with its flake triage. The zero value runs on
+// GOMAXPROCS workers with no watchdogs and no bundles; set Workers: 1 for
+// a single worker.
 type Campaign struct {
 	// Workers spreads the rounds over this many goroutines (0 =
-	// GOMAXPROCS, 1 = serial). Hit counts and event totals are identical
-	// for every worker count.
+	// GOMAXPROCS). Hit counts and event totals are identical for every
+	// worker count.
 	Workers int
 	// Context cancels the campaign cooperatively: workers stop claiming
 	// new rounds, and the in-flight run of every worker is aborted by the
@@ -96,7 +97,7 @@ type Campaign struct {
 	EmbedPerfetto bool
 	// Model, when non-empty, overrides the memory-model backend for
 	// campaigns that build their own engine.Options from a benchmark
-	// registry (BenchTrialsCampaign and friends). Callers that pass
+	// registry (BenchTrials, BestOverH). Callers that pass
 	// explicit Options set Options.Model directly instead.
 	Model string
 	// Checkpoint, when non-nil with a Dir, arms the durable
@@ -155,25 +156,21 @@ type TrialFailure struct {
 	BundlePath string
 }
 
-// RunTrialsPooled is the streaming trial loop behind RunTrials and the
-// -workers flags: runs rounds are claimed from a shared atomic counter by
-// `workers` goroutines, each owning one pooled engine.Runner and one
-// strategy value from newStrategy (Strategy.Begin resets per round).
-// Aggregation is lock-free: every worker fills its own TrialResult, merged
-// once after the pool drains.
+// RunCampaign is the trial loop: it executes prog for runs rounds,
+// counting rounds whose outcome detect flags as a bug hit. The rounds are
+// claimed from a shared atomic counter by camp.Workers goroutines, each
+// owning one pooled engine.Runner and one strategy value from newStrategy
+// (Strategy.Begin resets per round). Aggregation is lock-free: every
+// worker fills its own TrialResult, merged once after the pool drains.
 //
 // Round i always runs with seed+i, independent of which worker claims it,
 // so hit counts and event totals are identical for every worker count —
 // only Wall changes. Elapsed sums per-run execution time across workers
 // (aggregate CPU time); Wall is the batch's wall-clock duration.
-func RunTrialsPooled(prog *engine.Program, detect func(*engine.Outcome) bool,
-	newStrategy func() engine.Strategy, runs int, seed int64, opts engine.Options, workers int) TrialResult {
-	return RunCampaign(prog, detect, newStrategy, runs, seed, opts, Campaign{Workers: workers})
-}
-
-// RunCampaign is RunTrialsPooled with the full resilience layer: panic
-// quarantine, cooperative cancellation, per-trial and campaign-level
-// watchdogs, and the repro sink. See Campaign for the knobs.
+//
+// The campaign adds a resilience layer: panic quarantine, cooperative
+// cancellation, per-trial and campaign-level watchdogs, and the repro
+// sink. See Campaign for the knobs.
 //
 // Panic quarantine: a panic that escapes engine.Runner.Run (a buggy
 // strategy, a harness bug) is recovered at the trial boundary, counted in
@@ -266,25 +263,6 @@ func runCampaignBatch(prog *engine.Program, detect func(*engine.Outcome) bool,
 	}
 
 	start := time.Now()
-	if workers == 1 {
-		var tel *telemetry.EngineCounters
-		if collect {
-			tel = &telemetry.EngineCounters{}
-		}
-		var cov *coverage.Set
-		if camp.Coverage {
-			cov = &coverage.Set{}
-		}
-		strat := newStrategy()
-		labeledWorker(ctx, 0, strat.Name(), progName, func() {
-			res = runWorker(prog, detect, strat, newStrategy, runs, seed, opts, nil, ctx, sink, nil, tel, camp.Metrics, cov, camp.trialBase)
-		})
-		finishTelemetry(&res, []*telemetry.EngineCounters{tel}, nil, telBase, camp.Metrics)
-		finishCoverage(&res, []*coverage.Set{cov}, nil)
-		finishCampaign(&res, sink, start, camp.Metrics)
-		return res
-	}
-
 	var (
 		next   atomic.Int64
 		wg     sync.WaitGroup
@@ -295,7 +273,13 @@ func runCampaignBatch(prog *engine.Program, detect func(*engine.Outcome) bool,
 	)
 	for w := 0; w < workers; w++ {
 		states[w] = &workerState{}
-		states[w].beat.Store(time.Now().UnixNano())
+		// The per-trial heartbeat costs a clock read, so workers publish
+		// it only while the watchdog that reads it is armed.
+		var hb *workerState
+		if camp.StuckTimeout > 0 {
+			hb = states[w]
+			hb.beat.Store(time.Now().UnixNano())
+		}
 		if collect {
 			shards[w] = &telemetry.EngineCounters{}
 		}
@@ -308,18 +292,17 @@ func runCampaignBatch(prog *engine.Program, detect func(*engine.Outcome) bool,
 			defer states[w].done.Store(true)
 			strat := newStrategy()
 			labeledWorker(ctx, w, strat.Name(), progName, func() {
-				locals[w] = runWorker(prog, detect, strat, newStrategy, runs, seed, opts, &next, ctx, sink, states[w], shards[w], camp.Metrics, covs[w], camp.trialBase)
+				locals[w] = runWorker(prog, detect, strat, newStrategy, runs, seed, opts, &next, ctx, sink, hb, shards[w], camp.Metrics, covs[w], camp.trialBase)
 			})
 		}(w)
 	}
 
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-
 	if camp.StuckTimeout > 0 {
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
 		res.Stuck, res.StuckDiag = watchCampaign(done, states, camp.StuckTimeout, cancel)
 	} else {
-		<-done
+		wg.Wait()
 	}
 
 	for w, l := range locals {
@@ -346,7 +329,7 @@ func finishCoverage(res *TrialResult, covs []*coverage.Set, states []*workerStat
 		if c == nil {
 			continue
 		}
-		if states != nil && !states[w].done.Load() {
+		if !states[w].done.Load() {
 			continue
 		}
 		any = true
@@ -383,7 +366,7 @@ func finishTelemetry(res *TrialResult, shards []*telemetry.EngineCounters, state
 		if s == nil {
 			continue
 		}
-		if states != nil && !states[w].done.Load() {
+		if !states[w].done.Load() {
 			continue
 		}
 		any = true
@@ -444,8 +427,8 @@ func mergeTrialResults(res *TrialResult, l TrialResult) {
 }
 
 // workerState is the heartbeat a worker publishes for the campaign
-// watchdog: the wall-clock time and seed of its current trial, and
-// whether it has returned.
+// watchdog: the wall-clock time and seed of its current trial (published
+// only while Campaign.StuckTimeout is armed), and whether it has returned.
 type workerState struct {
 	beat atomic.Int64 // UnixNano at the last trial boundary
 	seed atomic.Int64 // seed of the trial in flight
@@ -502,21 +485,10 @@ func watchCampaign(done chan struct{}, states []*workerState, stuckAfter time.Du
 			buf := make([]byte, 16<<10)
 			buf = buf[:runtime.Stack(buf, true)]
 			diag := fmt.Sprintf("campaign watchdog: stuck workers after %v: %s\ngoroutine dump (truncated):\n%s",
-				stuckAfter, joinStrings(wedged, "; "), buf)
+				stuckAfter, strings.Join(wedged, "; "), buf)
 			return true, diag
 		}
 	}
-}
-
-func joinStrings(parts []string, sep string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += sep
-		}
-		out += p
-	}
-	return out
 }
 
 // panicInfo captures a panic that escaped the engine during one trial.
@@ -549,14 +521,14 @@ func closeQuarantined(r *engine.Runner) {
 	}()
 }
 
-// runWorker drains trial indices — sequentially when next is nil, from the
-// shared counter otherwise — on one pooled Runner, applying the per-trial
-// resilience protocol: heartbeat, cancellation check, panic quarantine,
-// outcome classification, failure capture, and (when armed) telemetry:
-// tel is this worker's private engine-counter shard, metrics the shared
-// campaign hub (atomics, touched once per trial). strat is the worker's
-// already-created strategy (its Name labels the worker's pprof context);
-// newStrategy only mints quarantine replacements.
+// runWorker drains trial indices from the shared counter next on one
+// pooled Runner, applying the per-trial resilience protocol: heartbeat
+// (ws, nil unless the campaign watchdog is armed), cancellation check,
+// panic quarantine, outcome classification, failure capture, and (when
+// armed) telemetry: tel is this worker's private engine-counter shard,
+// metrics the shared campaign hub (atomics, touched once per trial).
+// strat is the worker's already-created strategy (its Name labels the
+// worker's pprof context); newStrategy only mints quarantine replacements.
 func runWorker(prog *engine.Program, detect func(*engine.Outcome) bool,
 	strat engine.Strategy, newStrategy func() engine.Strategy, runs int, seed int64, opts engine.Options,
 	next *atomic.Int64, ctx context.Context, sink *reproSink, ws *workerState,
@@ -569,10 +541,8 @@ func runWorker(prog *engine.Program, detect func(*engine.Outcome) bool,
 	}
 	r := engine.NewRunner(prog, opts)
 	defer func() { r.Close() }()
-	for i := 0; ; i++ {
-		if next != nil {
-			i = int(next.Add(1)) - 1
-		}
+	for {
+		i := int(next.Add(1)) - 1
 		if i >= runs {
 			break
 		}
@@ -833,7 +803,7 @@ func (s *reproSink) triage(seed int64, fp uint64, kind, msg string, orig replay.
 			fail.Triage = replay.TriageDeterministic
 		} else {
 			fail.Triage = replay.TriageNondeterministic
-			fail.Msg += " [rerun diverged: " + joinStrings(diffs, ", ") + "]"
+			fail.Msg += " [rerun diverged: " + strings.Join(diffs, ", ") + "]"
 		}
 	}
 	bundle.Triage = fail.Triage
@@ -858,13 +828,4 @@ func (s *reproSink) triage(seed int64, fp uint64, kind, msg string, orig replay.
 		fail.BundlePath = path
 	}
 	return fail
-}
-
-// RunTrialsParallel is RunTrialsPooled under its historical name; workers
-// ≤ 0 selects GOMAXPROCS.
-//
-// Deprecated: use RunTrialsPooled (same behavior) or RunTrials (serial).
-func RunTrialsParallel(prog *engine.Program, detect func(*engine.Outcome) bool,
-	newStrategy func() engine.Strategy, runs int, seed int64, opts engine.Options, workers int) TrialResult {
-	return RunTrialsPooled(prog, detect, newStrategy, runs, seed, opts, workers)
 }

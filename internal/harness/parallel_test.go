@@ -8,8 +8,8 @@ import (
 	"pctwm/internal/engine"
 )
 
-// TestParallelMatchesSerial: the parallel runner visits the same seeds and
-// therefore produces identical hit counts.
+// TestParallelMatchesSerial: a pool of four workers visits the same seeds
+// as a pool of one and therefore produces identical hit counts.
 func TestParallelMatchesSerial(t *testing.T) {
 	b, err := benchprog.ByName("rwlock")
 	if err != nil {
@@ -19,8 +19,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 	opts := b.Options()
 	newStrategy := func() engine.Strategy { return core.NewPCTWM(2, 1, 10) }
 
-	serial := RunTrials(prog, b.Detect, newStrategy, 300, 7, opts)
-	parallel := RunTrialsParallel(prog, b.Detect, newStrategy, 300, 7, opts, 4)
+	serial := RunCampaign(prog, b.Detect, newStrategy, 300, 7, opts, Campaign{Workers: 1})
+	parallel := RunCampaign(prog, b.Detect, newStrategy, 300, 7, opts, Campaign{Workers: 4})
 	if serial.Hits != parallel.Hits || serial.Runs != parallel.Runs {
 		t.Fatalf("parallel %d/%d != serial %d/%d",
 			parallel.Hits, parallel.Runs, serial.Hits, serial.Runs)
@@ -30,15 +30,18 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelSingleWorkerFallback: degenerate worker counts fall back to
-// the serial path.
+// TestParallelSingleWorkerFallback: degenerate worker counts (one
+// worker, more workers than rounds, a negative count) still run every
+// round exactly once.
 func TestParallelSingleWorkerFallback(t *testing.T) {
 	b, _ := benchprog.ByName("dekker")
 	prog := b.Program(0)
-	res := RunTrialsParallel(prog, b.Detect, func() engine.Strategy { return core.NewRandom() },
-		10, 1, b.Options(), 1)
-	if res.Runs != 10 {
-		t.Fatalf("runs %d", res.Runs)
+	for _, workers := range []int{1, 64, -3} {
+		res := RunCampaign(prog, b.Detect, func() engine.Strategy { return core.NewRandom() },
+			10, 1, b.Options(), Campaign{Workers: workers})
+		if res.Runs != 10 {
+			t.Fatalf("workers=%d: runs %d", workers, res.Runs)
+		}
 	}
 }
 
@@ -57,12 +60,12 @@ func TestPooledWorkerCountsAgree(t *testing.T) {
 			opts := b.Options()
 			newStrategy := func() engine.Strategy { return core.NewPCTWM(2, 1, 25) }
 
-			ref := RunTrialsPooled(prog, b.Detect, newStrategy, 120, 11, opts, 1)
+			ref := RunCampaign(prog, b.Detect, newStrategy, 120, 11, opts, Campaign{Workers: 1})
 			for _, workers := range []int{2, 3, 8, 0} {
-				got := RunTrialsPooled(prog, b.Detect, newStrategy, 120, 11, opts, workers)
+				got := RunCampaign(prog, b.Detect, newStrategy, 120, 11, opts, Campaign{Workers: workers})
 				if got.Hits != ref.Hits || got.TotalEvents != ref.TotalEvents ||
 					got.Aborted != ref.Aborted || got.Deadlock != ref.Deadlock {
-					t.Fatalf("workers=%d diverges from serial: %+v vs %+v", workers, got, ref)
+					t.Fatalf("workers=%d diverges from one worker: %+v vs %+v", workers, got, ref)
 				}
 			}
 		})
@@ -73,8 +76,8 @@ func TestPooledWorkerCountsAgree(t *testing.T) {
 func TestTrialResultWall(t *testing.T) {
 	b, _ := benchprog.ByName("dekker")
 	prog := b.Program(0)
-	res := RunTrials(prog, b.Detect, func() engine.Strategy { return core.NewRandom() },
-		50, 1, b.Options())
+	res := RunCampaign(prog, b.Detect, func() engine.Strategy { return core.NewRandom() },
+		50, 1, b.Options(), Campaign{Workers: 1})
 	if res.Wall <= 0 {
 		t.Fatalf("wall time not measured: %+v", res)
 	}
@@ -82,6 +85,6 @@ func TestTrialResultWall(t *testing.T) {
 		t.Fatalf("per-run time not summed: %+v", res)
 	}
 	if res.Wall < res.Elapsed/2 {
-		t.Fatalf("serial wall %v implausibly below summed run time %v", res.Wall, res.Elapsed)
+		t.Fatalf("one-worker wall %v implausibly below summed run time %v", res.Wall, res.Elapsed)
 	}
 }

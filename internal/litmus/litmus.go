@@ -110,9 +110,8 @@ func (t *Test) Run(newStrategy func() engine.Strategy, runs int, seed int64) *Re
 	return t.RunOpts(newStrategy, runs, seed, engine.Options{})
 }
 
-// RunOpts is Run with explicit engine options — e.g. the legacy baton
-// scheduler for conformance cross-checks, or a non-default Model
-// (outcomes are then classified against that model's expectation
+// RunOpts is Run with explicit engine options — e.g. a non-default
+// Model (outcomes are then classified against that model's expectation
 // table). All rounds share one pooled Runner (outcomes are identical to
 // per-round engine.Run by the Runner's determinism guarantee).
 func (t *Test) RunOpts(newStrategy func() engine.Strategy, runs int, seed int64, opts engine.Options) *Report {

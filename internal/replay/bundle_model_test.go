@@ -82,11 +82,13 @@ func TestBundleModelDefaults(t *testing.T) {
 }
 
 // TestBundleLegacyVersionUpgrades: a version-1 bundle (written before
-// model selection existed) decodes as rc11.
+// model selection existed) decodes as rc11. Its options carry the
+// retired "Baton" scheduler switch, as every bundle written before the
+// scheduler was unified does; the field is ignored.
 func TestBundleLegacyVersionUpgrades(t *testing.T) {
 	legacy := []byte(`{"version": 1, "program": "dekker", "program_threads": 2,
 		"program_locs": 3, "strategy": "random", "seed": 7,
-		"options": {}, "outcome": {"steps": 0, "events": 0, "comm_events": 0, "races": 0},
+		"options": {"Baton": true}, "outcome": {"steps": 0, "events": 0, "comm_events": 0, "races": 0},
 		"first_outcome": {"steps": 0, "events": 0, "comm_events": 0, "races": 0},
 		"triage": "DETERMINISTIC", "written_at": "2026-01-01T00:00:00Z"}`)
 	b, err := DecodeBundle(legacy)

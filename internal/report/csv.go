@@ -27,18 +27,18 @@ func Figure5CSV(w io.Writer, cfg Config) error {
 		// Cell labels match Figure5's: the CSV section runs the identical
 		// campaigns, so a checkpointed text run seeds the CSV run and vice
 		// versa.
-		c11, _ := harness.BenchTrialsCampaign(b, harness.C11Tester(), cfg.Runs, cfg.Seed, 0,
+		c11, _ := harness.BenchTrials(b, harness.C11Tester(), cfg.Runs, cfg.Seed, 0,
 			cfg.campaignCell("figure5/"+b.Name+"/c11"))
 		writeCSVRow(w, b.Name, "c11tester", c11)
 		var bestPCT, bestWM harness.TrialResult
 		for i := 0; i < 3; i++ {
-			d := maxInt(b.Depth+i, 1)
-			res, _ := harness.BenchTrialsCampaign(b, harness.PCTFactory(d), cfg.Runs, cfg.Seed+int64(7*i), 0,
+			d := max(b.Depth+i, 1)
+			res, _ := harness.BenchTrials(b, harness.PCTFactory(d), cfg.Runs, cfg.Seed+int64(7*i), 0,
 				cfg.campaignCell(fmt.Sprintf("figure5/%s/pct-d%d", b.Name, i)))
 			if res.Rate() > bestPCT.Rate() || bestPCT.Runs == 0 {
 				bestPCT = res
 			}
-			wm, _ := harness.BestOverHCampaign(b, b.Depth+i, cfg.MaxH, cfg.Runs, cfg.Seed+int64(13*i),
+			wm, _ := harness.BestOverH(b, b.Depth+i, cfg.MaxH, cfg.Runs, cfg.Seed+int64(13*i),
 				cfg.campaignCell(fmt.Sprintf("figure5/%s/pctwm-d%d", b.Name, i)))
 			if wm.Rate() > bestWM.Rate() || bestWM.Runs == 0 {
 				bestWM = wm
@@ -66,11 +66,11 @@ func Figure6CSV(w io.Writer, cfg Config) error {
 			if cfg.interrupted() {
 				return ErrInterrupted
 			}
-			c11, _ := harness.BenchTrialsCampaign(b, harness.C11Tester(), cfg.Fig6Runs, cfg.Seed+int64(n), n,
+			c11, _ := harness.BenchTrials(b, harness.C11Tester(), cfg.Fig6Runs, cfg.Seed+int64(n), n,
 				cfg.campaignCell(fmt.Sprintf("figure6/%s/w%d/c11", b.Name, n)))
-			pct, _ := harness.BenchTrialsCampaign(b, harness.PCTFactory(maxInt(b.Depth, 1)), cfg.Fig6Runs, cfg.Seed+int64(2*n), n,
+			pct, _ := harness.BenchTrials(b, harness.PCTFactory(max(b.Depth, 1)), cfg.Fig6Runs, cfg.Seed+int64(2*n), n,
 				cfg.campaignCell(fmt.Sprintf("figure6/%s/w%d/pct", b.Name, n)))
-			wm, _ := harness.BenchTrialsCampaign(b, harness.PCTWMFactory(b.Depth, 1), cfg.Fig6Runs, cfg.Seed+int64(3*n), n,
+			wm, _ := harness.BenchTrials(b, harness.PCTWMFactory(b.Depth, 1), cfg.Fig6Runs, cfg.Seed+int64(3*n), n,
 				cfg.campaignCell(fmt.Sprintf("figure6/%s/w%d/pctwm", b.Name, n)))
 			fmt.Fprintf(w, "%s,%d,c11tester,%.2f\n", b.Name, n, c11.Rate())
 			fmt.Fprintf(w, "%s,%d,pct,%.2f\n", b.Name, n, pct.Rate())
@@ -95,7 +95,7 @@ func TelemetryCSV(w io.Writer, cfg Config) error {
 		}
 		camp := cfg.campaignCell("telemetry/" + b.Name)
 		camp.Telemetry = true
-		res, _ := harness.BenchTrialsCampaign(b, harness.PCTWMFactory(b.Depth, 1), cfg.Runs, cfg.Seed, 0, camp)
+		res, _ := harness.BenchTrials(b, harness.PCTWMFactory(b.Depth, 1), cfg.Runs, cfg.Seed, 0, camp)
 		if res.Telemetry == nil {
 			return fmt.Errorf("report: campaign for %s produced no telemetry", b.Name)
 		}

@@ -12,7 +12,7 @@ import (
 
 // ErrConformance is returned by DistCheck when a distributional check
 // failed — either a shipped strategy diverged from its expected sampling
-// distribution, or a colliding regression fixture went undetected. The
+// distribution, or the colliding regression fixture went undetected. The
 // rendered table above the error names the failing checks; callers
 // should exit nonzero.
 var ErrConformance = errors.New("report: strategy conformance failed")
@@ -23,8 +23,8 @@ var ErrConformance = errors.New("report: strategy conformance failed")
 // support vs. the behavior census, a G-test of Random against the exact
 // uniform-walk distribution, a chi-square test of the priority rank
 // permutation, and per-behavior Wilson bounds against PCTBound/PCTWMBound
-// — followed by the colliding-priority regression fixtures, which must
-// fail their permutation checks.
+// — followed by the colliding-priority regression fixture
+// (distcheck.CollidingFixture), which must fail its permutation check.
 //
 // The campaign sizes its own run counts (distcheck defaults): statistical
 // power needs a fixed sample size, independent of the -runs table sizing.
@@ -56,7 +56,7 @@ func DistCheck(w io.Writer, cfg Config) error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	fmt.Fprintln(w, "\nRegression fixtures (pre-fix colliding priority assignment) — the permutation check must FAIL:")
+	fmt.Fprintln(w, "\nRegression fixture (pre-fix colliding priority assignment) — the permutation check must FAIL:")
 	tw = newTab(w)
 	fmt.Fprintln(tw, "Fixture\tVerdict\tchi2\tp")
 	for _, r := range res.Fixtures.Results {
@@ -72,7 +72,7 @@ func DistCheck(w io.Writer, cfg Config) error {
 	if !res.Passed {
 		return ErrConformance
 	}
-	fmt.Fprintln(w, "\nConformance: PASS (all checks passed, all fixtures detected).")
+	fmt.Fprintln(w, "\nConformance: PASS (all checks passed, fixture detected).")
 	return nil
 }
 

@@ -184,7 +184,7 @@ func Table2(w io.Writer, cfg Config) error {
 		}
 		cells := make([]string, 3)
 		for i := 0; i < 3; i++ {
-			res, h := harness.BestOverHCampaign(b, b.Depth+i, cfg.MaxH, cfg.Runs, cfg.Seed+int64(17*i),
+			res, h := harness.BestOverH(b, b.Depth+i, cfg.MaxH, cfg.Runs, cfg.Seed+int64(17*i),
 				cfg.campaignCell(fmt.Sprintf("table2/%s/d%d", b.Name, b.Depth+i)))
 			cells[i] = fmt.Sprintf("%.1f (h:%d)", res.Rate(), h)
 		}
@@ -213,7 +213,7 @@ func Table3(w io.Writer, cfg Config) error {
 		var est harness.Estimate
 		row := make([]string, 0, cfg.MaxH)
 		for h := 1; h <= cfg.MaxH; h++ {
-			res, e := harness.BenchTrialsCampaign(b, harness.PCTWMFactory(b.Table3Depth, h), cfg.Runs, cfg.Seed+int64(31*h), 0,
+			res, e := harness.BenchTrials(b, harness.PCTWMFactory(b.Table3Depth, h), cfg.Runs, cfg.Seed+int64(31*h), 0,
 				cfg.campaignCell(fmt.Sprintf("table3/%s/h%d", b.Name, h)))
 			est = e
 			row = append(row, fmt.Sprintf("%.1f", res.Rate()))
@@ -280,7 +280,7 @@ func Figure5(w io.Writer, cfg Config) error {
 			tw.Flush()
 			return ErrInterrupted
 		}
-		c11, _ := harness.BenchTrialsCampaign(b, harness.C11Tester(), cfg.Runs, cfg.Seed, 0,
+		c11, _ := harness.BenchTrials(b, harness.C11Tester(), cfg.Runs, cfg.Seed, 0,
 			cfg.campaignCell("figure5/"+b.Name+"/c11"))
 		bestPCT := 0.0
 		var bestWM harness.TrialResult
@@ -289,12 +289,12 @@ func Figure5(w io.Writer, cfg Config) error {
 			if d < 1 {
 				d = 1
 			}
-			res, _ := harness.BenchTrialsCampaign(b, harness.PCTFactory(d), cfg.Runs, cfg.Seed+int64(7*i), 0,
+			res, _ := harness.BenchTrials(b, harness.PCTFactory(d), cfg.Runs, cfg.Seed+int64(7*i), 0,
 				cfg.campaignCell(fmt.Sprintf("figure5/%s/pct-d%d", b.Name, i)))
 			if res.Rate() > bestPCT {
 				bestPCT = res.Rate()
 			}
-			wm, _ := harness.BestOverHCampaign(b, b.Depth+i, cfg.MaxH, cfg.Runs, cfg.Seed+int64(13*i),
+			wm, _ := harness.BestOverH(b, b.Depth+i, cfg.MaxH, cfg.Runs, cfg.Seed+int64(13*i),
 				cfg.campaignCell(fmt.Sprintf("figure5/%s/pctwm-d%d", b.Name, i)))
 			if wm.Rate() > bestWM.Rate() || bestWM.Runs == 0 {
 				bestWM = wm
@@ -338,11 +338,11 @@ func Figure6(w io.Writer, cfg Config) error {
 				tw.Flush()
 				return ErrInterrupted
 			}
-			c11, _ := harness.BenchTrialsCampaign(b, harness.C11Tester(), cfg.Fig6Runs, cfg.Seed+int64(n), n,
+			c11, _ := harness.BenchTrials(b, harness.C11Tester(), cfg.Fig6Runs, cfg.Seed+int64(n), n,
 				cfg.campaignCell(fmt.Sprintf("figure6/%s/w%d/c11", b.Name, n)))
-			pct, _ := harness.BenchTrialsCampaign(b, harness.PCTFactory(maxInt(b.Depth, 1)), cfg.Fig6Runs, cfg.Seed+int64(2*n), n,
+			pct, _ := harness.BenchTrials(b, harness.PCTFactory(max(b.Depth, 1)), cfg.Fig6Runs, cfg.Seed+int64(2*n), n,
 				cfg.campaignCell(fmt.Sprintf("figure6/%s/w%d/pct", b.Name, n)))
-			wm, _ := harness.BenchTrialsCampaign(b, harness.PCTWMFactory(b.Depth, 1), cfg.Fig6Runs, cfg.Seed+int64(3*n), n,
+			wm, _ := harness.BenchTrials(b, harness.PCTWMFactory(b.Depth, 1), cfg.Fig6Runs, cfg.Seed+int64(3*n), n,
 				cfg.campaignCell(fmt.Sprintf("figure6/%s/w%d/pctwm", b.Name, n)))
 			fmt.Fprintf(tw, "%d\t%.1f\t%.1f\t%.1f\n", n, c11.Rate(), pct.Rate(), wm.Rate())
 		}
@@ -480,13 +480,13 @@ func Baselines(w io.Writer, cfg Config) error {
 			tw.Flush()
 			return ErrInterrupted
 		}
-		c11, est := harness.BenchTrialsCampaign(b, harness.C11Tester(), cfg.Runs, cfg.Seed, 0,
+		c11, est := harness.BenchTrials(b, harness.C11Tester(), cfg.Runs, cfg.Seed, 0,
 			cfg.campaignCell("baselines/"+b.Name+"/c11"))
-		pos, _ := harness.BenchTrialsCampaign(b, harness.POSFactory(), cfg.Runs, cfg.Seed+1, 0,
+		pos, _ := harness.BenchTrials(b, harness.POSFactory(), cfg.Runs, cfg.Seed+1, 0,
 			cfg.campaignCell("baselines/"+b.Name+"/pos"))
-		pct, _ := harness.BenchTrialsCampaign(b, harness.PCTFactory(maxInt(b.Depth, 1)), cfg.Runs, cfg.Seed+2, 0,
+		pct, _ := harness.BenchTrials(b, harness.PCTFactory(max(b.Depth, 1)), cfg.Runs, cfg.Seed+2, 0,
 			cfg.campaignCell("baselines/"+b.Name+"/pct"))
-		wm, _ := harness.BenchTrialsCampaign(b, harness.PCTWMFactory(b.Depth, 1), cfg.Runs, cfg.Seed+3, 0,
+		wm, _ := harness.BenchTrials(b, harness.PCTWMFactory(b.Depth, 1), cfg.Runs, cfg.Seed+3, 0,
 			cfg.campaignCell("baselines/"+b.Name+"/pctwm"))
 		bound := 100 * core.PCTWMBound(est.KCom, b.Depth, 1)
 		fmt.Fprintf(tw, "%s\t%d\t%.1f\t%.1f\t%.1f\t%.1f\t%.2f\n",
@@ -517,7 +517,7 @@ func Ablations(w io.Writer, cfg Config) error {
 			factory := func(est harness.Estimate) engine.Strategy {
 				return core.NewAblatedPCTWM(b.Depth, 1, est.KCom, m)
 			}
-			res, _ := harness.BenchTrialsCampaign(b, factory, cfg.Runs, cfg.Seed+int64(41*i), 0,
+			res, _ := harness.BenchTrials(b, factory, cfg.Runs, cfg.Seed+int64(41*i), 0,
 				cfg.campaignCell(fmt.Sprintf("ablation/%s/m%d", b.Name, i)))
 			row = append(row, fmt.Sprintf("%.1f", res.Rate()))
 		}
@@ -544,7 +544,7 @@ func Telemetry(w io.Writer, cfg Config) error {
 		}
 		camp := cfg.campaignCell("telemetry/" + b.Name)
 		camp.Telemetry = true
-		res, _ := harness.BenchTrialsCampaign(b, harness.PCTWMFactory(b.Depth, 1), cfg.Runs, cfg.Seed, 0, camp)
+		res, _ := harness.BenchTrials(b, harness.PCTWMFactory(b.Depth, 1), cfg.Runs, cfg.Seed, 0, camp)
 		if res.Telemetry == nil {
 			return fmt.Errorf("report: campaign for %s produced no telemetry", b.Name)
 		}
@@ -587,11 +587,4 @@ func safePct(num, den float64) float64 {
 		return 0
 	}
 	return 100 * num / den
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -175,11 +175,10 @@ type EngineCounters struct {
 	// with memmodel.Kind / memmodel.Order values).
 	Ops [NumKinds][NumOrders]uint64
 	// Handoffs counts scheduler grants that moved execution to a
-	// different thread (a coroutine switch under the direct-handoff
-	// protocol); SameThreadGrants counts grants that kept the current
-	// thread running (zero switches). Both are derived purely from the
-	// schedule, so they are bit-identical across scheduler protocols and
-	// worker counts.
+	// different thread (a coroutine switch); SameThreadGrants counts
+	// grants that kept the current thread running (zero switches). Both
+	// are derived purely from the schedule, so they are bit-identical
+	// across worker counts.
 	Handoffs         uint64
 	SameThreadGrants uint64
 	// RFCandidates is the distribution of coherence-legal candidate-bag

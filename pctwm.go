@@ -108,7 +108,7 @@ func Run(p *Program, s Strategy, seed int64, opts Options) *Outcome {
 }
 
 // NewRunner prepares a reusable Runner for the program: location tables,
-// message storage, thread shells and scheduler channels survive between
+// message storage, thread shells and their coroutines survive between
 // Run calls. For a fixed strategy and seed, a run's Outcome is identical
 // whether the Runner is fresh or reused. A Runner is not safe for
 // concurrent use; give each worker goroutine its own.
@@ -141,15 +141,7 @@ func Estimate(p *Program, runs int, seed int64, opts Options) ProgramEstimate {
 // and counts the rounds detect flags as bug hits. Round i runs with
 // seed+i; results are reproducible.
 func RunTrials(p *Program, detect func(*Outcome) bool, newStrategy func() Strategy, runs int, seed int64, opts Options) TrialResult {
-	return harness.RunTrials(p, detect, newStrategy, runs, seed, opts)
-}
-
-// RunTrialsWorkers is RunTrials with the rounds spread over `workers`
-// goroutines (0 = GOMAXPROCS, 1 = serial), each owning a pooled Runner.
-// Round i always runs with seed+i regardless of which worker claims it, so
-// hit counts are identical for every worker count.
-func RunTrialsWorkers(p *Program, detect func(*Outcome) bool, newStrategy func() Strategy, runs int, seed int64, opts Options, workers int) TrialResult {
-	return harness.RunTrialsPooled(p, detect, newStrategy, runs, seed, opts, workers)
+	return harness.RunCampaign(p, detect, newStrategy, runs, seed, opts, harness.Campaign{Workers: 1})
 }
 
 // PCTBound returns PCT's theoretical lower bound 1/(t·k^(d−1)) on the
