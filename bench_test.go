@@ -17,7 +17,7 @@ import (
 
 // benchCfg is a scaled-down experiment configuration so one benchmark
 // iteration regenerates a full (small) table or figure. Run the
-// pctwm-experiments command for paper-sized runs.
+// `pctwm experiments` command for paper-sized runs.
 var benchCfg = report.Config{Runs: 40, Fig6Runs: 30, PerfRuns: 2, MaxH: 2, Seed: 1}
 
 // BenchmarkTable1Estimate regenerates Table 1 (benchmark inventory with
@@ -155,7 +155,7 @@ func BenchmarkRunnerReuse(b *testing.B) {
 // Exhaustive-exploration throughput. One iteration enumerates the full
 // reachable outcome space of the litmus suite — the workload behind the
 // conformance tests and the CI models job. The serial/parallel pair is
-// what `pctwm-bench -explore` snapshots into BENCH_engine.json.
+// what `pctwm bench -explore` snapshots into BENCH_engine.json.
 
 func exploreSuite(b *testing.B, workers int) {
 	targets := litmus.Suite()

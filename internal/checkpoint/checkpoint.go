@@ -319,7 +319,7 @@ func (s *Store) Load(key string) (payload []byte, gen uint64, err error) {
 
 // LoadLatest is Load without the campaign-key check, for tools that
 // inspect a checkpoint directory without knowing which campaign wrote
-// it (e.g. pctwm-replay -campaign).
+// it (e.g. pctwm replay -campaign).
 func (s *Store) LoadLatest() (payload []byte, gen uint64, err error) {
 	return s.load("")
 }

@@ -417,7 +417,7 @@ func finishResumed(cum *TrialResult, telBase *telemetry.EngineCounters, spec *Ch
 
 // LoadReproIndex collects the repro-bundle paths recorded in the newest
 // good checkpoint generation of every campaign cell under dir, sorted
-// and deduplicated — the durable index pctwm-replay -campaign replays.
+// and deduplicated — the durable index pctwm replay -campaign replays.
 func LoadReproIndex(fsys checkpoint.FS, dir string) ([]string, error) {
 	if fsys == nil {
 		fsys = checkpoint.OS

@@ -55,7 +55,7 @@ type Campaign struct {
 	// (bug hits, races, panics, deadlocks, timeouts — not step-limit
 	// aborts or cancellations) are re-run once on a fresh Runner with a
 	// decision recorder, triaged for determinism, and written as JSON
-	// bundles under this directory (see replay.Bundle / pctwm-replay).
+	// bundles under this directory (see replay.Bundle / pctwm replay).
 	ReproDir string
 	// MaxRepros caps how many failures are triaged and bundled
 	// (default 3 when ReproDir is set). The cap bounds the extra work:

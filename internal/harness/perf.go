@@ -80,7 +80,7 @@ func MeasureApp(a *apps.App, factory StrategyFactory, runs int, seed int64, core
 
 // EngineSnapshot is a machine-readable steady-state performance sample of
 // the trial loop for one benchmark/strategy pair (emitted by
-// `pctwm-bench -json` and committed as BENCH_engine.json).
+// `pctwm bench -json` and committed as BENCH_engine.json).
 type EngineSnapshot struct {
 	Benchmark  string  `json:"benchmark"`
 	Strategy   string  `json:"strategy"`

@@ -149,7 +149,7 @@ const (
 // identity, strategy, seed, engine options, the recorded decision
 // sequence) plus the outcome it must reproduce and the flake-triage
 // verdict. Bundles are written as JSON under a campaign's repro
-// directory and replayed by `pctwm-replay` (or Bundle.Verify).
+// directory and replayed by `pctwm replay` (or Bundle.Verify).
 type Bundle struct {
 	Version int    `json:"version"`
 	Program string `json:"program"`
@@ -194,7 +194,7 @@ type Bundle struct {
 	// Perfetto optionally embeds the triage re-run's schedule as a Chrome
 	// trace-event JSON document (Campaign.EmbedPerfetto), so a bundle's
 	// recorded execution can be opened in Perfetto directly and visually
-	// diffed against a diverging replay (pctwm-replay -perfetto-dir).
+	// diffed against a diverging replay (pctwm replay -perfetto-dir).
 	Perfetto json.RawMessage `json:"perfetto,omitempty"`
 }
 
@@ -275,7 +275,7 @@ func (b *Bundle) WriteFile(dir string) (string, error) {
 
 // WriteFileFS is WriteFile through an explicit filesystem — the hardened
 // durable-sink path: directory creation, write-to-temp-then-rename (so a
-// SIGKILL mid-flush never leaves a torn bundle that a later pctwm-replay
+// SIGKILL mid-flush never leaves a torn bundle that a later pctwm replay
 // chokes on), and bounded retry with exponential backoff on transient
 // write errors.
 func (b *Bundle) WriteFileFS(fsys checkpoint.FS, dir string) (string, error) {

@@ -58,7 +58,7 @@ type Config struct {
 	// MaxRepros caps bundles per trial batch (0 = the harness default).
 	MaxRepros int
 	// Metrics, when non-nil, receives live campaign metrics from every
-	// trial batch (the hub behind pctwm-experiments' -metrics-addr and
+	// trial batch (the hub behind pctwm experiments' -metrics-addr and
 	// -progress); sections additionally mark their name as the metrics
 	// phase so the progress line shows which artifact is being generated.
 	Metrics *telemetry.Metrics
