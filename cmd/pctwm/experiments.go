@@ -121,9 +121,8 @@ func experimentsCmd(args []string, stdout, stderr io.Writer) int {
 		cfg.PerfRuns = *perfruns
 	}
 	cfg.Seed = *seed
-	cfg.Model = model.name
-	cfg.Workers, cfg.Context, cfg.Metrics, cfg.Coverage = cp.Workers, cp.Context, cp.Metrics, cp.Coverage
-	cfg.ReproDir, cfg.MaxRepros, cfg.Checkpoint = cp.ReproDir, cp.MaxRepros, cp.Checkpoint
+	cfg.Campaign = cp.Campaign
+	cfg.Campaign.Model = model.name
 	err = run(stdout, cfg)
 	cp.stop()
 	if errors.Is(err, report.ErrInterrupted) {

@@ -17,6 +17,12 @@ func call(args ...string) (int, string, string) {
 	return code, stdout.String(), stderr.String()
 }
 
+// caseName names a table case by its command line, with the test's
+// temporary directory written as DIR so the name is the same every run.
+func caseName(args []string, dir string) string {
+	return strings.ReplaceAll(strings.Join(args, " "), dir, "DIR")
+}
+
 // outcomeLine matches one outcome row of `pctwm explore`.
 var outcomeLine = regexp.MustCompile(`(?m)^  \[[^]]*\] ×`)
 
@@ -42,7 +48,7 @@ func TestSubcommands(t *testing.T) {
 		{args: []string{"run", "-h"}},
 	}
 	for _, tc := range cases {
-		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+		t.Run(caseName(tc.args, dir), func(t *testing.T) {
 			code, stdout, stderr := call(tc.args...)
 			if code != 0 {
 				t.Fatalf("exit %d, want 0\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
@@ -109,7 +115,7 @@ func TestUsageErrors(t *testing.T) {
 		{"trace", "-rounds", "10"},
 	}
 	for _, args := range cases {
-		t.Run(strings.Join(args, " "), func(t *testing.T) {
+		t.Run(caseName(args, dir), func(t *testing.T) {
 			code, stdout, stderr := call(args...)
 			if code != 2 {
 				t.Fatalf("exit %d, want 2\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)

@@ -38,12 +38,9 @@ import (
 // -extra-writes rebuilds benchmark programs with the Figure-6 inserted
 // relaxed writes, matching campaigns that ran with them.
 //
-// -perfetto-dir writes Chrome trace-event JSON renderings of each bundle
-// under DIR: <bundle>.recorded.perfetto.json for the trace embedded at
-// capture time (campaigns run with EmbedPerfetto) and
-// <bundle>.replay.perfetto.json for the schedule this replay actually
-// executed — a diverging replay can then be diffed visually against the
-// recorded schedule in ui.perfetto.dev.
+// -perfetto-dir writes a Chrome trace-event JSON rendering of each
+// bundle's replayed schedule under DIR as <bundle>.replay.perfetto.json,
+// for opening in ui.perfetto.dev.
 //
 // Exit status: 0 when every bundle reproduced its recorded outcome, 1
 // when any replay diverged (outcome diff or schedule derail), 2 on usage,
@@ -52,7 +49,7 @@ func replayCmd(args []string, stdout, stderr io.Writer) int {
 	c := newCmd("replay", stdout, stderr)
 	extraWrites := c.Int("extra-writes", 0, "rebuild benchmark programs with this many inserted relaxed writes (Figure 6 campaigns)")
 	verbose := c.Bool("v", false, "print the replayed outcome summary for every bundle")
-	perfDir := c.String("perfetto-dir", "", "write recorded and replayed schedules as Chrome trace-event JSON under this directory")
+	perfDir := c.String("perfetto-dir", "", "write each replayed schedule as Chrome trace-event JSON under this directory")
 	campaignDir := c.String("campaign", "", "replay every bundle indexed by the checkpoints under this campaign directory")
 	model := &modelFlag{perBundle: true}
 	c.Var(model, "engine.model", "require bundles to record this memory model (empty = replay each under its own recorded model)")
@@ -158,29 +155,18 @@ func replayBundle(c *cmd, path string, extraWrites int, verbose bool, perfDir, w
 	return code
 }
 
-// writePerfetto renders the bundle as Chrome trace-event JSON under dir:
-// the trace embedded at capture time (if the campaign ran
-// with EmbedPerfetto) and the schedule a fresh replay of the recorded
-// decisions executes here. Failures are reported but never affect the
-// replay verdict — trace export is best-effort diagnostics.
+// writePerfetto renders as Chrome trace-event JSON under dir the
+// schedule a fresh replay of the bundle's recorded decisions executes
+// here. Failures are reported but never affect the replay verdict —
+// trace export is best-effort diagnostics.
 func writePerfetto(c *cmd, path string, b *replay.Bundle, prog *engine.Program, dir string) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		c.logf("%s: perfetto dir: %v", path, err)
 		return
 	}
-	base := strings.TrimSuffix(filepath.Base(path), ".json")
-	if len(b.Perfetto) > 0 {
-		out := filepath.Join(dir, base+".recorded.perfetto.json")
-		if err := os.WriteFile(out, append([]byte(b.Perfetto), '\n'), 0o644); err != nil {
-			c.logf("%s: %v", path, err)
-		} else {
-			fmt.Fprintf(c.stdout, "%s: wrote recorded schedule to %s\n", path, out)
-		}
-	}
-
 	// Re-run the recorded decisions with recording on to render the
-	// schedule this build actually executes (it may diverge from the
-	// recorded one; that is exactly what the pair of files shows).
+	// schedule this build actually executes (which may diverge from the
+	// recorded one).
 	trace := b.Trace
 	if trace == nil {
 		trace = &replay.Trace{}
@@ -198,7 +184,7 @@ func writePerfetto(c *cmd, path string, b *replay.Bundle, prog *engine.Program, 
 		c.logf("%s: %v", path, err)
 		return
 	}
-	out := filepath.Join(dir, base+".replay.perfetto.json")
+	out := filepath.Join(dir, strings.TrimSuffix(filepath.Base(path), ".json")+".replay.perfetto.json")
 	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
 		c.logf("%s: %v", path, err)
 		return

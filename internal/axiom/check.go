@@ -65,8 +65,8 @@ func (g *Graph) checkWellFormed() []Violation {
 			}
 		}
 	}
-	for loc, ids := range g.moByLoc {
-		for i, id := range ids {
+	for _, loc := range g.locs {
+		for i, id := range g.moByLoc[loc] {
 			if got := g.Events[id].Stamp; int(got) != i+1 {
 				vs = append(vs, g.violation("wf-mo",
 					fmt.Sprintf("location %d: write %%s has stamp %d at mo position %d", loc, got, i+1), id))
@@ -101,7 +101,8 @@ func (g *Graph) readersOf(w memmodel.EventID) []memmodel.EventID {
 //	fr; rf?; hb  irreflexive   (read-coherence)
 func (g *Graph) checkCoherence() []Violation {
 	var vs []Violation
-	for _, ids := range g.moByLoc {
+	for _, loc := range g.locs {
+		ids := g.moByLoc[loc]
 		for i, w1 := range ids {
 			for _, w2 := range ids[i+1:] { // mo(w1, w2)
 				// write-coherence, rf skipped: hb?(w2, w1)
@@ -162,7 +163,8 @@ func (g *Graph) checkAtomicity() []Violation {
 // same-location SC accesses.
 func (g *Graph) checkIrrMOSC() []Violation {
 	var vs []Violation
-	for _, ids := range g.moByLoc {
+	for _, loc := range g.locs {
+		ids := g.moByLoc[loc]
 		for i, w1 := range ids {
 			r1, ok1 := g.scRank[w1]
 			if !ok1 {

@@ -8,6 +8,7 @@ package axiom
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"pctwm/internal/engine"
@@ -21,8 +22,12 @@ type Graph struct {
 
 	byThread map[memmodel.ThreadID][]memmodel.EventID // po order per thread
 	moByLoc  map[memmodel.Loc][]memmodel.EventID      // stamp order per location
-	scOrder  []memmodel.EventID
-	scRank   map[memmodel.EventID]int
+	// locs is moByLoc's keys in ascending order: renderings and
+	// violation lists range over it, not the map, so their output is the
+	// same on every run.
+	locs    []memmodel.Loc
+	scOrder []memmodel.EventID
+	scRank  map[memmodel.EventID]int
 
 	spawn []engine.SpawnLink
 	joins []engine.JoinLink
@@ -65,11 +70,14 @@ func FromRecording(rec *engine.Recording) (*Graph, error) {
 			return g.Events[ids[i]].Index < g.Events[ids[j]].Index
 		})
 	}
-	for _, ids := range g.moByLoc {
+	g.locs = make([]memmodel.Loc, 0, len(g.moByLoc))
+	for loc, ids := range g.moByLoc {
+		g.locs = append(g.locs, loc)
 		sort.Slice(ids, func(i, j int) bool {
 			return g.Events[ids[i]].Stamp < g.Events[ids[j]].Stamp
 		})
 	}
+	slices.Sort(g.locs)
 	for rank, id := range g.scOrder {
 		g.scRank[id] = rank
 	}

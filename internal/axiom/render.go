@@ -43,13 +43,8 @@ func (g *Graph) WriteText(w io.Writer, locName func(memmodel.Loc) string) error 
 			fmt.Fprintf(w, "  e%d -> e%d\n", e[0], e[1])
 		}
 	}
-	locs := make([]memmodel.Loc, 0, len(g.moByLoc))
-	for loc := range g.moByLoc {
-		locs = append(locs, loc)
-	}
-	sort.Slice(locs, func(i, j int) bool { return locs[i] < locs[j] })
 	fmt.Fprintln(w, "mo:")
-	for _, loc := range locs {
+	for _, loc := range g.locs {
 		fmt.Fprintf(w, "  %s:", locName(loc))
 		for _, id := range g.moByLoc[loc] {
 			fmt.Fprintf(w, " e%d", id)
@@ -101,7 +96,8 @@ func (g *Graph) WriteDot(w io.Writer, locName func(memmodel.Loc) string) error {
 	for _, e := range g.sw {
 		fmt.Fprintf(w, "  e%d -> e%d [color=blue, label=\"sw\"];\n", e[0], e[1])
 	}
-	for _, ids := range g.moByLoc {
+	for _, loc := range g.locs {
+		ids := g.moByLoc[loc]
 		for i := 1; i < len(ids); i++ {
 			fmt.Fprintf(w, "  e%d -> e%d [style=dashed, color=gray, label=\"mo\"];\n", ids[i-1], ids[i])
 		}

@@ -47,3 +47,22 @@ func TestWriteDot(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteDotDeterministic: rendering the same graph again gives the
+// same DOT text; mo edges come out in location order, not map order.
+func TestWriteDotDeterministic(t *testing.T) {
+	g := renderGraph(t)
+	var first strings.Builder
+	if err := g.WriteDot(&first, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		var b strings.Builder
+		if err := g.WriteDot(&b, nil); err != nil {
+			t.Fatal(err)
+		}
+		if b.String() != first.String() {
+			t.Fatalf("render %d differs from the first:\n%s\n--- first ---\n%s", i, b.String(), first.String())
+		}
+	}
+}

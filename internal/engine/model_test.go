@@ -166,7 +166,7 @@ func TestTSODrainThroughFIFO(t *testing.T) {
 	p.AddThread(func(th *Thread) {
 		th.Store(x, 7, memmodel.Relaxed) // payload, buffered first
 		th.Store(y, 1, memmodel.Relaxed) // flag, buffered second
-		th.Load(x, memmodel.Relaxed) // keep T1 unfinished during T2's reads
+		th.Load(x, memmodel.Relaxed)     // keep T1 unfinished during T2's reads
 	})
 	p.AddThread(func(th *Thread) {
 		th.Store(r1, th.Load(y, memmodel.Relaxed), memmodel.NonAtomic)
@@ -238,7 +238,7 @@ func TestTSORMWDrains(t *testing.T) {
 	c := p.Loc("C", 0)
 	b := p.Loc("b", -1)
 	p.AddThread(func(th *Thread) {
-		th.Store(x, 5, memmodel.Relaxed) // buffered...
+		th.Store(x, 5, memmodel.Relaxed)                   // buffered...
 		th.CAS(c, 0, 1, memmodel.SeqCst, memmodel.Relaxed) // ...until the LOCK CMPXCHG drains it
 		th.Load(x, memmodel.Relaxed)
 	})

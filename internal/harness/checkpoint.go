@@ -233,186 +233,87 @@ func (st *campaignState) restore(cum *TrialResult) {
 	cum.ResumedRuns = st.NextTrial
 }
 
-// mergeCheckpointChunk folds one chunk's result into the cumulative
-// campaign result. Counter merging matches mergeTrialResults; failures
-// append (the repro budget is enforced globally by the chunk loop) and
-// telemetry merges commutatively, so the cumulative totals equal an
-// uninterrupted run's at any chunking and worker count.
-func mergeCheckpointChunk(cum *TrialResult, chunk TrialResult) {
-	mergeTrialResults(cum, chunk)
-	cum.Wall += chunk.Wall
-	cum.Stuck = cum.Stuck || chunk.Stuck
-	if chunk.StuckDiag != "" {
-		cum.StuckDiag = chunk.StuckDiag
-	}
-	cum.Failures = append(cum.Failures, chunk.Failures...)
-	cum.Nondeterministic += chunk.Nondeterministic
-	if chunk.Telemetry != nil {
-		if cum.Telemetry == nil {
-			cum.Telemetry = &telemetry.EngineCounters{}
-		}
-		keepCPs := cum.Telemetry.ChangePoints
-		cum.Telemetry.Merge(chunk.Telemetry)
-		if len(keepCPs) == 0 && len(chunk.Telemetry.ChangePoints) > 0 {
-			cum.Telemetry.ChangePoints = append([]telemetry.ChangePoint(nil), chunk.Telemetry.ChangePoints...)
-		} else {
-			cum.Telemetry.ChangePoints = keepCPs
-		}
-	}
-	if chunk.Coverage != nil {
-		if cum.Coverage == nil {
-			cum.Coverage = &coverage.Set{}
-		}
-		// Chunk trial indices are already campaign-global (the loop sets
-		// Campaign.trialBase per chunk), so the merge is the same
-		// order-insensitive fold the parallel workers use.
-		cum.Coverage.Merge(chunk.Coverage)
-	}
+// campaignCheckpoint is the durable store of one checkpointed campaign
+// cell.
+type campaignCheckpoint struct {
+	spec  *CheckpointSpec
+	key   campaignKey
+	store *checkpoint.Store
+	saved int // generations this process committed
 }
 
-// runCheckpointedCampaign is RunCampaign's durable mode: the rounds run
-// in chunks of spec.every() through the ordinary pool, and the
-// cumulative state is checkpointed at every chunk boundary.
+// openCheckpoint arms camp's checkpoint spec for one campaign cell; nil
+// when no spec is armed. With Resume it restores the newest good
+// generation into res and returns the round to continue from: 0 for a
+// fresh campaign, or after logging why a stored one cannot be used.
 //
 // Determinism argument: round i always runs with seed+i regardless of
-// which worker claims it (the pool's atomic-counter partitioning), and
-// every aggregate — counters, histograms, engine telemetry — merges
-// commutatively. Chunk boundaries are therefore arbitrary split points
-// of the same seed set: resuming at a boundary re-runs exactly the
-// rounds an uninterrupted campaign would have run, so the final totals
-// are bit-identical at any worker count and any kill pattern.
-// Interrupted or stuck chunks are merged into the *returned* result (the
-// operator sees partial counts) but never checkpointed: the durable
-// state only ever advances by whole, cleanly-finished chunks, which a
-// resume re-runs idempotently.
-func runCheckpointedCampaign(prog *engine.Program, detect func(*engine.Outcome) bool,
-	newStrategy func() engine.Strategy, runs int, seed int64, opts engine.Options, camp Campaign) TrialResult {
+// which worker claims it, and every aggregate (counters, histograms,
+// engine telemetry, coverage keyed by campaign-global round index)
+// merges commutatively. Chunk boundaries are therefore arbitrary split
+// points of the same seed set, and the restored failures seed the one
+// repro sink: resuming at a boundary re-runs exactly the rounds an
+// uninterrupted campaign would have run, so the final totals are
+// bit-identical at any worker count and any kill pattern.
+func openCheckpoint(prog *engine.Program, seed int64, runs int, model string, camp Campaign, res *TrialResult) (*campaignCheckpoint, int) {
 	spec := camp.Checkpoint
-	key := newCampaignKey(camp.CheckpointCell, prog, seed, runs, opts.Model)
-	store := &checkpoint.Store{FS: spec.fsys(), Dir: filepath.Join(spec.Dir, key.dirName())}
+	if spec == nil || spec.Dir == "" {
+		return nil, 0
+	}
+	key := newCampaignKey(camp.CheckpointCell, prog, seed, runs, model)
+	ck := &campaignCheckpoint{spec: spec, key: key,
+		store: &checkpoint.Store{FS: spec.fsys(), Dir: filepath.Join(spec.Dir, key.dirName())}}
 	if camp.Metrics != nil {
-		store.Observer = camp.Metrics
+		ck.store.Observer = camp.Metrics
 	}
-
-	// The caller's accumulator is stripped from the chunk options and
-	// merged into exactly once at the end, mirroring runCampaignBatch.
-	collect := camp.Telemetry || opts.Telemetry != nil
-	telBase := opts.Telemetry
-	opts.Telemetry = nil
-
-	var cum TrialResult
-	at := 0
-	if spec.Resume {
-		payload, gen, err := store.Load(key.id())
-		var corrupt *checkpoint.CorruptError
-		switch {
-		case err == nil:
-			var st campaignState
-			if jerr := json.Unmarshal(payload, &st); jerr == nil {
-				at = st.NextTrial
-				st.restore(&cum)
-				if camp.Metrics != nil && cum.Telemetry != nil {
-					camp.Metrics.MergeEngine(cum.Telemetry)
-				}
-				if st.Complete || at >= runs {
-					finishResumed(&cum, telBase, spec)
-					return cum
-				}
-				spec.logf("checkpoint: resuming %s at trial %d/%d (generation %d)", key.dirName(), at, runs, gen)
-			}
-		case errors.Is(err, checkpoint.ErrNoCheckpoint):
-			// Fresh campaign: nothing to resume.
-		case errors.As(err, &corrupt):
-			// Every generation is corrupt: start over rather than crash.
-			spec.logf("checkpoint: %v; restarting campaign from trial 0", err)
-		default:
-			spec.logf("checkpoint: load failed (%v); restarting campaign from trial 0", err)
-		}
+	if !spec.Resume {
+		return ck, 0
 	}
-
-	reproTotal := 0
-	if camp.ReproDir != "" {
-		reproTotal = camp.MaxRepros
-		if reproTotal <= 0 {
-			reproTotal = defaultMaxRepros
+	payload, gen, err := ck.store.Load(key.id())
+	var corrupt *checkpoint.CorruptError
+	switch {
+	case errors.Is(err, checkpoint.ErrNoCheckpoint):
+		// Fresh campaign: nothing to resume.
+	case errors.As(err, &corrupt):
+		// Every generation is corrupt: start over rather than crash.
+		spec.logf("checkpoint: %v; restarting campaign from trial 0", err)
+	case err != nil:
+		spec.logf("checkpoint: load failed (%v); restarting campaign from trial 0", err)
+	default:
+		var st campaignState
+		if err := json.Unmarshal(payload, &st); err != nil {
+			spec.logf("checkpoint: %s generation %d is not campaign state (%v); restarting campaign from trial 0",
+				key.dirName(), gen, err)
+			return ck, 0
 		}
+		st.restore(res)
+		if camp.Metrics != nil && res.Telemetry != nil {
+			camp.Metrics.MergeEngine(res.Telemetry)
+		}
+		if st.NextTrial < runs {
+			spec.logf("checkpoint: resuming %s at trial %d/%d (generation %d)", key.dirName(), st.NextTrial, runs, gen)
+		}
+		return ck, st.NextTrial
 	}
-
-	saved := 0
-	for at < runs {
-		if camp.Context != nil && camp.Context.Err() != nil {
-			cum.Interrupted = true
-			break
-		}
-		n := min(spec.every(), runs-at)
-		inner := camp
-		inner.Checkpoint = nil
-		inner.CheckpointCell = ""
-		inner.Telemetry = collect
-		inner.sinkFS = spec.fsys()
-		// Coverage novelty is keyed by campaign-global trial indices: the
-		// chunk's workers offset their local indices by the chunk start,
-		// so a resumed campaign's coverage curve continues seamlessly.
-		inner.trialBase = int64(at)
-		if camp.Coverage {
-			// Seed the chunk's repro dedupe with the behaviors already
-			// bundled (restored from the checkpoint or earlier chunks).
-			inner.reproSeen = nil
-			for _, f := range cum.Failures {
-				if f.BehaviorFP != 0 {
-					inner.reproSeen = append(inner.reproSeen, f.BehaviorFP)
-				}
-			}
-		}
-		if camp.ReproDir != "" {
-			// The repro budget is global across chunks and sessions: the
-			// restored failure list counts against it, so a resumed campaign
-			// captures exactly the failures an uninterrupted one would.
-			remaining := reproTotal - len(cum.Failures)
-			if remaining <= 0 {
-				inner.ReproDir = ""
-				inner.MaxRepros = 0
-			} else {
-				inner.MaxRepros = remaining
-			}
-		}
-		chunk := runCampaignBatch(prog, detect, newStrategy, n, seed+int64(at), opts, inner)
-		mergeCheckpointChunk(&cum, chunk)
-		if chunk.Interrupted || chunk.Stuck {
-			break
-		}
-		at += n
-		st := newCampaignState(key, &cum, at, at >= runs)
-		payload, merr := json.Marshal(st)
-		if merr != nil {
-			spec.degrade(merr, camp.Metrics)
-		} else if _, serr := store.Save(key.id(), payload); serr != nil {
-			spec.degrade(serr, camp.Metrics)
-		} else {
-			saved++
-			if spec.killAfterChunks > 0 && saved >= spec.killAfterChunks && at < runs {
-				// Simulated SIGKILL between generations: abandon the campaign
-				// with the durable state exactly as a kill would leave it.
-				cum.Interrupted = true
-				finishResumed(&cum, nil, spec)
-				return cum
-			}
-		}
-	}
-	finishResumed(&cum, telBase, spec)
-	return cum
+	return ck, 0
 }
 
-// finishResumed applies the end-of-campaign bookkeeping shared by every
-// exit path of the checkpointed loop: the caller's telemetry accumulator
-// merge and the durability stamp.
-func finishResumed(cum *TrialResult, telBase *telemetry.EngineCounters, spec *CheckpointSpec) {
-	if telBase != nil && cum.Telemetry != nil {
-		telBase.Merge(cum.Telemetry)
+// save commits res as the campaign state after round next. A failed
+// write degrades the spec and the campaign runs on. It reports whether
+// the test kill hook fired.
+func (ck *campaignCheckpoint) save(res *TrialResult, next, runs int, m *telemetry.Metrics) bool {
+	payload, err := json.Marshal(newCampaignState(ck.key, res, next, next >= runs))
+	if err == nil {
+		_, err = ck.store.Save(ck.key.id(), payload)
 	}
-	if spec.Degraded() {
-		cum.Durability = DurabilityDegraded
+	if err != nil {
+		ck.spec.degrade(err, m)
+		return false
 	}
+	ck.saved++
+	// Simulated SIGKILL between generations: the campaign stops with the
+	// durable state exactly as a kill would leave it.
+	return ck.spec.killAfterChunks > 0 && ck.saved >= ck.spec.killAfterChunks && next < runs
 }
 
 // LoadReproIndex collects the repro-bundle paths recorded in the newest

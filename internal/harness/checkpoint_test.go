@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -187,6 +188,99 @@ func TestCheckpointedMatchesUnchunked(t *testing.T) {
 	chunked := RunCampaign(prog, b.Detect, newStrategy, runs, seed, opts,
 		Campaign{Workers: 2, Telemetry: true, Checkpoint: spec})
 	requireIdentical(t, "checkpointed vs plain", comparableResult(chunked), comparableResult(plain))
+}
+
+// TestCheckpointReproBudget: one repro sink serves the whole campaign,
+// so the MaxRepros budget and the behavior dedupe set carry across
+// chunks and across a resume. A plain campaign, a checkpointed one and
+// one killed after two chunks and then resumed capture the same seeds
+// and write the same bundles.
+func TestCheckpointReproBudget(t *testing.T) {
+	b := mustBench(t, "dekker")
+	prog := b.Program(0)
+	opts := b.Options()
+	newStrategy := func() engine.Strategy { return C11Tester()(Estimate{}) }
+	const runs, every, seed, maxRepros = 40, 2, 5, 3
+	for _, coverage := range []bool{false, true} {
+		t.Run(fmt.Sprintf("coverage=%v", coverage), func(t *testing.T) {
+			dir := t.TempDir()
+			run := func(name string, spec *CheckpointSpec) TrialResult {
+				return RunCampaign(prog, b.Detect, newStrategy, runs, seed, opts, Campaign{Workers: 1,
+					Coverage: coverage, ReproDir: filepath.Join(dir, name), MaxRepros: maxRepros, Checkpoint: spec})
+			}
+			plain := run("plain", nil)
+			want := capturedSeeds(plain)
+			if !coverage && len(want) != maxRepros {
+				t.Fatalf("plain campaign captured %v, want %d failures", want, maxRepros)
+			}
+			// The captures must straddle chunk boundaries and the kill for
+			// the campaigns below to test anything.
+			chunks := map[int64]bool{}
+			for _, s := range want {
+				chunks[(s-seed)/every] = true
+			}
+			if len(chunks) != len(want) || (want[0]-seed)/every >= 2 || (want[len(want)-1]-seed)/every < 2 {
+				t.Fatalf("captured seeds %v do not fall in distinct chunks on both sides of the kill", want)
+			}
+
+			chunked := run("chunked", &CheckpointSpec{Dir: filepath.Join(dir, "ckpt-chunked"), Every: every})
+			killed := run("resumed", &CheckpointSpec{Dir: filepath.Join(dir, "ckpt-killed"), Every: every, killAfterChunks: 2})
+			if !killed.Interrupted || killed.Runs != 2*every {
+				t.Fatalf("kill hook did not stop the campaign after 2 chunks: %+v", killed)
+			}
+			resumed := run("resumed", &CheckpointSpec{Dir: filepath.Join(dir, "ckpt-killed"), Every: every, Resume: true})
+			for name, res := range map[string]TrialResult{"chunked": chunked, "resumed": resumed} {
+				if got := capturedSeeds(res); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("%s campaign captured seeds %v, plain %v", name, got, want)
+				}
+				if got, plainNames := bundleNames(t, filepath.Join(dir, name)), bundleNames(t, filepath.Join(dir, "plain")); fmt.Sprint(got) != fmt.Sprint(plainNames) {
+					t.Errorf("%s campaign wrote bundles %v, plain %v", name, got, plainNames)
+				}
+			}
+		})
+	}
+}
+
+// capturedSeeds lists the seeds of res's captured failures in capture
+// order.
+func capturedSeeds(res TrialResult) []int64 {
+	var seeds []int64
+	for _, f := range res.Failures {
+		seeds = append(seeds, f.Seed)
+	}
+	return seeds
+}
+
+// TestCheckpointUndecodablePayloadRestarts: a generation whose envelope
+// validates but whose payload is not campaign state restarts the
+// campaign from trial 0 with a log line, like every other unusable
+// checkpoint, and the campaign finishes with the unchunked totals.
+func TestCheckpointUndecodablePayloadRestarts(t *testing.T) {
+	b := mustBench(t, "dekker")
+	prog := b.Program(0)
+	opts := b.Options()
+	newStrategy := func() engine.Strategy { return C11Tester()(Estimate{}) }
+	const runs, seed = 200, 13
+
+	ref := RunCampaign(prog, b.Detect, newStrategy, runs, seed, opts, Campaign{Workers: 2})
+
+	dir := t.TempDir()
+	key := newCampaignKey("", prog, seed, runs, opts.Model)
+	store := &checkpoint.Store{Dir: filepath.Join(dir, key.dirName())}
+	if _, err := store.Save(key.id(), []byte("[]")); err != nil {
+		t.Fatal(err)
+	}
+	var logs []string
+	spec := &CheckpointSpec{Dir: dir, Every: 50, Resume: true,
+		Logf: func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) }}
+	res := RunCampaign(prog, b.Detect, newStrategy, runs, seed, opts, Campaign{Workers: 2, Checkpoint: spec})
+	if len(logs) != 1 || !strings.Contains(logs[0], "restarting campaign from trial 0") {
+		t.Fatalf("restart from an undecodable checkpoint not logged: %q", logs)
+	}
+	if res.ResumedRuns != 0 {
+		t.Fatalf("ResumedRuns = %d after a restart, want 0", res.ResumedRuns)
+	}
+	requireIdentical(t, "restarted vs unchunked", comparableResult(res), comparableResult(ref))
 }
 
 // TestCheckpointTransientFaultsRetried: a burst of transient write

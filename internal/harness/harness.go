@@ -100,9 +100,9 @@ type TrialResult struct {
 	// seed) — an engine or strategy determinism bug.
 	Nondeterministic int
 	// Telemetry holds the merged per-worker engine counters when the
-	// campaign collected them (Campaign.Telemetry or a caller-provided
-	// engine.Options.Telemetry); nil otherwise. Totals are bit-identical
-	// between serial and parallel campaigns over the same seed set.
+	// campaign collected them (Campaign.Telemetry or Campaign.Coverage);
+	// nil otherwise. Totals are bit-identical between serial and parallel
+	// campaigns over the same seed set.
 	Telemetry *telemetry.EngineCounters
 	// Coverage is the campaign's merged behavior set (Campaign.Coverage):
 	// every complete trial's fingerprint with first-seen trial indices,

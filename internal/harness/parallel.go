@@ -17,7 +17,6 @@ import (
 	"pctwm/internal/engine"
 	"pctwm/internal/replay"
 	"pctwm/internal/telemetry"
-	"pctwm/internal/telemetry/perfetto"
 )
 
 // ResolveWorkers maps a -workers style flag value to an actual worker
@@ -73,9 +72,8 @@ type Campaign struct {
 	// Telemetry enables per-worker engine counters: every worker's Runner
 	// gets its own telemetry.EngineCounters shard (plain fields, no
 	// hot-path synchronization), merged at the end into
-	// TrialResult.Telemetry, the caller's engine.Options.Telemetry (if
-	// set), and Metrics. Collection is also implied by a non-nil
-	// engine.Options.Telemetry.
+	// TrialResult.Telemetry and Metrics. A caller's
+	// engine.Options.Telemetry is ignored: workers never share a shard.
 	Telemetry bool
 	// Coverage enables behavioral coverage: every trial's engine computes
 	// a canonical behavior fingerprint (engine.Options.Coverage), each
@@ -91,10 +89,6 @@ type Campaign struct {
 	// -metrics-addr endpoint and the -progress reporter. Updated once per
 	// trial with atomics; never touched on the engine hot path.
 	Metrics *telemetry.Metrics
-	// EmbedPerfetto makes the repro sink embed a Chrome trace-event JSON
-	// rendering of each bundle's triage re-run (Bundle.Perfetto), for
-	// visual diffing of divergences in Perfetto. Requires ReproDir.
-	EmbedPerfetto bool
 	// Model, when non-empty, overrides the memory-model backend for
 	// campaigns that build their own engine.Options from a benchmark
 	// registry (BenchTrials, BestOverH). Callers that pass
@@ -109,23 +103,6 @@ type Campaign struct {
 	// runs and model (e.g. different strategy columns of a bench matrix)
 	// inside the checkpoint directory. Ignored without Checkpoint.
 	CheckpointCell string
-
-	// sinkFS, when non-nil, routes repro-bundle writes through an
-	// injectable filesystem; set by the checkpointed campaign loop so
-	// every durable sink shares the spec's FS (chunks run with
-	// Checkpoint=nil and would otherwise lose it).
-	sinkFS checkpoint.FS
-
-	// trialBase offsets the campaign-global trial indices coverage
-	// observations are keyed by; the checkpointed campaign loop sets it
-	// to each chunk's start so resumed coverage curves continue exactly
-	// where the previous session stopped.
-	trialBase int64
-
-	// reproSeen seeds the repro sink's behavior-fingerprint dedupe set;
-	// the checkpointed loop passes the fingerprints of already-bundled
-	// failures so a resumed campaign never re-bundles a behavior.
-	reproSeen []uint64
 }
 
 // defaultMaxRepros bounds bundle writing + flake triage when the caller
@@ -178,41 +155,81 @@ type TrialFailure struct {
 // strategy are replaced with fresh ones — one hostile trial never poisons
 // a sibling worker's trials or the rest of the worker's own rounds.
 //
-// With Campaign.Checkpoint armed the campaign additionally runs in
-// chunks, persisting its cumulative state after each one so a killed
-// process resumes with bit-identical totals (see CheckpointSpec).
+// The rounds run in chunks of consecutive indices, each on its own worker
+// pool, and every chunk's result is folded into the campaign's. Without
+// Campaign.Checkpoint the whole campaign is one chunk. With it armed the
+// chunks are CheckpointSpec.Every rounds long: the campaign first resumes
+// from the newest good checkpoint generation (with Resume), and after
+// each cleanly finished chunk it persists its cumulative state, so a
+// killed process resumes with bit-identical totals (see CheckpointSpec).
+// One repro sink serves every chunk, so the MaxRepros budget and the
+// behavior dedupe set span the whole campaign, resumed sessions included.
 func RunCampaign(prog *engine.Program, detect func(*engine.Outcome) bool,
-	newStrategy func() engine.Strategy, runs int, seed int64, opts engine.Options, camp Campaign) TrialResult {
-	if camp.Checkpoint != nil && camp.Checkpoint.Dir != "" && runs > 0 {
-		return runCheckpointedCampaign(prog, detect, newStrategy, runs, seed, opts, camp)
-	}
-	return runCampaignBatch(prog, detect, newStrategy, runs, seed, opts, camp)
-}
-
-// runCampaignBatch is the single-batch campaign loop shared by the plain
-// and checkpointed paths.
-func runCampaignBatch(prog *engine.Program, detect func(*engine.Outcome) bool,
 	newStrategy func() engine.Strategy, runs int, seed int64, opts engine.Options, camp Campaign) TrialResult {
 	var res TrialResult
 	if runs <= 0 {
 		return res
 	}
-	workers := ResolveWorkers(camp.Workers, runs)
+	// Workers collect into private counter shards (the engine writes them
+	// with plain fields), so a caller's shard is stripped: sharing one
+	// across workers would race.
+	opts.Telemetry = nil
+	opts.Coverage = opts.Coverage || camp.Coverage
+	ck, at := openCheckpoint(prog, seed, runs, opts.Model, camp, &res)
+	bundleFS := checkpoint.OS
+	if ck != nil {
+		bundleFS = ck.spec.fsys()
+	}
+	sink := newReproSink(prog, newStrategy, opts, camp, bundleFS, &res)
+	for at < runs {
+		n := runs - at
+		if ck != nil {
+			n = min(n, ck.spec.every())
+		}
+		chunk := runChunk(prog, detect, newStrategy, at, n, seed, opts, camp, sink)
+		mergeTrialResults(&res, chunk)
+		if chunk.Interrupted || chunk.Stuck {
+			// Partial chunks reach the returned result but never a
+			// checkpoint: durable state advances by whole chunks only.
+			break
+		}
+		at += n
+		if ck != nil {
+			sink.fold(&res)
+			if ck.save(&res, at, runs, camp.Metrics) {
+				res.Interrupted = true // the test kill hook fired
+				break
+			}
+		}
+	}
+	sink.fold(&res)
+	if ck != nil && ck.spec.Degraded() {
+		res.Durability = DurabilityDegraded
+	}
+	if m := camp.Metrics; m != nil {
+		if res.Interrupted {
+			m.CampaignInterrupted()
+		}
+		if res.Stuck {
+			m.WorkerStuck()
+		}
+	}
+	return res
+}
 
-	// Telemetry collection: each worker gets a private EngineCounters
-	// shard (the engine writes it with plain fields — sharing one across
-	// workers would race), merged after the pool drains. The caller's
-	// Options.Telemetry, if any, is treated as an accumulator across
-	// campaigns: it is stripped here and merged into at the end.
+// runChunk runs the n rounds starting at index first (seeds seed+first
+// onwards) on a fresh worker pool and returns their merged result.
+func runChunk(prog *engine.Program, detect func(*engine.Outcome) bool,
+	newStrategy func() engine.Strategy, first, n int, seed int64, opts engine.Options, camp Campaign, sink *reproSink) TrialResult {
+	var res TrialResult
+	workers := ResolveWorkers(camp.Workers, n)
+
 	// Coverage implies telemetry collection: the per-worker counter shard
 	// supplies each trial's change-point count, the depth attribution of
 	// first discoveries.
-	collect := camp.Telemetry || opts.Telemetry != nil || camp.Coverage
-	telBase := opts.Telemetry
-	opts.Telemetry = nil
-	opts.Coverage = opts.Coverage || camp.Coverage
+	collect := camp.Telemetry || camp.Coverage
 	if camp.Metrics != nil {
-		camp.Metrics.AddExpected(runs)
+		camp.Metrics.AddExpected(n)
 	}
 
 	// pprof labels: workers run under worker/strategy/program labels so
@@ -240,36 +257,12 @@ func runCampaignBatch(prog *engine.Program, detect func(*engine.Outcome) bool,
 		opts.Context = ctx
 	}
 
-	var sink *reproSink
-	if camp.ReproDir != "" {
-		max := camp.MaxRepros
-		if max <= 0 {
-			max = defaultMaxRepros
-		}
-		sink = &reproSink{
-			prog: prog, newStrategy: newStrategy, opts: opts,
-			dir: camp.ReproDir, max: max, fs: camp.sinkFS,
-			metrics: camp.Metrics, embedPerfetto: camp.EmbedPerfetto,
-			dedupe: camp.Coverage,
-		}
-		for _, fp := range camp.reproSeen {
-			if fp != 0 {
-				if sink.seen == nil {
-					sink.seen = make(map[uint64]bool)
-				}
-				sink.seen[fp] = true
-			}
-		}
-	}
-
 	start := time.Now()
 	var (
 		next   atomic.Int64
 		wg     sync.WaitGroup
 		locals = make([]TrialResult, workers)
 		states = make([]*workerState, workers)
-		shards = make([]*telemetry.EngineCounters, workers)
-		covs   = make([]*coverage.Set, workers)
 	)
 	for w := 0; w < workers; w++ {
 		states[w] = &workerState{}
@@ -280,11 +273,13 @@ func runCampaignBatch(prog *engine.Program, detect func(*engine.Outcome) bool,
 			hb = states[w]
 			hb.beat.Store(time.Now().UnixNano())
 		}
+		var tel *telemetry.EngineCounters
 		if collect {
-			shards[w] = &telemetry.EngineCounters{}
+			tel = &telemetry.EngineCounters{}
 		}
+		var cov *coverage.Set
 		if camp.Coverage {
-			covs[w] = &coverage.Set{}
+			cov = &coverage.Set{}
 		}
 		wg.Add(1)
 		go func(w int) {
@@ -292,7 +287,7 @@ func runCampaignBatch(prog *engine.Program, detect func(*engine.Outcome) bool,
 			defer states[w].done.Store(true)
 			strat := newStrategy()
 			labeledWorker(ctx, w, strat.Name(), progName, func() {
-				locals[w] = runWorker(prog, detect, strat, newStrategy, runs, seed, opts, &next, ctx, sink, hb, shards[w], camp.Metrics, covs[w], camp.trialBase)
+				locals[w] = runWorker(prog, detect, strat, newStrategy, first, n, seed, opts, &next, ctx, sink, hb, tel, camp.Metrics, cov)
 			})
 		}(w)
 	}
@@ -307,37 +302,17 @@ func runCampaignBatch(prog *engine.Program, detect func(*engine.Outcome) bool,
 
 	for w, l := range locals {
 		if !states[w].done.Load() {
-			continue // stuck worker: its local result was never published
+			// Stuck worker: its result and shards were never published,
+			// and a wedged goroutine may still be writing them.
+			continue
 		}
 		mergeTrialResults(&res, l)
 	}
-	finishTelemetry(&res, shards, states, telBase, camp.Metrics)
-	finishCoverage(&res, covs, states)
-	finishCampaign(&res, sink, start, camp.Metrics)
+	if camp.Metrics != nil && res.Telemetry != nil {
+		camp.Metrics.MergeEngine(res.Telemetry)
+	}
+	res.Wall = time.Since(start)
 	return res
-}
-
-// finishCoverage merges the per-worker coverage shards into the campaign
-// result. Set.Merge is commutative and associative and novelty is keyed
-// by global trial indices, so the merged set is bit-identical for every
-// worker count and merge order. Shards of workers that never published
-// (stuck) are skipped, like telemetry shards.
-func finishCoverage(res *TrialResult, covs []*coverage.Set, states []*workerState) {
-	merged := &coverage.Set{}
-	any := false
-	for w, c := range covs {
-		if c == nil {
-			continue
-		}
-		if !states[w].done.Load() {
-			continue
-		}
-		any = true
-		merged.Merge(c)
-	}
-	if any {
-		res.Coverage = merged
-	}
 }
 
 // labeledWorker runs f under pprof goroutine labels naming the worker,
@@ -354,76 +329,46 @@ func labeledWorker(ctx context.Context, w int, strategy, program string, f func(
 	), func(context.Context) { f() })
 }
 
-// finishTelemetry merges the per-worker counter shards — in worker order,
-// though Merge is commutative so any order yields bit-identical totals —
-// into the campaign result, the caller's accumulator and the metrics hub.
-// Shards of workers that never published (stuck, see watchCampaign) are
-// skipped: a wedged goroutine may still be writing its shard.
-func finishTelemetry(res *TrialResult, shards []*telemetry.EngineCounters, states []*workerState, base *telemetry.EngineCounters, m *telemetry.Metrics) {
-	merged := &telemetry.EngineCounters{}
-	any := false
-	for w, s := range shards {
-		if s == nil {
-			continue
-		}
-		if !states[w].done.Load() {
-			continue
-		}
-		any = true
-		merged.Merge(s)
-		// Keep a bounded change-point log for diagnostics: the first
-		// shard's entries (the log is per-Runner and excluded from merged
-		// totals, so this does not perturb determinism of the counters).
-		if len(merged.ChangePoints) == 0 && len(s.ChangePoints) > 0 {
-			merged.ChangePoints = append(merged.ChangePoints, s.ChangePoints...)
-		}
+// mergeTrialResults folds r into res: a worker's local result (with its
+// telemetry and coverage shards) into its chunk's, or a chunk's into the
+// campaign's. The totals merge commutatively, so they do not depend on
+// the worker count, the merge order or where chunks split: coverage
+// novelty is keyed by campaign-global round indices. Telemetry and
+// coverage are adopted while res has none and merged after that, so no
+// container is copied.
+func mergeTrialResults(res *TrialResult, r TrialResult) {
+	res.Runs += r.Runs
+	res.Hits += r.Hits
+	res.Aborted += r.Aborted
+	res.Deadlock += r.Deadlock
+	res.Panics += r.Panics
+	res.Timeouts += r.Timeouts
+	res.Canceled += r.Canceled
+	res.TotalEvents += r.TotalEvents
+	res.Elapsed += r.Elapsed
+	res.Wall += r.Wall
+	res.Interrupted = res.Interrupted || r.Interrupted
+	res.Stuck = res.Stuck || r.Stuck
+	if r.StuckDiag != "" {
+		res.StuckDiag = r.StuckDiag
 	}
-	if !any {
-		return
-	}
-	res.Telemetry = merged
-	if base != nil {
-		base.Merge(merged)
-	}
-	if m != nil {
-		m.MergeEngine(merged)
-	}
-}
-
-// finishCampaign folds the repro sink into the merged result, stamps the
-// batch wall time, and reports campaign-terminal conditions to the
-// metrics hub.
-func finishCampaign(res *TrialResult, sink *reproSink, start time.Time, m *telemetry.Metrics) {
-	if sink != nil {
-		sink.mu.Lock()
-		res.Failures = append(res.Failures, sink.captured...)
-		res.Nondeterministic += sink.nondet
-		sink.mu.Unlock()
-	}
-	res.Wall = time.Since(start)
-	if m != nil {
-		if res.Interrupted {
-			m.CampaignInterrupted()
-		}
-		if res.Stuck {
-			m.WorkerStuck()
+	switch {
+	case res.Telemetry == nil:
+		res.Telemetry = r.Telemetry
+	case r.Telemetry != nil:
+		res.Telemetry.Merge(r.Telemetry)
+		// Merge leaves the bounded change-point log (a per-Runner
+		// diagnostic, not a total) alone: keep the first one seen.
+		if len(res.Telemetry.ChangePoints) == 0 {
+			res.Telemetry.ChangePoints = r.Telemetry.ChangePoints
 		}
 	}
-}
-
-// mergeTrialResults accumulates a worker's local result into the merged
-// campaign result.
-func mergeTrialResults(res *TrialResult, l TrialResult) {
-	res.Runs += l.Runs
-	res.Hits += l.Hits
-	res.Aborted += l.Aborted
-	res.Deadlock += l.Deadlock
-	res.Panics += l.Panics
-	res.Timeouts += l.Timeouts
-	res.Canceled += l.Canceled
-	res.TotalEvents += l.TotalEvents
-	res.Elapsed += l.Elapsed
-	res.Interrupted = res.Interrupted || l.Interrupted
+	switch {
+	case res.Coverage == nil:
+		res.Coverage = r.Coverage
+	case r.Coverage != nil:
+		res.Coverage.Merge(r.Coverage)
+	}
 }
 
 // workerState is the heartbeat a worker publishes for the campaign
@@ -521,18 +466,19 @@ func closeQuarantined(r *engine.Runner) {
 	}()
 }
 
-// runWorker drains trial indices from the shared counter next on one
-// pooled Runner, applying the per-trial resilience protocol: heartbeat
-// (ws, nil unless the campaign watchdog is armed), cancellation check,
-// panic quarantine, outcome classification, failure capture, and (when
-// armed) telemetry: tel is this worker's private engine-counter shard,
-// metrics the shared campaign hub (atomics, touched once per trial).
-// strat is the worker's already-created strategy (its Name labels the
-// worker's pprof context); newStrategy only mints quarantine replacements.
+// runWorker drains the chunk's n rounds, starting at campaign index
+// first, from the shared counter next on one pooled Runner, applying the
+// per-trial resilience protocol: heartbeat (ws, nil unless the campaign
+// watchdog is armed), cancellation check, panic quarantine, outcome
+// classification, failure capture, and (when armed) telemetry: tel is
+// this worker's private engine-counter shard, metrics the shared campaign
+// hub (atomics, touched once per trial). strat is the worker's
+// already-created strategy (its Name labels the worker's pprof context);
+// newStrategy only mints quarantine replacements.
 func runWorker(prog *engine.Program, detect func(*engine.Outcome) bool,
-	strat engine.Strategy, newStrategy func() engine.Strategy, runs int, seed int64, opts engine.Options,
+	strat engine.Strategy, newStrategy func() engine.Strategy, first, n int, seed int64, opts engine.Options,
 	next *atomic.Int64, ctx context.Context, sink *reproSink, ws *workerState,
-	tel *telemetry.EngineCounters, metrics *telemetry.Metrics, covSet *coverage.Set, trialBase int64) TrialResult {
+	tel *telemetry.EngineCounters, metrics *telemetry.Metrics, covSet *coverage.Set) TrialResult {
 	var local TrialResult
 	opts.Telemetry = tel
 	if metrics != nil {
@@ -542,10 +488,11 @@ func runWorker(prog *engine.Program, detect func(*engine.Outcome) bool,
 	r := engine.NewRunner(prog, opts)
 	defer func() { r.Close() }()
 	for {
-		i := int(next.Add(1)) - 1
-		if i >= runs {
+		j := int(next.Add(1)) - 1
+		if j >= n {
 			break
 		}
+		i := first + j // the campaign-global round index
 		if ctx != nil && ctx.Err() != nil {
 			local.Interrupted = true
 			break
@@ -597,7 +544,7 @@ func runWorker(prog *engine.Program, detect func(*engine.Outcome) bool,
 			if tel != nil {
 				depth = tel.ChangePointDepth.Count - cpBefore
 			}
-			covSet.Observe(o.BehaviorFP, trialBase+int64(i), depth)
+			covSet.Observe(o.BehaviorFP, int64(i), depth)
 		}
 		if metrics != nil {
 			metrics.ObserveTrial(telemetry.TrialObs{
@@ -636,6 +583,7 @@ func runWorker(prog *engine.Program, detect func(*engine.Outcome) bool,
 	if ws != nil {
 		ws.beat.Store(time.Now().UnixNano())
 	}
+	local.Telemetry, local.Coverage = tel, covSet
 	return local
 }
 
@@ -686,15 +634,13 @@ type reproSink struct {
 	opts        engine.Options
 	dir         string
 	max         int
-	// fs routes bundle writes through an injectable filesystem (nil =
-	// the real one); the checkpointed campaign loop sets it so bundle
-	// durability is hardened and fault-testable like checkpoints.
+	// fs routes bundle writes through the checkpoint spec's filesystem
+	// when one is armed, so bundle durability is hardened and
+	// fault-testable like checkpoints.
 	fs checkpoint.FS
 	// metrics, when non-nil, receives one ReproTriaged observation per
-	// written bundle. embedPerfetto makes the triage re-run record its
-	// execution graph and embeds it as a Chrome trace-event document.
-	metrics       *telemetry.Metrics
-	embedPerfetto bool
+	// written bundle.
+	metrics *telemetry.Metrics
 
 	// dedupe keys the capture budget by behavior fingerprint (campaigns
 	// with Coverage on): a failure behavior already bundled is never
@@ -709,6 +655,45 @@ type reproSink struct {
 	nondet   int
 }
 
+// newReproSink builds the campaign's repro sink, nil without
+// camp.ReproDir. It starts from the failures already in res (restored
+// from a checkpoint): they count against the MaxRepros budget (default
+// 3) and their behaviors against the dedupe set, so a resumed campaign
+// captures exactly the failures an uninterrupted one would.
+func newReproSink(prog *engine.Program, newStrategy func() engine.Strategy, opts engine.Options,
+	camp Campaign, fs checkpoint.FS, res *TrialResult) *reproSink {
+	if camp.ReproDir == "" {
+		return nil
+	}
+	s := &reproSink{
+		prog: prog, newStrategy: newStrategy, opts: opts,
+		dir: camp.ReproDir, max: camp.MaxRepros, fs: fs,
+		metrics: camp.Metrics, dedupe: camp.Coverage,
+		claimed: len(res.Failures), seen: make(map[uint64]bool),
+		captured: res.Failures, nondet: res.Nondeterministic,
+	}
+	if s.max <= 0 {
+		s.max = defaultMaxRepros
+	}
+	for _, f := range res.Failures {
+		if f.BehaviorFP != 0 {
+			s.seen[f.BehaviorFP] = true
+		}
+	}
+	return s
+}
+
+// fold copies the captured failures into res (no-op on a nil sink).
+func (s *reproSink) fold(res *TrialResult) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	res.Failures = append([]TrialFailure(nil), s.captured...)
+	res.Nondeterministic = s.nondet
+	s.mu.Unlock()
+}
+
 // capture triages and bundles one failing trial if a slot is free. fp is
 // the trial's behavior fingerprint (0 without coverage or for harness
 // panics, which have no outcome — those always consume a slot). orig
@@ -721,9 +706,6 @@ func (s *reproSink) capture(seed int64, fp uint64, kind, msg string, orig replay
 		return
 	}
 	if s.dedupe && fp != 0 {
-		if s.seen == nil {
-			s.seen = make(map[uint64]bool)
-		}
 		s.seen[fp] = true
 	}
 	s.claimed++
@@ -752,16 +734,6 @@ func (s *reproSink) triage(seed int64, fp uint64, kind, msg string, orig replay.
 	reOpts := s.opts
 	reOpts.Context = nil
 	reOpts.MaxWallTime = 0
-	// The re-run gets its own telemetry shard (never a campaign worker's
-	// — triage runs concurrently with workers): change points logged into
-	// it annotate the embedded Perfetto trace.
-	reOpts.Telemetry = nil
-	var reTel *telemetry.EngineCounters
-	if s.embedPerfetto {
-		reOpts.Record = true
-		reTel = &telemetry.EngineCounters{}
-		reOpts.Telemetry = reTel
-	}
 
 	strat := s.newStrategy()
 	stratName := strat.Name()
@@ -807,21 +779,8 @@ func (s *reproSink) triage(seed int64, fp uint64, kind, msg string, orig replay.
 		}
 	}
 	bundle.Triage = fail.Triage
-	if s.embedPerfetto && o2 != nil && o2.Recording != nil {
-		var cps []telemetry.ChangePoint
-		if reTel != nil {
-			cps = reTel.ChangePoints
-		}
-		if data, err := perfetto.Marshal(o2.Recording, cps); err == nil {
-			bundle.Perfetto = data
-		}
-	}
 
-	sinkFS := s.fs
-	if sinkFS == nil {
-		sinkFS = checkpoint.OS
-	}
-	path, err := bundle.WriteFileFS(sinkFS, s.dir)
+	path, err := bundle.WriteFileFS(s.fs, s.dir)
 	if err != nil {
 		fail.Msg += " [bundle write failed: " + err.Error() + "]"
 	} else {

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"encoding/json"
 	"reflect"
 	"testing"
 	"time"
@@ -9,7 +8,6 @@ import (
 	"pctwm/internal/benchprog"
 	"pctwm/internal/core"
 	"pctwm/internal/engine"
-	"pctwm/internal/replay"
 	"pctwm/internal/telemetry"
 )
 
@@ -76,26 +74,6 @@ func TestTelemetryEventsMatchOutcome(t *testing.T) {
 	}
 }
 
-// TestTelemetryAccumulator: a caller-supplied Options.Telemetry both
-// enables collection and accumulates across campaigns.
-func TestTelemetryAccumulator(t *testing.T) {
-	b, _ := benchprog.ByName("dekker")
-	prog := b.Program(0)
-	opts := b.Options()
-	acc := &telemetry.EngineCounters{}
-	opts.Telemetry = acc
-	newStrategy := func() engine.Strategy { return core.NewRandom() }
-	for i := 0; i < 2; i++ {
-		res := RunCampaign(prog, b.Detect, newStrategy, 50, int64(100*i), opts, Campaign{Workers: 2})
-		if res.Telemetry == nil {
-			t.Fatal("Options.Telemetry did not imply collection")
-		}
-	}
-	if acc.Trials != 100 {
-		t.Fatalf("accumulator trials %d, want 100", acc.Trials)
-	}
-}
-
 // TestTelemetryMetricsHub: the campaign feeds the shared metrics hub —
 // trial counts, engine merge, and worker accounting all land.
 func TestTelemetryMetricsHub(t *testing.T) {
@@ -156,58 +134,6 @@ func TestTelemetryZeroAllocOverhead(t *testing.T) {
 	if delta := armed - nilPath; delta > 0.5 {
 		t.Fatalf("telemetry adds %.2f allocs/run (nil %.2f, armed %.2f), want 0",
 			delta, nilPath, armed)
-	}
-}
-
-// TestCampaignEmbedPerfetto: with EmbedPerfetto the repro sink records
-// the triage re-run and embeds a loadable Chrome trace-event document in
-// the bundle, and the bundle still replays.
-func TestCampaignEmbedPerfetto(t *testing.T) {
-	b, err := benchprog.ByName("dekker")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := b.Program(0)
-	dir := t.TempDir()
-	res := RunCampaign(prog, b.Detect, func() engine.Strategy { return core.NewPCTWM(2, 1, 10) },
-		300, 1, b.Options(), Campaign{Workers: 2, ReproDir: dir, MaxRepros: 2, EmbedPerfetto: true})
-	if len(res.Failures) == 0 {
-		t.Skip("no failures captured in 300 rounds (seed drift); nothing to verify")
-	}
-	checked := 0
-	for _, f := range res.Failures {
-		if f.BundlePath == "" {
-			continue
-		}
-		bundle, err := replay.LoadBundle(f.BundlePath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(bundle.Perfetto) == 0 {
-			t.Fatalf("bundle %s has no embedded perfetto trace", f.BundlePath)
-		}
-		var doc struct {
-			TraceEvents []json.RawMessage `json:"traceEvents"`
-		}
-		if err := json.Unmarshal(bundle.Perfetto, &doc); err != nil {
-			t.Fatalf("embedded trace does not parse: %v", err)
-		}
-		if len(doc.TraceEvents) == 0 {
-			t.Fatalf("embedded trace is empty")
-		}
-		if bundle.Triage == replay.TriageDeterministic {
-			vr, err := bundle.Verify(prog)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !vr.Match {
-				t.Fatalf("deterministic bundle did not replay: derails=%d diffs=%v", vr.Derails, vr.Diffs)
-			}
-		}
-		checked++
-	}
-	if checked == 0 {
-		t.Fatal("no bundle was written")
 	}
 }
 

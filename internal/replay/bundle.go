@@ -191,11 +191,6 @@ type Bundle struct {
 	HarnessPanic string    `json:"harness_panic,omitempty"`
 	Stack        string    `json:"stack,omitempty"`
 	WrittenAt    time.Time `json:"written_at"`
-	// Perfetto optionally embeds the triage re-run's schedule as a Chrome
-	// trace-event JSON document (Campaign.EmbedPerfetto), so a bundle's
-	// recorded execution can be opened in Perfetto directly and visually
-	// diffed against a diverging replay (pctwm replay -perfetto-dir).
-	Perfetto json.RawMessage `json:"perfetto,omitempty"`
 }
 
 // NewBundle assembles a bundle for prog. Options are embedded as given
@@ -266,18 +261,12 @@ func DecodeBundle(data []byte) (*Bundle, error) {
 	return &b, nil
 }
 
-// WriteFile writes the bundle under dir as
+// WriteFileFS writes the bundle under dir through fsys as
 // "<program>-<strategy>-seed<seed>.json" (name sanitized) and returns the
-// path. The directory is created if missing.
-func (b *Bundle) WriteFile(dir string) (string, error) {
-	return b.WriteFileFS(checkpoint.OS, dir)
-}
-
-// WriteFileFS is WriteFile through an explicit filesystem — the hardened
-// durable-sink path: directory creation, write-to-temp-then-rename (so a
-// SIGKILL mid-flush never leaves a torn bundle that a later pctwm replay
-// chokes on), and bounded retry with exponential backoff on transient
-// write errors.
+// path — the hardened durable-sink path: directory creation,
+// write-to-temp-then-rename (so a SIGKILL mid-flush never leaves a torn
+// bundle that a later pctwm replay chokes on), and bounded retry with
+// exponential backoff on transient write errors.
 func (b *Bundle) WriteFileFS(fsys checkpoint.FS, dir string) (string, error) {
 	name := fmt.Sprintf("%s-%s-seed%d.json", sanitizeName(b.Program), sanitizeName(b.Strategy), b.Seed)
 	path := filepath.Join(dir, name)

@@ -35,7 +35,7 @@ func DistCheck(w io.Writer, cfg Config) error {
 	dcfg := harness.DistCheckConfig{
 		Check: distcheck.Config{
 			Seed:    cfg.Seed,
-			Options: engine.Options{Model: cfg.Model, Context: cfg.Context},
+			Options: engine.Options{Model: cfg.Campaign.Model, Context: cfg.Campaign.Context},
 		},
 	}
 	res, err := harness.DistCheckCampaign(nil, dcfg)
@@ -46,7 +46,7 @@ func DistCheck(w io.Writer, cfg Config) error {
 		return err
 	}
 	fmt.Fprintf(w, "Strategy conformance: distributional checks against exact ground truth (seed=%d, model=%s).\n",
-		cfg.Seed, modelLabel(cfg.Model))
+		cfg.Seed, modelLabel(cfg.Campaign.Model))
 	tw := newTab(w)
 	fmt.Fprintln(tw, "Check\tStrategy\tProgram\tVerdict\tp\tDetail")
 	for _, r := range res.Conformance.Results {

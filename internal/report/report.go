@@ -4,7 +4,6 @@
 package report
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -43,78 +42,38 @@ type Config struct {
 	MaxH int
 	// Seed makes the whole report deterministic.
 	Seed int64
-	// Workers spreads each trial batch over this many worker goroutines
-	// (0 = GOMAXPROCS, 1 = serial). Results are identical for every
-	// worker count; only wall-clock time changes.
-	Workers int
-	// Context cancels report generation cooperatively: trial batches
-	// abort through the engine's step-loop watchdog and sections return
-	// ErrInterrupted after flushing the rows completed so far.
-	Context context.Context
-	// ReproDir arms the campaign repro sink for every trial batch:
-	// failing trials are flake-triaged and written as replayable JSON
-	// bundles under this directory (see harness.Campaign).
-	ReproDir string
-	// MaxRepros caps bundles per trial batch (0 = the harness default).
-	MaxRepros int
-	// Metrics, when non-nil, receives live campaign metrics from every
-	// trial batch (the hub behind pctwm experiments' -metrics-addr and
-	// -progress); sections additionally mark their name as the metrics
-	// phase so the progress line shows which artifact is being generated.
-	Metrics *telemetry.Metrics
-	// Model selects the memory-model backend for every trial batch
-	// ("" = rc11). The paper's numbers are defined for rc11: benchmarks
-	// whose bugs need weak behaviour report lower (or zero) rates under
-	// sc/tso, which is itself the cross-model sensitivity signal.
-	Model string
-	// Coverage arms behavior fingerprinting on every trial batch: each
-	// complete trial contributes to a deterministic first-seen behavior
-	// set (internal/coverage), the live Metrics progress line gains the
-	// behaviors/est_unseen fields, and the repro sink dedupes bundles by
-	// behavior. The Coverage/CoverageCSV sections fingerprint regardless.
-	Coverage bool
-	// Checkpoint, when non-nil, arms the durable checkpoint/resume layer
-	// for every trial batch: each batch periodically snapshots its
-	// cumulative state under the spec's directory (keyed by a per-call-site
-	// cell label plus program/seed/runs/model) and a rerun with
-	// Resume=true continues killed batches with bit-identical totals.
-	Checkpoint *harness.CheckpointSpec
+	// Campaign is the template every trial batch copies (see
+	// harness.Campaign): worker count, the context that cancels report
+	// generation (sections then return ErrInterrupted after flushing the
+	// rows completed so far), repro sink, metrics hub (sections also mark
+	// their name as its phase), memory model, coverage and checkpoint
+	// spec. Each batch labels its own CheckpointCell. The paper's numbers
+	// are defined for rc11: benchmarks whose bugs need weak behaviour
+	// report lower (or zero) rates under sc/tso.
+	Campaign harness.Campaign
 }
 
-// campaign maps the config onto the resilience knobs of one trial batch.
-// Checkpointing is NOT armed here: checkpointed batches must go through
-// campaignCell so every call site carries a unique cell label (several
-// sections run different strategies over the same program/seed/runs,
-// which would otherwise share a checkpoint identity).
-func (c Config) campaign() harness.Campaign {
-	return harness.Campaign{
-		Workers: c.Workers, Context: c.Context,
-		ReproDir: c.ReproDir, MaxRepros: c.MaxRepros,
-		Metrics: c.Metrics, Model: c.Model,
-		Coverage: c.Coverage,
-	}
-}
-
-// campaignCell is campaign plus the checkpoint spec under the given
-// unique cell label.
-func (c Config) campaignCell(cell string) harness.Campaign {
-	camp := c.campaign()
-	camp.Checkpoint = c.Checkpoint
-	camp.CheckpointCell = cell
+// cell is the campaign template for one trial batch, labeled with the
+// batch's checkpoint cell: several sections run different strategies
+// over the same program/seed/runs, which would otherwise share a
+// checkpoint identity.
+func (c Config) cell(label string) harness.Campaign {
+	camp := c.Campaign
+	camp.CheckpointCell = label
 	return camp
 }
 
 // phase marks the currently generating section on the metrics hub (no-op
 // without Metrics).
 func (c Config) phase(name string) {
-	if c.Metrics != nil {
-		c.Metrics.SetPhase(name)
+	if c.Campaign.Metrics != nil {
+		c.Campaign.Metrics.SetPhase(name)
 	}
 }
 
 // interrupted reports whether the config's context has been canceled.
 func (c Config) interrupted() bool {
-	return c.Context != nil && c.Context.Err() != nil
+	return c.Campaign.Context != nil && c.Campaign.Context.Err() != nil
 }
 
 // Default returns the paper-sized configuration.
@@ -148,6 +107,14 @@ func newTab(w io.Writer) *tabwriter.Writer {
 	return tabwriter.NewWriter(w, 0, 4, 2, ' ', 0)
 }
 
+// flush flushes tw and returns err, or the flush error when err is nil.
+func flush(tw *tabwriter.Writer, err error) error {
+	if ferr := tw.Flush(); err == nil {
+		return ferr
+	}
+	return err
+}
+
 // Table1 prints the benchmark inventory: lines of code, measured event
 // count k, measured communication event count kcom, and the bug depth d.
 func Table1(w io.Writer, cfg Config) error {
@@ -162,7 +129,7 @@ func Table1(w io.Writer, cfg Config) error {
 			return ErrInterrupted
 		}
 		opts := b.Options()
-		opts.Model = cfg.Model
+		opts.Model = cfg.Campaign.Model
 		est := harness.EstimateParams(b.Program(0), 50, cfg.Seed, opts)
 		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\n", b.Name, benchprog.LOC(b.Name), est.K, est.KCom, b.Depth)
 	}
@@ -185,7 +152,7 @@ func Table2(w io.Writer, cfg Config) error {
 		cells := make([]string, 3)
 		for i := 0; i < 3; i++ {
 			res, h := harness.BestOverH(b, b.Depth+i, cfg.MaxH, cfg.Runs, cfg.Seed+int64(17*i),
-				cfg.campaignCell(fmt.Sprintf("table2/%s/d%d", b.Name, b.Depth+i)))
+				cfg.cell(fmt.Sprintf("table2/%s/d%d", b.Name, b.Depth+i)))
 			cells[i] = fmt.Sprintf("%.1f (h:%d)", res.Rate(), h)
 		}
 		fmt.Fprintf(tw, "%s\t%d\t%s\t%s\t%s\n", b.Name, b.Depth, cells[0], cells[1], cells[2])
@@ -214,7 +181,7 @@ func Table3(w io.Writer, cfg Config) error {
 		row := make([]string, 0, cfg.MaxH)
 		for h := 1; h <= cfg.MaxH; h++ {
 			res, e := harness.BenchTrials(b, harness.PCTWMFactory(b.Table3Depth, h), cfg.Runs, cfg.Seed+int64(31*h), 0,
-				cfg.campaignCell(fmt.Sprintf("table3/%s/h%d", b.Name, h)))
+				cfg.cell(fmt.Sprintf("table3/%s/h%d", b.Name, h)))
 			est = e
 			row = append(row, fmt.Sprintf("%.1f", res.Rate()))
 		}
@@ -271,39 +238,56 @@ func Table4(w io.Writer, cfg Config) error {
 // over bug depths d..d+2 (and h ∈ 1..MaxH for PCTWM).
 func Figure5(w io.Writer, cfg Config) error {
 	cfg = cfg.normalized()
-	cfg.phase("figure5")
 	fmt.Fprintf(w, "Figure 5: Highest bug hitting rates (%%) observed over %d rounds.\n", cfg.Runs)
 	tw := newTab(w)
 	fmt.Fprintln(tw, "Benchmark\tC11Tester\tPCT\tPCTWM\tPCTWM 95% CI")
+	rows, err := figure5(cfg)
+	for _, r := range rows {
+		lo, hi := r.pctwm.CI95()
+		fmt.Fprintf(tw, "%s\t%.1f\t%.1f\t%.1f\t[%.1f, %.1f]\n", r.bench, r.c11.Rate(), r.pct.Rate(), r.pctwm.Rate(), lo, hi)
+	}
+	return flush(tw, err)
+}
+
+// fig5Row is one benchmark of Figure 5: its C11Tester campaign and its
+// best PCT and PCTWM campaigns over bug depths d..d+2.
+type fig5Row struct {
+	bench           string
+	c11, pct, pctwm harness.TrialResult
+}
+
+// figure5 runs the campaigns behind Figure5 and Figure5CSV. On
+// interruption it returns the rows finished so far with ErrInterrupted.
+func figure5(cfg Config) ([]fig5Row, error) {
+	cfg.phase("figure5")
+	var rows []fig5Row
 	for _, b := range benchprog.All() {
 		if cfg.interrupted() {
-			tw.Flush()
-			return ErrInterrupted
+			return rows, ErrInterrupted
 		}
-		c11, _ := harness.BenchTrials(b, harness.C11Tester(), cfg.Runs, cfg.Seed, 0,
-			cfg.campaignCell("figure5/"+b.Name+"/c11"))
-		bestPCT := 0.0
-		var bestWM harness.TrialResult
+		r := fig5Row{bench: b.Name}
+		r.c11, _ = harness.BenchTrials(b, harness.C11Tester(), cfg.Runs, cfg.Seed, 0,
+			cfg.cell("figure5/"+b.Name+"/c11"))
 		for i := 0; i < 3; i++ {
-			d := b.Depth + i
-			if d < 1 {
-				d = 1
-			}
-			res, _ := harness.BenchTrials(b, harness.PCTFactory(d), cfg.Runs, cfg.Seed+int64(7*i), 0,
-				cfg.campaignCell(fmt.Sprintf("figure5/%s/pct-d%d", b.Name, i)))
-			if res.Rate() > bestPCT {
-				bestPCT = res.Rate()
-			}
+			pct, _ := harness.BenchTrials(b, harness.PCTFactory(max(b.Depth+i, 1)), cfg.Runs, cfg.Seed+int64(7*i), 0,
+				cfg.cell(fmt.Sprintf("figure5/%s/pct-d%d", b.Name, i)))
+			r.pct = higherRate(r.pct, pct)
 			wm, _ := harness.BestOverH(b, b.Depth+i, cfg.MaxH, cfg.Runs, cfg.Seed+int64(13*i),
-				cfg.campaignCell(fmt.Sprintf("figure5/%s/pctwm-d%d", b.Name, i)))
-			if wm.Rate() > bestWM.Rate() || bestWM.Runs == 0 {
-				bestWM = wm
-			}
+				cfg.cell(fmt.Sprintf("figure5/%s/pctwm-d%d", b.Name, i)))
+			r.pctwm = higherRate(r.pctwm, wm)
 		}
-		lo, hi := bestWM.CI95()
-		fmt.Fprintf(tw, "%s\t%.1f\t%.1f\t%.1f\t[%.1f, %.1f]\n", b.Name, c11.Rate(), bestPCT, bestWM.Rate(), lo, hi)
+		rows = append(rows, r)
 	}
-	return tw.Flush()
+	return rows, nil
+}
+
+// higherRate returns res when it beats best's hit rate or best holds no
+// rounds yet, else best.
+func higherRate(best, res harness.TrialResult) harness.TrialResult {
+	if res.Rate() > best.Rate() || best.Runs == 0 {
+		return res
+	}
+	return best
 }
 
 // fig6Benchmarks are the four benchmarks of Figure 6 with their inserted
@@ -323,34 +307,60 @@ var fig6Benchmarks = []struct {
 // the event count k grows while PCTWM stays stable.
 func Figure6(w io.Writer, cfg Config) error {
 	cfg = cfg.normalized()
-	cfg.phase("figure6")
 	fmt.Fprintf(w, "Figure 6: Bug hitting rates (%%) in %d rounds vs. inserted relaxed writes.\n", cfg.Fig6Runs)
+	series, err := figure6(cfg)
+	for _, s := range series {
+		fmt.Fprintf(w, "\n%s - inserting relaxed writes (d=%d)\n", s.bench.Name, s.bench.Depth)
+		tw := newTab(w)
+		fmt.Fprintln(tw, "Writes\tC11Tester\tPCT\tPCTWM")
+		for _, p := range s.points {
+			fmt.Fprintf(tw, "%d\t%.1f\t%.1f\t%.1f\n", p.writes, p.c11, p.pct, p.pctwm)
+		}
+		if ferr := tw.Flush(); ferr != nil && err == nil {
+			return ferr
+		}
+	}
+	return err
+}
+
+// fig6Series is one benchmark of Figure 6, one point per sweep value.
+type fig6Series struct {
+	bench  *benchprog.Benchmark
+	points []fig6Point
+}
+
+// fig6Point is the hit rates at one count of inserted relaxed writes.
+type fig6Point struct {
+	writes          int
+	c11, pct, pctwm float64
+}
+
+// figure6 runs the campaigns behind Figure6 and Figure6CSV. On
+// interruption it returns the series started so far with ErrInterrupted.
+func figure6(cfg Config) ([]fig6Series, error) {
+	cfg.phase("figure6")
+	var out []fig6Series
 	for _, f := range fig6Benchmarks {
 		b, err := benchprog.ByName(f.name)
 		if err != nil {
-			return err
+			return out, err
 		}
-		fmt.Fprintf(w, "\n%s - inserting relaxed writes (d=%d)\n", b.Name, b.Depth)
-		tw := newTab(w)
-		fmt.Fprintln(tw, "Writes\tC11Tester\tPCT\tPCTWM")
+		s := fig6Series{bench: b}
 		for _, n := range f.sweep {
 			if cfg.interrupted() {
-				tw.Flush()
-				return ErrInterrupted
+				return append(out, s), ErrInterrupted
 			}
 			c11, _ := harness.BenchTrials(b, harness.C11Tester(), cfg.Fig6Runs, cfg.Seed+int64(n), n,
-				cfg.campaignCell(fmt.Sprintf("figure6/%s/w%d/c11", b.Name, n)))
+				cfg.cell(fmt.Sprintf("figure6/%s/w%d/c11", b.Name, n)))
 			pct, _ := harness.BenchTrials(b, harness.PCTFactory(max(b.Depth, 1)), cfg.Fig6Runs, cfg.Seed+int64(2*n), n,
-				cfg.campaignCell(fmt.Sprintf("figure6/%s/w%d/pct", b.Name, n)))
+				cfg.cell(fmt.Sprintf("figure6/%s/w%d/pct", b.Name, n)))
 			wm, _ := harness.BenchTrials(b, harness.PCTWMFactory(b.Depth, 1), cfg.Fig6Runs, cfg.Seed+int64(3*n), n,
-				cfg.campaignCell(fmt.Sprintf("figure6/%s/w%d/pctwm", b.Name, n)))
-			fmt.Fprintf(tw, "%d\t%.1f\t%.1f\t%.1f\n", n, c11.Rate(), pct.Rate(), wm.Rate())
+				cfg.cell(fmt.Sprintf("figure6/%s/w%d/pctwm", b.Name, n)))
+			s.points = append(s.points, fig6Point{n, c11.Rate(), pct.Rate(), wm.Rate()})
 		}
-		if err := tw.Flush(); err != nil {
-			return err
-		}
+		out = append(out, s)
 	}
-	return nil
+	return out, nil
 }
 
 // coverageTargets are the litmus programs the coverage artifacts census
@@ -386,12 +396,11 @@ func findLitmus(name string) (*litmus.Test, error) {
 }
 
 // coverageCampaign runs one litmus coverage campaign and returns its
-// deterministic behavior set. The cell label is shared between the
-// text and CSV sections, so checkpointed runs seed each other.
+// deterministic behavior set.
 func (c Config) coverageCampaign(lt *litmus.Test, strategy string, factory harness.StrategyFactory, seedOff int64) (*coverage.Set, error) {
-	opts := engine.Options{Model: c.Model}
+	opts := engine.Options{Model: c.Campaign.Model}
 	est := harness.EstimateParams(lt.Program, 10, c.Seed, opts)
-	camp := c.campaignCell("coverage/" + lt.Name + "/" + strategy)
+	camp := c.cell("coverage/" + lt.Name + "/" + strategy)
 	camp.Coverage = true
 	noHit := func(*engine.Outcome) bool { return false }
 	res := harness.RunCampaign(lt.Program, noHit, func() engine.Strategy { return factory(est) },
@@ -429,41 +438,64 @@ func coverageCell(set *coverage.Set, census *enumerate.Census) string {
 // distinct behaviors here.
 func Coverage(w io.Writer, cfg Config) error {
 	cfg = cfg.normalized()
-	cfg.phase("coverage")
 	fmt.Fprintf(w, "Behavior coverage on litmus programs: distinct behaviors found in %d rounds vs. the exhaustive census.\n", cfg.Runs)
 	fmt.Fprintln(w, "Cells: behaviors found, then @T = trials to full coverage or ~p% = Good-Turing unseen-mass estimate.")
 	tw := newTab(w)
 	fmt.Fprintln(tw, "Program\tcensus\tC11Tester\tPOS\tPCT(d=2)\tPCTWM(d=2,h=2)")
+	rows, err := coverageRows(cfg)
+	for _, r := range rows {
+		total := fmt.Sprintf("%d", len(r.census.Behaviors))
+		if !r.census.Complete {
+			total += "+"
+		}
+		cells := make([]string, len(r.sets))
+		for i, set := range r.sets {
+			cells[i] = coverageCell(set, r.census)
+		}
+		fmt.Fprintf(tw, "%s\t%s\t%s\n", r.program, total, strings.Join(cells, "\t"))
+	}
+	return flush(tw, err)
+}
+
+// coverageRow is one litmus program of the coverage artifact: its
+// behavior census and the behavior set of each coverageStrategies
+// campaign, in that order.
+type coverageRow struct {
+	program string
+	census  *enumerate.Census
+	sets    []*coverage.Set
+}
+
+// coverageRows runs the censuses and campaigns behind Coverage and
+// CoverageCSV. On an error or interruption it returns the rows finished
+// so far.
+func coverageRows(cfg Config) ([]coverageRow, error) {
+	cfg.phase("coverage")
+	var rows []coverageRow
 	for _, name := range coverageTargets {
 		if cfg.interrupted() {
-			tw.Flush()
-			return ErrInterrupted
+			return rows, ErrInterrupted
 		}
 		lt, err := findLitmus(name)
 		if err != nil {
-			return err
+			return rows, err
 		}
-		census, err := enumerate.BehaviorCensus(lt.Program, engine.Options{Model: cfg.Model},
-			enumerate.Config{Limit: coverageCensusLimit, Workers: cfg.Workers, Context: cfg.Context})
+		census, err := enumerate.BehaviorCensus(lt.Program, engine.Options{Model: cfg.Campaign.Model},
+			enumerate.Config{Limit: coverageCensusLimit, Workers: cfg.Campaign.Workers, Context: cfg.Campaign.Context})
 		if err != nil {
-			return err
+			return rows, err
 		}
-		total := fmt.Sprintf("%d", len(census.Behaviors))
-		if !census.Complete {
-			total += "+"
-		}
-		row := []string{}
+		r := coverageRow{program: lt.Name, census: census}
 		for i, s := range coverageStrategies {
 			set, err := cfg.coverageCampaign(lt, s.name, s.factory, int64(23*i))
 			if err != nil {
-				tw.Flush()
-				return err
+				return rows, err
 			}
-			row = append(row, coverageCell(set, census))
+			r.sets = append(r.sets, set)
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\n", lt.Name, total, strings.Join(row, "\t"))
+		rows = append(rows, r)
 	}
-	return tw.Flush()
+	return rows, nil
 }
 
 // Baselines prints an extended comparison beyond the paper's Figure 5:
@@ -481,13 +513,13 @@ func Baselines(w io.Writer, cfg Config) error {
 			return ErrInterrupted
 		}
 		c11, est := harness.BenchTrials(b, harness.C11Tester(), cfg.Runs, cfg.Seed, 0,
-			cfg.campaignCell("baselines/"+b.Name+"/c11"))
+			cfg.cell("baselines/"+b.Name+"/c11"))
 		pos, _ := harness.BenchTrials(b, harness.POSFactory(), cfg.Runs, cfg.Seed+1, 0,
-			cfg.campaignCell("baselines/"+b.Name+"/pos"))
+			cfg.cell("baselines/"+b.Name+"/pos"))
 		pct, _ := harness.BenchTrials(b, harness.PCTFactory(max(b.Depth, 1)), cfg.Runs, cfg.Seed+2, 0,
-			cfg.campaignCell("baselines/"+b.Name+"/pct"))
+			cfg.cell("baselines/"+b.Name+"/pct"))
 		wm, _ := harness.BenchTrials(b, harness.PCTWMFactory(b.Depth, 1), cfg.Runs, cfg.Seed+3, 0,
-			cfg.campaignCell("baselines/"+b.Name+"/pctwm"))
+			cfg.cell("baselines/"+b.Name+"/pctwm"))
 		bound := 100 * core.PCTWMBound(est.KCom, b.Depth, 1)
 		fmt.Fprintf(tw, "%s\t%d\t%.1f\t%.1f\t%.1f\t%.1f\t%.2f\n",
 			b.Name, b.Depth, c11.Rate(), pos.Rate(), pct.Rate(), wm.Rate(), bound)
@@ -518,7 +550,7 @@ func Ablations(w io.Writer, cfg Config) error {
 				return core.NewAblatedPCTWM(b.Depth, 1, est.KCom, m)
 			}
 			res, _ := harness.BenchTrials(b, factory, cfg.Runs, cfg.Seed+int64(41*i), 0,
-				cfg.campaignCell(fmt.Sprintf("ablation/%s/m%d", b.Name, i)))
+				cfg.cell(fmt.Sprintf("ablation/%s/m%d", b.Name, i)))
 			row = append(row, fmt.Sprintf("%.1f", res.Rate()))
 		}
 		fmt.Fprintf(tw, "%s\t%d\t%s\n", b.Name, b.Depth, strings.Join(row, "\t"))
@@ -533,34 +565,50 @@ func Ablations(w io.Writer, cfg Config) error {
 // each campaign, so the totals are identical for every Workers setting.
 func Telemetry(w io.Writer, cfg Config) error {
 	cfg = cfg.normalized()
-	cfg.phase("telemetry")
 	fmt.Fprintf(w, "Engine telemetry per benchmark: PCTWM (h=1, design depth), %d rounds.\n", cfg.Runs)
 	tw := newTab(w)
 	fmt.Fprintln(tw, "Benchmark\ttrials\tevents\thandoff%\trf-cand (mean/max)\tcp-depth (mean/max)\trace checks")
-	for _, b := range benchprog.All() {
-		if cfg.interrupted() {
-			tw.Flush()
-			return ErrInterrupted
-		}
-		camp := cfg.campaignCell("telemetry/" + b.Name)
-		camp.Telemetry = true
-		res, _ := harness.BenchTrials(b, harness.PCTWMFactory(b.Depth, 1), cfg.Runs, cfg.Seed, 0, camp)
-		if res.Telemetry == nil {
-			return fmt.Errorf("report: campaign for %s produced no telemetry", b.Name)
-		}
-		s := res.Telemetry.Summary()
+	rows, err := telemetryRows(cfg)
+	for _, r := range rows {
+		s := r.summary
 		grants := s.Handoffs + s.SameThreadGrants
 		handoffPct := 0.0
 		if grants > 0 {
 			handoffPct = 100 * float64(s.Handoffs) / float64(grants)
 		}
 		fmt.Fprintf(tw, "%s\t%d\t%d\t%.1f\t%.1f/%d\t%.1f/%d\t%d\n",
-			b.Name, s.Trials, s.Events, handoffPct,
+			r.bench, s.Trials, s.Events, handoffPct,
 			s.RFCandidates.Mean, s.RFCandidates.Max,
 			s.ChangePointDepth.Mean, s.ChangePointDepth.Max,
 			s.RaceChecks)
 	}
-	return tw.Flush()
+	return flush(tw, err)
+}
+
+// telemetryRow is one benchmark's merged engine-counter profile.
+type telemetryRow struct {
+	bench   string
+	summary telemetry.EngineSummary
+}
+
+// telemetryRows runs the campaigns behind Telemetry and TelemetryCSV. On
+// an error or interruption it returns the rows finished so far.
+func telemetryRows(cfg Config) ([]telemetryRow, error) {
+	cfg.phase("telemetry")
+	var rows []telemetryRow
+	for _, b := range benchprog.All() {
+		if cfg.interrupted() {
+			return rows, ErrInterrupted
+		}
+		camp := cfg.cell("telemetry/" + b.Name)
+		camp.Telemetry = true
+		res, _ := harness.BenchTrials(b, harness.PCTWMFactory(b.Depth, 1), cfg.Runs, cfg.Seed, 0, camp)
+		if res.Telemetry == nil {
+			return rows, fmt.Errorf("report: campaign for %s produced no telemetry", b.Name)
+		}
+		rows = append(rows, telemetryRow{b.Name, res.Telemetry.Summary()})
+	}
+	return rows, nil
 }
 
 // All renders every table and figure in order.
