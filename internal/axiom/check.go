@@ -2,6 +2,7 @@ package axiom
 
 import (
 	"fmt"
+	"slices"
 
 	"pctwm/internal/memmodel"
 )
@@ -65,34 +66,23 @@ func (g *Graph) checkWellFormed() []Violation {
 			}
 		}
 	}
-	for _, loc := range g.locs {
-		for i, id := range g.moByLoc[loc] {
+	for l := 0; l < g.locs(); l++ {
+		for i, id := range g.loc(l) {
 			if got := g.Events[id].Stamp; int(got) != i+1 {
 				vs = append(vs, g.violation("wf-mo",
-					fmt.Sprintf("location %d: write %%s has stamp %d at mo position %d", loc, got, i+1), id))
+					fmt.Sprintf("location %d: write %%s has stamp %d at mo position %d", g.locID(l), got, i+1), id))
 			}
 		}
 	}
-	for tid, ids := range g.byThread {
-		for i, id := range ids {
+	for t := 0; t < g.threads(); t++ {
+		for i, id := range g.thread(t) {
 			if got := g.Events[id].Index; got != i {
 				vs = append(vs, g.violation("wf-po",
-					fmt.Sprintf("thread %d: event %%s has po index %d at position %d", tid, got, i), id))
+					fmt.Sprintf("thread %d: event %%s has po index %d at position %d", g.tid(t), got, i), id))
 			}
 		}
 	}
 	return vs
-}
-
-// readersOf returns the reading events of write w.
-func (g *Graph) readersOf(w memmodel.EventID) []memmodel.EventID {
-	var rs []memmodel.EventID
-	for _, ev := range g.Events {
-		if ev.Label.Kind.Reads() && ev.ReadsFrom == w {
-			rs = append(rs, ev.ID)
-		}
-	}
-	return rs
 }
 
 // checkCoherence verifies sc-per-location:
@@ -101,8 +91,8 @@ func (g *Graph) readersOf(w memmodel.EventID) []memmodel.EventID {
 //	fr; rf?; hb  irreflexive   (read-coherence)
 func (g *Graph) checkCoherence() []Violation {
 	var vs []Violation
-	for _, loc := range g.locs {
-		ids := g.moByLoc[loc]
+	for l := 0; l < g.locs(); l++ {
+		ids := g.loc(l)
 		for i, w1 := range ids {
 			for _, w2 := range ids[i+1:] { // mo(w1, w2)
 				// write-coherence, rf skipped: hb?(w2, w1)
@@ -119,16 +109,26 @@ func (g *Graph) checkCoherence() []Violation {
 		}
 	}
 	// read-coherence: fr(r, w'); rf?(w', y); hb(y, r).
-	for _, ev := range g.Events {
+	for i := range g.Events {
+		ev := &g.Events[i]
 		if !ev.Label.Kind.Reads() || ev.ReadsFrom == memmodel.NoEvent {
 			continue
 		}
+		l := g.locOf(ev.Label.Loc)
+		if l < 0 {
+			continue
+		}
 		r := ev.ID
-		w := g.Events[ev.ReadsFrom]
-		for _, wp := range g.moByLoc[ev.Label.Loc] {
-			if g.Events[wp].Stamp <= w.Stamp {
-				continue // fr needs mo(w, w')
+		w := &g.Events[ev.ReadsFrom]
+		// fr needs mo(w, w'): the run's suffix stamped after w.
+		ids := g.loc(l)
+		first, _ := slices.BinarySearchFunc(ids, w.Stamp, func(id memmodel.EventID, ts memmodel.TS) int {
+			if g.Events[id].Stamp <= ts {
+				return -1
 			}
+			return 1
+		})
+		for _, wp := range ids[first:] {
 			if g.HB(wp, r) {
 				vs = append(vs, g.violation("read-coherence", "%s reads from %s overwritten by hb-earlier %s",
 					r, w.ID, wp))
@@ -163,15 +163,15 @@ func (g *Graph) checkAtomicity() []Violation {
 // same-location SC accesses.
 func (g *Graph) checkIrrMOSC() []Violation {
 	var vs []Violation
-	for _, loc := range g.locs {
-		ids := g.moByLoc[loc]
+	for l := 0; l < g.locs(); l++ {
+		ids := g.loc(l)
 		for i, w1 := range ids {
-			r1, ok1 := g.scRank[w1]
-			if !ok1 {
+			r1 := g.scRank[w1]
+			if r1 < 0 {
 				continue
 			}
 			for _, w2 := range ids[i+1:] {
-				if r2, ok2 := g.scRank[w2]; ok2 && r2 < r1 {
+				if r2 := g.scRank[w2]; r2 >= 0 && r2 < r1 {
 					vs = append(vs, g.violation("irrMOSC", "mo(%s,%s) contradicts SC order", w1, w2))
 				}
 			}
@@ -190,7 +190,8 @@ func (g *Graph) checkSCAcyclic() []Violation {
 			vs = append(vs, g.violation("SC", rel+" edge %s -> %s against execution order", from, to))
 		}
 	}
-	for _, ids := range g.byThread {
+	for t := 0; t < g.threads(); t++ {
+		ids := g.thread(t)
 		for i := 1; i < len(ids); i++ {
 			check("po", ids[i-1], ids[i])
 		}

@@ -3,6 +3,7 @@ package axiom
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"pctwm/internal/engine"
 	"pctwm/internal/memmodel"
@@ -167,5 +168,86 @@ func TestViolationString(t *testing.T) {
 	v := Violation{Axiom: "atomicity", Events: []memmodel.EventID{1, 2}, Msg: "oops"}
 	if !strings.Contains(v.String(), "atomicity") {
 		t.Fatalf("bad violation string: %s", v)
+	}
+}
+
+// TestFromRecordingMalformed: a recording that names an event it does not
+// contain is rejected with an error instead of panicking mid-build.
+func TestFromRecordingMalformed(t *testing.T) {
+	const x = memmodel.Loc(1)
+	withSC := rec(ev(1, 0, w(x, 0, memmodel.SeqCst), 1, memmodel.NoEvent))
+	withSC.SCOrder = append(withSC.SCOrder, 3)
+	spawn := rec(ev(1, 0, w(x, 0, memmodel.Relaxed), 1, memmodel.NoEvent))
+	spawn.SpawnLinks = []engine.SpawnLink{{From: 4, Child: 1}}
+	join := rec(ev(1, 0, w(x, 0, memmodel.Relaxed), 1, memmodel.NoEvent))
+	join.JoinLinks = []engine.JoinLink{{Child: 1, To: -2}}
+	misplaced := rec(ev(1, 0, w(x, 0, memmodel.Relaxed), 1, memmodel.NoEvent))
+	misplaced.Events[0].ID = 5
+	for _, c := range []struct {
+		name string
+		rec  *engine.Recording
+		want string
+	}{
+		{"nil", nil, "nil recording"},
+		{"rf past the end", rec(
+			ev(1, 0, w(x, 0, memmodel.Relaxed), 1, memmodel.NoEvent),
+			ev(2, 0, r(x, 0, memmodel.Relaxed), 0, 7),
+		), "reads from e7"},
+		{"rf negative", rec(ev(2, 0, u(x, 0, 1, memmodel.Relaxed), 1, -3)), "reads from e-3"},
+		{"SC order past the end", withSC, "SC order entry 1 is e3"},
+		{"spawn from outside", spawn, "follows e4"},
+		{"join at outside", join, "at e-2"},
+		{"id off its position", misplaced, "event 5 recorded at position 0"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g, err := FromRecording(c.rec)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("got graph %v, error %v; want an error containing %q", g != nil, err, c.want)
+			}
+		})
+	}
+}
+
+// TestCyclicRMWChainTerminates: RMWs whose rf sources form a cycle are an
+// inconsistent execution, not a hang. The rf+ walk stops, and every
+// model's checker returns; rc11 reports the backward rf edge.
+func TestCyclicRMWChainTerminates(t *testing.T) {
+	const x = memmodel.Loc(1)
+	for _, c := range []struct {
+		name string
+		rec  *engine.Recording
+	}{
+		{"reads itself", rec(ev(1, 0, u(x, 1, 1, memmodel.AcqRel), 1, 0))},
+		{"two-cycle", rec(
+			ev(1, 0, u(x, 2, 1, memmodel.AcqRel), 1, 1),
+			ev(2, 0, u(x, 1, 2, memmodel.AcqRel), 2, 0),
+		)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			done := make(chan []Violation, 1)
+			go func() {
+				g, err := FromRecording(c.rec)
+				if err != nil {
+					t.Errorf("building graph: %v", err)
+					done <- nil
+					return
+				}
+				for _, m := range engine.Models() {
+					g.CheckModel(m)
+				}
+				done <- g.Check()
+			}()
+			select {
+			case vs := <-done:
+				for _, v := range vs {
+					if v.Axiom == "SC" && strings.Contains(v.Msg, "rf edge") {
+						return
+					}
+				}
+				t.Fatalf("no backward rf edge reported: %v", vs)
+			case <-time.After(2 * time.Second):
+				t.Fatal("checking a cyclic rf chain did not return within 2s")
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package axiom
 
 import (
 	"fmt"
+	"slices"
 
 	"pctwm/internal/engine"
 	"pctwm/internal/memmodel"
@@ -30,16 +31,27 @@ func (g *Graph) CheckModel(model string) []Violation {
 // observe the execution-order-latest write to its location.
 func (g *Graph) CheckSC() []Violation {
 	vs := g.checkWellFormed()
-	last := make(map[memmodel.Loc]memmodel.EventID)
-	for _, ev := range g.Events {
+	last := make([]memmodel.EventID, g.locs()) // per mo run; NoEvent before its first write
+	for i := range last {
+		last[i] = memmodel.NoEvent
+	}
+	for i := range g.Events {
+		ev := &g.Events[i]
+		if !ev.Label.Kind.IsMemoryAccess() {
+			continue
+		}
+		l := g.locOf(ev.Label.Loc)
+		if l < 0 {
+			continue // a read of a location nothing writes
+		}
 		if ev.Label.Kind.Reads() && ev.ReadsFrom != memmodel.NoEvent {
-			if w, ok := last[ev.Label.Loc]; ok && ev.ReadsFrom != w {
+			if w := last[l]; w != memmodel.NoEvent && ev.ReadsFrom != w {
 				vs = append(vs, g.violation("sc-read",
 					"%s does not read the interleaving-latest write %s", ev.ID, w))
 			}
 		}
 		if ev.Label.Kind.Writes() {
-			last[ev.Label.Loc] = ev.ID
+			last[l] = ev.ID
 		}
 	}
 	return vs
@@ -47,30 +59,66 @@ func (g *Graph) CheckSC() []Violation {
 
 // tsoReplay is the operational x86-TSO state rebuilt while replaying a
 // recording: per-thread FIFO store buffers plus the single shared copy
-// of memory (the latest drained write per location).
+// of memory (the latest drained write per location), in slices parallel
+// to the graph's po and mo runs.
 type tsoReplay struct {
-	mem map[memmodel.Loc]memmodel.EventID
-	buf map[memmodel.ThreadID][]memmodel.EventID
+	g   *Graph
+	mem []memmodel.EventID   // per mo run; NoEvent until a write reaches memory
+	buf [][]memmodel.EventID // per po run
 }
 
-// drain flushes tid's buffer to memory in FIFO order.
-func (s *tsoReplay) drain(tid memmodel.ThreadID, g *Graph) {
-	for _, w := range s.buf[tid] {
-		s.mem[g.Events[w].Label.Loc] = w
+func newTSOReplay(g *Graph) *tsoReplay {
+	s := &tsoReplay{
+		g:   g,
+		mem: make([]memmodel.EventID, g.locs()),
+		buf: make([][]memmodel.EventID, g.threads()),
 	}
-	s.buf[tid] = s.buf[tid][:0]
+	for i := range s.mem {
+		s.mem[i] = memmodel.NoEvent
+	}
+	// A thread buffers only its own stores, so its run's span of one
+	// shared array is room enough.
+	store := make([]memmodel.EventID, len(g.po))
+	for t := range s.buf {
+		s.buf[t] = store[g.poOff[t]:g.poOff[t]:g.poOff[t+1]]
+	}
+	return s
 }
 
-// drainThrough flushes owner's buffer up to and including entry w.
-func (s *tsoReplay) drainThrough(owner memmodel.ThreadID, w memmodel.EventID, g *Graph) {
-	b := s.buf[owner]
-	for i, id := range b {
-		s.mem[g.Events[id].Label.Loc] = id
-		if id == w {
-			s.buf[owner] = append(b[:0], b[i+1:]...)
-			return
-		}
+// commit makes write w the shared copy of its location.
+func (s *tsoReplay) commit(w memmodel.EventID) {
+	s.mem[s.g.locOf(s.g.Events[w].Label.Loc)] = w
+}
+
+// drain flushes thread t's buffer to memory in FIFO order.
+func (s *tsoReplay) drain(t int) {
+	for _, w := range s.buf[t] {
+		s.commit(w)
 	}
+	s.buf[t] = s.buf[t][:0]
+}
+
+// drainThrough flushes thread t's buffer up to and including entry w,
+// reporting whether w was buffered there.
+func (s *tsoReplay) drainThrough(t int, w memmodel.EventID) bool {
+	b := s.buf[t]
+	i := slices.Index(b, w)
+	if i < 0 {
+		return false
+	}
+	for _, id := range b[:i+1] {
+		s.commit(id)
+	}
+	s.buf[t] = append(b[:0], b[i+1:]...)
+	return true
+}
+
+// shared returns the shared copy of loc, or NoEvent.
+func (s *tsoReplay) shared(loc memmodel.Loc) memmodel.EventID {
+	if l := s.g.locOf(loc); l >= 0 {
+		return s.mem[l]
+	}
+	return memmodel.NoEvent
 }
 
 // CheckTSO verifies the recording against operational x86-TSO (Owens,
@@ -84,23 +132,26 @@ func (s *tsoReplay) drainThrough(owner memmodel.ThreadID, w memmodel.EventID, g 
 // observed by drain-through.
 func (g *Graph) CheckTSO() []Violation {
 	vs := g.checkWellFormed()
-	st := &tsoReplay{
-		mem: make(map[memmodel.Loc]memmodel.EventID),
-		buf: make(map[memmodel.ThreadID][]memmodel.EventID),
+	st := newTSOReplay(g)
+	// A remote buffered store can only sit in its writer's buffer.
+	drainWriter := func(w memmodel.EventID) bool {
+		return st.drainThrough(g.threadOf(g.Events[w].TID), w)
 	}
-	for _, ev := range g.Events {
+	for i := range g.Events {
+		ev := &g.Events[i]
+		t := g.threadOf(ev.TID)
 		switch ev.Label.Kind {
 		case memmodel.KindWrite:
 			if ev.Stamp == 1 {
 				// A location's first write is its initialization (static
 				// init or Alloc), visible to everyone immediately — the
 				// buffer never delays it.
-				st.mem[ev.Label.Loc] = ev.ID
+				st.commit(ev.ID)
 				continue
 			}
-			st.buf[ev.TID] = append(st.buf[ev.TID], ev.ID)
+			st.buf[t] = append(st.buf[t], ev.ID)
 			if ev.Label.Order.IsSC() {
-				st.drain(ev.TID, g) // MOV + MFENCE
+				st.drain(t) // MOV + MFENCE
 			}
 		case memmodel.KindRead:
 			if ev.ReadsFrom == memmodel.NoEvent {
@@ -108,7 +159,7 @@ func (g *Graph) CheckTSO() []Violation {
 			}
 			// Mandatory store forwarding: the youngest own buffered
 			// store to the location wins.
-			if own := youngest(st.buf[ev.TID], ev.Label.Loc, g); own != memmodel.NoEvent {
+			if own := youngest(st.buf[t], ev.Label.Loc, g); own != memmodel.NoEvent {
 				if ev.ReadsFrom != own {
 					vs = append(vs, g.violation("tso-forward",
 						"%s must forward from its own buffered store %s, read %s instead",
@@ -116,36 +167,34 @@ func (g *Graph) CheckTSO() []Violation {
 				}
 				continue
 			}
-			if w, ok := st.mem[ev.Label.Loc]; ok && w == ev.ReadsFrom {
+			if w := st.shared(ev.Label.Loc); w != memmodel.NoEvent && w == ev.ReadsFrom {
 				continue // read the shared copy
 			}
-			if owner, ok := bufferOwner(st.buf, ev.ReadsFrom); ok {
-				st.drainThrough(owner, ev.ReadsFrom, g)
+			if drainWriter(ev.ReadsFrom) {
 				continue // observed a remote buffered store as it committed
 			}
 			vs = append(vs, g.violation("tso-read",
 				"%s reads %s, which is neither the shared copy nor buffered anywhere", ev.ID, ev.ReadsFrom))
 		case memmodel.KindRMW:
-			st.drain(ev.TID, g) // LOCK prefix: flush, then act on memory
+			st.drain(t) // LOCK prefix: flush, then act on memory
 			if ev.ReadsFrom != memmodel.NoEvent {
-				if w, ok := st.mem[ev.Label.Loc]; !ok || w == ev.ReadsFrom {
+				if w := st.shared(ev.Label.Loc); w == memmodel.NoEvent || w == ev.ReadsFrom {
 					// read the shared copy
-				} else if owner, ok := bufferOwner(st.buf, ev.ReadsFrom); ok {
+				} else if drainWriter(ev.ReadsFrom) {
 					// The source was still buffered elsewhere: its owner's
 					// FIFO prefix committed before the locked access.
-					st.drainThrough(owner, ev.ReadsFrom, g)
 				} else {
 					vs = append(vs, g.violation("tso-rmw",
 						"RMW %s must read the shared copy %s, read %s instead", ev.ID, w, ev.ReadsFrom))
 				}
 			}
-			st.mem[ev.Label.Loc] = ev.ID // the locked write skips the buffer
+			st.commit(ev.ID) // the locked write skips the buffer
 		case memmodel.KindFence:
 			if ev.Label.Order.IsSC() {
-				st.drain(ev.TID, g) // MFENCE; weaker fences compile to nothing
+				st.drain(t) // MFENCE; weaker fences compile to nothing
 			}
 		case memmodel.KindSpawn:
-			st.drain(ev.TID, g) // the child must see the parent's writes
+			st.drain(t) // the child must see the parent's writes
 		}
 	}
 	return vs
@@ -160,16 +209,4 @@ func youngest(buf []memmodel.EventID, loc memmodel.Loc, g *Graph) memmodel.Event
 		}
 	}
 	return memmodel.NoEvent
-}
-
-// bufferOwner finds which thread's buffer holds write w, if any.
-func bufferOwner(bufs map[memmodel.ThreadID][]memmodel.EventID, w memmodel.EventID) (memmodel.ThreadID, bool) {
-	for tid, b := range bufs {
-		for _, id := range b {
-			if id == w {
-				return tid, true
-			}
-		}
-	}
-	return 0, false
 }

@@ -3,7 +3,6 @@ package axiom
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"pctwm/internal/memmodel"
 )
@@ -15,19 +14,13 @@ func (g *Graph) WriteText(w io.Writer, locName func(memmodel.Loc) string) error 
 	if locName == nil {
 		locName = func(l memmodel.Loc) string { return fmt.Sprintf("x%d", l) }
 	}
-	tids := make([]memmodel.ThreadID, 0, len(g.byThread))
-	for tid := range g.byThread {
-		tids = append(tids, tid)
-	}
-	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
-
-	for _, tid := range tids {
-		if tid == memmodel.InitThread {
+	for t := 0; t < g.threads(); t++ {
+		if tid := g.tid(t); tid == memmodel.InitThread {
 			fmt.Fprintf(w, "init:\n")
 		} else {
 			fmt.Fprintf(w, "thread %d:\n", tid)
 		}
-		for _, id := range g.byThread[tid] {
+		for _, id := range g.thread(t) {
 			ev := g.Events[id]
 			fmt.Fprintf(w, "  e%-3d %s", ev.ID, labelText(ev.Label, locName))
 			if ev.Label.Kind.Reads() && ev.ReadsFrom != memmodel.NoEvent {
@@ -44,9 +37,9 @@ func (g *Graph) WriteText(w io.Writer, locName func(memmodel.Loc) string) error 
 		}
 	}
 	fmt.Fprintln(w, "mo:")
-	for _, loc := range g.locs {
-		fmt.Fprintf(w, "  %s:", locName(loc))
-		for _, id := range g.moByLoc[loc] {
+	for l := 0; l < g.locs(); l++ {
+		fmt.Fprintf(w, "  %s:", locName(g.locID(l)))
+		for _, id := range g.loc(l) {
 			fmt.Fprintf(w, " e%d", id)
 		}
 		fmt.Fprintln(w)
@@ -71,14 +64,10 @@ func (g *Graph) WriteDot(w io.Writer, locName func(memmodel.Loc) string) error {
 	fmt.Fprintln(w, "digraph execution {")
 	fmt.Fprintln(w, "  rankdir=TB; node [shape=box, fontname=\"monospace\"];")
 
-	tids := make([]memmodel.ThreadID, 0, len(g.byThread))
-	for tid := range g.byThread {
-		tids = append(tids, tid)
-	}
-	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
-	for _, tid := range tids {
+	for t := 0; t < g.threads(); t++ {
+		tid := g.tid(t)
 		fmt.Fprintf(w, "  subgraph cluster_t%d {\n    label=\"thread %d\";\n", tid, tid)
-		ids := g.byThread[tid]
+		ids := g.thread(t)
 		for _, id := range ids {
 			ev := g.Events[id]
 			fmt.Fprintf(w, "    e%d [label=\"e%d: %s\"];\n", id, id, labelText(ev.Label, locName))
@@ -96,8 +85,8 @@ func (g *Graph) WriteDot(w io.Writer, locName func(memmodel.Loc) string) error {
 	for _, e := range g.sw {
 		fmt.Fprintf(w, "  e%d -> e%d [color=blue, label=\"sw\"];\n", e[0], e[1])
 	}
-	for _, loc := range g.locs {
-		ids := g.moByLoc[loc]
+	for l := 0; l < g.locs(); l++ {
+		ids := g.loc(l)
 		for i := 1; i < len(ids); i++ {
 			fmt.Fprintf(w, "  e%d -> e%d [style=dashed, color=gray, label=\"mo\"];\n", ids[i-1], ids[i])
 		}

@@ -1,12 +1,14 @@
 package axiom
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"pctwm/internal/core"
 	"pctwm/internal/engine"
 	"pctwm/internal/litmus"
+	"pctwm/internal/memmodel"
 )
 
 func renderGraph(t *testing.T) *Graph {
@@ -63,6 +65,29 @@ func TestWriteDotDeterministic(t *testing.T) {
 		}
 		if b.String() != first.String() {
 			t.Fatalf("render %d differs from the first:\n%s\n--- first ---\n%s", i, b.String(), first.String())
+		}
+	}
+}
+
+// TestCheckDeterministic: checking the same graph again lists the same
+// violations in the same order; wf-po and the po edges of the SC check
+// come out in thread order, not map order.
+func TestCheckDeterministic(t *testing.T) {
+	// Six threads, each recording its po index 2 before its index 1: every
+	// thread has two wf-po violations and one backward po edge.
+	fence := memmodel.Label{Kind: memmodel.KindFence, Order: memmodel.Acquire}
+	var evs []memmodel.Event
+	for tid := memmodel.ThreadID(1); tid <= 6; tid++ {
+		evs = append(evs, ev(tid, 2, fence, 0, memmodel.NoEvent), ev(tid, 1, fence, 0, memmodel.NoEvent))
+	}
+	g, err := FromRecording(rec(evs...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := fmt.Sprint(g.Check())
+	for i := 0; i < 50; i++ {
+		if got := fmt.Sprint(g.Check()); got != first {
+			t.Fatalf("check %d lists violations differently:\n%s\n--- first ---\n%s", i, got, first)
 		}
 	}
 }

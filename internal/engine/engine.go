@@ -9,6 +9,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"pctwm/internal/coverage"
@@ -71,6 +72,13 @@ type Engine struct {
 	outcome     Outcome
 	rec         *Recording
 	det         *race.Detector
+
+	// recLen is the previous run's Recording slice lengths (events, SC
+	// order, spawn and join links), which size the next run's slices.
+	// staticNames is the LocNames map shared by every recorded run whose
+	// locations are all static; invalidateInit drops it.
+	recLen      [4]int
+	staticNames map[memmodel.Loc]string
 
 	// scratch buffers reused across steps to keep the hot loop
 	// allocation-free.
@@ -222,7 +230,12 @@ func (e *Engine) reset(strat Strategy, seed int64) {
 	e.outcome = Outcome{}
 	e.rec = nil
 	if e.opts.Record {
-		e.rec = &Recording{}
+		e.rec = &Recording{
+			Events:     slices.Grow([]memmodel.Event(nil), e.recLen[0]),
+			SCOrder:    slices.Grow([]memmodel.EventID(nil), e.recLen[1]),
+			SpawnLinks: slices.Grow([]SpawnLink(nil), e.recLen[2]),
+			JoinLinks:  slices.Grow([]JoinLink(nil), e.recLen[3]),
+		}
 	}
 	if e.opts.DetectRaces {
 		if e.det == nil {
@@ -291,12 +304,8 @@ func (e *Engine) checkInterrupt() bool {
 func (e *Engine) finalize() {
 	e.outcome.Recording = e.rec
 	if e.rec != nil {
-		names := make(map[memmodel.Loc]string, len(e.locs))
-		for i := range e.locs {
-			l := memmodel.Loc(i + 1)
-			names[l] = e.locs[i].displayName(l)
-		}
-		e.rec.LocNames = names
+		e.rec.LocNames = e.locNames()
+		e.recLen = [4]int{len(e.rec.Events), len(e.rec.SCOrder), len(e.rec.SpawnLinks), len(e.rec.JoinLinks)}
 	}
 	if e.det != nil {
 		// Copy: the detector's race slice is reused by the next run's Reset,
@@ -356,6 +365,25 @@ func (e *Engine) releaseRun() {
 	e.locs = e.locs[:keep]
 	e.freeThreads = append(e.freeThreads, e.threads...)
 	e.threads = e.threads[:0]
+}
+
+// locNames returns the run's LocNames map. A run that allocated no
+// locations shares the Runner's one map of the static names; a run with
+// dynamic locations gets a map of its own.
+func (e *Engine) locNames() map[memmodel.Loc]string {
+	static := len(e.locs) == len(e.prog.locs)
+	if static && e.staticNames != nil {
+		return e.staticNames
+	}
+	names := make(map[memmodel.Loc]string, len(e.locs))
+	for i := range e.locs {
+		l := memmodel.Loc(i + 1)
+		names[l] = e.locs[i].displayName(l)
+	}
+	if static {
+		e.staticNames = names
+	}
+	return names
 }
 
 func (e *Engine) locName(l memmodel.Loc) string {
@@ -525,6 +553,7 @@ func (e *Engine) invalidateInit() {
 	}
 	e.locs = e.locs[:0]
 	e.initWarm = false
+	e.staticNames = nil
 }
 
 // pushLoc extends the location table by one slot, reusing the slot's

@@ -22,6 +22,8 @@ type Recording struct {
 	// JoinLinks order a thread's last event before the join that reaped it.
 	JoinLinks []JoinLink
 	// LocNames maps locations to diagnostic names (static + dynamic).
+	// It is read-only: the recorded runs of one Runner that allocate no
+	// locations share one map.
 	LocNames map[memmodel.Loc]string
 }
 

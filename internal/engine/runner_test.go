@@ -145,3 +145,34 @@ func deepCopyOutcome(o *engine.Outcome) *engine.Outcome {
 	}
 	return &c
 }
+
+// TestRecordingLocNames: the recorded runs of one Runner that allocate no
+// locations share one LocNames map; a run that allocates gets a map of
+// its own, naming its dynamic locations.
+func TestRecordingLocNames(t *testing.T) {
+	names := func(alloc bool) [2]map[memmodel.Loc]string {
+		p := engine.NewProgram("names")
+		x := p.Loc("X", 0)
+		p.AddThread(func(th *engine.Thread) {
+			if alloc {
+				th.Alloc("obj", 1, 0)
+			}
+			th.Store(x, 1, memmodel.Relaxed)
+		})
+		r := engine.NewRunner(p, engine.Options{Record: true})
+		defer r.Close()
+		return [2]map[memmodel.Loc]string{r.Run(core.NewRandom(), 1).Recording.LocNames, r.Run(core.NewRandom(), 2).Recording.LocNames}
+	}
+	same := func(a, b map[memmodel.Loc]string) bool {
+		return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
+	}
+
+	static := names(false)
+	if !same(static[0], static[1]) || !reflect.DeepEqual(static[0], map[memmodel.Loc]string{1: "X"}) {
+		t.Errorf("static runs: LocNames %v and %v, want one shared map {1: X}", static[0], static[1])
+	}
+	dynamic := names(true)
+	if same(dynamic[0], dynamic[1]) || dynamic[0][2] == "" || !reflect.DeepEqual(dynamic[0], dynamic[1]) {
+		t.Errorf("allocating runs: LocNames %v and %v, want two equal maps naming location 2", dynamic[0], dynamic[1])
+	}
+}

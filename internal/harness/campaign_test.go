@@ -193,13 +193,36 @@ func TestCampaignCancelMidRun(t *testing.T) {
 
 // blockingStrategy wedges inside NextThread until its gate channel closes
 // — a worker stuck mid-trial that cooperative cancellation cannot reach.
-type blockingStrategy struct{ gate chan struct{} }
+// It closes entered (when non-nil) as it wedges.
+type blockingStrategy struct {
+	gate, entered chan struct{}
+}
 
 func (s *blockingStrategy) Name() string                         { return "blocking" }
 func (s *blockingStrategy) Begin(engine.ProgramInfo, *rand.Rand) {}
 func (s *blockingStrategy) NextThread(en []engine.PendingOp) memmodel.ThreadID {
+	if s.entered != nil {
+		close(s.entered)
+		s.entered = nil
+	}
 	<-s.gate
 	return en[0].TID
+}
+
+// afterBlocker holds every trial of its strategy in Begin until the
+// blocker has wedged (or the test ends), so the other workers cannot
+// drain the campaign before the blocker's worker claims a trial.
+type afterBlocker struct {
+	engine.Strategy
+	entered, gate chan struct{}
+}
+
+func (s afterBlocker) Begin(info engine.ProgramInfo, rng *rand.Rand) {
+	select {
+	case <-s.entered:
+	case <-s.gate:
+	}
+	s.Strategy.Begin(info, rng)
 }
 func (s *blockingStrategy) PickRead(engine.ReadContext) int      { return 0 }
 func (s *blockingStrategy) OnEvent(*memmodel.Event)              {}
@@ -224,14 +247,14 @@ func TestCampaignStuckWatchdog(t *testing.T) {
 		{"one-round", 2, 1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			gate := make(chan struct{})
+			gate, entered := make(chan struct{}), make(chan struct{})
 			defer close(gate) // release the leaked worker after the test
 			var tookBlocker atomic.Bool
 			newStrategy := func() engine.Strategy {
 				if tookBlocker.CompareAndSwap(false, true) {
-					return &blockingStrategy{gate: gate}
+					return &blockingStrategy{gate: gate, entered: entered}
 				}
-				return core.NewRandom()
+				return afterBlocker{core.NewRandom(), entered, gate}
 			}
 
 			done := make(chan TrialResult, 1)

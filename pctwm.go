@@ -155,7 +155,8 @@ func PCTWMBound(kcom, d, h int) float64 { return core.PCTWMBound(kcom, d, h) }
 // CheckConsistency verifies a recorded execution against the C11
 // consistency axioms of the paper's §4 and returns a description of each
 // violation (empty when consistent). Record the execution by running with
-// Options{Record: true}.
+// Options{Record: true}. A recording that names an event it does not
+// contain is an error.
 func CheckConsistency(rec *Recording) ([]string, error) {
 	g, err := axiom.FromRecording(rec)
 	if err != nil {

@@ -1,9 +1,11 @@
 package pctwm_test
 
 import (
+	"slices"
 	"testing"
 
 	"pctwm"
+	"pctwm/internal/memmodel"
 )
 
 // buildSB is the paper's Program SB against the public API.
@@ -72,6 +74,20 @@ func TestPublicAPIConsistency(t *testing.T) {
 		if len(msgs) > 0 {
 			t.Fatalf("seed %d: inconsistent execution: %v", seed, msgs)
 		}
+	}
+}
+
+// TestCheckConsistencyMalformed: a recording whose read names an event it
+// does not contain is an error from the public check, not a panic.
+func TestCheckConsistencyMalformed(t *testing.T) {
+	p, _ := buildSB()
+	o := pctwm.Run(p, pctwm.NewRandomStrategy(), 1, pctwm.Options{Record: true})
+	rec := *o.Recording
+	rec.Events = slices.Clone(rec.Events)
+	i := slices.IndexFunc(rec.Events, func(ev memmodel.Event) bool { return ev.Label.Kind.Reads() })
+	rec.Events[i].ReadsFrom = memmodel.EventID(len(rec.Events) + 5)
+	if msgs, err := pctwm.CheckConsistency(&rec); err == nil {
+		t.Fatalf("malformed recording checked without error: %v", msgs)
 	}
 }
 
