@@ -115,7 +115,7 @@ func BenchmarkEnginePCTWM(b *testing.B) {
 // the Runner refactor optimizes: one pooled Runner, one strategy value
 // (Begin resets per run), a new seed each round. Compare against
 // BenchmarkEnginePCTWM (one-shot engine.Run per trial) for the pooling
-// win; historical BENCH_engine.json records both.
+// win.
 func BenchmarkTrialLoop(b *testing.B) {
 	bench, err := benchprog.ByName("rwlock")
 	if err != nil {
@@ -154,8 +154,9 @@ func BenchmarkRunnerReuse(b *testing.B) {
 
 // Exhaustive-exploration throughput. One iteration enumerates the full
 // reachable outcome space of the litmus suite — the workload behind the
-// conformance tests and the CI models job. The serial/parallel pair is
-// what `pctwm bench -explore` snapshots into BENCH_engine.json.
+// conformance tests and the CI models job. The repository benchmark's
+// explore workload times only the serial explorer, so the parallel one is
+// timed here alone.
 
 func exploreSuite(b *testing.B, workers int) {
 	targets := litmus.Suite()

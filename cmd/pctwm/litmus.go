@@ -31,8 +31,10 @@ var litmusEstimate = harness.Estimate{K: 30, KCom: 15}
 // written by `pctwm explore -census`: the campaign's behavior set must
 // equal the exhaustive enumeration's exactly (the campaign is expected
 // to saturate at -runs trials; the command exits 1 on any mismatch). A
-// census with no entry for the active model, or with an entry for a
-// program outside the suite, is a usage error.
+// census with no entry for the active model, or with an entry for the
+// active model that names a program outside the suite or is incomplete
+// (its exploration was cut short by -limit or a signal), is a usage
+// error.
 func litmusCmd(args []string, stdout, stderr io.Writer) int {
 	c := newCmd("litmus", stdout, stderr)
 	t := c.trialFlags("c11tester", 2000, 2, 2, "rounds per litmus test")
@@ -69,6 +71,10 @@ func litmusCmd(args []string, stdout, stderr io.Writer) int {
 			}
 			if !slices.ContainsFunc(suite, func(lt *litmus.Test) bool { return lt.Program.Name() == cen.Program }) {
 				return c.fail(2, "%s: %s census entry names %q, which is not in the litmus suite", *census, model.name, cen.Program)
+			}
+			if !cen.Complete {
+				return c.fail(2, "%s: %s census of %s is incomplete: its exploration was cut short, so it is a lower bound only",
+					*census, model.name, cen.Program)
 			}
 			censuses[cen.Program] = cen
 		}

@@ -15,8 +15,8 @@
 // (Appendix A.5) and mean the same in every command.
 //
 // Exit status: 0 on success, 1 when the command's check fails (a
-// conformance failure, a bench-gate regression, a diverged replay, an
-// interrupted campaign), 2 on a usage error.
+// conformance failure, a diverged replay, an interrupted campaign), 2 on
+// a usage error.
 package main
 
 import (
@@ -46,7 +46,7 @@ var commands = []struct {
 	name, summary string
 	run           func(args []string, stdout, stderr io.Writer) int
 }{
-	{"bench", "strategy × benchmark hit-rate matrix; engine perf snapshot and gate", benchCmd},
+	{"bench", "strategy × benchmark hit-rate matrix with 95% confidence intervals", benchCmd},
 	{"experiments", "regenerate the paper's tables and figures, or the distcheck gate", experimentsCmd},
 	{"explore", "exhaustively enumerate litmus-test outcomes (bounded model checking)", exploreCmd},
 	{"litmus", "run the litmus conformance suite under one strategy", litmusCmd},

@@ -84,6 +84,10 @@ func TestUsageErrors(t *testing.T) {
 	if code, _, stderr := call("explore", "-t", "SB+rlx", "-engine.model", "tso", "-census", tso); code != 0 {
 		t.Fatalf("writing the tso census: exit %d\n%s", code, stderr)
 	}
+	incomplete := filepath.Join(dir, "incomplete.json")
+	if code, _, stderr := call("explore", "-t", "SB+rlx", "-limit", "2", "-census", incomplete); code != 0 {
+		t.Fatalf("writing the incomplete census: exit %d\n%s", code, stderr)
+	}
 	empty := filepath.Join(dir, "empty.json")
 	if err := os.WriteFile(empty, []byte("[]\n"), 0o644); err != nil {
 		t.Fatal(err)
@@ -109,6 +113,7 @@ func TestUsageErrors(t *testing.T) {
 		{"trace", "-runs", "0"},
 		{"litmus", "-coverage", "-runs", "200", "-census", tso},
 		{"litmus", "-coverage", "-runs", "200", "-census", empty},
+		{"litmus", "-coverage", "-runs", "300", "-census", incomplete},
 		{"litmus", "-census", tso},
 		{"experiments", "-distcheck"},
 		{"explore", "-explore.workers", "2"},

@@ -8,6 +8,7 @@ package litmus
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"pctwm/internal/engine"
@@ -60,12 +61,20 @@ func (t *Test) Expect(model string) Expectation {
 }
 
 // Outcome renders register values in declaration order: "a=0 b=1".
+// The explorer calls it once per leaf, so the key is built in a stack
+// buffer and the returned string is its only allocation.
 func (t *Test) Outcome(final map[string]memmodel.Value) string {
-	parts := make([]string, len(t.Registers))
+	var buf [64]byte
+	b := buf[:0]
 	for i, r := range t.Registers {
-		parts[i] = fmt.Sprintf("%s=%d", r, final[r])
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = append(b, r...)
+		b = append(b, '=')
+		b = strconv.AppendInt(b, int64(final[r]), 10)
 	}
-	return strings.Join(parts, " ")
+	return string(b)
 }
 
 // Report summarizes a litmus exploration.

@@ -1,10 +1,14 @@
 package litmus
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"pctwm/internal/core"
 	"pctwm/internal/engine"
+	"pctwm/internal/memmodel"
 )
 
 func newRandomStrategy() engine.Strategy { return core.NewRandom() }
@@ -55,5 +59,31 @@ func TestSuitePCTWM(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestOutcomeOneAlloc: the outcome key costs one allocation, the returned
+// string, and renders as "r=v" pairs in register order, as it did when it
+// was built with fmt.Sprintf and strings.Join.
+func TestOutcomeOneAlloc(t *testing.T) {
+	for _, lt := range Suite() {
+		final := engine.Run(lt.Program, core.NewRandom(), 1, engine.Options{}).FinalValues
+		parts := make([]string, len(lt.Registers))
+		for i, r := range lt.Registers {
+			parts[i] = fmt.Sprintf("%s=%d", r, final[r])
+		}
+		if got, want := lt.Outcome(final), strings.Join(parts, " "); got != want {
+			t.Errorf("%s: Outcome = %q, want %q", lt.Name, got, want)
+		}
+		if n := testing.AllocsPerRun(100, func() { lt.Outcome(final) }); n > 1 {
+			t.Errorf("%s: Outcome allocates %.1f times, want at most 1", lt.Name, n)
+		}
+	}
+	// A key longer than the stack buffer is still rendered in full.
+	lt := &Test{Registers: []string{"r1", "r2", "r3", "r4"}}
+	final := map[string]memmodel.Value{"r1": math.MinInt64, "r2": -1, "r3": math.MaxInt64, "r4": math.MinInt64}
+	want := "r1=-9223372036854775808 r2=-1 r3=9223372036854775807 r4=-9223372036854775808"
+	if got := lt.Outcome(final); got != want {
+		t.Errorf("long key: Outcome = %q, want %q", got, want)
 	}
 }
