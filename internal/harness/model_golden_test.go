@@ -11,9 +11,12 @@ package harness_test
 // links) is hashed per seed. Any divergence pinpoints the first
 // (program, strategy, seed) whose trace changed.
 //
+// TestModelGoldenDigests pins the tso and sc backends the same way, from
+// testdata/model_golden.json (keys "tso/<cell>" and "sc/<cell>").
+//
 // Regenerate (only when an intentional semantic change is made):
 //
-//	go test ./internal/harness -run TestRC11GoldenDigests -update-golden
+//	go test ./internal/harness -run 'TestRC11GoldenDigests|TestModelGoldenDigests' -update-golden
 
 import (
 	"encoding/json"
@@ -30,7 +33,7 @@ import (
 	"pctwm/internal/litmus"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/rc11_golden.json from the current engine")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the golden digest files in testdata from the current engine")
 
 const goldenSeeds = 200
 
@@ -128,7 +131,8 @@ type goldenCase struct {
 	seeds int
 }
 
-func goldenCases() []goldenCase {
+// goldenCases builds the matrix under model; keys carry prefix.
+func goldenCases(model, prefix string) []goldenCase {
 	strategies := func(depth int) map[string]func() engine.Strategy {
 		if depth < 1 {
 			depth = 1
@@ -142,16 +146,18 @@ func goldenCases() []goldenCase {
 	for _, lt := range litmus.Suite() {
 		for sname, mk := range strategies(1) {
 			cases = append(cases, goldenCase{
-				key: lt.Name + "/" + sname, prog: lt.Program,
-				opts: engine.Options{}, mk: mk, seeds: goldenSeeds,
+				key: prefix + lt.Name + "/" + sname, prog: lt.Program,
+				opts: engine.Options{Model: model}, mk: mk, seeds: goldenSeeds,
 			})
 		}
 	}
 	for _, b := range benchprog.All() {
 		for sname, mk := range strategies(b.Depth) {
+			opts := b.Options()
+			opts.Model = model
 			cases = append(cases, goldenCase{
-				key: b.Name + "/" + sname, prog: b.Program(0),
-				opts: b.Options(), mk: mk, seeds: goldenSeeds,
+				key: prefix + b.Name + "/" + sname, prog: b.Program(0),
+				opts: opts, mk: mk, seeds: goldenSeeds,
 			})
 		}
 	}
@@ -172,13 +178,24 @@ func computeDigests(c goldenCase) []string {
 	return out
 }
 
-const goldenPath = "testdata/rc11_golden.json"
-
 func TestRC11GoldenDigests(t *testing.T) {
+	checkGolden(t, "testdata/rc11_golden.json", goldenCases(engine.ModelRC11, ""))
+}
+
+func TestModelGoldenDigests(t *testing.T) {
+	var cases []goldenCase
+	for _, model := range []string{engine.ModelTSO, engine.ModelSC} {
+		cases = append(cases, goldenCases(model, model+"/")...)
+	}
+	checkGolden(t, "testdata/model_golden.json", cases)
+}
+
+// checkGolden compares every case's digests with the golden file at
+// goldenPath, or rewrites the file under -update-golden.
+func checkGolden(t *testing.T, goldenPath string, cases []goldenCase) {
 	if testing.Short() {
 		t.Skip("golden digest matrix is not run in -short mode")
 	}
-	cases := goldenCases()
 
 	if *updateGolden {
 		golden := make(map[string][]string, len(cases))
