@@ -16,7 +16,6 @@ import (
 	"pctwm/internal/memmodel"
 	"pctwm/internal/race"
 	"pctwm/internal/telemetry"
-	"pctwm/internal/vclock"
 )
 
 // Engine holds the mutable state of one execution. It is embedded in a
@@ -28,12 +27,13 @@ type Engine struct {
 	rng    *rand.Rand
 	rngSrc xoshiro // backing source of rng; cheap O(1) re-seed per run
 
-	// viewArena and vcArena recycle the per-write view bags and release
-	// clocks across this engine's executions. They are engine-local (not
-	// package-global) so their freelists need no synchronization: all
-	// accesses happen under the scheduler baton.
-	viewArena memmodel.ViewArena
-	vcArena   vclock.Arena
+	// views and clocks recycle the halves of the per-write bags across
+	// this engine's executions. They are engine-local (not package-global)
+	// so their freelists need no synchronization: all accesses happen
+	// under the scheduler baton. They are kept apart so that clock arrays
+	// stay sized to the thread count, not to the largest view.
+	views  memmodel.ViewArena
+	clocks memmodel.ViewArena
 
 	locs []location // index = Loc-1
 
@@ -63,10 +63,13 @@ type Engine struct {
 
 	// initWarm marks the static init state as cached from a previous run:
 	// the first len(prog.locs) location slots still hold their single init
-	// message (and the backend its root view), so initMemory skips the
-	// rebuild entirely (the state is identical for every run of the same
-	// program).
+	// message (and root its view), so initMemory skips the rebuild
+	// entirely (the state is identical for every run of the same program).
 	initWarm bool
+	// root is the view and clock root threads inherit from the
+	// initialization writes (built by rc11's initStatic, empty under other
+	// models); its backing arrays persist across runs.
+	root viewClock
 
 	nextEventID memmodel.EventID
 	outcome     Outcome
@@ -299,8 +302,8 @@ func (e *Engine) checkInterrupt() bool {
 }
 
 // finalize snapshots everything the Outcome needs from engine state, then
-// releases the run's pooled resources (message bags, release clocks,
-// location tables, thread shells) back to their arenas.
+// releases the run's pooled resources (message bags, location tables,
+// thread shells) back to their arenas.
 func (e *Engine) finalize() {
 	e.outcome.Recording = e.rec
 	if e.rec != nil {
@@ -334,8 +337,8 @@ func (e *Engine) finalize() {
 	e.releaseRun()
 }
 
-// releaseRun drains the per-run pooled state. Message bags and release
-// clocks go back to the arenas; locations and thread shells are truncated
+// releaseRun drains the per-run pooled state. Message bags go back to the
+// arenas; locations and thread shells are truncated
 // in place so the next run reuses their backing storage (including, on the
 // direct path, each shell's parked goroutine).
 func (e *Engine) releaseRun() {
@@ -354,7 +357,7 @@ func (e *Engine) releaseRun() {
 			base = 1
 		}
 		for j := base; j < len(loc.mo); j++ {
-			e.model.releaseMessage(&loc.mo[j])
+			e.release(&loc.mo[j].bag)
 		}
 		loc.mo = loc.mo[:base]
 		if i >= keep {
@@ -396,7 +399,7 @@ func (e *Engine) locName(l memmodel.Loc) string {
 // startRoots creates and starts the root threads and announces them to the
 // strategy. The caller holds the baton.
 func (e *Engine) startRoots() {
-	initView, initVC := e.initMemory()
+	e.initMemory()
 
 	// Root threads inherit the init thread's view (the spawn of root
 	// threads synchronizes with initialization).
@@ -406,7 +409,7 @@ func (e *Engine) startRoots() {
 	}
 	nRoots := len(e.prog.threads)
 	for _, rt := range e.prog.threads {
-		t := e.newThread(rt.name, nil, initView, initVC)
+		t := e.newThread(rt.name, nil, e.root)
 		if e.rec != nil {
 			e.rec.SpawnLinks = append(e.rec.SpawnLinks, SpawnLink{From: lastInit, Child: t.id})
 		}
@@ -494,11 +497,10 @@ func (e *Engine) deadlockMsg() string {
 	return msg
 }
 
-// initMemory creates the initialization writes (thread 0) and returns the
-// view/clock every root thread inherits (zero values for models without
-// views). The returned view and clock are backend-owned scratch (their
-// backing arrays persist across runs); callers must copy, not retain.
-func (e *Engine) initMemory() (memmodel.View, vclock.VC) {
+// initMemory creates the initialization writes (thread 0): one message
+// per declared location at stamp 1, to which the backend attaches its
+// state (initStatic).
+func (e *Engine) initMemory() {
 	k := len(e.prog.locs)
 	if e.initWarm && len(e.locs) != k {
 		// The program's location table changed between runs (programs are
@@ -507,6 +509,12 @@ func (e *Engine) initMemory() (memmodel.View, vclock.VC) {
 		e.invalidateInit()
 	}
 	if !e.initWarm {
+		for i, d := range e.prog.locs {
+			loc := e.pushLoc()
+			loc.name = d.name
+			m := loc.appendSlot()
+			m.val, m.tid, m.event = d.init, memmodel.InitThread, memmodel.EventID(i)
+		}
 		e.model.initStatic()
 		e.initWarm = true
 	}
@@ -518,7 +526,6 @@ func (e *Engine) initMemory() (memmodel.View, vclock.VC) {
 	if e.rec != nil {
 		e.recordInitEvents()
 	}
-	return e.model.rootView()
 }
 
 // recordInitEvents appends the k initialization write events to the
@@ -545,7 +552,7 @@ func (e *Engine) invalidateInit() {
 	for i := range e.locs {
 		loc := &e.locs[i]
 		for j := range loc.mo {
-			e.model.releaseMessage(&loc.mo[j])
+			e.release(&loc.mo[j].bag)
 		}
 		loc.mo = loc.mo[:0]
 		loc.name = ""
@@ -574,7 +581,7 @@ func (e *Engine) thread(tid memmodel.ThreadID) *Thread {
 	return nil
 }
 
-func (e *Engine) newThread(name string, parent *Thread, view memmodel.View, vc vclock.VC) *Thread {
+func (e *Engine) newThread(name string, parent *Thread, view viewClock) *Thread {
 	e.nextTID++
 	var t *Thread
 	if n := len(e.freeThreads); n > 0 {
@@ -588,8 +595,7 @@ func (e *Engine) newThread(name string, parent *Thread, view memmodel.View, vc v
 	t.name = name
 	t.parent = parent
 	t.firstPark = true
-	t.cur.CopyFrom(view)
-	t.curVC.CopyFrom(vc)
+	t.cur.copyFrom(view)
 	e.threads = append(e.threads, t)
 	return t
 }

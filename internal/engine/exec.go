@@ -13,11 +13,10 @@ import (
 // discards it when the run stopped. The request is consumed in place (no
 // copy): t cannot repost until it is woken.
 //
-// Memory operations (loads, stores, RMWs, fences, allocations) dispatch
-// to the model backend; thread management (spawn, join, assert, yield) is
-// model-agnostic and handled here, with backend hooks where a model
-// attaches semantics to thread lifecycle (TSO drains buffers on spawn and
-// thread completion).
+// Loads, stores and RMWs dispatch to the model backend; fences,
+// allocations and thread management (spawn, join, assert, yield) are
+// handled here, with backend hooks where a model attaches semantics to
+// them (rc11 fence views, TSO drains on spawn and thread completion).
 func (e *Engine) apply(t *Thread) response {
 	req := &t.req
 	var res response
@@ -33,9 +32,14 @@ func (e *Engine) apply(t *Thread) response {
 	case opExchange:
 		res.value = e.model.execRMW(t, req.loc, req.order, func(memmodel.Value) memmodel.Value { return req.value })
 	case opFence:
-		e.model.execFence(t, req.order)
+		if !req.order.IsAcquire() && !req.order.IsRelease() {
+			panic(fmt.Sprintf("pctwm: fence with order %s", req.order))
+		}
+		ev, _ := e.beginEvent(t, memmodel.Label{Kind: memmodel.KindFence, Order: req.order})
+		e.model.onFence(t, req.order)
+		e.finishEvent(t, ev)
 	case opAlloc:
-		res.loc = e.model.execAlloc(t, req)
+		res.loc = e.execAlloc(t, req)
 	case opSpawn:
 		res.spawned = e.execSpawn(t, t.ext.spawnFn)
 	case opJoin:
@@ -51,8 +55,8 @@ func (e *Engine) apply(t *Thread) response {
 }
 
 // beginEvent ticks the thread's clock and builds the event skeleton.
-func (e *Engine) beginEvent(t *Thread, lab memmodel.Label) (*memmodel.Event, int32) {
-	clock := t.curVC.Tick(int(t.id))
+func (e *Engine) beginEvent(t *Thread, lab memmodel.Label) (*memmodel.Event, memmodel.TS) {
+	clock := t.cur.clock.Tick(t.id)
 	ev := e.newEvent(t.id, t.nextIndex, lab)
 	t.nextIndex++
 	return ev, clock
@@ -65,7 +69,7 @@ func (e *Engine) finishEvent(t *Thread, ev *memmodel.Event) {
 	e.model.postEvent(t, ev)
 	if ev.Label.Kind.IsMemoryAccess() || ev.Label.Kind == memmodel.KindFence {
 		e.outcome.Events++
-		if e.model.commEvent(ev.Label) {
+		if e.model.commSink(ev.Label.Kind, ev.Label.Order) {
 			e.outcome.CommEvents++
 		}
 	}
@@ -92,7 +96,7 @@ func (e *Engine) execSpawn(t *Thread, fn ThreadFunc) *ThreadHandle {
 	ev, _ := e.beginEvent(t, memmodel.Label{Kind: memmodel.KindSpawn})
 	// The child is named lazily ("parent.id", see Thread.Name): no string
 	// formatting on the spawn hot path.
-	child := e.newThread("", t, t.cur, t.curVC)
+	child := e.newThread("", t, t.cur)
 	if e.rec != nil {
 		e.rec.SpawnLinks = append(e.rec.SpawnLinks, SpawnLink{From: ev.ID, Child: child.id})
 	}
@@ -119,9 +123,37 @@ func (e *Engine) execJoin(t *Thread, child memmodel.ThreadID) {
 	}
 	// Child termination synchronizes with the join (the views are empty
 	// and the join is a no-op under models that do not track them).
-	t.cur.Join(c.cur)
-	t.curVC.Join(c.curVC)
+	t.cur.join(c.cur)
 	e.finishEvent(t, ev)
+}
+
+// execAlloc creates the request's locations, each initialized by a
+// non-atomic write of t at stamp 1 to which the backend attaches its
+// state (onAlloc).
+func (e *Engine) execAlloc(t *Thread, req *request) memmodel.Loc {
+	base := memmodel.Loc(len(e.locs) + 1)
+	for i := 0; i < req.allocN; i++ {
+		var init memmodel.Value
+		if i < len(t.ext.allocInit) {
+			init = t.ext.allocInit[i]
+		}
+		l := memmodel.Loc(len(e.locs) + 1)
+		ev, clock := e.beginEvent(t, memmodel.Label{
+			Kind: memmodel.KindWrite, Order: memmodel.NonAtomic, Loc: l, WVal: init,
+		})
+		ev.Stamp = 1
+		loc := e.pushLoc()
+		loc.allocName = t.ext.allocName
+		loc.allocBase = base
+		loc.allocIdx = i
+		m := loc.appendSlot()
+		m.val, m.tid, m.event = init, t.id, ev.ID
+		m.nonAtomic = true
+		e.model.onAlloc(t, l, m, clock)
+		e.finishEvent(t, ev)
+	}
+	e.progress()
+	return base
 }
 
 func (e *Engine) execAssert(t *Thread, req *request) {
@@ -146,14 +178,33 @@ func (e *Engine) execAssert(t *Thread, req *request) {
 // progress resets the stall detector: something observable happened.
 func (e *Engine) progress() { e.stepsSinceProgress = 0 }
 
-func (e *Engine) raceCheck(t *Thread, ev memmodel.EventID, l memmodel.Loc, write, nonAtomic bool, clock int32) {
+func (e *Engine) raceCheck(t *Thread, ev memmodel.EventID, l memmodel.Loc, write, nonAtomic bool, clock memmodel.TS) {
 	if e.det == nil {
 		return
 	}
 	if e.tel != nil {
 		e.tel.RaceChecks++
 	}
-	e.det.OnAccess(t.id, ev, l, write, nonAtomic, clock, t.curVC)
+	e.det.OnAccess(t.id, ev, l, write, nonAtomic, clock, t.cur.clock)
+}
+
+// pickRead returns the index of the candidate a read of l by t observes:
+// the strategy's choice when there are several.
+func (e *Engine) pickRead(t *Thread, l memmodel.Loc, ord memmodel.Order, rmwFailure bool, cands []ReadCandidate) int {
+	if len(cands) == 0 {
+		panic(fmt.Sprintf("pctwm: no read candidates for %s at %s", t.Name(), e.locName(l)))
+	}
+	if len(cands) == 1 {
+		return 0
+	}
+	choice := e.strat.PickRead(ReadContext{
+		TID: t.id, Index: t.nextIndex, Loc: l, Order: ord,
+		RMWFailure: rmwFailure, Candidates: cands,
+	})
+	if choice < 0 || choice >= len(cands) {
+		panic(fmt.Sprintf("pctwm: strategy %s picked read candidate %d of %d", e.strat.Name(), choice, len(cands)))
+	}
+	return choice
 }
 
 // spinCheck implements the wait-loop heuristic: a thread repeatedly loading

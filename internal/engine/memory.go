@@ -4,28 +4,63 @@ import (
 	"fmt"
 
 	"pctwm/internal/memmodel"
-	"pctwm/internal/vclock"
 )
+
+// viewClock is an rc11 view together with its happens-before clock. The
+// two travel the same edges — Algorithm 2 publishes the view on a release
+// and joins it on an acquire, and the race detector's clock follows — so
+// join, copy, reset, clone and release act on both halves. An update of
+// one half names it: reads and writes Set only the view; an event's tick
+// and the race check touch only the clock.
+type viewClock struct {
+	view  memmodel.View
+	clock memmodel.View
+}
+
+func (s *viewClock) join(o viewClock) {
+	s.view.Join(o.view)
+	s.clock.Join(o.clock)
+}
+
+func (s *viewClock) copyFrom(o viewClock) {
+	s.view.CopyFrom(o.view)
+	s.clock.CopyFrom(o.clock)
+}
+
+func (s *viewClock) reset() {
+	s.view.Reset()
+	s.clock.Reset()
+}
+
+// clone returns a copy of s backed by the engine's arenas.
+func (e *Engine) clone(s viewClock) viewClock {
+	return viewClock{view: e.views.Clone(s.view), clock: e.clocks.Clone(s.clock)}
+}
+
+// release returns s's backing arrays to the engine's arenas.
+func (e *Engine) release(s *viewClock) {
+	e.views.Release(&s.view)
+	e.clocks.Release(&s.clock)
+}
 
 // message is a write event living in a location's modification order. It
 // carries the "bag" of the paper's Algorithm 2 — the view it communicates
-// to readers that synchronize with it — plus the matching vector clock for
-// happens-before tracking.
+// to readers that synchronize with it — with the matching happens-before
+// clock.
 type message struct {
 	stamp memmodel.TS
 	val   memmodel.Value
 	// writer identity
 	tid   memmodel.ThreadID
 	event memmodel.EventID
-	// bag is the view the write publishes: the full thread view for
-	// release writes, {loc: stamp} ∪ relFence view for relaxed writes,
-	// additionally joined with the read-message bag for RMWs (release
-	// sequences through rf+). Its backing array is owned by this message
-	// and returned to the view arena when the run's state is released.
-	bag memmodel.View
-	// relVC is the happens-before clock the write publishes along sw. Its
-	// backing array is owned by this message (see bag).
-	relVC vclock.VC
+	// bag is what the write publishes under rc11 (empty under other
+	// models): the full thread view and clock for release writes, the
+	// last release fence's for relaxed writes, additionally joined with
+	// the read message's bag for RMWs (release sequences through rf+),
+	// and {loc: stamp} in the view. Its backing arrays are owned by this
+	// message and returned to the arenas when the run's state is
+	// released.
+	bag viewClock
 	// nonAtomic marks plain (na) writes for the race detector.
 	nonAtomic bool
 }
@@ -71,7 +106,7 @@ func (l *location) appendSlot() *message {
 	n := len(l.mo)
 	if n < cap(l.mo) {
 		// Reused backing storage holds a stale message from a previous run
-		// (its bag/relVC arrays were released); clear it before handing out.
+		// (its bag arrays were released); clear it before handing out.
 		l.mo = l.mo[:n+1]
 		l.mo[n] = message{}
 	} else {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pctwm/internal/memmodel"
-	"pctwm/internal/vclock"
 )
 
 // Memory-model backend names (Options.Model / -engine.model).
@@ -40,48 +39,43 @@ func ValidModel(name string) bool {
 // that decides which writes a read may observe, what state a write
 // publishes, and what synchronizes. The engine keeps the model-agnostic
 // machinery — scheduling, threads, the per-location modification order
-// (locs/mo, shared bookkeeping for every model), events, recording,
-// telemetry — and delegates the semantics of each memory operation to the
-// active backend. Strategies stay model-agnostic: they see the same
-// NextThread/PickRead protocol for every backend, with the backend
-// deciding the read-candidate sets and which pending operations count as
-// communication sinks.
+// (locs/mo, shared bookkeeping for every model), allocation, static
+// initialization, events, recording, telemetry — and delegates the
+// semantics of each memory operation to the active backend. Strategies
+// stay model-agnostic: they see the same NextThread/PickRead protocol for
+// every backend, with the backend deciding the read-candidate sets and
+// which pending operations count as communication sinks.
 //
 // Backends are engine-internal: each holds a pointer to its Engine and is
 // serialized by the scheduler baton like all engine state.
 type modelBackend interface {
-	// name returns the backend's Options.Model name.
-	name() string
-
 	// resetRun clears per-run model state (called from Engine.reset,
 	// before initMemory).
 	resetRun()
 
-	// initStatic cold-builds the static locations' initialization state
-	// (one init message per declared location, stamp 1). The result is
-	// cached across runs by Engine.initWarm; per-run state belongs in
-	// resetRun.
+	// initStatic attaches model state to the static locations' init
+	// messages right after the engine cold-builds them (one per declared
+	// location, stamp 1). The result is cached across runs by
+	// Engine.initWarm; per-run state belongs in resetRun.
 	initStatic()
-
-	// rootView returns the view and clock root threads inherit from the
-	// initialization pseudo-thread (zero values for models that do not
-	// track views).
-	rootView() (memmodel.View, vclock.VC)
-
-	// releaseMessage returns a message's model-owned resources (arena
-	// views/clocks) when the run's state is drained back to the pools.
-	releaseMessage(m *message)
 
 	// Memory operations. Each implements the full semantics of one
 	// granted request — candidate computation, strategy consultation
-	// (PickRead), view/buffer updates — and emits its event(s) through
-	// Engine.beginEvent/finishEvent.
+	// (Engine.pickRead), view/buffer updates — and emits its event(s)
+	// through Engine.beginEvent/finishEvent.
 	execRead(t *Thread, l memmodel.Loc, ord memmodel.Order, casFail bool, expected memmodel.Value) memmodel.Value
 	execWrite(t *Thread, l memmodel.Loc, v memmodel.Value, ord memmodel.Order)
 	execRMW(t *Thread, l memmodel.Loc, ord memmodel.Order, f func(memmodel.Value) memmodel.Value) memmodel.Value
 	execCAS(t *Thread, req *request) (memmodel.Value, bool)
-	execFence(t *Thread, ord memmodel.Order)
-	execAlloc(t *Thread, req *request) memmodel.Loc
+
+	// onFence applies a fence's semantics inside its event (the engine
+	// has checked that ord is acquire or release).
+	onFence(t *Thread, ord memmodel.Order)
+
+	// onAlloc attaches model state to m, the initializing write of
+	// freshly allocated location l, inside its event; clock is the
+	// event's tick of t's clock.
+	onAlloc(t *Thread, l memmodel.Loc, m *message, clock memmodel.TS)
 
 	// postEvent runs inside finishEvent, before counting and recording
 	// (rc11 extends the global SC view here).
@@ -97,14 +91,12 @@ type modelBackend interface {
 	// early teardown do not finish and keep their state.
 	onThreadFinish(t *Thread)
 
-	// commSink classifies a pending operation as a potential
-	// communication sink (the paper's isCommunicationEvent, Algorithm 1):
-	// under rc11, SC ∪ R ∪ F⊒acq; under sc/tso, reads and RMWs.
+	// commSink classifies an operation as a communication sink (the
+	// paper's isCommunicationEvent, Algorithm 1): pending operations for
+	// the strategies, executed events for the k_com counter
+	// (Outcome.CommEvents). Under rc11, SC ∪ R ∪ F⊒acq; under sc/tso,
+	// reads and RMWs.
 	commSink(kind memmodel.Kind, ord memmodel.Order) bool
-
-	// commEvent classifies an executed event for the k_com counter
-	// (Outcome.CommEvents); consistent with commSink.
-	commEvent(lab memmodel.Label) bool
 
 	// finalValue returns the value FinalValues reports for static
 	// location index i (rc11/sc: mo-maximal; tso: the write currently in

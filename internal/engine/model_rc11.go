@@ -1,10 +1,7 @@
 package engine
 
 import (
-	"fmt"
-
 	"pctwm/internal/memmodel"
-	"pctwm/internal/vclock"
 )
 
 // rc11Backend is the default memory model: the paper's C11 view machine
@@ -19,57 +16,35 @@ type rc11Backend struct {
 
 	// global SC synchronization state (paper §4 (SC) axiom, operationally:
 	// every SC event joins and then extends the global SC view).
-	scView memmodel.View
-	scVC   vclock.VC
-
-	// initView/initVC are the view and clock produced by the
-	// initialization writes; their backing arrays persist across runs.
-	initView memmodel.View
-	initVC   vclock.VC
+	sc viewClock
 }
-
-func (b *rc11Backend) name() string { return ModelRC11 }
 
 func (b *rc11Backend) resetRun() {
-	b.scView.Reset()
-	b.scVC.Reset()
+	b.sc.reset()
 }
 
-// initStatic cold-builds the per-location init messages with their bags
-// and release clocks, plus the view/clock root threads inherit.
+// initStatic gives init write i the bag {x_i: 1} with the init thread's
+// clock after its i+1-th tick, and collects every init write into the
+// root view.
 func (b *rc11Backend) initStatic() {
 	e := b.e
-	b.initView.Reset()
-	b.initVC.Reset()
-	for i, d := range e.prog.locs {
+	e.root.reset()
+	for i := range e.prog.locs {
 		l := memmodel.Loc(i + 1)
-		b.initVC.Tick(int(memmodel.InitThread))
-		bag := e.viewArena.New(int(l))
-		bag.Set(l, 1)
-		loc := e.pushLoc()
-		loc.name = d.name
-		m := loc.appendSlot()
-		m.val, m.tid, m.event = d.init, memmodel.InitThread, memmodel.EventID(i)
-		m.bag, m.relVC = bag, e.vcArena.Clone(b.initVC)
-		b.initView.Set(l, 1)
+		e.root.clock.Tick(memmodel.InitThread)
+		m := &e.locs[i].mo[0]
+		m.bag.view = e.views.New(int(l))
+		m.bag.view.Set(l, 1)
+		m.bag.clock = e.clocks.Clone(e.root.clock)
+		e.root.view.Set(l, 1)
 	}
-}
-
-func (b *rc11Backend) rootView() (memmodel.View, vclock.VC) {
-	return b.initView, b.initVC
-}
-
-func (b *rc11Backend) releaseMessage(m *message) {
-	b.e.viewArena.Release(&m.bag)
-	b.e.vcArena.Release(&m.relVC)
 }
 
 // postEvent extends the global SC view after an SC event's own update
 // (Algorithm 2, getSC: successors observe this event's bag).
 func (b *rc11Backend) postEvent(t *Thread, ev *memmodel.Event) {
 	if ev.Label.Order.IsSC() && ev.Label.Kind != memmodel.KindAssert {
-		b.scView.Join(t.cur)
-		b.scVC.Join(t.curVC)
+		b.sc.join(t.cur)
 	}
 }
 
@@ -80,10 +55,6 @@ func (b *rc11Backend) commSink(kind memmodel.Kind, ord memmodel.Order) bool {
 	return memmodel.Label{Kind: kind, Order: ord}.IsCommunicationEvent()
 }
 
-func (b *rc11Backend) commEvent(lab memmodel.Label) bool {
-	return lab.IsCommunicationEvent()
-}
-
 func (b *rc11Backend) finalValue(i int, loc *location) memmodel.Value {
 	return loc.maximal().val
 }
@@ -91,8 +62,7 @@ func (b *rc11Backend) finalValue(i int, loc *location) memmodel.Value {
 // acquireSCView is called before an SC event touches memory: the event
 // observes the views of all SC-predecessors.
 func (b *rc11Backend) acquireSCView(t *Thread) {
-	t.cur.Join(b.scView)
-	t.curVC.Join(b.scVC)
+	t.cur.join(b.sc)
 }
 
 // readCandidates returns the coherence-legal writes for a read of l by t in
@@ -105,14 +75,13 @@ func (b *rc11Backend) acquireSCView(t *Thread) {
 //
 // Aliasing contract: the returned slice aliases the engine-owned scratch
 // buffer e.candBuf. It is valid only until the next readCandidates call;
-// execRead/execCAS/execReadOf therefore fully consume one candidate set
-// (strategy PickRead + message lookup) before issuing the next candidate
-// query, and strategies must not retain ReadContext.Candidates across
-// PickRead calls.
+// execRead/execCAS therefore fully consume one candidate set (strategy
+// PickRead + message lookup) before issuing the next candidate query, and
+// strategies must not retain ReadContext.Candidates across PickRead calls.
 func (b *rc11Backend) readCandidates(t *Thread, l memmodel.Loc, excludeVal bool, excluded memmodel.Value) []ReadCandidate {
 	e := b.e
 	loc := e.loc(l)
-	floor := t.cur.Get(l)
+	floor := t.cur.view.Get(l)
 	if floor == 0 {
 		floor = 1
 	}
@@ -137,79 +106,55 @@ func (b *rc11Backend) readCandidates(t *Thread, l memmodel.Loc, excludeVal bool,
 // execRead performs a load. When casFail is true the read is the failure
 // path of a CAS and the candidate set excludes values equal to expected.
 func (b *rc11Backend) execRead(t *Thread, l memmodel.Loc, ord memmodel.Order, casFail bool, expected memmodel.Value) memmodel.Value {
-	e := b.e
 	if ord.IsSC() {
 		b.acquireSCView(t)
 	}
 	cands := b.readCandidates(t, l, casFail, expected)
-	if len(cands) == 0 {
-		panic(fmt.Sprintf("pctwm: no read candidates for %s at %s", t.Name(), e.locName(l)))
-	}
-	choice := 0
-	if len(cands) > 1 {
-		choice = e.strat.PickRead(ReadContext{
-			TID: t.id, Index: t.nextIndex, Loc: l, Order: ord,
-			RMWFailure: casFail, Candidates: cands,
-		})
-		if choice < 0 || choice >= len(cands) {
-			panic(fmt.Sprintf("pctwm: strategy %s picked read candidate %d of %d", e.strat.Name(), choice, len(cands)))
-		}
-	}
-	c := cands[choice]
-	m := e.loc(l).byStamp(c.Stamp)
+	return b.commitRead(t, l, ord, cands[b.e.pickRead(t, l, ord, casFail, cands)])
+}
 
+// commitRead emits the read event of l observing candidate c and applies
+// it to t's view (Algorithm 2 lines 9-19).
+func (b *rc11Backend) commitRead(t *Thread, l memmodel.Loc, ord memmodel.Order, c ReadCandidate) memmodel.Value {
+	e := b.e
+	m := e.loc(l).byStamp(c.Stamp)
 	ev, clock := e.beginEvent(t, memmodel.Label{Kind: memmodel.KindRead, Order: ord, Loc: l, RVal: m.val})
 	ev.ReadsFrom = m.event
-
-	// View update (Algorithm 2 lines 9-19).
 	if ord.IsAcquire() {
 		// Synchronizing read: acquire the whole bag (line 14).
-		t.cur.Join(m.bag)
-		t.curVC.Join(m.relVC)
+		t.cur.join(m.bag)
 	} else {
 		// Relaxed or non-atomic: only this location advances (line 16);
 		// the bag is stashed for a later acquire fence (sink-side
 		// (po;[F]) of the sw definition).
-		t.cur.Set(l, m.stamp)
-		t.acqStash.Join(m.bag)
-		t.acqStashVC.Join(m.relVC)
+		t.cur.view.Set(l, m.stamp)
+		t.acqStash.join(m.bag)
 	}
-
 	e.raceCheck(t, ev.ID, l, false, ord == memmodel.NonAtomic, clock)
 	e.spinCheck(t, l, m.val)
 	e.finishEvent(t, ev)
 	return m.val
 }
 
-// publishBag computes the view a new write at (l, ts) publishes. The
-// returned view's backing array comes from the view arena and is owned by
-// the message it is stored in.
-func (t *Thread) publishBag(l memmodel.Loc, ts memmodel.TS, ord memmodel.Order, readMsg *message) memmodel.View {
-	var bag memmodel.View
+// publish computes the bag a new write at (l, ts) publishes. The returned
+// bag's backing arrays come from the engine's arenas and are owned by the
+// message it is stored in.
+func (t *Thread) publish(l memmodel.Loc, ts memmodel.TS, ord memmodel.Order, readMsg *message) viewClock {
+	// A release write publishes the full thread view (sw source); a
+	// relaxed write after a release fence still carries the fence's view
+	// (source-side ([F];po) of the sw definition).
+	src := t.relFence
 	if ord.IsRelease() {
-		// Release write: publish the full thread view (sw source).
-		bag = t.eng.viewArena.Clone(t.cur)
-	} else {
-		// Relaxed write after a release fence still carries the fence's
-		// view (source-side ([F];po) of the sw definition).
-		bag = t.eng.viewArena.Clone(t.relFence)
+		src = t.cur
 	}
+	bag := t.eng.clone(src)
 	if readMsg != nil {
 		// RMWs continue release sequences: rf+ chains through updates, so
 		// the update's message carries the read message's bag.
-		bag.Join(readMsg.bag)
+		bag.join(readMsg.bag)
 	}
-	bag.Set(l, ts)
+	bag.view.Set(l, ts)
 	return bag
-}
-
-// publishVC computes the happens-before clock a new write publishes along
-// sw; like publishBag, the backing array is arena-owned by the message.
-func (t *Thread) publishVC(ord memmodel.Order) vclock.VC {
-	if ord.IsRelease() {
-		return t.eng.vcArena.Clone(t.curVC)
-	}
-	return t.eng.vcArena.Clone(t.relFenceVC)
 }
 
 func (b *rc11Backend) execWrite(t *Thread, l memmodel.Loc, v memmodel.Value, ord memmodel.Order) {
@@ -221,14 +166,13 @@ func (b *rc11Backend) execWrite(t *Thread, l memmodel.Loc, v memmodel.Value, ord
 	ev, clock := e.beginEvent(t, memmodel.Label{Kind: memmodel.KindWrite, Order: ord, Loc: l, WVal: v})
 
 	ts := memmodel.TS(len(loc.mo) + 1)
-	bag := t.publishBag(l, ts, ord, nil)
-	relVC := t.publishVC(ord)
+	bag := t.publish(l, ts, ord, nil)
 	m := loc.appendSlot()
 	m.val, m.tid, m.event = v, t.id, ev.ID
-	m.bag, m.relVC = bag, relVC
+	m.bag = bag
 	m.nonAtomic = ord == memmodel.NonAtomic
 	ev.Stamp = ts
-	t.cur.Set(l, ts) // Algorithm 2 lines 4-5
+	t.cur.view.Set(l, ts) // Algorithm 2 lines 4-5
 
 	t.resetSpin()
 	e.progress()
@@ -252,23 +196,19 @@ func (b *rc11Backend) execRMW(t *Thread, l memmodel.Loc, ord memmodel.Order, f f
 
 	// Read side of the update.
 	if ord.IsAcquire() {
-		t.cur.Join(old.bag)
-		t.curVC.Join(old.relVC)
+		t.cur.join(old.bag)
 	} else {
-		t.acqStash.Join(old.bag)
-		t.acqStashVC.Join(old.relVC)
+		t.acqStash.join(old.bag)
 	}
 
 	// Write side.
 	ts := memmodel.TS(len(loc.mo) + 1)
-	bag := t.publishBag(l, ts, ord, old)
-	relVC := t.publishVC(ord)
-	relVC.Join(old.relVC)
+	bag := t.publish(l, ts, ord, old)
 	m := loc.appendSlot()
 	m.val, m.tid, m.event = newVal, t.id, ev.ID
-	m.bag, m.relVC = bag, relVC
+	m.bag = bag
 	ev.Stamp = ts
-	t.cur.Set(l, ts)
+	t.cur.view.Set(l, ts)
 
 	t.resetSpin()
 	e.progress()
@@ -286,18 +226,11 @@ func (b *rc11Backend) execCAS(t *Thread, req *request) (memmodel.Value, bool) {
 			// non-maximal write, failing spuriously even though the
 			// exchange could have succeeded.
 			cands := b.readCandidates(t, req.loc, false, 0)
-			if len(cands) > 1 {
-				choice := e.strat.PickRead(ReadContext{
-					TID: t.id, Index: t.nextIndex, Loc: req.loc,
-					Order: req.failOrder, RMWFailure: true, Candidates: cands,
-				})
-				if choice < 0 || choice >= len(cands) {
-					panic(fmt.Sprintf("pctwm: strategy %s picked read candidate %d of %d", e.strat.Name(), choice, len(cands)))
+			if choice := e.pickRead(t, req.loc, req.failOrder, true, cands); choice != len(cands)-1 {
+				if req.failOrder.IsSC() {
+					b.acquireSCView(t)
 				}
-				if choice != len(cands)-1 {
-					v := b.execReadOf(t, req.loc, req.failOrder, cands[choice])
-					return v, false
-				}
+				return b.commitRead(t, req.loc, req.failOrder, cands[choice]), false
 			}
 		}
 		old := b.execRMW(t, req.loc, req.order, func(memmodel.Value) memmodel.Value { return req.value })
@@ -311,84 +244,31 @@ func (b *rc11Backend) execCAS(t *Thread, req *request) (memmodel.Value, bool) {
 	return v, false
 }
 
-// execReadOf performs a read event pinned to a specific candidate (used
-// by the weak-CAS spurious-failure path, which already consulted the
-// strategy).
-func (b *rc11Backend) execReadOf(t *Thread, l memmodel.Loc, ord memmodel.Order, c ReadCandidate) memmodel.Value {
-	e := b.e
-	if ord.IsSC() {
-		b.acquireSCView(t)
-	}
-	m := e.loc(l).byStamp(c.Stamp)
-	ev, clock := e.beginEvent(t, memmodel.Label{Kind: memmodel.KindRead, Order: ord, Loc: l, RVal: m.val})
-	ev.ReadsFrom = m.event
-	if ord.IsAcquire() {
-		t.cur.Join(m.bag)
-		t.curVC.Join(m.relVC)
-	} else {
-		t.cur.Set(l, m.stamp)
-		t.acqStash.Join(m.bag)
-		t.acqStashVC.Join(m.relVC)
-	}
-	e.raceCheck(t, ev.ID, l, false, ord == memmodel.NonAtomic, clock)
-	e.spinCheck(t, l, m.val)
-	e.finishEvent(t, ev)
-	return m.val
-}
-
-func (b *rc11Backend) execFence(t *Thread, ord memmodel.Order) {
-	e := b.e
-	if !ord.IsAcquire() && !ord.IsRelease() {
-		panic(fmt.Sprintf("pctwm: fence with order %s", ord))
-	}
-	ev, _ := e.beginEvent(t, memmodel.Label{Kind: memmodel.KindFence, Order: ord})
+func (b *rc11Backend) onFence(t *Thread, ord memmodel.Order) {
 	if ord.IsAcquire() {
 		// Claim the bags stashed by earlier relaxed reads (Algorithm 2
 		// lines 20-23, getSWSet).
-		t.cur.Join(t.acqStash)
-		t.curVC.Join(t.acqStashVC)
+		t.cur.join(t.acqStash)
 	}
 	if ord.IsSC() {
 		b.acquireSCView(t)
 	}
 	if ord.IsRelease() {
 		// Snapshot for later relaxed writes (lines 24-25: the thread's own
-		// view does not change). CopyFrom reuses the snapshot's backing
-		// array across fences.
-		t.relFence.CopyFrom(t.cur)
-		t.relFenceVC.CopyFrom(t.curVC)
+		// view does not change). copyFrom reuses the snapshot's backing
+		// arrays across fences.
+		t.relFence.copyFrom(t.cur)
 	}
-	e.finishEvent(t, ev)
 }
 
-func (b *rc11Backend) execAlloc(t *Thread, req *request) memmodel.Loc {
+// onAlloc publishes {l: 1} like an initialization write, with the clock
+// of a non-atomic write (the last release fence's), and makes the write
+// part of t's view.
+func (b *rc11Backend) onAlloc(t *Thread, l memmodel.Loc, m *message, clock memmodel.TS) {
 	e := b.e
-	base := memmodel.Loc(len(e.locs) + 1)
-	for i := 0; i < req.allocN; i++ {
-		var init memmodel.Value
-		if i < len(t.ext.allocInit) {
-			init = t.ext.allocInit[i]
-		}
-		l := memmodel.Loc(len(e.locs) + 1)
-
-		ev, clock := e.beginEvent(t, memmodel.Label{
-			Kind: memmodel.KindWrite, Order: memmodel.NonAtomic, Loc: l, WVal: init,
-		})
-		ev.Stamp = 1
-		bag := e.viewArena.New(int(l))
-		bag.Set(l, 1)
-		loc := e.pushLoc()
-		loc.allocName = t.ext.allocName
-		loc.allocBase = base
-		loc.allocIdx = i
-		loc.mo = append(loc.mo, message{
-			stamp: 1, val: init, tid: t.id, event: ev.ID,
-			bag: bag, relVC: e.vcArena.Clone(t.relFenceVC), nonAtomic: true,
-		})
-		t.cur.Set(l, 1)
-		e.raceCheck(t, ev.ID, l, true, true, clock)
-		e.finishEvent(t, ev)
-	}
-	e.progress()
-	return base
+	m.bag.view = e.views.New(int(l))
+	m.bag.view.Set(l, 1)
+	m.bag.clock = e.clocks.Clone(t.relFence.clock)
+	t.cur.view.Set(l, 1)
+	e.raceCheck(t, m.event, l, true, true, clock)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pctwm/internal/memmodel"
-	"pctwm/internal/vclock"
 )
 
 // scBackend is sequential consistency: one memory copy, every read
@@ -18,39 +17,23 @@ type scBackend struct {
 	e *Engine
 }
 
-func (b *scBackend) name() string { return ModelSC }
-
-func (b *scBackend) resetRun() {}
-
-func (b *scBackend) initStatic() {
-	e := b.e
-	for i, d := range e.prog.locs {
-		loc := e.pushLoc()
-		loc.name = d.name
-		m := loc.appendSlot()
-		m.val, m.tid, m.event = d.init, memmodel.InitThread, memmodel.EventID(i)
-	}
-}
-
-func (b *scBackend) rootView() (memmodel.View, vclock.VC) {
-	return memmodel.View{}, vclock.VC{}
-}
-
-func (b *scBackend) releaseMessage(m *message) {}
-
+func (b *scBackend) resetRun()                               {}
+func (b *scBackend) initStatic()                             {}
 func (b *scBackend) postEvent(t *Thread, ev *memmodel.Event) {}
 func (b *scBackend) onSpawn(t *Thread)                       {}
 func (b *scBackend) onThreadFinish(t *Thread)                {}
+
+// onFence: every access is already sequentially consistent; the fence is
+// an event with no additional semantics.
+func (b *scBackend) onFence(t *Thread, ord memmodel.Order) {}
+
+func (b *scBackend) onAlloc(t *Thread, l memmodel.Loc, m *message, clock memmodel.TS) {}
 
 // commSink: with a single memory copy every read observes other threads'
 // writes directly, so the communication sinks are the reads and RMWs
 // (fences carry no synchronization beyond what every access already has).
 func (b *scBackend) commSink(kind memmodel.Kind, ord memmodel.Order) bool {
 	return kind.Reads()
-}
-
-func (b *scBackend) commEvent(lab memmodel.Label) bool {
-	return lab.Kind.Reads()
 }
 
 func (b *scBackend) finalValue(i int, loc *location) memmodel.Value {
@@ -117,41 +100,4 @@ func (b *scBackend) execCAS(t *Thread, req *request) (memmodel.Value, bool) {
 	}
 	v := b.execRead(t, req.loc, req.failOrder, true, req.expected)
 	return v, false
-}
-
-func (b *scBackend) execFence(t *Thread, ord memmodel.Order) {
-	e := b.e
-	if !ord.IsAcquire() && !ord.IsRelease() {
-		panic(fmt.Sprintf("pctwm: fence with order %s", ord))
-	}
-	// Every access is already sequentially consistent; the fence is an
-	// event with no additional semantics.
-	ev, _ := e.beginEvent(t, memmodel.Label{Kind: memmodel.KindFence, Order: ord})
-	e.finishEvent(t, ev)
-}
-
-func (b *scBackend) execAlloc(t *Thread, req *request) memmodel.Loc {
-	e := b.e
-	base := memmodel.Loc(len(e.locs) + 1)
-	for i := 0; i < req.allocN; i++ {
-		var init memmodel.Value
-		if i < len(t.ext.allocInit) {
-			init = t.ext.allocInit[i]
-		}
-		l := memmodel.Loc(len(e.locs) + 1)
-		ev, _ := e.beginEvent(t, memmodel.Label{
-			Kind: memmodel.KindWrite, Order: memmodel.NonAtomic, Loc: l, WVal: init,
-		})
-		ev.Stamp = 1
-		loc := e.pushLoc()
-		loc.allocName = t.ext.allocName
-		loc.allocBase = base
-		loc.allocIdx = i
-		m := loc.appendSlot()
-		m.val, m.tid, m.event = init, t.id, ev.ID
-		m.nonAtomic = true
-		e.finishEvent(t, ev)
-	}
-	e.progress()
-	return base
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pctwm/internal/memmodel"
-	"pctwm/internal/vclock"
 )
 
 // tsoBackend is x86-TSO (Owens, Sarkar, Sewell 2009): each thread owns a
@@ -48,8 +47,6 @@ type tsoEntry struct {
 	stamp memmodel.TS
 }
 
-func (b *tsoBackend) name() string { return ModelTSO }
-
 func (b *tsoBackend) resetRun() {
 	k := len(b.e.prog.locs)
 	if cap(b.mem) < k {
@@ -61,22 +58,7 @@ func (b *tsoBackend) resetRun() {
 	}
 }
 
-func (b *tsoBackend) initStatic() {
-	e := b.e
-	for i, d := range e.prog.locs {
-		loc := e.pushLoc()
-		loc.name = d.name
-		m := loc.appendSlot()
-		m.val, m.tid, m.event = d.init, memmodel.InitThread, memmodel.EventID(i)
-	}
-}
-
-func (b *tsoBackend) rootView() (memmodel.View, vclock.VC) {
-	return memmodel.View{}, vclock.VC{}
-}
-
-func (b *tsoBackend) releaseMessage(m *message) {}
-
+func (b *tsoBackend) initStatic()                             {}
 func (b *tsoBackend) postEvent(t *Thread, ev *memmodel.Event) {}
 
 // onSpawn drains the parent's buffer: thread creation synchronizes, so
@@ -93,10 +75,6 @@ func (b *tsoBackend) onThreadFinish(t *Thread) { b.drain(t) }
 // regardless of memory order (x86 has no per-access order choice).
 func (b *tsoBackend) commSink(kind memmodel.Kind, ord memmodel.Order) bool {
 	return kind.Reads()
-}
-
-func (b *tsoBackend) commEvent(lab memmodel.Label) bool {
-	return lab.Kind.Reads()
 }
 
 func (b *tsoBackend) finalValue(i int, loc *location) memmodel.Value {
@@ -204,20 +182,7 @@ func (b *tsoBackend) execRead(t *Thread, l memmodel.Loc, ord memmodel.Order, cas
 	}
 
 	cands := b.readCandidates(t, l, casFail, expected)
-	if len(cands) == 0 {
-		panic(fmt.Sprintf("pctwm: no read candidates for %s at %s", t.Name(), e.locName(l)))
-	}
-	choice := 0
-	if len(cands) > 1 {
-		choice = e.strat.PickRead(ReadContext{
-			TID: t.id, Index: t.nextIndex, Loc: l, Order: ord,
-			RMWFailure: casFail, Candidates: cands,
-		})
-		if choice < 0 || choice >= len(cands) {
-			panic(fmt.Sprintf("pctwm: strategy %s picked read candidate %d of %d", e.strat.Name(), choice, len(cands)))
-		}
-	}
-	c := cands[choice]
+	c := cands[e.pickRead(t, l, ord, casFail, cands)]
 	if c.Stamp != b.mem[int(l)-1] {
 		// A remote buffered store: make it visible the way the machine
 		// would — drain its owner's buffer through it.
@@ -302,45 +267,16 @@ func (b *tsoBackend) execCAS(t *Thread, req *request) (memmodel.Value, bool) {
 	return v, false
 }
 
-func (b *tsoBackend) execFence(t *Thread, ord memmodel.Order) {
-	e := b.e
-	if !ord.IsAcquire() && !ord.IsRelease() {
-		panic(fmt.Sprintf("pctwm: fence with order %s", ord))
-	}
-	ev, _ := e.beginEvent(t, memmodel.Label{Kind: memmodel.KindFence, Order: ord})
+func (b *tsoBackend) onFence(t *Thread, ord memmodel.Order) {
 	if ord.IsSC() {
 		// MFENCE. Acquire/release(/acq-rel) fences compile to nothing on
 		// x86: loads and stores already carry those orders.
 		b.drain(t)
 	}
-	e.finishEvent(t, ev)
 }
 
-func (b *tsoBackend) execAlloc(t *Thread, req *request) memmodel.Loc {
-	e := b.e
-	base := memmodel.Loc(len(e.locs) + 1)
-	for i := 0; i < req.allocN; i++ {
-		var init memmodel.Value
-		if i < len(t.ext.allocInit) {
-			init = t.ext.allocInit[i]
-		}
-		l := memmodel.Loc(len(e.locs) + 1)
-		ev, _ := e.beginEvent(t, memmodel.Label{
-			Kind: memmodel.KindWrite, Order: memmodel.NonAtomic, Loc: l, WVal: init,
-		})
-		ev.Stamp = 1
-		loc := e.pushLoc()
-		loc.allocName = t.ext.allocName
-		loc.allocBase = base
-		loc.allocIdx = i
-		m := loc.appendSlot()
-		m.val, m.tid, m.event = init, t.id, ev.ID
-		m.nonAtomic = true
-		// Initialization writes go straight to memory (allocation is not
-		// a store the buffer may delay).
-		b.mem = append(b.mem, 1)
-		e.finishEvent(t, ev)
-	}
-	e.progress()
-	return base
+// onAlloc puts the initialization write straight into shared memory
+// (allocation is not a store the buffer may delay).
+func (b *tsoBackend) onAlloc(t *Thread, l memmodel.Loc, m *message, clock memmodel.TS) {
+	b.mem = append(b.mem, 1)
 }

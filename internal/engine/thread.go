@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pctwm/internal/memmodel"
-	"pctwm/internal/vclock"
 )
 
 // ThreadFunc is the body of a simulated thread. It runs in its own
@@ -61,16 +60,11 @@ type Thread struct {
 	// the starter instead of driving the scheduler itself.
 	firstPark bool
 
-	// rc11 memory-model state (paper §5.1 / Algorithm 2); empty under
-	// other backends
-	cur      memmodel.View // thread view: latest observed write per location
-	acqStash memmodel.View // bags stashed by relaxed reads, claimed by F⊒acq
-	relFence memmodel.View // view snapshot at the last release fence
-
-	// happens-before clocks mirroring the views (race detection)
-	curVC      vclock.VC
-	acqStashVC vclock.VC
-	relFenceVC vclock.VC
+	// rc11 memory-model state (paper §5.1 / Algorithm 2), each view with
+	// its happens-before clock; empty under other backends
+	cur      viewClock // thread view: latest observed write per location
+	acqStash viewClock // bags stashed by relaxed reads, claimed by F⊒acq
+	relFence viewClock // view snapshot at the last release fence
 
 	// tso memory-model state: the thread's FIFO store buffer (empty under
 	// other backends)
@@ -107,12 +101,9 @@ func (t *Thread) recycle() {
 	t.pend = PendingOp{}
 	t.name = ""
 	t.parent = nil
-	t.cur.Reset()
-	t.acqStash.Reset()
-	t.relFence.Reset()
-	t.curVC.Reset()
-	t.acqStashVC.Reset()
-	t.relFenceVC.Reset()
+	t.cur.reset()
+	t.acqStash.reset()
+	t.relFence.reset()
 	t.tsoBuf = t.tsoBuf[:0]
 	t.nextIndex = 0
 	t.finished = false

@@ -1,10 +1,5 @@
 package memmodel
 
-import (
-	"fmt"
-	"strings"
-)
-
 // TS is a per-location modification-order timestamp. Writes to one
 // location receive increasing timestamps 1, 2, 3, … in mo order; 0 means
 // "before every write", i.e. the location is unknown to the view.
@@ -24,20 +19,24 @@ type TS int32
 // The zero value is the empty view (only initialization writes, which have
 // timestamp 1 once a location exists; a missing entry means "no opinion",
 // i.e. floor 0).
+//
+// The same dense vector, joined by the same pointwise max, is also the
+// engine's happens-before clock: entry i then holds thread i's logical
+// time (Tick, HappensBefore) instead of Loc(i+1)'s timestamp.
 type View struct {
 	ts []TS // ts[i] is the timestamp for Loc(i+1); trailing zeros implied
 }
 
-// NewView returns an empty view.
-func NewView() View { return View{} }
-
-// Get returns the timestamp the view holds for loc (0 if none).
-func (v View) Get(loc Loc) TS {
-	if i := int(loc) - 1; i >= 0 && i < len(v.ts) {
+// at returns entry i (0 beyond the stored prefix).
+func (v View) at(i int) TS {
+	if i >= 0 && i < len(v.ts) {
 		return v.ts[i]
 	}
 	return 0
 }
+
+// Get returns the timestamp the view holds for loc (0 if none).
+func (v View) Get(loc Loc) TS { return v.at(int(loc) - 1) }
 
 // grow extends the dense storage to cover n locations, zeroing any slack
 // reclaimed from a previous larger use of the backing array.
@@ -92,30 +91,23 @@ func (v *View) Join(other View) {
 	}
 }
 
-// JoinLoc merges only the entry for loc from other into v (the relaxed-read
-// case of Algorithm 2 line 16: the thread view is updated only at e.loc).
-func (v *View) JoinLoc(other View, loc Loc) {
-	if t := other.Get(loc); t > v.Get(loc) {
-		v.Set(loc, t)
-	}
+// Tick advances thread t's component of a clock and returns its new value.
+func (v *View) Tick(t ThreadID) TS {
+	v.grow(int(t) + 1)
+	v.ts[t]++
+	return v.ts[t]
 }
 
-// Clone returns an independent copy of the view. Clones are used as the
-// "bag" a write event carries (Algorithm 2 line 26: e.bag ← t.view).
-// Hot paths should prefer ViewArena.Clone, which recycles backing arrays.
-func (v View) Clone() View {
-	if len(v.ts) == 0 {
-		return View{}
-	}
-	c := make([]TS, len(v.ts))
-	copy(c, v.ts)
-	return View{ts: c}
+// HappensBefore reports whether the epoch (t, n) — event n of thread t —
+// is ordered before the point described by clock.
+func HappensBefore(t ThreadID, n TS, clock View) bool {
+	return n <= clock.at(int(t))
 }
 
 // CopyFrom makes v an exact copy of other, reusing v's backing array when
-// it is large enough. It is the in-place counterpart of Clone for
-// long-lived views (thread views, fence snapshots) that are overwritten
-// many times per execution.
+// it is large enough. It is the in-place counterpart of ViewArena.Clone
+// for long-lived views (thread views, fence snapshots) that are
+// overwritten many times per execution.
 func (v *View) CopyFrom(other View) {
 	n := len(other.ts)
 	if cap(v.ts) < n {
@@ -131,69 +123,14 @@ func (v *View) Reset() {
 	v.ts = v.ts[:0]
 }
 
-// Len returns the number of locations the view has an opinion on.
-func (v View) Len() int {
-	n := 0
-	for _, t := range v.ts {
-		if t != 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// Leq reports whether v ⊑ other pointwise (every entry of v is covered by
-// other). The empty view is ⊑ everything.
-func (v View) Leq(other View) bool {
-	for i, t := range v.ts {
-		if t == 0 {
-			continue
-		}
-		if i >= len(other.ts) || t > other.ts[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Equal reports pointwise equality of the non-zero entries.
-func (v View) Equal(other View) bool {
-	return v.Leq(other) && other.Leq(v)
-}
-
-// Locations returns the locations with non-zero entries in ascending order.
-func (v View) Locations() []Loc {
-	locs := make([]Loc, 0, len(v.ts))
-	for i, t := range v.ts {
-		if t != 0 {
-			locs = append(locs, Loc(i+1))
-		}
-	}
-	return locs
-}
-
-// String renders the view as {(x1,ts), …} in location order, mirroring the
-// paper's figures.
-func (v View) String() string {
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, loc := range v.Locations() {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(&b, "(x%d,%d)", loc, v.Get(loc))
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-// ViewArena recycles view backing arrays through a plain freelist. The
-// engine clones a view ("bag") per write event; with an arena, a
-// steady-state execution loop reuses the arrays released by the previous
-// run instead of growing the heap — see Runner in internal/engine.
+// ViewArena recycles view and clock backing arrays through a plain
+// freelist. The engine clones a view ("bag") and a clock per write event;
+// with an arena, a steady-state execution loop reuses the arrays released
+// by the previous run instead of growing the heap — see Runner in
+// internal/engine.
 //
-// The freelist is deliberately not synchronized: each engine owns one arena
-// and its accesses are serialized by the scheduler baton. (An earlier
+// The freelist is deliberately not synchronized: each engine owns its
+// arenas and their accesses are serialized by the scheduler baton. (An earlier
 // sync.Pool-backed version allocated a slice-header box on every Release,
 // which dominated the steady-state allocation profile.) The zero value is
 // ready to use.

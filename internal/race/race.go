@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"pctwm/internal/memmodel"
-	"pctwm/internal/vclock"
 )
 
 // Race describes one detected data race.
@@ -50,7 +49,7 @@ func accKind(a Access) string {
 // epoch is the latest access of one class by one thread at one clock value.
 type epoch struct {
 	tid       memmodel.ThreadID
-	clock     int32
+	clock     memmodel.TS
 	event     memmodel.EventID
 	write     bool
 	nonAtomic bool
@@ -140,7 +139,7 @@ func (d *Detector) state(loc memmodel.Loc) *locState {
 
 // check scans prior accesses for conflicts with the current access and
 // appends any races to d.found.
-func (d *Detector) check(prior []epoch, priorIsWrite bool, loc memmodel.Loc, cur Access, vc vclock.VC) {
+func (d *Detector) check(prior []epoch, priorIsWrite bool, loc memmodel.Loc, cur Access, vc memmodel.View) {
 	for i := range prior {
 		pe := &prior[i]
 		if pe.tid == cur.TID {
@@ -153,7 +152,7 @@ func (d *Detector) check(prior []epoch, priorIsWrite bool, loc memmodel.Loc, cur
 		if !cur.NonAtomic && !pe.nonAtomic {
 			continue
 		}
-		if vclock.HappensBefore(int(pe.tid), pe.clock, vc) {
+		if memmodel.HappensBefore(pe.tid, pe.clock, vc) {
 			continue
 		}
 		d.found = append(d.found, Race{
@@ -169,7 +168,7 @@ func (d *Detector) check(prior []epoch, priorIsWrite bool, loc memmodel.Loc, cur
 // the accessing thread's happens-before clock at the access (its own
 // component already ticked for this event). The returned slice is scratch:
 // it is only valid until the next OnAccess call.
-func (d *Detector) OnAccess(tid memmodel.ThreadID, ev memmodel.EventID, loc memmodel.Loc, write, nonAtomic bool, clock int32, vc vclock.VC) []Race {
+func (d *Detector) OnAccess(tid memmodel.ThreadID, ev memmodel.EventID, loc memmodel.Loc, write, nonAtomic bool, clock memmodel.TS, vc memmodel.View) []Race {
 	s := d.state(loc)
 	cur := Access{TID: tid, Event: ev, Write: write, NonAtomic: nonAtomic}
 	d.found = d.found[:0]

@@ -5,18 +5,18 @@ import (
 	"testing"
 
 	"pctwm/internal/memmodel"
-	"pctwm/internal/vclock"
 )
 
 func name(l memmodel.Loc) string { return "x" }
 
 // clockFor builds a clock for thread t at time n, optionally covering
 // other epochs.
-func clockFor(t int, n int32, covers ...[2]int32) vclock.VC {
-	var v vclock.VC
-	v.Set(t, n)
-	for _, c := range covers {
-		v.Set(int(c[0]), c[1])
+func clockFor(t int, n int32, covers ...[2]int32) memmodel.View {
+	var v memmodel.View
+	for _, c := range append(covers, [2]int32{int32(t), n}) {
+		for i := int32(0); i < c[1]; i++ {
+			v.Tick(memmodel.ThreadID(c[0]))
+		}
 	}
 	return v
 }
