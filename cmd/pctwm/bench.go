@@ -117,7 +117,15 @@ func benchCmd(args []string, stdout, stderr io.Writer) int {
 			factory := col.factory(d)
 			camp := cp.Campaign
 			camp.Telemetry = *telFlag
+			// A cell's label names the flags its strategy depends on, so
+			// a resume under another -d or -y starts the cell over.
 			camp.CheckpointCell = b.Name + "/" + col.name
+			switch col.name {
+			case "pct":
+				camp.CheckpointCell += fmt.Sprintf("-d%d", d)
+			case "pctwm":
+				camp.CheckpointCell += fmt.Sprintf("-d%d-h%d", d, t.history)
+			}
 			res := harness.RunCampaign(prog, b.Detect, func() engine.Strategy { return factory(est) },
 				t.runs, t.seed+int64(10*i), opts, camp)
 			bundles += reportFailures(c, b.Name, col.name, res)

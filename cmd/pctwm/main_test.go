@@ -135,3 +135,24 @@ func TestUsageErrors(t *testing.T) {
 		})
 	}
 }
+
+// TestBenchResumeOtherDepth: bench keys its checkpoint cells by the depth
+// and history its strategies run with, so resuming a -d 1 checkpoint with
+// -d 3 prints the matrix of a fresh -d 3 run, not the stored -d 1 rates.
+func TestBenchResumeOtherDepth(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	matrix := func(args ...string) string {
+		args = append([]string{"bench", "-bench", "rwlock", "-runs", "300"}, args...)
+		code, stdout, stderr := call(args...)
+		if code != 0 {
+			t.Fatalf("%s: exit %d\nstdout:\n%s\nstderr:\n%s", strings.Join(args, " "), code, stdout, stderr)
+		}
+		// Drop the closing "(… total)" line: it holds the wall time.
+		return stdout[:strings.LastIndex(strings.TrimSuffix(stdout, "\n"), "\n")+1]
+	}
+	matrix("-d", "1", "-checkpoint-dir", dir)
+	resumed := matrix("-d", "3", "-resume", dir)
+	if fresh := matrix("-d", "3"); resumed != fresh {
+		t.Fatalf("resumed -d 3 matrix differs from a fresh -d 3 run:\nresumed:\n%s\nfresh:\n%s", resumed, fresh)
+	}
+}

@@ -35,10 +35,10 @@ const DefaultCheckpointEvery = 5000
 // bit-identical totals to an uninterrupted run at any worker count.
 //
 // One spec is shared by every campaign of a process (each campaign cell
-// gets its own subdirectory under Dir, keyed by program/seed/runs/model
-// plus Campaign.CheckpointCell); the degraded flag is deliberately
-// sticky across cells — once the directory proves unwritable, the whole
-// report is marked.
+// gets its own subdirectory under Dir, keyed by program/seed/runs/model,
+// coverage and telemetry, plus Campaign.CheckpointCell); the degraded
+// flag is deliberately sticky across cells — once the directory proves
+// unwritable, the whole report is marked.
 type CheckpointSpec struct {
 	// Dir is the checkpoint directory (required; "" disables the layer).
 	Dir string
@@ -104,30 +104,37 @@ func (s *CheckpointSpec) degrade(err error, m *telemetry.Metrics) {
 // campaignKey identifies one campaign cell: the identity a checkpoint
 // must match to be resumed into it. Strategy identity is deliberately
 // not part of the key (strategy factories cannot be probed without
-// consuming stateful ones); callers that run several strategies over the
-// same (program, seed, runs) disambiguate with Campaign.CheckpointCell.
+// consuming stateful ones); callers that run several strategies, or one
+// strategy with several parameters, over the same (program, seed, runs)
+// disambiguate with Campaign.CheckpointCell. Coverage and Telemetry are
+// part of the key because a checkpoint taken without them holds no
+// coverage set or counters to resume.
 type campaignKey struct {
-	Cell    string `json:"cell,omitempty"`
-	Program string `json:"program"`
-	Threads int    `json:"threads"`
-	Locs    int    `json:"locs"`
-	Seed    int64  `json:"seed"`
-	Runs    int    `json:"runs"`
-	Model   string `json:"model"`
+	Cell      string `json:"cell,omitempty"`
+	Program   string `json:"program"`
+	Threads   int    `json:"threads"`
+	Locs      int    `json:"locs"`
+	Seed      int64  `json:"seed"`
+	Runs      int    `json:"runs"`
+	Model     string `json:"model"`
+	Coverage  bool   `json:"coverage,omitempty"`
+	Telemetry bool   `json:"telemetry,omitempty"`
 }
 
-func newCampaignKey(cell string, prog *engine.Program, seed int64, runs int, model string) campaignKey {
+func newCampaignKey(camp Campaign, prog *engine.Program, seed int64, runs int, model string) campaignKey {
 	if model == "" {
 		model = engine.ModelRC11
 	}
 	return campaignKey{
-		Cell:    cell,
-		Program: prog.Name(),
-		Threads: prog.NumThreads(),
-		Locs:    prog.NumLocs(),
-		Seed:    seed,
-		Runs:    runs,
-		Model:   model,
+		Cell:      camp.CheckpointCell,
+		Program:   prog.Name(),
+		Threads:   prog.NumThreads(),
+		Locs:      prog.NumLocs(),
+		Seed:      seed,
+		Runs:      runs,
+		Model:     model,
+		Coverage:  camp.Coverage,
+		Telemetry: camp.Telemetry,
 	}
 }
 
@@ -260,7 +267,7 @@ func openCheckpoint(prog *engine.Program, seed int64, runs int, model string, ca
 	if spec == nil || spec.Dir == "" {
 		return nil, 0
 	}
-	key := newCampaignKey(camp.CheckpointCell, prog, seed, runs, model)
+	key := newCampaignKey(camp, prog, seed, runs, model)
 	ck := &campaignCheckpoint{spec: spec, key: key,
 		store: &checkpoint.Store{FS: spec.fsys(), Dir: filepath.Join(spec.Dir, key.dirName())}}
 	if camp.Metrics != nil {

@@ -265,7 +265,7 @@ func TestCheckpointUndecodablePayloadRestarts(t *testing.T) {
 	ref := RunCampaign(prog, b.Detect, newStrategy, runs, seed, opts, Campaign{Workers: 2})
 
 	dir := t.TempDir()
-	key := newCampaignKey("", prog, seed, runs, opts.Model)
+	key := newCampaignKey(Campaign{}, prog, seed, runs, opts.Model)
 	store := &checkpoint.Store{Dir: filepath.Join(dir, key.dirName())}
 	if _, err := store.Save(key.id(), []byte("[]")); err != nil {
 		t.Fatal(err)

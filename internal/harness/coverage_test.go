@@ -149,6 +149,43 @@ func TestCoverageKillResumeDeterminism(t *testing.T) {
 	}
 }
 
+// TestResumeUnderOtherConfiguration: a checkpoint is keyed by whether
+// the campaign collected coverage and telemetry, so resuming a completed
+// campaign that collected neither with one of them on starts over from
+// trial 0 and returns what an uninterrupted campaign collects.
+func TestResumeUnderOtherConfiguration(t *testing.T) {
+	b := mustBench(t, "dekker")
+	prog := b.Program(0)
+	const runs, seed = 300, 42
+	opts := b.Options()
+	newStrategy := func() engine.Strategy { return C11Tester()(Estimate{}) }
+	for _, on := range []Campaign{{Coverage: true}, {Telemetry: true}} {
+		on.Workers = 1
+		t.Run(fmt.Sprintf("coverage=%v,telemetry=%v", on.Coverage, on.Telemetry), func(t *testing.T) {
+			ref := RunCampaign(prog, b.Detect, newStrategy, runs, seed, opts, on)
+
+			dir := filepath.Join(t.TempDir(), "ckpt")
+			off := Campaign{Workers: 1, CheckpointCell: "dekker/c11tester",
+				Checkpoint: &CheckpointSpec{Dir: dir, Every: 100}}
+			RunCampaign(prog, b.Detect, newStrategy, runs, seed, opts, off)
+
+			resume := on
+			resume.CheckpointCell = off.CheckpointCell
+			resume.Checkpoint = &CheckpointSpec{Dir: dir, Every: 100, Resume: true}
+			got := RunCampaign(prog, b.Detect, newStrategy, runs, seed, opts, resume)
+			if got.ResumedRuns != 0 {
+				t.Fatalf("resumed %d trials of a checkpoint taken under another configuration", got.ResumedRuns)
+			}
+			if on.Coverage && (got.Coverage == nil || !got.Coverage.Equal(ref.Coverage)) {
+				t.Fatalf("coverage set differs from an uninterrupted coverage-on campaign")
+			}
+			if on.Telemetry && (got.Telemetry == nil || !reflect.DeepEqual(got.Telemetry.Summary(), ref.Telemetry.Summary())) {
+				t.Fatalf("telemetry differs from an uninterrupted telemetry-on campaign")
+			}
+		})
+	}
+}
+
 // TestCoverageReproDedupe: with coverage on, the repro budget is keyed
 // by behavior fingerprint — a campaign whose failures repeat the same
 // behavior captures each distinct behavior once instead of burning the

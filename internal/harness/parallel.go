@@ -100,8 +100,9 @@ type Campaign struct {
 	// is shared across all campaigns of a process.
 	Checkpoint *CheckpointSpec
 	// CheckpointCell disambiguates campaigns that share a program, seed,
-	// runs and model (e.g. different strategy columns of a bench matrix)
-	// inside the checkpoint directory. Ignored without Checkpoint.
+	// runs and model (e.g. different strategy columns of a bench matrix,
+	// or one strategy at different depths) inside the checkpoint
+	// directory. Ignored without Checkpoint.
 	CheckpointCell string
 }
 
