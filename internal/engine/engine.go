@@ -338,9 +338,9 @@ func (e *Engine) finalize() {
 }
 
 // releaseRun drains the per-run pooled state. Message bags go back to the
-// arenas; locations and thread shells are truncated
-// in place so the next run reuses their backing storage (including, on the
-// direct path, each shell's parked goroutine).
+// arenas; locations and thread shells are truncated in place so the next
+// run reuses their backing storage (including, on the direct path, each
+// shell's parked goroutine).
 func (e *Engine) releaseRun() {
 	// Static locations stay warm (initWarm): their single init message is
 	// identical in every run of the same program, so only the writes the
