@@ -61,7 +61,8 @@ type Thread struct {
 	firstPark bool
 
 	// rc11 memory-model state (paper §5.1 / Algorithm 2), each view with
-	// its happens-before clock; empty under other backends
+	// its happens-before clock; only cur's clock, ticked per event, is
+	// non-empty under other backends
 	cur      viewClock // thread view: latest observed write per location
 	acqStash viewClock // bags stashed by relaxed reads, claimed by F⊒acq
 	relFence viewClock // view snapshot at the last release fence
