@@ -24,7 +24,7 @@ type TS int32
 // engine's happens-before clock: entry i then holds thread i's logical
 // time (Tick, HappensBefore) instead of Loc(i+1)'s timestamp.
 type View struct {
-	ts []TS // ts[i] is the timestamp for Loc(i+1); trailing zeros implied
+	ts []TS // ts[i]: Loc(i+1)'s timestamp (in a clock, thread i's time); trailing zeros implied
 }
 
 // at returns entry i (0 beyond the stored prefix).
