@@ -119,14 +119,27 @@ func TestViewBasics(t *testing.T) {
 	if c.Get(1) != 0 || c.Get(2) != 0 {
 		t.Fatal("Reset left entries behind")
 	}
-	// A clock is a View indexed by thread.
+}
+
+// TestClockBasics checks a View used as a happens-before clock: entry i
+// is thread i's logical time, advanced by Tick.
+func TestClockBasics(t *testing.T) {
 	var clock View
+	if clock.at(3) != 0 {
+		t.Fatal("zero clock not empty")
+	}
 	if n := clock.Tick(2); n != 1 {
 		t.Fatalf("Tick = %d, want 1", n)
 	}
 	clock.Tick(0)
-	if clock.Tick(0) != 2 || clock.Tick(2) != 2 {
+	if clock.Tick(0) != 2 || clock.at(2) != 1 || clock.at(1) != 0 {
 		t.Fatal("Tick components wrong")
+	}
+	var c View
+	c.CopyFrom(clock)
+	c.Tick(0)
+	if clock.at(0) != 2 {
+		t.Fatal("CopyFrom aliases the original clock")
 	}
 }
 
@@ -175,7 +188,7 @@ func equal(a, b View) bool { return leq(a, b) && leq(b, a) }
 
 // TestViewJoinLattice checks the join-semilattice laws of ⊔mo with
 // property-based testing: commutativity, associativity, idempotence, and
-// that join is the least upper bound. Clocks join with the same Join.
+// that join is the least upper bound.
 func TestViewJoinLattice(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -220,6 +233,57 @@ func TestViewJoinLattice(t *testing.T) {
 			return false
 		}
 		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// randomClock builds a clock over threads 0..3 from fuzz input.
+func randomClock(r *rand.Rand) View {
+	var v View
+	for i, n := 0, r.Intn(8); i < n; i++ {
+		v.Tick(ThreadID(r.Intn(4)))
+	}
+	return v
+}
+
+// clockLeq reports a ⊑ b pointwise over the threads randomClock uses.
+func clockLeq(a, b View) bool {
+	for i := 0; i < 4; i++ {
+		if a.at(i) > b.at(i) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestClockJoinLattice checks the semilattice laws of Join on clocks:
+// commutativity, associativity, idempotence, and that a⊔b bounds a and b.
+func TestClockJoinLattice(t *testing.T) {
+	prop := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		a, b, c := randomClock(r), randomClock(r), randomClock(r)
+
+		ab := clone(a)
+		ab.Join(b)
+		ba := clone(b)
+		ba.Join(a)
+		if !clockLeq(ab, ba) || !clockLeq(ba, ab) {
+			return false // commutativity
+		}
+		abc1 := clone(ab)
+		abc1.Join(c)
+		bc := clone(b)
+		bc.Join(c)
+		abc2 := clone(a)
+		abc2.Join(bc)
+		if !clockLeq(abc1, abc2) || !clockLeq(abc2, abc1) {
+			return false // associativity
+		}
+		aa := clone(a)
+		aa.Join(a)
+		return clockLeq(aa, a) && clockLeq(a, aa) && clockLeq(a, ab) && clockLeq(b, ab)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
