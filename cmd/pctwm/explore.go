@@ -52,7 +52,7 @@ func exploreCmd(args []string, stdout, stderr io.Writer) int {
 	test := c.String("t", "", "litmus test name (empty = all)")
 	limit := c.Int("limit", 2000000, "maximum executions to explore per test")
 	workers := c.Int("workers", 0, "exploration workers (0 = GOMAXPROCS, 1 = serial; results identical)")
-	stats := c.Bool("stats", false, "print explorer telemetry (runs/steals/pruned) per test")
+	stats := c.Bool("stats", false, "print explorer telemetry (runs/pruned) per test")
 	census := c.String("census", "", "write the ground-truth behavior census of the explored tests to this JSON file")
 	model := c.model("memory model backend: rc11, sc, tso")
 	if code, ok := c.parse(args); !ok {
@@ -101,8 +101,7 @@ func exploreCmd(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "%s (%s) [model %s]\n", lt.Name, lt.Description, model.name)
 		fmt.Fprintf(stdout, "  %d executions, complete=%v\n", res.Runs, res.Complete)
 		if *stats {
-			fmt.Fprintf(stdout, "  explorer: %d engine runs, %d steals, %d pruned subtrees\n",
-				tel.ExploreRuns, tel.ExploreSteals, tel.ExplorePruned)
+			fmt.Fprintf(stdout, "  explorer: %d engine runs, %d pruned subtrees\n", tel.ExploreRuns, tel.ExplorePruned)
 		}
 		exp := lt.Expect(model.name)
 		for _, k := range slices.Sorted(maps.Keys(counts)) {
@@ -125,6 +124,10 @@ func exploreCmd(args []string, stdout, stderr io.Writer) int {
 			}
 			fmt.Fprintf(stdout, "  census: %d distinct behavior(s), complete=%v\n", len(cen.Behaviors), cen.Complete)
 			censuses = append(censuses, cen)
+			if ctx.Err() != nil {
+				interrupted = true
+				c.logf("%s: census interrupted after %d executions (partial census not written)", lt.Name, cen.Runs)
+			}
 		}
 		fmt.Fprintln(stdout)
 		if interrupted {

@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"io/fs"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -154,5 +158,69 @@ func TestBenchResumeOtherDepth(t *testing.T) {
 	resumed := matrix("-d", "3", "-resume", dir)
 	if fresh := matrix("-d", "3"); resumed != fresh {
 		t.Fatalf("resumed -d 3 matrix differs from a fresh -d 3 run:\nresumed:\n%s\nfresh:\n%s", resumed, fresh)
+	}
+}
+
+// watchedOutput is a stdout the test reads while a command writes it:
+// seen is closed once the output contains want.
+type watchedOutput struct {
+	mu   sync.Mutex
+	buf  bytes.Buffer
+	want string
+	seen chan struct{}
+}
+
+func (w *watchedOutput) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	n, err := w.buf.Write(p)
+	if w.want != "" && strings.Contains(w.buf.String(), w.want) {
+		w.want = ""
+		close(w.seen)
+	}
+	return n, err
+}
+
+func (w *watchedOutput) String() string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.buf.String()
+}
+
+// TestExploreCensusInterrupted: a SIGINT that lands after the outcome
+// histogram, while explore -census enumerates the census, is an
+// interruption like one during the histogram: exit 1 and no census file.
+func TestExploreCensusInterrupted(t *testing.T) {
+	// Catch the signal here too, so that one delivered after the command
+	// has released its own handler cannot kill the test binary.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt)
+	defer signal.Stop(sig)
+
+	file := filepath.Join(t.TempDir(), "census.json")
+	stdout := &watchedOutput{want: "complete=true", seen: make(chan struct{})}
+	var stderr bytes.Buffer
+	done := make(chan int, 1)
+	go func() {
+		done <- pctwm([]string{"explore", "-t", "CoRR2", "-workers", "1", "-census", file}, stdout, &stderr)
+	}()
+	select {
+	case <-stdout.seen:
+	case code := <-done:
+		t.Fatalf("exit %d before the histogram completed\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
+	}
+	self, err := os.FindProcess(os.Getpid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := self.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	<-sig
+	if code := <-done; code != 1 {
+		t.Errorf("exit %d, want 1\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
+	}
+	if _, err := os.Stat(file); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("interrupted census written to %s (stat: %v)", file, err)
 	}
 }

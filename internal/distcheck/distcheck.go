@@ -86,9 +86,24 @@ type Strategy struct {
 	Bound func(p Params) float64
 }
 
+// The fixed statistical parameters of every check.
+const (
+	// alpha is the significance level for the chi-square and G tests:
+	// strict enough to catch the collision bias within a few thousand
+	// rounds, loose enough that a correct strategy passes any reasonable
+	// seed.
+	alpha = 1e-3
+	// wilsonZ is the Wilson interval width for the bound check (95%).
+	wilsonZ = 1.96
+	// permThreads is the width t of the synthetic permutation check (t!
+	// bins).
+	permThreads = 4
+)
+
 // Config tunes the conformance campaign. The zero value is usable: every
 // field has a default chosen so the fixed-seed CI suite passes on the
-// correct strategies and fails on the colliding fixture.
+// correct strategies and fails on the colliding fixture. The exhaustive
+// enumerations are uncapped: a truncated census is not ground truth.
 type Config struct {
 	// Runs is the number of executions per (program, strategy) cell.
 	// Default 4000.
@@ -97,23 +112,8 @@ type Config struct {
 	// deterministically from it, so results are independent of check
 	// ordering. Default 1.
 	Seed int64 `json:"seed"`
-	// Alpha is the significance level for the chi-square and G tests.
-	// Default 1e-3: strict enough to catch the collision bias within a
-	// few thousand rounds, loose enough that a correct strategy passes
-	// any reasonable seed.
-	Alpha float64 `json:"alpha"`
-	// Z is the Wilson interval width for the bound check. Default 1.96
-	// (95%).
-	Z float64 `json:"z"`
-	// PermThreads is the width t of the synthetic permutation check
-	// (t! bins). Default 4.
-	PermThreads int `json:"permThreads"`
 	// PermRounds is the number of synthetic rounds. Default 6000.
 	PermRounds int `json:"permRounds"`
-	// EnumLimit caps the exhaustive enumerations (0 = unlimited); a
-	// program too large to enumerate under the cap is an error, since a
-	// truncated census is not ground truth.
-	EnumLimit int `json:"-"`
 	// Options are the engine options for both the enumerations and the
 	// empirical campaigns (model selection in particular). Coverage is
 	// forced on.
@@ -126,15 +126,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.Alpha == 0 {
-		c.Alpha = 1e-3
-	}
-	if c.Z == 0 {
-		c.Z = 1.96
-	}
-	if c.PermThreads == 0 {
-		c.PermThreads = 4
 	}
 	if c.PermRounds == 0 {
 		c.PermRounds = 6000
@@ -214,7 +205,7 @@ func Run(programs []Program, strategies []Strategy, cfg Config) (*Report, error)
 		}
 	}
 	for _, pr := range programs {
-		census, err := enumerate.BehaviorCensus(pr.Prog, cfg.Options, enumerate.Config{Limit: cfg.EnumLimit})
+		census, err := enumerate.BehaviorCensus(pr.Prog, cfg.Options, enumerate.Config{})
 		if err != nil {
 			return nil, fmt.Errorf("distcheck: census of %s: %w", pr.Prog.Name(), err)
 		}
@@ -224,7 +215,7 @@ func Run(programs []Program, strategies []Strategy, cfg Config) (*Report, error)
 		var probs map[uint64]float64
 		var errMass float64
 		if needProbs {
-			probs, errMass, err = enumerate.BehaviorProbs(pr.Prog, cfg.Options, cfg.EnumLimit)
+			probs, errMass, err = enumerate.BehaviorProbs(pr.Prog, cfg.Options, 0)
 			if err != nil {
 				return nil, fmt.Errorf("distcheck: %w", err)
 			}
@@ -337,7 +328,7 @@ func uniformCheck(pr Program, st Strategy, counts map[uint64]int, clean int, pro
 	}
 	res.Stat = stats.GStat(obs, exp)
 	res.P = stats.ChiSquareP(res.Stat, df)
-	res.Pass = res.P >= cfg.Alpha
+	res.Pass = res.P >= alpha
 	res.Detail = fmt.Sprintf("G=%.2f df=%d over %d clean runs", res.Stat, df, clean)
 	return res
 }
@@ -353,7 +344,7 @@ func boundCheck(pr Program, st Strategy, counts map[uint64]int, census *enumerat
 	worst := 200.0
 	for _, e := range census.Behaviors {
 		hits := counts[e.FP]
-		_, high := stats.Wilson(hits, cfg.Runs, cfg.Z)
+		_, high := stats.Wilson(hits, cfg.Runs, wilsonZ)
 		if high < worst {
 			worst = high
 		}
@@ -377,7 +368,7 @@ func boundCheck(pr Program, st Strategy, counts map[uint64]int, census *enumerat
 // never fire, and the ops carry Comm=false, so PCTWM never delays: the
 // check isolates exactly the initial priority assignment.
 func permutationCheck(st Strategy, cfg Config) (CheckResult, error) {
-	t := cfg.PermThreads
+	t := permThreads
 	nperm := 1
 	for i := 2; i <= t; i++ {
 		nperm *= i
@@ -418,7 +409,7 @@ func permutationCheck(st Strategy, cfg Config) (CheckResult, error) {
 	res := CheckResult{Check: "permutation", Strategy: st.Name}
 	res.Stat = stats.ChiSquareStat(counts, exp)
 	res.P = stats.ChiSquareP(res.Stat, nperm-1)
-	res.Pass = res.P >= cfg.Alpha
+	res.Pass = res.P >= alpha
 	res.Detail = fmt.Sprintf("chi2=%.2f over %d rounds, %d! orderings", res.Stat, cfg.PermRounds, t)
 	return res, nil
 }

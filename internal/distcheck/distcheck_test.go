@@ -12,11 +12,11 @@ import (
 )
 
 func enumCensus(pr Program, cfg Config) (*enumerate.Census, error) {
-	return enumerate.BehaviorCensus(pr.Prog, cfg.Options, enumerate.Config{Limit: cfg.EnumLimit})
+	return enumerate.BehaviorCensus(pr.Prog, cfg.Options, enumerate.Config{})
 }
 
 func enumProbs(pr Program, cfg Config) (map[uint64]float64, float64, error) {
-	return enumerate.BehaviorProbs(pr.Prog, cfg.Options, cfg.EnumLimit)
+	return enumerate.BehaviorProbs(pr.Prog, cfg.Options, 0)
 }
 
 // testPrograms is the small-litmus conformance set: programs tiny enough

@@ -128,6 +128,18 @@ const (
 	watchdogMask     = watchdogInterval - 1
 )
 
+const (
+	// spinThreshold is the number of consecutive identical loads after
+	// which the strategy's OnSpin fires.
+	spinThreshold = 12
+	// stallWindow is the number of scheduler steps without a write, RMW or
+	// thread completion after which OnSpin fires regardless of the spin
+	// pattern.
+	stallWindow = 256
+	// maxRaces caps the number of reported races.
+	maxRaces = 16
+)
+
 // fvEntry is one interned FinalValues map: the value vector (in static
 // location order) it was built from, its FNV-1a hash (short-circuits the
 // lookup scan), and the shared map.
@@ -242,7 +254,7 @@ func (e *Engine) reset(strat Strategy, seed int64) {
 	}
 	if e.opts.DetectRaces {
 		if e.det == nil {
-			e.det = race.NewDetector(e.locName, e.opts.MaxRaces)
+			e.det = race.NewDetector(e.locName, maxRaces)
 		} else {
 			e.det.Reset()
 		}
@@ -471,7 +483,7 @@ func (e *Engine) driveStep() (granted *Thread, res response, ended bool) {
 	if e.stopped {
 		return nil, response{}, true
 	}
-	if e.stepsSinceProgress >= e.opts.StallWindow {
+	if e.stepsSinceProgress >= stallWindow {
 		e.stepsSinceProgress = 0
 		e.strat.OnSpin(tid)
 	}

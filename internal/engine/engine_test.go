@@ -281,7 +281,7 @@ func TestSpinDetection(t *testing.T) {
 	})
 	p.AddThread(func(th *Thread) { th.Store(f, 1, memmodel.Relaxed) })
 	s := &scriptStrategy{readPick: 0}
-	run(t, p, s, Options{SpinThreshold: 8})
+	run(t, p, s, Options{})
 	if len(s.spins) == 0 {
 		t.Fatal("spin loop not detected")
 	}

@@ -213,7 +213,7 @@ func (e *Engine) pickRead(t *Thread, l memmodel.Loc, ord memmodel.Order, rmwFail
 func (e *Engine) spinCheck(t *Thread, l memmodel.Loc, v memmodel.Value) {
 	if t.spinLoc == l && t.spinVal == v {
 		t.spinCount++
-		if t.spinCount >= e.opts.SpinThreshold && t.spinCount%e.opts.SpinThreshold == 0 {
+		if t.spinCount >= spinThreshold && t.spinCount%spinThreshold == 0 {
 			e.strat.OnSpin(t.id)
 		}
 		return

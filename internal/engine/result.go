@@ -192,21 +192,12 @@ type Options struct {
 	// with a CanceledError, releasing coroutines with no goroutine leaks.
 	// An un-canceled Context does not perturb schedules or outcomes.
 	Context context.Context `json:"-"`
-	// SpinThreshold is the number of consecutive identical loads after
-	// which the strategy's OnSpin fires. 0 means the default of 12.
-	SpinThreshold int
-	// StallWindow is the number of scheduler steps without a write, RMW or
-	// thread completion after which OnSpin fires regardless of the spin
-	// pattern. 0 means the default of 256.
-	StallWindow int
 	// StopOnBug ends the execution at the first failed assertion.
 	StopOnBug bool
 	// Record captures the execution graph for consistency checking.
 	Record bool
 	// DetectRaces enables the vector-clock data race detector.
 	DetectRaces bool
-	// MaxRaces caps the number of reported races (default 16).
-	MaxRaces int
 	// Coverage computes a canonical behavior fingerprint per run
 	// (Outcome.BehaviorFP) from a per-Runner scratch accumulator. The
 	// hook is allocation-free in steady state and costs a few percent of
@@ -231,15 +222,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxSteps == 0 {
 		o.MaxSteps = 100000
-	}
-	if o.SpinThreshold == 0 {
-		o.SpinThreshold = 12
-	}
-	if o.StallWindow == 0 {
-		o.StallWindow = 256
-	}
-	if o.MaxRaces == 0 {
-		o.MaxRaces = 16
 	}
 	return o
 }

@@ -134,6 +134,29 @@ func (s *scripted) PickRead(rc engine.ReadContext) int {
 	return s.decide(len(rc.Candidates))
 }
 
+// run replays script on r, with want[i] the arity recorded for
+// script[i], and counts the execution into tel (may be nil). On return
+// s.arity holds the run's decision arities and s.drift is non-nil when
+// the replay diverged from the recording — including a replay that
+// ended before reaching a scripted decision.
+func (s *scripted) run(r *engine.Runner, script, want []int, tel *telemetry.EngineCounters) *engine.Outcome {
+	s.script, s.want = script, want
+	o := r.Run(s, 0)
+	if tel != nil {
+		tel.ExploreRuns++
+	}
+	if s.drift == nil && len(s.arity) < len(script) {
+		// The run that recorded this script made a decision at position
+		// len(s.arity); the replay ended before reaching it.
+		s.drift = &DriftError{
+			Index:  len(s.arity),
+			Want:   want[len(s.arity)],
+			Prefix: append([]int(nil), script...),
+		}
+	}
+	return o
+}
+
 // Result summarizes an exhaustive exploration.
 //
 // Runs, Complete, and Truncated are pure functions of (program, options,
@@ -243,24 +266,7 @@ func dfs(r *engine.Runner, prefix, want []int, limit int, tel *telemetry.EngineC
 			res.stopped = true
 			return res
 		}
-		s.script, s.want = script, expect
-		o := r.Run(s, 0)
-		if tel != nil {
-			tel.ExploreRuns++
-		}
-		if s.drift == nil && len(s.arity) < len(script) {
-			// The run that recorded this script made a decision at position
-			// len(s.arity); the replay ended before reaching it.
-			w := 0
-			if len(s.arity) < len(expect) {
-				w = expect[len(s.arity)]
-			}
-			s.drift = &DriftError{
-				Index:  len(s.arity),
-				Want:   w,
-				Prefix: append([]int(nil), script...),
-			}
-		}
+		o := s.run(r, script, expect, tel)
 		if s.drift != nil {
 			res.drift = s.drift
 			return res
@@ -298,6 +304,14 @@ func dfs(r *engine.Runner, prefix, want []int, limit int, tel *telemetry.EngineC
 		script = script[:i+1]
 		script[i]++
 		expect = append(expect[:0], s.arity[:i+1]...)
+	}
+}
+
+// tally returns a dfs visitor that counts each leaf under its key in m.
+func tally(m map[string]int, key func(*engine.Outcome) string) func(*engine.Outcome, []int) bool {
+	return func(o *engine.Outcome, _ []int) bool {
+		m[key(o)]++
+		return true
 	}
 }
 
@@ -355,10 +369,7 @@ func Outcomes(p *engine.Program, opts engine.Options, cfg Config, key func(*engi
 	counts := make(map[string]int)
 	r := engine.NewRunner(p, opts)
 	defer r.Close()
-	sub := dfs(r, nil, nil, cfg.Limit, opts.Telemetry, ctxStop(cfg.Context), func(o *engine.Outcome, _ []int) bool {
-		counts[key(o)]++
-		return true
-	})
+	sub := dfs(r, nil, nil, cfg.Limit, opts.Telemetry, ctxStop(cfg.Context), tally(counts, key))
 	if sub.drift != nil {
 		return nil, Result{Drift: sub.drift}
 	}

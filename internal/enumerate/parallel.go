@@ -1,10 +1,10 @@
 // Parallel exhaustive exploration: the decision tree is expanded
-// serially to a shallow frontier, the disjoint subtrees below the
-// frontier are sharded across a work-stealing worker pool (each worker
-// owns one pooled engine.Runner), and per-subtree outcome counts are
-// merged in lexicographic frontier order so the final counts and Result
-// are bit-identical to a serial exploration — including where a run
-// limit truncates the tree.
+// serially to a shallow frontier, worker goroutines (each owning one
+// pooled engine.Runner) claim the disjoint subtrees below the frontier
+// in frontier order, and per-subtree outcome counts are merged in
+// lexicographic frontier order so the final counts and Result are
+// bit-identical to a serial exploration — including where a run limit
+// truncates the tree.
 //
 // Determinism argument. The frontier units partition the leaf set, and
 // their order is the depth-first script order, so concatenating the
@@ -23,6 +23,7 @@
 package enumerate
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -41,29 +42,17 @@ const (
 	maxFrontierDepth = 64
 )
 
-// unit is one shard of the decision tree in frontier order: either a
-// single leaf already explored during expansion, or an unexplored
-// subtree rooted at prefix.
+// unit is one shard of the decision tree in frontier order: the subtree
+// of every execution whose decision sequence extends prefix.
 type unit struct {
 	prefix []int
 	// want holds the recorded arity at each prefix position (drift
 	// detection on re-descent).
 	want []int
-	leaf bool
-	// Discovery-run classification, valid for leaf units only.
-	key       string
-	truncated bool
-}
-
-// expNode is a frontier node during expansion. tail holds the discovery
-// run's recorded arities below prefix (its all-zeros descent); an empty
-// tail means the run ended exactly at prefix — the node is a leaf.
-type expNode struct {
-	prefix    []int
-	want      []int
-	tail      []int
-	key       string
-	truncated bool
+	// tail holds the discovery run's recorded arities below prefix (its
+	// all-zeros descent) while the frontier is expanded; an empty tail
+	// means the run ended exactly at prefix — the unit is a single leaf.
+	tail []int
 }
 
 func appendCopy(s []int, v int) []int {
@@ -80,31 +69,15 @@ func appendCopy(s []int, v int) []int {
 // arities of the whole all-zeros descent below it), so expansion costs
 // one engine run per non-zero child only — the trie of recorded
 // arities is what lets re-descents skip already-known structure.
-func expandFrontier(r *engine.Runner, target int, keyFn func(*engine.Outcome) string,
-	tel *telemetry.EngineCounters, stop func() bool) (units []unit, interrupted bool, drift *DriftError) {
-	probe := func(prefix, want []int) (*expNode, *DriftError) {
-		s := &scripted{script: prefix, want: want}
-		o := r.Run(s, 0)
-		if tel != nil {
-			tel.ExploreRuns++
-		}
-		if s.drift == nil && len(s.arity) < len(prefix) {
-			w := 0
-			if len(s.arity) < len(want) {
-				w = want[len(s.arity)]
-			}
-			s.drift = &DriftError{Index: len(s.arity), Want: w, Prefix: append([]int(nil), prefix...)}
-		}
+func expandFrontier(r *engine.Runner, target int, tel *telemetry.EngineCounters,
+	stop func() bool) (level []unit, interrupted bool, drift *DriftError) {
+	s := &scripted{}
+	probe := func(prefix, want []int) (unit, *DriftError) {
+		s.run(r, prefix, want, tel)
 		if s.drift != nil {
-			return nil, s.drift
+			return unit{}, s.drift
 		}
-		return &expNode{
-			prefix:    prefix,
-			want:      want,
-			tail:      append([]int(nil), s.arity[len(prefix):]...),
-			key:       keyFn(o),
-			truncated: o.Aborted,
-		}, nil
+		return unit{prefix, want, append([]int(nil), s.arity[len(prefix):]...)}, nil
 	}
 
 	if stop != nil && stop() {
@@ -114,37 +87,24 @@ func expandFrontier(r *engine.Runner, target int, keyFn func(*engine.Outcome) st
 	if derr != nil {
 		return nil, false, derr
 	}
-	level := []*expNode{root}
-	for depth := 0; depth < maxFrontierDepth && len(level) < target; depth++ {
+	level = []unit{root}
+	internal := func(u unit) bool { return len(u.tail) > 0 }
+	for depth := 0; depth < maxFrontierDepth && len(level) < target && slices.ContainsFunc(level, internal); depth++ {
 		if stop != nil && stop() {
 			return nil, true, nil
 		}
-		internal := 0
-		for _, n := range level {
-			if len(n.tail) > 0 {
-				internal++
-			}
-		}
-		if internal == 0 {
-			break
-		}
-		next := make([]*expNode, 0, 2*len(level))
-		for _, n := range level {
-			if len(n.tail) == 0 {
-				next = append(next, n)
+		next := make([]unit, 0, 2*len(level))
+		for _, u := range level {
+			if !internal(u) {
+				next = append(next, u)
 				continue
 			}
-			arity := n.tail[0]
+			arity := u.tail[0]
+			want := appendCopy(u.want, arity)
 			// Child 0 is the continuation of the discovery run.
-			next = append(next, &expNode{
-				prefix:    appendCopy(n.prefix, 0),
-				want:      appendCopy(n.want, arity),
-				tail:      n.tail[1:],
-				key:       n.key,
-				truncated: n.truncated,
-			})
+			next = append(next, unit{appendCopy(u.prefix, 0), want, u.tail[1:]})
 			for c := 1; c < arity; c++ {
-				child, derr := probe(appendCopy(n.prefix, c), appendCopy(n.want, arity))
+				child, derr := probe(appendCopy(u.prefix, c), want)
 				if derr != nil {
 					return nil, false, derr
 				}
@@ -153,74 +113,29 @@ func expandFrontier(r *engine.Runner, target int, keyFn func(*engine.Outcome) st
 		}
 		level = next
 	}
-	units = make([]unit, len(level))
-	for i, n := range level {
-		units[i] = unit{
-			prefix:    n.prefix,
-			want:      n.want,
-			leaf:      len(n.tail) == 0,
-			key:       n.key,
-			truncated: n.truncated,
-		}
-	}
-	return units, false, nil
+	return level, false, nil
 }
 
-// stealQueues distributes unit indices over per-worker FIFO queues. A
-// worker pops its own queue from the front; when empty it steals from
-// the back of the longest other queue, keeping stolen subtrees as far
-// as possible from the victim's current position.
-type stealQueues struct {
-	mu sync.Mutex
-	qs [][]int
-}
-
-func newStealQueues(indices []int, workers int) *stealQueues {
-	sq := &stealQueues{qs: make([][]int, workers)}
-	for j, idx := range indices {
-		w := j % workers
-		sq.qs[w] = append(sq.qs[w], idx)
-	}
-	return sq
-}
-
-func (q *stealQueues) pop(w int) (idx int, stole, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if own := q.qs[w]; len(own) > 0 {
-		idx = own[0]
-		q.qs[w] = own[1:]
-		return idx, false, true
-	}
-	victim, best := -1, 0
-	for v := range q.qs {
-		if l := len(q.qs[v]); l > best {
-			victim, best = v, l
-		}
-	}
-	if victim < 0 {
-		return 0, false, false
-	}
-	last := len(q.qs[victim]) - 1
-	idx = q.qs[victim][last]
-	q.qs[victim] = q.qs[victim][:last]
-	return idx, true, true
-}
-
-// explorePool coordinates the workers: per-unit results in frontier
-// order, a coverage monitor that raises the stop flag once the ordered
-// prefix of finalized units covers the run limit, and a drift flag that
-// aborts everything.
+// explorePool coordinates the workers: a claim cursor over the units,
+// per-unit results in frontier order, a coverage monitor that raises
+// the stop flag once the ordered prefix of finalized units covers the
+// run limit, and a drift flag that aborts everything.
 type explorePool struct {
 	units   []unit
+	next    atomic.Int64
 	results []*subtreeResult
 	counts  []map[string]int
 	limit   int
+	ctxDone func() bool
 	mu      sync.Mutex
 	stop    atomic.Bool
 }
 
-func (e *explorePool) stopped() bool { return e.stop.Load() }
+// stopped reports whether workers should quit: the run limit is
+// covered, a unit drifted, or the context was canceled.
+func (e *explorePool) stopped() bool {
+	return e.stop.Load() || (e.ctxDone != nil && e.ctxDone())
+}
 
 // finish records a unit's exploration result and re-evaluates coverage.
 func (e *explorePool) finish(i int, r *subtreeResult, m map[string]int) {
@@ -244,8 +159,7 @@ func (e *explorePool) updateCoverage() {
 		return
 	}
 	covered := 0
-	for i := range e.units {
-		r := e.results[i]
+	for _, r := range e.results {
 		if r == nil || r.stopped {
 			return
 		}
@@ -257,135 +171,84 @@ func (e *explorePool) updateCoverage() {
 	}
 }
 
-// parallelOutcomes is the Workers != 1 path of Outcomes.
+// work is one worker's loop: claim the next unit in frontier order,
+// explore it on r, and record the result, until every unit is claimed.
+// Units claimed after the stop flag rose are recorded as stopped
+// without an engine run; the merge never reaches them.
+func (e *explorePool) work(r *engine.Runner, tel *telemetry.EngineCounters, key func(*engine.Outcome) string) {
+	for {
+		i := int(e.next.Add(1)) - 1
+		if i >= len(e.units) {
+			return
+		}
+		sub := subtreeResult{stopped: true}
+		var m map[string]int
+		if !e.stopped() {
+			m = make(map[string]int)
+			sub = dfs(r, e.units[i].prefix, e.units[i].want, e.limit, tel, e.stopped, tally(m, key))
+		}
+		if sub.stopped && tel != nil {
+			tel.ExplorePruned++
+		}
+		e.finish(i, &sub, m)
+	}
+}
+
+// parallelOutcomes is the Workers != 1 path of Outcomes. The
+// coordinator's Runner runs only before the workers start (expansion)
+// and after they drain (merge re-descents), so it counts into the
+// caller's telemetry directly; each worker counts into a private shard,
+// merged after the pool drains (the RunCampaign contract).
 func parallelOutcomes(p *engine.Program, opts engine.Options, cfg Config, key func(*engine.Outcome) string) (map[string]int, Result) {
 	workers := resolveWorkers(cfg.Workers)
 
-	// The caller's telemetry must not be written concurrently: strip it,
-	// give the coordinator and every worker their own shard, and merge
-	// after the pool drains (the RunCampaign contract).
-	base := opts.Telemetry
-	workerOpts := opts
-	workerOpts.Telemetry = nil
-	coordOpts := opts
-	var coordTel *telemetry.EngineCounters
-	if base != nil {
-		coordTel = &telemetry.EngineCounters{}
-		coordOpts.Telemetry = coordTel
-	}
-	var shards []*telemetry.EngineCounters
-	mergeTel := func() {
-		if base == nil {
-			return
-		}
-		for _, s := range shards {
-			if s != nil {
-				base.Merge(s)
-			}
-		}
-		base.Merge(coordTel)
-	}
-
 	// Phase 1: serial frontier expansion on the coordinator's Runner.
 	ctxDone := ctxStop(cfg.Context)
-	rc := engine.NewRunner(p, coordOpts)
+	rc := engine.NewRunner(p, opts)
 	defer rc.Close()
-	units, interrupted, derr := expandFrontier(rc, workers*shardFactor, key, coordTel, ctxDone)
+	units, interrupted, derr := expandFrontier(rc, workers*shardFactor, opts.Telemetry, ctxDone)
 	if derr != nil {
-		mergeTel()
 		return nil, Result{Drift: derr}
 	}
 	if interrupted {
-		mergeTel()
 		return make(map[string]int), Result{Interrupted: true}
 	}
 
+	// Phase 2: the workers claim units in frontier order.
 	pool := &explorePool{
 		units:   units,
 		results: make([]*subtreeResult, len(units)),
 		counts:  make([]map[string]int, len(units)),
 		limit:   cfg.Limit,
+		ctxDone: ctxDone,
 	}
-	var subtrees []int
-	for i, u := range units {
-		if u.leaf {
-			r := &subtreeResult{runs: 1, complete: true}
-			if u.truncated {
-				r.truncated = 1
-			}
-			pool.results[i] = r
-			pool.counts[i] = map[string]int{u.key: 1}
-		} else {
-			subtrees = append(subtrees, i)
+	shards := make([]*telemetry.EngineCounters, min(workers, len(units)))
+	var wg sync.WaitGroup
+	for w := range shards {
+		if opts.Telemetry != nil {
+			shards[w] = &telemetry.EngineCounters{}
 		}
+		wg.Add(1)
+		go func(tel *telemetry.EngineCounters) {
+			defer wg.Done()
+			wopts := opts
+			wopts.Telemetry = tel
+			r := engine.NewRunner(p, wopts)
+			defer r.Close()
+			pool.work(r, tel, key)
+		}(shards[w])
 	}
-
-	// Phase 2: work-stealing pool over the subtree shards.
-	if nw := min(workers, len(subtrees)); nw > 0 {
-		pool.mu.Lock()
-		pool.updateCoverage() // the leaf prefix alone may cover the limit
-		pool.mu.Unlock()
-		sq := newStealQueues(subtrees, nw)
-		if base != nil {
-			shards = make([]*telemetry.EngineCounters, nw)
+	wg.Wait()
+	if opts.Telemetry != nil {
+		for _, s := range shards {
+			opts.Telemetry.Merge(s)
 		}
-		var wg sync.WaitGroup
-		for w := 0; w < nw; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				wopts := workerOpts
-				var shard *telemetry.EngineCounters
-				if base != nil {
-					shard = &telemetry.EngineCounters{}
-					shards[w] = shard
-					wopts.Telemetry = shard
-				}
-				r := engine.NewRunner(p, wopts)
-				defer r.Close()
-				for {
-					idx, stole, ok := sq.pop(w)
-					if !ok {
-						return
-					}
-					if stole && shard != nil {
-						shard.ExploreSteals++
-					}
-					if pool.stopped() || (ctxDone != nil && ctxDone()) {
-						// Covered by earlier shards (or drift): skip without
-						// exploring. The merge never reaches this unit.
-						if shard != nil {
-							shard.ExplorePruned++
-						}
-						pool.finish(idx, &subtreeResult{stopped: true}, nil)
-						continue
-					}
-					u := units[idx]
-					m := make(map[string]int)
-					wstop := pool.stopped
-					if ctxDone != nil {
-						wstop = func() bool { return pool.stopped() || ctxDone() }
-					}
-					sub := dfs(r, u.prefix, u.want, pool.limit, shard, wstop,
-						func(o *engine.Outcome, _ []int) bool {
-							m[key(o)]++
-							return true
-						})
-					if sub.stopped && shard != nil {
-						shard.ExplorePruned++
-					}
-					pool.finish(idx, &sub, m)
-				}
-			}(w)
-		}
-		wg.Wait()
 	}
 
 	// Any drift aborts the whole exploration; report the one from the
 	// lexicographically earliest unit for stability.
-	for i := range units {
-		if r := pool.results[i]; r != nil && r.drift != nil {
-			mergeTel()
+	for _, r := range pool.results {
+		if r.drift != nil {
 			return nil, Result{Drift: r.drift}
 		}
 	}
@@ -393,7 +256,7 @@ func parallelOutcomes(p *engine.Program, opts engine.Options, cfg Config, key fu
 	// Phase 3: deterministic merge in frontier order.
 	counts := make(map[string]int)
 	res := Result{Complete: true}
-	for i := range units {
+	for i, u := range units {
 		if ctxDone != nil && ctxDone() {
 			// Canceled mid-merge: report the partial prefix merged so far
 			// without re-descending the remaining units (a re-descent would
@@ -413,20 +276,15 @@ func parallelOutcomes(p *engine.Program, opts engine.Options, cfg Config, key fu
 		if cfg.Limit > 0 {
 			remaining = cfg.Limit - res.Runs
 		}
-		if r == nil || r.stopped || (cfg.Limit > 0 && r.runs > remaining) {
+		if r.stopped || (cfg.Limit > 0 && r.runs > remaining) {
 			// The unit was skipped, stopped early, or explored past the
 			// budget that is actually left for it: re-descend it serially
 			// with exactly the remaining budget so the merged counts match
 			// the serial cut bit for bit. Cancellation still stops the
 			// re-descent between executions.
 			m = make(map[string]int)
-			sub := dfs(rc, units[i].prefix, units[i].want, remaining, coordTel, ctxDone,
-				func(o *engine.Outcome, _ []int) bool {
-					m[key(o)]++
-					return true
-				})
+			sub := dfs(rc, u.prefix, u.want, remaining, opts.Telemetry, ctxDone, tally(m, key))
 			if sub.drift != nil {
-				mergeTel()
 				return nil, Result{Drift: sub.drift}
 			}
 			r = &sub
@@ -445,6 +303,5 @@ func parallelOutcomes(p *engine.Program, opts engine.Options, cfg Config, key fu
 			break
 		}
 	}
-	mergeTel()
 	return counts, res
 }

@@ -167,13 +167,15 @@ func TestParallelTelemetry(t *testing.T) {
 // driftProgram builds a program whose decision tree changes shape from
 // run to run: a closure-captured counter adds one more store per
 // execution, so replaying a recorded prefix meets different arities.
+// The counter is atomic because parallel workers run the program at the
+// same time.
 func driftProgram() *engine.Program {
 	p := engine.NewProgram("drift")
 	x := p.Loc("X", 0)
-	n := 0
+	var runs atomic.Int64
 	p.AddThread(func(th *engine.Thread) {
-		n++
-		for i := 0; i < n; i++ {
+		n := runs.Add(1)
+		for i := int64(0); i < n; i++ {
 			th.Store(x, memmodel.Value(i), memmodel.Relaxed)
 		}
 	})

@@ -7,38 +7,14 @@ import (
 	"pctwm/internal/litmus"
 )
 
-// DistCheckConfig parameterizes a strategy-conformance campaign. The
-// zero value selects the CI defaults: PCT depth 3, PCTWM depth 2 with
-// history 3, and distcheck's own run-count/seed/alpha defaults.
-type DistCheckConfig struct {
-	// Depth is PCT's d (default 3).
-	Depth int
-	// WMDepth is PCTWM's d (default 2).
-	WMDepth int
-	// History is PCTWM's h (default 3).
-	History int
-	// EstimateRuns profiles each program for k/kcom (default 32).
-	EstimateRuns int
-	// Check is passed through to distcheck.Run (zero fields take
-	// distcheck defaults; Options applies to estimation as well).
-	Check distcheck.Config
-}
-
-func (c DistCheckConfig) withDefaults() DistCheckConfig {
-	if c.Depth == 0 {
-		c.Depth = 3
-	}
-	if c.WMDepth == 0 {
-		c.WMDepth = 2
-	}
-	if c.History == 0 {
-		c.History = 3
-	}
-	if c.EstimateRuns == 0 {
-		c.EstimateRuns = 32
-	}
-	return c
-}
+// The strategy parameters a conformance campaign checks, and the
+// profiling budget that estimates each program's k/kcom.
+const (
+	distCheckPCTDepth     = 3 // PCT's d
+	distCheckPCTWMDepth   = 2 // PCTWM's d
+	distCheckPCTWMHistory = 3 // PCTWM's h
+	distCheckEstimateRuns = 32
+)
 
 // DistCheckResult pairs the two halves of a conformance campaign: the
 // shipped strategies must pass every check, and the colliding fixture
@@ -75,8 +51,8 @@ func DistCheckSuite() []*litmus.Test {
 
 // distCheckStrategies builds the shipped strategies, parameterized per
 // program by the estimated k/kcom.
-func distCheckStrategies(cfg DistCheckConfig) []distcheck.Strategy {
-	d, wd, h := cfg.Depth, cfg.WMDepth, cfg.History
+func distCheckStrategies() []distcheck.Strategy {
+	d, wd, h := distCheckPCTDepth, distCheckPCTWMDepth, distCheckPCTWMHistory
 	return []distcheck.Strategy{
 		{
 			Name:    "c11tester",
@@ -99,15 +75,16 @@ func distCheckStrategies(cfg DistCheckConfig) []distcheck.Strategy {
 // DistCheckCampaign runs the strategy-conformance suite over tests (nil
 // selects DistCheckSuite), with each program's bound parameters profiled
 // by EstimateParams, then runs the permutation check on the colliding
-// regression fixture to prove detection still works.
-func DistCheckCampaign(tests []*litmus.Test, cfg DistCheckConfig) (*DistCheckResult, error) {
-	cfg = cfg.withDefaults()
+// regression fixture to prove detection still works. cfg is passed
+// through to distcheck.Run (zero fields take distcheck defaults; its
+// Options apply to the profiling runs as well).
+func DistCheckCampaign(tests []*litmus.Test, cfg distcheck.Config) (*DistCheckResult, error) {
 	if tests == nil {
 		tests = DistCheckSuite()
 	}
 	programs := make([]distcheck.Program, 0, len(tests))
 	for _, lt := range tests {
-		est := EstimateParams(lt.Program, cfg.EstimateRuns, cfg.Check.Seed+1, cfg.Check.Options)
+		est := EstimateParams(lt.Program, distCheckEstimateRuns, cfg.Seed+1, cfg.Options)
 		programs = append(programs, distcheck.Program{
 			Prog: lt.Program,
 			Params: distcheck.Params{
@@ -117,11 +94,11 @@ func DistCheckCampaign(tests []*litmus.Test, cfg DistCheckConfig) (*DistCheckRes
 			},
 		})
 	}
-	conf, err := distcheck.Run(programs, distCheckStrategies(cfg), cfg.Check)
+	conf, err := distcheck.Run(programs, distCheckStrategies(), cfg)
 	if err != nil {
 		return nil, err
 	}
-	fix, err := distcheck.Run(nil, []distcheck.Strategy{distcheck.CollidingFixture()}, cfg.Check)
+	fix, err := distcheck.Run(nil, []distcheck.Strategy{distcheck.CollidingFixture()}, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -18,7 +18,7 @@ func distCheckFastConfig() distcheck.Config {
 // seed, the shipped strategies pass every distributional check and the
 // colliding regression fixture is detected.
 func TestDistCheckCampaign(t *testing.T) {
-	res, err := DistCheckCampaign(nil, DistCheckConfig{})
+	res, err := DistCheckCampaign(nil, distcheck.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,9 +43,7 @@ func TestDistCheckCampaign(t *testing.T) {
 // TestDistCheckCampaignCustomSuite: an explicit test list overrides the
 // default suite, and the estimated parameters flow into the bounds.
 func TestDistCheckCampaignCustomSuite(t *testing.T) {
-	res, err := DistCheckCampaign([]*litmus.Test{litmus.SBRelaxed()}, DistCheckConfig{
-		Check: distCheckFastConfig(),
-	})
+	res, err := DistCheckCampaign([]*litmus.Test{litmus.SBRelaxed()}, distCheckFastConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,13 +32,10 @@ var ErrConformance = errors.New("report: strategy conformance failed")
 func DistCheck(w io.Writer, cfg Config) error {
 	cfg = cfg.normalized()
 	cfg.phase("distcheck")
-	dcfg := harness.DistCheckConfig{
-		Check: distcheck.Config{
-			Seed:    cfg.Seed,
-			Options: engine.Options{Model: cfg.Campaign.Model, Context: cfg.Campaign.Context},
-		},
-	}
-	res, err := harness.DistCheckCampaign(nil, dcfg)
+	res, err := harness.DistCheckCampaign(nil, distcheck.Config{
+		Seed:    cfg.Seed,
+		Options: engine.Options{Model: cfg.Campaign.Model, Context: cfg.Campaign.Context},
+	})
 	if err != nil {
 		if cfg.interrupted() {
 			return ErrInterrupted

@@ -203,10 +203,6 @@ type EngineCounters struct {
 	// is a work counter — it includes executions whose results were
 	// discarded, so its value may vary with the worker count.
 	ExploreRuns uint64
-	// ExploreSteals counts subtree shards a worker claimed from another
-	// worker's queue (work-stealing in the parallel explorer). Zero for
-	// serial explorations; scheduling-dependent otherwise.
-	ExploreSteals uint64
 	// ExplorePruned counts frontier subtrees the parallel explorer skipped
 	// or discarded without merging: the run limit was already covered by
 	// lexicographically earlier shards, or a drift abort cut the
@@ -267,7 +263,6 @@ func (c *EngineCounters) Merge(o *EngineCounters) {
 	c.Drains += o.Drains
 	c.AxiomRecheckNs += o.AxiomRecheckNs
 	c.ExploreRuns += o.ExploreRuns
-	c.ExploreSteals += o.ExploreSteals
 	c.ExplorePruned += o.ExplorePruned
 }
 
@@ -299,7 +294,6 @@ type EngineSummary struct {
 	Drains           uint64            `json:"drains,omitempty"`
 	AxiomRecheckNs   uint64            `json:"axiom_recheck_ns"`
 	ExploreRuns      uint64            `json:"explore_runs,omitempty"`
-	ExploreSteals    uint64            `json:"explore_steals,omitempty"`
 	ExplorePruned    uint64            `json:"explore_pruned,omitempty"`
 }
 
@@ -318,7 +312,6 @@ func (c *EngineCounters) Summary() EngineSummary {
 		Drains:           c.Drains,
 		AxiomRecheckNs:   c.AxiomRecheckNs,
 		ExploreRuns:      c.ExploreRuns,
-		ExploreSteals:    c.ExploreSteals,
 		ExplorePruned:    c.ExplorePruned,
 	}
 	for k := range c.Ops {
