@@ -158,8 +158,7 @@ func BenchmarkRunnerReuse(b *testing.B) {
 // explore workload times only the serial explorer, so the parallel one is
 // timed here alone.
 
-func exploreSuite(b *testing.B, workers int) {
-	targets := litmus.Suite()
+func exploreTests(b *testing.B, targets []*litmus.Test, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -182,11 +181,27 @@ func exploreSuite(b *testing.B, workers int) {
 
 // BenchmarkExploreSuiteSerial: the pooled serial DFS (one Runner reused
 // across every leaf).
-func BenchmarkExploreSuiteSerial(b *testing.B) { exploreSuite(b, 1) }
+func BenchmarkExploreSuiteSerial(b *testing.B) { exploreTests(b, litmus.Suite(), 1) }
 
 // BenchmarkExploreSuiteParallel: subtree-sharded exploration on
 // GOMAXPROCS workers; the counted executions are identical to serial.
-func BenchmarkExploreSuiteParallel(b *testing.B) { exploreSuite(b, 0) }
+func BenchmarkExploreSuiteParallel(b *testing.B) { exploreTests(b, litmus.Suite(), 0) }
+
+// BenchmarkExploreSmallParallel: the parallel explorer on the suite's
+// tests of at most 16 executions. With two or more workers the frontier
+// expansion resolves each of these trees into single leaves, so this
+// times the fixed cost of taking the parallel path, not its speed-up.
+func BenchmarkExploreSmallParallel(b *testing.B) {
+	var small []*litmus.Test
+	for _, lt := range litmus.Suite() {
+		_, res := enumerate.Outcomes(lt.Program, engine.Options{}, enumerate.Config{Workers: 1},
+			func(*engine.Outcome) string { return "" })
+		if res.Runs <= 16 {
+			small = append(small, lt)
+		}
+	}
+	exploreTests(b, small, 0)
+}
 
 // oneShotScript replicates the pre-pooling explorer's scripted strategy:
 // follow a fixed decision prefix, take alternative 0 beyond it, record

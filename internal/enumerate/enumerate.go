@@ -366,10 +366,16 @@ func Outcomes(p *engine.Program, opts engine.Options, cfg Config, key func(*engi
 	if resolveWorkers(cfg.Workers) > 1 {
 		return parallelOutcomes(p, opts, cfg, key)
 	}
-	counts := make(map[string]int)
 	r := engine.NewRunner(p, opts)
 	defer r.Close()
-	sub := dfs(r, nil, nil, cfg.Limit, opts.Telemetry, ctxStop(cfg.Context), tally(counts, key))
+	return serialOutcomes(r, opts.Telemetry, cfg, key)
+}
+
+// serialOutcomes is the serial path of Outcomes on r, counting
+// executions into tel (may be nil).
+func serialOutcomes(r *engine.Runner, tel *telemetry.EngineCounters, cfg Config, key func(*engine.Outcome) string) (map[string]int, Result) {
+	counts := make(map[string]int)
+	sub := dfs(r, nil, nil, cfg.Limit, tel, ctxStop(cfg.Context), tally(counts, key))
 	if sub.drift != nil {
 		return nil, Result{Drift: sub.drift}
 	}

@@ -50,10 +50,14 @@ type unit struct {
 	// detection on re-descent).
 	want []int
 	// tail holds the discovery run's recorded arities below prefix (its
-	// all-zeros descent) while the frontier is expanded; an empty tail
-	// means the run ended exactly at prefix — the unit is a single leaf.
+	// all-zeros descent); an empty tail means the run ended exactly at
+	// prefix — the unit is a single leaf.
 	tail []int
 }
+
+// internal reports whether the discovery run went on past prefix: only
+// then can the unit's subtree hold more than one leaf.
+func (u unit) internal() bool { return len(u.tail) > 0 }
 
 func appendCopy(s []int, v int) []int {
 	out := make([]int, len(s)+1)
@@ -88,14 +92,13 @@ func expandFrontier(r *engine.Runner, target int, tel *telemetry.EngineCounters,
 		return nil, false, derr
 	}
 	level = []unit{root}
-	internal := func(u unit) bool { return len(u.tail) > 0 }
-	for depth := 0; depth < maxFrontierDepth && len(level) < target && slices.ContainsFunc(level, internal); depth++ {
+	for depth := 0; depth < maxFrontierDepth && len(level) < target && slices.ContainsFunc(level, unit.internal); depth++ {
 		if stop != nil && stop() {
 			return nil, true, nil
 		}
 		next := make([]unit, 0, 2*len(level))
 		for _, u := range level {
-			if !internal(u) {
+			if !u.internal() {
 				next = append(next, u)
 				continue
 			}
@@ -212,6 +215,12 @@ func parallelOutcomes(p *engine.Program, opts engine.Options, cfg Config, key fu
 	}
 	if interrupted {
 		return make(map[string]int), Result{Interrupted: true}
+	}
+	if !slices.ContainsFunc(units, unit.internal) {
+		// Expansion resolved the whole tree into single leaves: it is too
+		// small to repay starting the workers' Runners, so explore it
+		// serially on the coordinator's warm Runner instead.
+		return serialOutcomes(rc, opts.Telemetry, cfg, key)
 	}
 
 	// Phase 2: the workers claim units in frontier order.
