@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"pctwm/internal/apps"
+	"pctwm/internal/axiom"
 	"pctwm/internal/benchprog"
 	"pctwm/internal/core"
 	"pctwm/internal/engine"
@@ -279,4 +281,76 @@ func BenchmarkAblations(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// Axiom recheck cost. Each iteration rebuilds one recorded execution as
+// an axiom graph and checks it against the model that recorded it, so
+// ns/op and allocs/op are per execution; iterations cycle through the
+// recordings in the order they were made.
+
+// recorded is one recording with the model that produced it.
+type recorded struct {
+	rec   *engine.Recording
+	model string
+}
+
+// recordRuns records trials runs of prog under opts, seeded 0..trials-1.
+func recordRuns(prog *engine.Program, opts engine.Options, strat engine.Strategy, trials int) []recorded {
+	opts.Record = true
+	r := engine.NewRunner(prog, opts)
+	defer r.Close()
+	recs := make([]recorded, trials)
+	for i := range recs {
+		recs[i] = recorded{r.Run(strat, int64(i)).Recording, opts.Model}
+	}
+	return recs
+}
+
+func benchRecheck(b *testing.B, recs []recorded) {
+	events := 0
+	for _, x := range recs {
+		events += len(x.rec.Events)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x := recs[i%len(recs)]
+		g, err := axiom.FromRecording(x.rec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if vs := g.CheckModel(x.model); len(vs) > 0 {
+			b.Fatalf("%s execution rechecked inconsistent: %v", x.model, vs[0])
+		}
+	}
+	b.ReportMetric(float64(events)/float64(len(recs)), "events/exec")
+}
+
+// BenchmarkRecheck rechecks the executions of the repository benchmark's
+// checked workload: the nine paper benchmarks under PCTWM (150 runs
+// each) and the litmus suite under random on rc11, tso and sc (50 runs
+// per test and model), 6,150 recordings of 13.6 events on average.
+func BenchmarkRecheck(b *testing.B) {
+	var recs []recorded
+	for _, bp := range benchprog.All() {
+		prog, opts := bp.Program(0), bp.Options()
+		est := harness.EstimateParams(prog, 20, 1, opts)
+		recs = append(recs, recordRuns(prog, opts, core.NewPCTWM(bp.Depth, 1, est.KCom), 150)...)
+	}
+	for _, model := range engine.Models() {
+		for _, lt := range litmus.Suite() {
+			recs = append(recs, recordRuns(lt.Program, engine.Options{Model: model}, core.NewRandom(), 50)...)
+		}
+	}
+	benchRecheck(b, recs)
+}
+
+// BenchmarkRecheckApps rechecks apps-sized executions: ten rc11 runs of
+// each application under random, about 500 events each.
+func BenchmarkRecheckApps(b *testing.B) {
+	var recs []recorded
+	for _, a := range apps.All() {
+		recs = append(recs, recordRuns(a.Program(), a.Options(), core.NewRandom(), 10)...)
+	}
+	benchRecheck(b, recs)
 }

@@ -53,10 +53,15 @@ func traceCmd(args []string, stdout, stderr io.Writer) int {
 	if !tr.detect(o) {
 		return c.fail(1, "replay lost the failure")
 	}
+	// The recheck is the graph build and the check together: hb and sw
+	// are derived inside the check, so it runs before the rendering.
+	recheckStart := time.Now()
 	g, err := axiom.FromRecording(o.Recording)
 	if err != nil {
 		return c.fail(1, "%v", err)
 	}
+	vs := g.CheckModel(o.Recording.Model)
+	f.tel.AddAxiomRecheck(time.Since(recheckStart).Nanoseconds())
 	locName := func(l memmodel.Loc) string {
 		if n, ok := o.Recording.LocNames[l]; ok {
 			return n
@@ -93,9 +98,6 @@ func traceCmd(args []string, stdout, stderr io.Writer) int {
 	for _, r := range o.Races {
 		fmt.Fprintln(stdout, "race:", r)
 	}
-	checkStart := time.Now()
-	vs := g.CheckModel(model.name)
-	f.tel.AddAxiomRecheck(time.Since(checkStart).Nanoseconds())
 	if len(vs) == 0 {
 		fmt.Fprintf(stdout, "consistency: the execution satisfies the %s axioms (rechecked in %v)\n",
 			model.name, time.Duration(f.tel.AxiomRecheckNs).Round(time.Microsecond))

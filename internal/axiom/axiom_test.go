@@ -1,10 +1,14 @@
 package axiom
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
+	"pctwm/internal/benchprog"
 	"pctwm/internal/core"
 	"pctwm/internal/engine"
 	"pctwm/internal/litmus"
@@ -171,6 +175,91 @@ func TestHBBasics(t *testing.T) {
 			if !g.HB(relFence, acqFence) {
 				t.Fatalf("seed %d: fence sw missing from hb", seed)
 			}
+		}
+	}
+}
+
+// TestRecheckAllocations: a graph built from an engine recording takes
+// three allocations: the Graph, its id array and its offset array. The
+// sc and tso checks take their scratch in one allocation; the rc11 check
+// takes one for its scratch and one for the hb matrix it derives, on an
+// execution without sw edges.
+func TestRecheckAllocations(t *testing.T) {
+	lt := litmus.SBRelaxed()
+	for _, model := range engine.Models() {
+		rec := engine.Run(lt.Program, core.NewRandom(), 1, engine.Options{Model: model, Record: true}).Recording
+		build := testing.AllocsPerRun(50, func() {
+			if _, err := FromRecording(rec); err != nil {
+				t.Fatal(err)
+			}
+		})
+		check := testing.AllocsPerRun(50, func() {
+			g, _ := FromRecording(rec)
+			if vs := g.CheckModel(model); len(vs) > 0 {
+				t.Fatal(vs)
+			}
+		}) - build
+		want := 1.0
+		if model == engine.ModelRC11 {
+			want = 2
+		}
+		if build != 3 || check != want {
+			t.Errorf("%s: building allocates %v times and checking %v, want 3 and %v", model, build, check, want)
+		}
+	}
+}
+
+// TestGraphConcurrentReaders: a Graph is safe for concurrent readers.
+// Goroutines that check, query hb and sw and render one graph at once
+// all see the answers of a graph used by one goroutine.
+func TestGraphConcurrentReaders(t *testing.T) {
+	b, err := benchprog.ByName("mcslock")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := b.Options()
+	opts.Record = true
+	rec := engine.Run(b.Program(0), core.NewPCTWM(b.Depth, 1, 20), 1, opts).Recording
+	answers := func(g *Graph) string {
+		var sb strings.Builder
+		fmt.Fprintln(&sb, g.Check(), g.CheckSC(), g.CheckTSO(), g.SW())
+		for a := range g.Events {
+			for b := range g.Events {
+				if g.HB(memmodel.EventID(a), memmodel.EventID(b)) {
+					fmt.Fprintf(&sb, "%d<%d ", a, b)
+				}
+			}
+		}
+		if err := g.WriteText(&sb, nil); err != nil {
+			t.Error(err)
+		}
+		return sb.String()
+	}
+	ref, err := FromRecording(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := answers(ref)
+	if len(ref.SW()) == 0 {
+		t.Fatal("the execution has no sw edges to derive")
+	}
+	g, err := FromRecording(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	got := make([]string, 4)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = answers(g)
+		}()
+	}
+	wg.Wait()
+	for i, s := range got {
+		if s != want {
+			t.Errorf("reader %d saw different answers", i)
 		}
 	}
 }

@@ -59,64 +59,81 @@ func (g *Graph) CheckSC() []Violation {
 
 // tsoReplay is the operational x86-TSO state rebuilt while replaying a
 // recording: per-thread FIFO store buffers plus the single shared copy
-// of memory (the latest drained write per location), in slices parallel
-// to the graph's po and mo runs.
+// of memory (the latest drained write per location). Its tables share
+// one allocation: mem holds an event id per mo run, and thread t's
+// buffer is buf[head[t]:tail[t]], a window of t's po run span of buf
+// (a thread buffers only its own stores, and drains a prefix).
 type tsoReplay struct {
-	g   *Graph
-	mem []memmodel.EventID   // per mo run; NoEvent until a write reaches memory
-	buf [][]memmodel.EventID // per po run
+	g                    *Graph
+	mem, buf, head, tail []int32
 }
 
-func newTSOReplay(g *Graph) *tsoReplay {
-	s := &tsoReplay{
-		g:   g,
-		mem: make([]memmodel.EventID, g.locs()),
-		buf: make([][]memmodel.EventID, g.threads()),
-	}
+func (s *tsoReplay) init(g *Graph) {
+	threads := g.threads()
+	scratch := make([]int32, g.locs()+len(g.po)+2*threads)
+	s.g = g
+	s.mem, s.buf = carve(&scratch, g.locs()), carve(&scratch, len(g.po))
+	s.head, s.tail = carve(&scratch, threads), scratch
 	for i := range s.mem {
-		s.mem[i] = memmodel.NoEvent
+		s.mem[i] = int32(memmodel.NoEvent)
 	}
-	// A thread buffers only its own stores, so its run's span of one
-	// shared array is room enough.
-	store := make([]memmodel.EventID, len(g.po))
-	for t := range s.buf {
-		s.buf[t] = store[g.poOff[t]:g.poOff[t]:g.poOff[t+1]]
-	}
-	return s
+	copy(s.head, g.poOff)
+	copy(s.tail, g.poOff)
+}
+
+// buffered returns thread t's buffer, oldest store first.
+func (s *tsoReplay) buffered(t int) []int32 { return s.buf[s.head[t]:s.tail[t]] }
+
+// push buffers store w of thread t.
+func (s *tsoReplay) push(t int, w memmodel.EventID) {
+	s.buf[s.tail[t]] = int32(w)
+	s.tail[t]++
 }
 
 // commit makes write w the shared copy of its location.
 func (s *tsoReplay) commit(w memmodel.EventID) {
-	s.mem[s.g.locOf(s.g.Events[w].Label.Loc)] = w
+	s.mem[s.g.locOf(s.g.Events[w].Label.Loc)] = int32(w)
 }
 
 // drain flushes thread t's buffer to memory in FIFO order.
 func (s *tsoReplay) drain(t int) {
-	for _, w := range s.buf[t] {
-		s.commit(w)
+	for _, w := range s.buffered(t) {
+		s.commit(memmodel.EventID(w))
 	}
-	s.buf[t] = s.buf[t][:0]
+	s.head[t] = s.tail[t]
 }
 
 // drainThrough flushes thread t's buffer up to and including entry w,
 // reporting whether w was buffered there.
 func (s *tsoReplay) drainThrough(t int, w memmodel.EventID) bool {
-	b := s.buf[t]
-	i := slices.Index(b, w)
+	b := s.buffered(t)
+	i := slices.Index(b, int32(w))
 	if i < 0 {
 		return false
 	}
 	for _, id := range b[:i+1] {
-		s.commit(id)
+		s.commit(memmodel.EventID(id))
 	}
-	s.buf[t] = append(b[:0], b[i+1:]...)
+	s.head[t] += int32(i + 1)
 	return true
 }
 
 // shared returns the shared copy of loc, or NoEvent.
 func (s *tsoReplay) shared(loc memmodel.Loc) memmodel.EventID {
 	if l := s.g.locOf(loc); l >= 0 {
-		return s.mem[l]
+		return memmodel.EventID(s.mem[l])
+	}
+	return memmodel.NoEvent
+}
+
+// youngest returns the most recent store to loc in thread t's buffer,
+// or NoEvent when the buffer holds none.
+func (s *tsoReplay) youngest(t int, loc memmodel.Loc) memmodel.EventID {
+	b := s.buffered(t)
+	for i := len(b) - 1; i >= 0; i-- {
+		if w := memmodel.EventID(b[i]); s.g.Events[w].Label.Loc == loc {
+			return w
+		}
 	}
 	return memmodel.NoEvent
 }
@@ -132,7 +149,8 @@ func (s *tsoReplay) shared(loc memmodel.Loc) memmodel.EventID {
 // observed by drain-through.
 func (g *Graph) CheckTSO() []Violation {
 	vs := g.checkWellFormed()
-	st := newTSOReplay(g)
+	var st tsoReplay
+	st.init(g)
 	// A remote buffered store can only sit in its writer's buffer.
 	drainWriter := func(w memmodel.EventID) bool {
 		return st.drainThrough(g.threadOf(g.Events[w].TID), w)
@@ -149,7 +167,7 @@ func (g *Graph) CheckTSO() []Violation {
 				st.commit(ev.ID)
 				continue
 			}
-			st.buf[t] = append(st.buf[t], ev.ID)
+			st.push(t, ev.ID)
 			if ev.Label.Order.IsSC() {
 				st.drain(t) // MOV + MFENCE
 			}
@@ -159,7 +177,7 @@ func (g *Graph) CheckTSO() []Violation {
 			}
 			// Mandatory store forwarding: the youngest own buffered
 			// store to the location wins.
-			if own := youngest(st.buf[t], ev.Label.Loc, g); own != memmodel.NoEvent {
+			if own := st.youngest(t, ev.Label.Loc); own != memmodel.NoEvent {
 				if ev.ReadsFrom != own {
 					vs = append(vs, g.violation("tso-forward",
 						"%s must forward from its own buffered store %s, read %s instead",
@@ -198,15 +216,4 @@ func (g *Graph) CheckTSO() []Violation {
 		}
 	}
 	return vs
-}
-
-// youngest returns the most recent buffered store to loc in buf, or
-// NoEvent when the buffer holds none.
-func youngest(buf []memmodel.EventID, loc memmodel.Loc, g *Graph) memmodel.EventID {
-	for i := len(buf) - 1; i >= 0; i-- {
-		if g.Events[buf[i]].Label.Loc == loc {
-			return buf[i]
-		}
-	}
-	return memmodel.NoEvent
 }

@@ -30,9 +30,9 @@ func (g *Graph) WriteText(w io.Writer, locName func(memmodel.Loc) string) error 
 		}
 	}
 
-	if len(g.sw) > 0 {
+	if sw := g.SW(); len(sw) > 0 {
 		fmt.Fprintln(w, "sw:")
-		for _, e := range g.sw {
+		for _, e := range sw {
 			fmt.Fprintf(w, "  e%d -> e%d\n", e[0], e[1])
 		}
 	}
@@ -44,9 +44,9 @@ func (g *Graph) WriteText(w io.Writer, locName func(memmodel.Loc) string) error 
 		}
 		fmt.Fprintln(w)
 	}
-	if len(g.scOrder) > 0 {
+	if sc := g.SCOrder(); len(sc) > 0 {
 		fmt.Fprint(w, "SC:")
-		for _, id := range g.scOrder {
+		for _, id := range sc {
 			fmt.Fprintf(w, " e%d", id)
 		}
 		fmt.Fprintln(w)
@@ -82,7 +82,7 @@ func (g *Graph) WriteDot(w io.Writer, locName func(memmodel.Loc) string) error {
 			fmt.Fprintf(w, "  e%d -> e%d [color=green, label=\"rf\"];\n", ev.ReadsFrom, ev.ID)
 		}
 	}
-	for _, e := range g.sw {
+	for _, e := range g.SW() {
 		fmt.Fprintf(w, "  e%d -> e%d [color=blue, label=\"sw\"];\n", e[0], e[1])
 	}
 	for l := 0; l < g.locs(); l++ {
@@ -91,8 +91,9 @@ func (g *Graph) WriteDot(w io.Writer, locName func(memmodel.Loc) string) error {
 			fmt.Fprintf(w, "  e%d -> e%d [style=dashed, color=gray, label=\"mo\"];\n", ids[i-1], ids[i])
 		}
 	}
-	for i := 1; i < len(g.scOrder); i++ {
-		fmt.Fprintf(w, "  e%d -> e%d [style=dotted, color=red, label=\"SC\"];\n", g.scOrder[i-1], g.scOrder[i])
+	sc := g.SCOrder()
+	for i := 1; i < len(sc); i++ {
+		fmt.Fprintf(w, "  e%d -> e%d [style=dotted, color=red, label=\"SC\"];\n", sc[i-1], sc[i])
 	}
 	fmt.Fprintln(w, "}")
 	return nil

@@ -9,7 +9,6 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"time"
 
 	"pctwm/internal/coverage"
@@ -73,7 +72,7 @@ type Engine struct {
 
 	nextEventID memmodel.EventID
 	outcome     Outcome
-	rec         *Recording
+	rec         *recordedRun // nil unless Options.Record
 	det         *race.Detector
 
 	// recLen is the previous run's Recording slice lengths (events, SC
@@ -215,10 +214,28 @@ func (r *Runner) Run(strat Strategy, seed int64) *Outcome {
 	e.reset(strat, seed)
 	e.run()
 	e.finalize()
+	if rr := e.rec; rr != nil {
+		rr.out = e.outcome
+		e.outcome = Outcome{}
+		return &rr.out
+	}
 	out := e.outcome
 	e.outcome = Outcome{}
 	return &out
 }
+
+// recordedRun is a recorded run's Recording, the Outcome it is returned
+// in and room for its spawn links, in one allocation.
+type recordedRun struct {
+	Recording
+	out   Outcome
+	links [inlineSpawnLinks]SpawnLink
+}
+
+// inlineSpawnLinks is how many spawn links a recorded run keeps in its
+// recordedRun: one per root thread of the largest benchmark, application
+// or litmus test. A Runner whose runs record more keeps them on the heap.
+const inlineSpawnLinks = 4
 
 // Run executes prog once under strat with the given random seed and
 // options, returning the outcome. It is a one-shot wrapper over Runner
@@ -245,11 +262,16 @@ func (e *Engine) reset(strat Strategy, seed int64) {
 	e.outcome = Outcome{}
 	e.rec = nil
 	if e.opts.Record {
-		e.rec = &Recording{
-			Events:     slices.Grow([]memmodel.Event(nil), e.recLen[0]),
-			SCOrder:    slices.Grow([]memmodel.EventID(nil), e.recLen[1]),
-			SpawnLinks: slices.Grow([]SpawnLink(nil), e.recLen[2]),
-			JoinLinks:  slices.Grow([]JoinLink(nil), e.recLen[3]),
+		e.rec = new(recordedRun)
+		e.rec.Recording = Recording{
+			Model:      e.opts.Model,
+			Events:     make([]memmodel.Event, 0, e.recLen[0]),
+			SCOrder:    make([]memmodel.EventID, 0, e.recLen[1]),
+			SpawnLinks: e.rec.links[:0],
+			JoinLinks:  make([]JoinLink, 0, e.recLen[3]),
+		}
+		if e.recLen[2] > len(e.rec.links) {
+			e.rec.SpawnLinks = make([]SpawnLink, 0, e.recLen[2])
 		}
 	}
 	if e.opts.DetectRaces {
@@ -317,8 +339,8 @@ func (e *Engine) checkInterrupt() bool {
 // releases the run's pooled resources (message bags, location tables,
 // thread shells) back to their arenas.
 func (e *Engine) finalize() {
-	e.outcome.Recording = e.rec
 	if e.rec != nil {
+		e.outcome.Recording = &e.rec.Recording
 		e.rec.LocNames = e.locNames()
 		e.recLen = [4]int{len(e.rec.Events), len(e.rec.SCOrder), len(e.rec.SpawnLinks), len(e.rec.JoinLinks)}
 	}

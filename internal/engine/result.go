@@ -14,6 +14,10 @@ import (
 // ReadsFrom, mo from Stamp) plus the total order of SC events. The axiom
 // package turns a Recording into a checkable execution graph.
 type Recording struct {
+	// Model is the memory model that produced the execution
+	// (Options.Model), whose axioms it is checked against. Empty means
+	// rc11, as for hand-built recordings.
+	Model   string
 	Events  []memmodel.Event
 	SCOrder []memmodel.EventID
 	// SpawnLinks order thread starts after their spawn event (From is

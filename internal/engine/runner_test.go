@@ -7,6 +7,7 @@ import (
 	"pctwm/internal/benchprog"
 	"pctwm/internal/core"
 	"pctwm/internal/engine"
+	"pctwm/internal/litmus"
 	"pctwm/internal/memmodel"
 )
 
@@ -174,5 +175,34 @@ func TestRecordingLocNames(t *testing.T) {
 	dynamic := names(true)
 	if same(dynamic[0], dynamic[1]) || dynamic[0][2] == "" || !reflect.DeepEqual(dynamic[0], dynamic[1]) {
 		t.Errorf("allocating runs: LocNames %v and %v, want two equal maps naming location 2", dynamic[0], dynamic[1])
+	}
+}
+
+// TestRecordedRunAllocations: a recorded run allocates its event list on
+// top of what an unrecorded run allocates, and nothing else when it has
+// no SC events and no joins. Its Outcome, Recording and spawn links share
+// one allocation, which replaces the unrecorded run's Outcome; its model
+// is the Runner's.
+func TestRecordedRunAllocations(t *testing.T) {
+	lt := litmus.SBRelaxed()
+	allocs := func(opts engine.Options) float64 {
+		r := engine.NewRunner(lt.Program, opts)
+		defer r.Close()
+		strat := core.NewRandom()
+		seed := int64(0)
+		return testing.AllocsPerRun(200, func() {
+			seed++
+			r.Run(strat, seed)
+		})
+	}
+	plain, recorded := allocs(engine.Options{}), allocs(engine.Options{Record: true})
+	if recorded != plain+1 {
+		t.Errorf("a recorded run allocates %v times, an unrecorded one %v: want one more, for the events", recorded, plain)
+	}
+	for _, model := range engine.Models() {
+		o := engine.Run(lt.Program, core.NewRandom(), 1, engine.Options{Model: model, Record: true})
+		if o.Recording.Model != model {
+			t.Errorf("run under %s recorded model %q", model, o.Recording.Model)
+		}
 	}
 }

@@ -194,8 +194,10 @@ type EngineCounters struct {
 	// backend (always zero under rc11/sc, which have no store buffers).
 	Drains uint64
 	// AxiomRecheckNs is the cumulative wall time (ns) spent re-checking
-	// recorded executions against the C11 axioms (tools and tests call
-	// AddAxiomRecheck around axiom.Graph.Check).
+	// recorded executions against their model's axioms. A recheck is the
+	// graph build and the check together (tools and tests call
+	// AddAxiomRecheck around axiom.FromRecording and Graph.CheckModel),
+	// since the check derives hb and sw itself.
 	AxiomRecheckNs uint64
 	// ExploreRuns counts engine executions performed by the exhaustive
 	// explorer (internal/enumerate): counted leaves plus frontier-expansion

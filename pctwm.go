@@ -152,18 +152,19 @@ func PCTBound(t, k, d int) float64 { return core.PCTBound(t, k, d) }
 // §5.4).
 func PCTWMBound(kcom, d, h int) float64 { return core.PCTWMBound(kcom, d, h) }
 
-// CheckConsistency verifies a recorded execution against the C11
-// consistency axioms of the paper's §4 and returns a description of each
-// violation (empty when consistent). Record the execution by running with
-// Options{Record: true}. A recording that names an event it does not
-// contain is an error.
+// CheckConsistency verifies a recorded execution against the axioms of
+// the memory model that recorded it (Recording.Model; the C11 axioms of
+// the paper's §4 for rc11 and for hand-built recordings) and returns a
+// description of each violation (empty when consistent). Record the
+// execution by running with Options{Record: true}. A recording that names
+// an event it does not contain is an error.
 func CheckConsistency(rec *Recording) ([]string, error) {
 	g, err := axiom.FromRecording(rec)
 	if err != nil {
 		return nil, err
 	}
 	var msgs []string
-	for _, v := range g.Check() {
+	for _, v := range g.CheckModel(rec.Model) {
 		msgs = append(msgs, v.String())
 	}
 	return msgs, nil

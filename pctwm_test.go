@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"pctwm"
+	"pctwm/internal/engine"
+	"pctwm/internal/litmus"
 	"pctwm/internal/memmodel"
 )
 
@@ -88,6 +90,46 @@ func TestCheckConsistencyMalformed(t *testing.T) {
 	rec.Events[i].ReadsFrom = memmodel.EventID(len(rec.Events) + 5)
 	if msgs, err := pctwm.CheckConsistency(&rec); err == nil {
 		t.Fatalf("malformed recording checked without error: %v", msgs)
+	}
+}
+
+// TestCheckConsistencyModel: the public check uses the axioms of the
+// model that recorded the execution. Under tso an RMW reads the shared
+// copy of memory, which need not be its stamp predecessor in issue order,
+// so SB+rmw recordings that tso accepts break rc11's atomicity axiom.
+func TestCheckConsistencyModel(t *testing.T) {
+	lt := litmus.SBRMW()
+	r := pctwm.NewRunner(lt.Program, pctwm.Options{Model: engine.ModelTSO, Record: true})
+	defer r.Close()
+	strat := pctwm.NewRandomStrategy()
+	rc11Flagged := 0
+	for seed := int64(0); seed < 300; seed++ {
+		rec := r.Run(strat, seed).Recording
+		msgs, err := pctwm.CheckConsistency(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(msgs) > 0 {
+			t.Fatalf("seed %d: tso execution reported inconsistent: %v", seed, msgs)
+		}
+		asRC11 := *rec
+		asRC11.Model = ""
+		if msgs, _ := pctwm.CheckConsistency(&asRC11); len(msgs) > 0 {
+			rc11Flagged++
+		}
+	}
+	if rc11Flagged == 0 {
+		t.Error("no tso recording of SB+rmw breaks the rc11 axioms")
+	}
+
+	// An rc11 recording whose RMW reads a stale value is still flagged.
+	o := pctwm.Run(lt.Program, pctwm.NewRandomStrategy(), 1, pctwm.Options{Record: true})
+	rec := *o.Recording
+	rec.Events = slices.Clone(rec.Events)
+	i := slices.IndexFunc(rec.Events, func(ev memmodel.Event) bool { return ev.Label.Kind == memmodel.KindRMW })
+	rec.Events[i].Label.RVal++
+	if msgs, err := pctwm.CheckConsistency(&rec); err != nil || len(msgs) == 0 {
+		t.Errorf("rc11 mutant: messages %v, error %v; want a violation", msgs, err)
 	}
 }
 
