@@ -66,28 +66,13 @@ func TestAppsExposeRaces(t *testing.T) {
 	}
 }
 
-// TestMeasureApp exercises the Table-4 measurement path.
-func TestMeasureApp(t *testing.T) {
-	a := apps.All()[0]
-	r := harness.MeasureApp(a, harness.C11Tester(), 3, 77, 1)
-	if r.Runs != 3 || r.MeanSeconds <= 0 {
-		t.Fatalf("bad measurement: %+v", r)
-	}
-	if r.Strategy != "c11tester" {
-		t.Fatalf("strategy name %q", r.Strategy)
-	}
-}
-
-// TestMeasureAppThroughput covers the throughput metric path and the
-// per-event cost computation.
-func TestMeasureAppThroughput(t *testing.T) {
-	a, err := apps.ByName("silo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := harness.MeasureApp(a, harness.PCTWMFactory(2, 1), 3, 5, 2)
-	if r.Throughput <= 0 || r.NsPerEvent <= 0 {
-		t.Fatalf("bad throughput measurement: %+v", r)
+// TestByName: applications resolve by name, and an unknown name is an
+// error.
+func TestByName(t *testing.T) {
+	for _, a := range apps.All() {
+		if got, err := apps.ByName(a.Name); err != nil || got.Name != a.Name {
+			t.Fatalf("ByName(%q) = %v, %v", a.Name, got, err)
+		}
 	}
 	if _, err := apps.ByName("nope"); err == nil {
 		t.Fatal("unknown app accepted")

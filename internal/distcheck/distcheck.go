@@ -6,11 +6,12 @@
 // bounds (§2.2, §5.4) are actually about, and the property that silently
 // broke when priority assignment collided.
 //
-// Four checks, all deterministic for a fixed Config.Seed:
+// Four checks, all deterministic for a fixed seed:
 //
-//   - support: every behavior fingerprint observed empirically must
-//     appear in the exhaustive enumerate.BehaviorCensus (an observation
-//     outside the census means engine nondeterminism or a census bug);
+//   - support: every behavior fingerprint observed empirically must lie
+//     in the exact support of enumerate.BehaviorProbs, the exhaustive
+//     census (an observation outside it means engine nondeterminism or a
+//     census bug);
 //   - uniform: for strategies sampling the uniform decision walk
 //     (core.Random), a G-test of the empirical behavior frequencies
 //     against the exact leaf probabilities from enumerate.BehaviorProbs,
@@ -28,63 +29,25 @@
 //     probability bound — the Wilson interval's upper edge must reach
 //     the bound, otherwise the strategy provably under-covers.
 //
-// The package depends on engine/enumerate/stats only; the harness wraps
-// it with estimated program parameters (harness.DistCheckCampaign), and
-// the report renders its results.
+// The package computes statistics only. The harness samples: each
+// (program, strategy) cell is one harness.RunCampaign with coverage on,
+// whose coverage.Set tallies the clean runs' behaviors, and
+// harness.DistCheckCampaign runs the checks on it; the report renders
+// the results.
 package distcheck
 
 import (
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"math/rand"
 	"slices"
-	"sort"
 
+	"pctwm/internal/coverage"
 	"pctwm/internal/engine"
-	"pctwm/internal/enumerate"
 	"pctwm/internal/memmodel"
 	"pctwm/internal/stats"
 )
-
-// Params are the program characteristics the PCT/PCTWM bound formulas
-// need. The caller estimates them (the harness uses EstimateParams); the
-// checks only consume them through Strategy.Bound.
-type Params struct {
-	// Threads is t: the maximum number of concurrently live threads.
-	Threads int `json:"threads"`
-	// Steps is k: the scheduler-step count (PCT's program length).
-	Steps int `json:"steps"`
-	// Comm is kcom: the communication-event count (PCTWM's k_com).
-	Comm int `json:"comm"`
-}
-
-// Program is one conformance test case: a litmus-scale program small
-// enough to enumerate exhaustively, plus its bound parameters.
-type Program struct {
-	Prog   *engine.Program
-	Params Params
-}
-
-// Strategy describes one strategy under conformance test.
-type Strategy struct {
-	// Name identifies the strategy in results (need not match the
-	// engine-facing Name(); fixtures reuse the real strategy's name with
-	// a suffix).
-	Name string
-	// New returns a fresh instance parameterized for a program with
-	// params p (the PCT/PCTWM constructors take estimated k and kcom).
-	// Strategies are stateful, and the campaign runner and the synthetic
-	// permutation driver must not share one.
-	New func(p Params) engine.Strategy
-	// Uniform marks strategies whose sampling distribution is the
-	// uniform decision walk (core.Random): enables the exact G-test
-	// against enumerate.BehaviorProbs.
-	Uniform bool
-	// Bound returns the per-behavior lower probability bound the
-	// strategy guarantees on a program with params p (core.PCTBound /
-	// core.PCTWMBound). nil disables the bound check.
-	Bound func(p Params) float64
-}
 
 // The fixed statistical parameters of every check.
 const (
@@ -95,43 +58,11 @@ const (
 	alpha = 1e-3
 	// wilsonZ is the Wilson interval width for the bound check (95%).
 	wilsonZ = 1.96
-	// permThreads is the width t of the synthetic permutation check (t!
-	// bins).
-	permThreads = 4
+	// PermThreads is the width t of the synthetic permutation check (t!
+	// bins): the strategy under check is built for a program of t
+	// threads, t steps and t communication events.
+	PermThreads = 4
 )
-
-// Config tunes the conformance campaign. The zero value is usable: every
-// field has a default chosen so the fixed-seed CI suite passes on the
-// correct strategies and fails on the colliding fixture. The exhaustive
-// enumerations are uncapped: a truncated census is not ground truth.
-type Config struct {
-	// Runs is the number of executions per (program, strategy) cell.
-	// Default 4000.
-	Runs int `json:"runs"`
-	// Seed is the master seed; every check derives its own stream
-	// deterministically from it, so results are independent of check
-	// ordering. Default 1.
-	Seed int64 `json:"seed"`
-	// PermRounds is the number of synthetic rounds. Default 6000.
-	PermRounds int `json:"permRounds"`
-	// Options are the engine options for both the enumerations and the
-	// empirical campaigns (model selection in particular). Coverage is
-	// forced on.
-	Options engine.Options `json:"-"`
-}
-
-func (c Config) withDefaults() Config {
-	if c.Runs == 0 {
-		c.Runs = 4000
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.PermRounds == 0 {
-		c.PermRounds = 6000
-	}
-	return c
-}
 
 // CheckResult is one check's verdict.
 type CheckResult struct {
@@ -154,7 +85,10 @@ type Report struct {
 	Passed  bool          `json:"passed"`
 }
 
-func (r *Report) add(c CheckResult) {
+// Add labels c with the strategy and the program it checked (empty for
+// the permutation check) and appends it.
+func (r *Report) Add(strategy, program string, c CheckResult) {
+	c.Strategy, c.Program = strategy, program
 	r.Results = append(r.Results, c)
 	if !c.Pass {
 		r.Passed = false
@@ -172,9 +106,9 @@ func (r *Report) Failures() []CheckResult {
 	return out
 }
 
-// deriveSeed mixes the master seed with a per-check label so every check
-// gets an independent, order-insensitive random stream.
-func deriveSeed(master int64, labels ...string) int64 {
+// Seed mixes the master seed with labels naming a check or a sampled
+// cell, so each gets its own seed, independent of the order they run in.
+func Seed(master int64, labels ...string) int64 {
 	h := fnv.New64a()
 	for _, l := range labels {
 		h.Write([]byte(l))
@@ -183,123 +117,52 @@ func deriveSeed(master int64, labels ...string) int64 {
 	return master ^ int64(h.Sum64())
 }
 
-// Run executes the full conformance suite: the synthetic permutation
-// check per strategy, then per (program, strategy) the support check and
-// — where the strategy declares them — the uniform G-test and the bound
-// check. Errors are infrastructural (enumeration truncated, program
-// nondeterministic); statistical failures land in the report.
-func Run(programs []Program, strategies []Strategy, cfg Config) (*Report, error) {
-	cfg = cfg.withDefaults()
-	rep := &Report{Passed: true}
-	for _, st := range strategies {
-		res, err := permutationCheck(st, cfg)
-		if err != nil {
-			return nil, err
-		}
-		rep.add(res)
+// tally returns the per-behavior trial counts of set.
+func tally(set *coverage.Set) map[uint64]int {
+	counts := make(map[uint64]int, set.Len())
+	for _, e := range set.Entries() {
+		counts[e.FP] = int(e.Count)
 	}
-	needProbs := false
-	for _, st := range strategies {
-		if st.Uniform {
-			needProbs = true
-		}
-	}
-	for _, pr := range programs {
-		census, err := enumerate.BehaviorCensus(pr.Prog, cfg.Options, enumerate.Config{})
-		if err != nil {
-			return nil, fmt.Errorf("distcheck: census of %s: %w", pr.Prog.Name(), err)
-		}
-		if !census.Complete {
-			return nil, fmt.Errorf("distcheck: census of %s truncated at %d runs: not ground truth", pr.Prog.Name(), census.Runs)
-		}
-		var probs map[uint64]float64
-		var errMass float64
-		if needProbs {
-			probs, errMass, err = enumerate.BehaviorProbs(pr.Prog, cfg.Options, 0)
-			if err != nil {
-				return nil, fmt.Errorf("distcheck: %w", err)
-			}
-		}
-		for _, st := range strategies {
-			counts, clean := sample(pr, st, cfg)
-			rep.add(supportCheck(pr, st, counts, census))
-			if st.Uniform {
-				rep.add(uniformCheck(pr, st, counts, clean, probs, errMass, cfg))
-			}
-			if st.Bound != nil {
-				rep.add(boundCheck(pr, st, counts, census, cfg))
-			}
-		}
-	}
-	return rep, nil
+	return counts
 }
 
-// sample runs one empirical campaign cell and tallies clean-run behavior
-// fingerprints. Per-run seeds come from a stream derived from the master
-// seed and the cell identity, so cells are order-independent.
-func sample(pr Program, st Strategy, cfg Config) (counts map[uint64]int, clean int) {
-	opts := cfg.Options
-	opts.Coverage = true
-	r := engine.NewRunner(pr.Prog, opts)
-	defer r.Close()
-	strat := st.New(pr.Params)
-	seeds := rand.New(rand.NewSource(deriveSeed(cfg.Seed, "cell", pr.Prog.Name(), st.Name)))
-	counts = make(map[uint64]int)
-	for i := 0; i < cfg.Runs; i++ {
-		o := r.Run(strat, seeds.Int63())
-		if o.Err != nil {
-			continue
-		}
-		counts[o.BehaviorFP]++
-		clean++
-	}
-	return counts, clean
-}
-
-// supportCheck verifies every empirically observed behavior appears in
-// the exhaustive census.
-func supportCheck(pr Program, st Strategy, counts map[uint64]int, census *enumerate.Census) CheckResult {
-	known := make(map[uint64]bool, len(census.Behaviors))
-	for _, e := range census.Behaviors {
-		known[e.FP] = true
-	}
-	res := CheckResult{Check: "support", Strategy: st.Name, Program: pr.Prog.Name(), Pass: true}
-	for fp, n := range counts {
-		if !known[fp] {
+// Support verifies every behavior in set, a campaign's clean runs, lies
+// in support, the sorted fingerprints of the program's exhaustive census.
+func Support(set *coverage.Set, support []uint64) CheckResult {
+	res := CheckResult{Check: "support", Pass: true}
+	for _, e := range set.Entries() {
+		if _, ok := slices.BinarySearch(support, e.FP); !ok {
 			res.Pass = false
-			res.Detail = fmt.Sprintf("behavior %#x observed %d times but absent from the exhaustive census", fp, n)
+			res.Detail = fmt.Sprintf("behavior %#x observed %d times but absent from the exhaustive census", e.FP, e.Count)
 			return res
 		}
 	}
-	res.Detail = fmt.Sprintf("%d/%d census behaviors observed", len(counts), len(census.Behaviors))
+	res.Detail = fmt.Sprintf("%d/%d census behaviors observed", set.Len(), len(support))
 	return res
 }
 
-// uniformCheck G-tests the empirical clean-run behavior frequencies
-// against the exact uniform-walk distribution, conditioned on clean runs
-// (renormalized by 1−errMass) and with low-expectation bins pooled
-// (expected < 5, the standard chi-square validity rule).
-func uniformCheck(pr Program, st Strategy, counts map[uint64]int, clean int, probs map[uint64]float64, errMass float64, cfg Config) CheckResult {
-	res := CheckResult{Check: "uniform", Strategy: st.Name, Program: pr.Prog.Name()}
+// Uniform G-tests the behavior frequencies in set, a campaign's clean
+// runs, against probs, the exact uniform-walk distribution
+// (enumerate.BehaviorProbs), conditioned on clean runs (renormalized by
+// 1−errMass) and with low-expectation bins pooled (expected < 5, the
+// standard chi-square validity rule).
+func Uniform(set *coverage.Set, probs map[uint64]float64, errMass float64) CheckResult {
+	res := CheckResult{Check: "uniform"}
+	clean := int(set.Observations())
 	norm := 1 - errMass
 	if norm <= 0 || clean == 0 {
 		res.Pass = false
 		res.Detail = "no clean probability mass to test against"
 		return res
 	}
-	fps := make([]uint64, 0, len(probs))
-	for fp := range probs {
-		fps = append(fps, fp)
-	}
-	sort.Slice(fps, func(i, j int) bool { return fps[i] < fps[j] })
+	counts := tally(set)
 	var obs []int
 	var exp []float64
 	pooledObs, pooledExp := 0, 0.0
-	seen := make(map[uint64]bool, len(fps))
-	for _, fp := range fps {
-		seen[fp] = true
+	for _, fp := range slices.Sorted(maps.Keys(probs)) {
 		e := float64(clean) * probs[fp] / norm
 		o := counts[fp]
+		delete(counts, fp)
 		if e < 5 {
 			pooledObs += o
 			pooledExp += e
@@ -311,10 +174,8 @@ func uniformCheck(pr Program, st Strategy, counts map[uint64]int, clean int, pro
 	// Observations outside the exact support (the support check already
 	// fails the report for these) still belong in the pooled bin so the
 	// statistic stays well-formed.
-	for fp, o := range counts {
-		if !seen[fp] {
-			pooledObs += o
-		}
+	for _, o := range counts {
+		pooledObs += o
 	}
 	if pooledExp > 0 || pooledObs > 0 {
 		obs = append(obs, pooledObs)
@@ -333,58 +194,59 @@ func uniformCheck(pr Program, st Strategy, counts map[uint64]int, clean int, pro
 	return res
 }
 
-// boundCheck verifies every census behavior's empirical hit rate is
-// consistent with the strategy's per-behavior lower probability bound:
-// the Wilson interval's upper edge must reach the bound. A behavior whose
-// optimistic rate estimate is still below the guarantee means the
-// strategy under-covers it.
-func boundCheck(pr Program, st Strategy, counts map[uint64]int, census *enumerate.Census, cfg Config) CheckResult {
-	res := CheckResult{Check: "bound", Strategy: st.Name, Program: pr.Prog.Name(), Pass: true}
-	bound := 100 * st.Bound(pr.Params)
+// Bound verifies every census behavior in support, hit by the clean runs
+// in set out of a campaign of runs trials, is consistent with bound, the
+// strategy's per-behavior lower probability bound: the Wilson interval's
+// upper edge must reach it. A behavior whose optimistic rate estimate is
+// still below the guarantee means the strategy under-covers it.
+func Bound(set *coverage.Set, runs int, support []uint64, bound float64) CheckResult {
+	res := CheckResult{Check: "bound", Pass: true}
+	counts := tally(set)
+	bound *= 100 // in percent, like stats.Wilson
 	worst := 200.0
-	for _, e := range census.Behaviors {
-		hits := counts[e.FP]
-		_, high := stats.Wilson(hits, cfg.Runs, wilsonZ)
+	for _, fp := range support {
+		hits := counts[fp]
+		_, high := stats.Wilson(hits, runs, wilsonZ)
 		if high < worst {
 			worst = high
 		}
 		if high < bound {
 			res.Pass = false
-			res.Detail = fmt.Sprintf("behavior %#x: %d/%d hits, Wilson high %.3f%% < bound %.3f%%", e.FP, hits, cfg.Runs, high, bound)
+			res.Detail = fmt.Sprintf("behavior %#x: %d/%d hits, Wilson high %.3f%% < bound %.3f%%", fp, hits, runs, high, bound)
 			return res
 		}
 	}
-	res.Detail = fmt.Sprintf("all %d behaviors clear the %.3f%% bound (worst Wilson high %.3f%%)", len(census.Behaviors), bound, worst)
+	res.Detail = fmt.Sprintf("all %d behaviors clear the %.3f%% bound (worst Wilson high %.3f%%)", len(support), bound, worst)
 	return res
 }
 
-// permutationCheck drives the strategy directly — no engine — through t
-// freshly started threads pending non-communication ops, recording the
-// order NextThread retires them. Correct distinct-priority assignment
-// makes the retirement order the initial rank permutation, uniform over
-// t! (and Random is uniform trivially); colliding priorities resolve
-// ties toward low thread ids and skew the distribution, which the
+// Permutation drives st directly — no engine — for the given number of
+// rounds, each handing it PermThreads freshly started threads pending
+// non-communication ops and recording the order NextThread retires them;
+// seed seeds the strategy's random source. Correct distinct-priority
+// assignment makes the retirement order the initial rank permutation,
+// uniform over t! (and Random is uniform trivially); colliding priorities
+// resolve ties toward low thread ids and skew the distribution, which the
 // chi-square test detects. No OnEvent is delivered, so PCT change points
 // never fire, and the ops carry Comm=false, so PCTWM never delays: the
 // check isolates exactly the initial priority assignment.
-func permutationCheck(st Strategy, cfg Config) (CheckResult, error) {
-	t := permThreads
+func Permutation(st engine.Strategy, seed int64, rounds int) (CheckResult, error) {
+	t := PermThreads
 	nperm := 1
 	for i := 2; i <= t; i++ {
 		nperm *= i
 	}
-	strat := st.New(Params{Threads: t, Steps: t, Comm: t})
-	rng := rand.New(rand.NewSource(deriveSeed(cfg.Seed, "perm", st.Name)))
+	rng := rand.New(rand.NewSource(seed))
 	info := engine.ProgramInfo{Name: "distcheck-perm", NumRootThreads: t}
 	enabled := make([]engine.PendingOp, 0, t)
 	order := make([]memmodel.ThreadID, 0, t)
 	counts := make([]int, nperm)
-	for round := 0; round < cfg.PermRounds; round++ {
-		strat.Begin(info, rng)
+	for round := 0; round < rounds; round++ {
+		st.Begin(info, rng)
 		enabled = enabled[:0]
 		for i := 1; i <= t; i++ {
 			tid := memmodel.ThreadID(i)
-			strat.OnThreadStart(tid, memmodel.InitThread)
+			st.OnThreadStart(tid, memmodel.InitThread)
 			enabled = append(enabled, engine.PendingOp{
 				TID: tid, Index: 0, Kind: memmodel.KindWrite,
 				Order: memmodel.Relaxed, Loc: 1, Comm: false,
@@ -392,10 +254,10 @@ func permutationCheck(st Strategy, cfg Config) (CheckResult, error) {
 		}
 		order = order[:0]
 		for len(enabled) > 0 {
-			tid := strat.NextThread(enabled)
+			tid := st.NextThread(enabled)
 			at := slices.IndexFunc(enabled, func(op engine.PendingOp) bool { return op.TID == tid })
 			if at < 0 {
-				return CheckResult{}, fmt.Errorf("distcheck: %s scheduled thread %d which has no enabled op", st.Name, tid)
+				return CheckResult{}, fmt.Errorf("distcheck: %s scheduled thread %d which has no enabled op", st.Name(), tid)
 			}
 			order = append(order, tid)
 			enabled = slices.Delete(enabled, at, at+1)
@@ -404,13 +266,13 @@ func permutationCheck(st Strategy, cfg Config) (CheckResult, error) {
 	}
 	exp := make([]float64, nperm)
 	for i := range exp {
-		exp[i] = float64(cfg.PermRounds) / float64(nperm)
+		exp[i] = float64(rounds) / float64(nperm)
 	}
-	res := CheckResult{Check: "permutation", Strategy: st.Name}
+	res := CheckResult{Check: "permutation"}
 	res.Stat = stats.ChiSquareStat(counts, exp)
 	res.P = stats.ChiSquareP(res.Stat, nperm-1)
 	res.Pass = res.P >= alpha
-	res.Detail = fmt.Sprintf("chi2=%.2f over %d rounds, %d! orderings", res.Stat, cfg.PermRounds, t)
+	res.Detail = fmt.Sprintf("chi2=%.2f over %d rounds, %d! orderings", res.Stat, rounds, t)
 	return res, nil
 }
 
@@ -436,9 +298,7 @@ func permIndex(order []memmodel.ThreadID) int {
 // replacement, so threads often share a priority, and NextThread's strict
 // '>' resolves every tie toward the lowest thread id — the bias that voided
 // both papers' bounds. The permutation check must fail it.
-func CollidingFixture() Strategy {
-	return Strategy{Name: "colliding", New: func(Params) engine.Strategy { return &colliding{} }}
-}
+func CollidingFixture() engine.Strategy { return &colliding{} }
 
 // colliding implements CollidingFixture. It has no change points: the
 // permutation check delivers no events, so only the initial assignment

@@ -1,65 +1,107 @@
-package distcheck
+package distcheck_test
 
 import (
+	"maps"
 	"math"
+	"slices"
 	"testing"
 
 	"pctwm/internal/core"
+	"pctwm/internal/coverage"
+	"pctwm/internal/distcheck"
 	"pctwm/internal/engine"
 	"pctwm/internal/enumerate"
+	"pctwm/internal/harness"
 	"pctwm/internal/litmus"
-	"pctwm/internal/memmodel"
 )
 
-func enumCensus(pr Program, cfg Config) (*enumerate.Census, error) {
-	return enumerate.BehaviorCensus(pr.Prog, cfg.Options, enumerate.Config{})
-}
+// The sample sizes of the tests, which match the gate's.
+const (
+	cellRuns   = 4000
+	permRounds = 6000
+)
 
-func enumProbs(pr Program, cfg Config) (map[uint64]float64, float64, error) {
-	return enumerate.BehaviorProbs(pr.Prog, cfg.Options, 0)
-}
-
-// testPrograms is the small-litmus conformance set: programs tiny enough
-// to enumerate exhaustively, with hand-estimated bound parameters.
-func testPrograms() []Program {
-	return []Program{
-		{Prog: litmus.SBRelaxed().Program, Params: Params{Threads: 3, Steps: 12, Comm: 4}},
-		{Prog: litmus.MPRelaxed().Program, Params: Params{Threads: 3, Steps: 12, Comm: 4}},
-	}
-}
+// testEstimate holds hand-estimated bound parameters (t, k, kcom) for
+// the small-litmus programs below.
+var testEstimate = harness.Estimate{Threads: 3, K: 12, KCom: 4}
 
 // fixedStrategies are the shipped strategies with conservative bounds.
-func fixedStrategies() []Strategy {
-	return []Strategy{
-		{
-			Name:    "c11tester",
-			New:     func(Params) engine.Strategy { return core.NewRandom() },
-			Uniform: true,
-		},
-		{
-			Name: "pct",
-			New:  func(p Params) engine.Strategy { return core.NewPCT(3, p.Steps) },
-			Bound: func(p Params) float64 {
-				return core.PCTBound(p.Threads, p.Steps, 3)
-			},
-		},
-		{
-			Name: "pctwm",
-			New:  func(p Params) engine.Strategy { return core.NewPCTWM(2, 3, p.Comm) },
-			Bound: func(p Params) float64 {
-				return core.PCTWMBound(p.Comm, 2, 3)
-			},
-		},
-	}
+var fixedStrategies = []struct {
+	name    string
+	factory harness.StrategyFactory
+	uniform bool
+	bound   func(harness.Estimate) float64
+}{
+	{name: "c11tester", factory: harness.C11Tester(), uniform: true},
+	{
+		name:    "pct",
+		factory: harness.PCTFactory(3),
+		bound:   func(e harness.Estimate) float64 { return core.PCTBound(e.Threads, e.K, 3) },
+	},
+	{
+		name:    "pctwm",
+		factory: harness.PCTWMFactory(2, 3),
+		bound:   func(e harness.Estimate) float64 { return core.PCTWMBound(e.KCom, 2, 3) },
+	},
 }
 
-// TestFixedStrategiesConform is the headline conformance run: with the
-// default fixed seed, every check passes on the shipped Random, PCT and
-// PCTWM implementations.
-func TestFixedStrategiesConform(t *testing.T) {
-	rep, err := Run(testPrograms(), fixedStrategies(), Config{})
+// sample runs one conformance cell as a campaign with coverage on.
+func sample(prog *engine.Program, factory harness.StrategyFactory, seed int64) harness.TrialResult {
+	noHit := func(*engine.Outcome) bool { return false }
+	return harness.RunCampaign(prog, noHit, func() engine.Strategy { return factory(testEstimate) },
+		cellRuns, seed, engine.Options{}, harness.Campaign{Workers: 1, Coverage: true})
+}
+
+// exact returns prog's exact uniform-walk distribution and its sorted
+// support.
+func exact(t *testing.T, prog *engine.Program) (probs map[uint64]float64, errMass float64, support []uint64) {
+	t.Helper()
+	probs, errMass, err := enumerate.BehaviorProbs(prog, engine.Options{}, 0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return probs, errMass, slices.Sorted(maps.Keys(probs))
+}
+
+// setOf builds a behavior set holding each fingerprint its count times.
+func setOf(counts map[uint64]int) *coverage.Set {
+	s := &coverage.Set{}
+	var trial int64
+	for fp, n := range counts {
+		for range n {
+			s.Observe(fp, trial, 0)
+			trial++
+		}
+	}
+	return s
+}
+
+// TestFixedStrategiesConform is the headline conformance run: with a
+// fixed seed, every check passes on the shipped Random, PCT and PCTWM
+// implementations.
+func TestFixedStrategiesConform(t *testing.T) {
+	const seed = 1
+	rep := &distcheck.Report{Passed: true}
+	perm := harness.Estimate{Threads: distcheck.PermThreads, K: distcheck.PermThreads, KCom: distcheck.PermThreads}
+	for _, st := range fixedStrategies {
+		res, err := distcheck.Permutation(st.factory(perm), distcheck.Seed(seed, "perm", st.name), permRounds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep.Add(st.name, "", res)
+	}
+	for _, lt := range []*litmus.Test{litmus.SBRelaxed(), litmus.MPRelaxed()} {
+		probs, errMass, support := exact(t, lt.Program)
+		for _, st := range fixedStrategies {
+			res := sample(lt.Program, st.factory, distcheck.Seed(seed, "cell", lt.Name, st.name))
+			rep.Add(st.name, lt.Name, distcheck.Support(res.Coverage, support))
+			if st.uniform {
+				rep.Add(st.name, lt.Name, distcheck.Uniform(res.Coverage, probs, errMass))
+			}
+			if st.bound != nil {
+				rep.Add(st.name, lt.Name, distcheck.Bound(res.Coverage, res.Runs, support, st.bound(testEstimate)))
+			}
+		}
 	}
 	for _, res := range rep.Results {
 		t.Logf("%-11s %-10s %-12s pass=%-5v p=%-10.3g %s",
@@ -80,20 +122,16 @@ func TestFixedStrategiesConform(t *testing.T) {
 // permutation check, which is exactly the check the distinct-priority fix
 // makes pass.
 func TestCollidingFixturesFail(t *testing.T) {
-	rep, err := Run(nil, []Strategy{CollidingFixture()}, Config{})
+	fixture := distcheck.CollidingFixture()
+	res, err := distcheck.Permutation(fixture, distcheck.Seed(1, "perm", fixture.Name()), permRounds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Passed {
-		t.Fatalf("colliding fixtures passed the permutation check: %+v", rep.Results)
+	if res.Check != "permutation" {
+		t.Fatalf("unexpected check %q", res.Check)
 	}
-	for _, res := range rep.Results {
-		if res.Check != "permutation" {
-			t.Fatalf("unexpected check %q with no programs", res.Check)
-		}
-		if res.Pass {
-			t.Errorf("%s: colliding priorities not detected (chi2=%.2f p=%g)", res.Strategy, res.Stat, res.P)
-		}
+	if res.Pass {
+		t.Errorf("colliding priorities not detected (chi2=%.2f p=%g)", res.Stat, res.P)
 	}
 }
 
@@ -105,17 +143,14 @@ func TestPermutationSeedRobustness(t *testing.T) {
 		t.Skip("multi-seed sweep")
 	}
 	for seed := int64(1); seed <= 5; seed++ {
-		cfg := Config{Seed: seed}.withDefaults()
-		good, err := permutationCheck(Strategy{
-			Name: "pct", New: func(p Params) engine.Strategy { return core.NewPCT(3, p.Steps) },
-		}, cfg)
+		good, err := distcheck.Permutation(core.NewPCT(3, distcheck.PermThreads), distcheck.Seed(seed, "perm", "pct"), permRounds)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !good.Pass {
 			t.Errorf("seed %d: fixed PCT failed (chi2=%.2f p=%g)", seed, good.Stat, good.P)
 		}
-		bad, err := permutationCheck(CollidingFixture(), cfg)
+		bad, err := distcheck.Permutation(distcheck.CollidingFixture(), distcheck.Seed(seed, "perm", "colliding"), permRounds)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,18 +163,13 @@ func TestPermutationSeedRobustness(t *testing.T) {
 // TestSupportCheckRejectsAlienBehavior: an observation outside the
 // census fails the support check.
 func TestSupportCheckRejectsAlienBehavior(t *testing.T) {
-	pr := Program{Prog: litmus.SBRelaxed().Program}
-	st := Strategy{Name: "x"}
-	census, err := enumCensus(pr, Config{}.withDefaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := map[uint64]int{census.Behaviors[0].FP: 10, 0xdeadbeef: 1}
-	if res := supportCheck(pr, st, counts, census); res.Pass {
+	_, _, support := exact(t, litmus.SBRelaxed().Program)
+	counts := map[uint64]int{support[0]: 10, 0xdeadbeef: 1}
+	if res := distcheck.Support(setOf(counts), support); res.Pass {
 		t.Fatal("alien fingerprint passed the support check")
 	}
 	delete(counts, 0xdeadbeef)
-	if res := supportCheck(pr, st, counts, census); !res.Pass {
+	if res := distcheck.Support(setOf(counts), support); !res.Pass {
 		t.Fatalf("census-subset observations failed: %s", res.Detail)
 	}
 }
@@ -147,57 +177,30 @@ func TestSupportCheckRejectsAlienBehavior(t *testing.T) {
 // TestUniformCheckDetectsSkew: a deliberately skewed sample fails the
 // G-test that the true Random strategy passes.
 func TestUniformCheckDetectsSkew(t *testing.T) {
-	pr := Program{Prog: litmus.SBRelaxed().Program}
-	cfg := Config{}.withDefaults()
-	st := Strategy{Name: "c11tester", New: func(Params) engine.Strategy { return core.NewRandom() }, Uniform: true}
-	counts, clean := sample(pr, st, cfg)
-	probs, errMass, err := enumProbs(pr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := uniformCheck(pr, st, counts, clean, probs, errMass, cfg); !res.Pass {
+	prog := litmus.SBRelaxed().Program
+	probs, errMass, _ := exact(t, prog)
+	obs := sample(prog, harness.C11Tester(), distcheck.Seed(1, "cell", prog.Name(), "c11tester")).Coverage
+	if res := distcheck.Uniform(obs, probs, errMass); !res.Pass {
 		t.Fatalf("true Random sample failed the G-test: %s p=%g", res.Detail, res.P)
 	}
 	// Skew: move half of the most common behavior's mass onto the least
 	// common one.
+	counts := map[uint64]int{}
 	var maxFP, minFP uint64
 	maxN, minN := -1, math.MaxInt
-	for fp, n := range counts {
+	for _, e := range obs.Entries() {
+		n := int(e.Count)
+		counts[e.FP] = n
 		if n > maxN {
-			maxFP, maxN = fp, n
+			maxFP, maxN = e.FP, n
 		}
 		if n < minN {
-			minFP, minN = fp, n
+			minFP, minN = e.FP, n
 		}
 	}
 	counts[maxFP] -= maxN / 2
 	counts[minFP] += maxN / 2
-	if res := uniformCheck(pr, st, counts, clean, probs, errMass, cfg); res.Pass {
+	if res := distcheck.Uniform(setOf(counts), probs, errMass); res.Pass {
 		t.Fatalf("skewed sample passed the G-test: %s p=%g", res.Detail, res.P)
-	}
-}
-
-// TestPermIndexBijective: the Lehmer encoding is a bijection over the
-// orderings actually fed to it.
-func TestPermIndexBijective(t *testing.T) {
-	seen := map[int]bool{}
-	var rec func(rest []memmodel.ThreadID, cur []memmodel.ThreadID)
-	rec = func(rest, cur []memmodel.ThreadID) {
-		if len(rest) == 0 {
-			idx := permIndex(cur)
-			if idx < 0 || idx >= 24 || seen[idx] {
-				t.Fatalf("permIndex(%v) = %d (dup=%v)", cur, idx, seen[idx])
-			}
-			seen[idx] = true
-			return
-		}
-		for i, tid := range rest {
-			next := append(append([]memmodel.ThreadID{}, rest[:i]...), rest[i+1:]...)
-			rec(next, append(cur, tid))
-		}
-	}
-	rec([]memmodel.ThreadID{1, 2, 3, 4}, nil)
-	if len(seen) != 24 {
-		t.Fatalf("covered %d/24 indices", len(seen))
 	}
 }

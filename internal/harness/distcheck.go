@@ -1,19 +1,28 @@
 package harness
 
 import (
+	"fmt"
+	"maps"
+	"slices"
+
 	"pctwm/internal/core"
 	"pctwm/internal/distcheck"
 	"pctwm/internal/engine"
+	"pctwm/internal/enumerate"
 	"pctwm/internal/litmus"
 )
 
-// The strategy parameters a conformance campaign checks, and the
-// profiling budget that estimates each program's k/kcom.
+// The strategy parameters a conformance campaign checks, the profiling
+// budget that estimates each program's k/kcom, and the sample sizes.
+// Statistical power needs a fixed sample size, so these do not follow
+// any table's run count.
 const (
 	distCheckPCTDepth     = 3 // PCT's d
 	distCheckPCTWMDepth   = 2 // PCTWM's d
 	distCheckPCTWMHistory = 3 // PCTWM's h
 	distCheckEstimateRuns = 32
+	distCheckRuns         = 4000 // trials per (program, strategy) cell
+	distCheckPermRounds   = 6000 // rounds per permutation check
 )
 
 // DistCheckResult pairs the two halves of a conformance campaign: the
@@ -49,59 +58,87 @@ func DistCheckSuite() []*litmus.Test {
 	}
 }
 
-// distCheckStrategies builds the shipped strategies, parameterized per
-// program by the estimated k/kcom.
-func distCheckStrategies() []distcheck.Strategy {
-	d, wd, h := distCheckPCTDepth, distCheckPCTWMDepth, distCheckPCTWMHistory
-	return []distcheck.Strategy{
-		{
-			Name:    "c11tester",
-			New:     func(distcheck.Params) engine.Strategy { return core.NewRandom() },
-			Uniform: true,
-		},
-		{
-			Name:  "pct",
-			New:   func(p distcheck.Params) engine.Strategy { return core.NewPCT(d, p.Steps) },
-			Bound: func(p distcheck.Params) float64 { return core.PCTBound(p.Threads, p.Steps, d) },
-		},
-		{
-			Name:  "pctwm",
-			New:   func(p distcheck.Params) engine.Strategy { return core.NewPCTWM(wd, h, p.Comm) },
-			Bound: func(p distcheck.Params) float64 { return core.PCTWMBound(p.Comm, wd, h) },
-		},
-	}
+// distCheckStrategies are the shipped strategies under conformance test.
+// Random samples the uniform decision walk, so it is G-tested against the
+// exact distribution; PCT and PCTWM are checked against their
+// per-behavior lower bounds at the program's estimate.
+var distCheckStrategies = []struct {
+	name    string
+	factory StrategyFactory
+	uniform bool
+	bound   func(Estimate) float64
+}{
+	{name: "c11tester", factory: C11Tester(), uniform: true},
+	{
+		name:    "pct",
+		factory: PCTFactory(distCheckPCTDepth),
+		bound:   func(e Estimate) float64 { return core.PCTBound(e.Threads, e.K, distCheckPCTDepth) },
+	},
+	{
+		name:    "pctwm",
+		factory: PCTWMFactory(distCheckPCTWMDepth, distCheckPCTWMHistory),
+		bound:   func(e Estimate) float64 { return core.PCTWMBound(e.KCom, distCheckPCTWMDepth, distCheckPCTWMHistory) },
+	},
 }
 
 // DistCheckCampaign runs the strategy-conformance suite over tests (nil
-// selects DistCheckSuite), with each program's bound parameters profiled
-// by EstimateParams, then runs the permutation check on the colliding
-// regression fixture to prove detection still works. cfg is passed
-// through to distcheck.Run (zero fields take distcheck defaults; its
-// Options apply to the profiling runs as well).
-func DistCheckCampaign(tests []*litmus.Test, cfg distcheck.Config) (*DistCheckResult, error) {
+// selects DistCheckSuite) from the master seed, then runs the permutation
+// check on the colliding regression fixture to prove detection still
+// works. Each program is enumerated once for its exact behavior
+// distribution and profiled by EstimateParams for its bound parameters.
+// Each (program, strategy) cell is one RunCampaign from camp with
+// coverage on, whose first round runs at a seed derived from the master
+// seed and the cell, so the report is the same for every worker count.
+// camp's Model applies to the enumerations and the profiling runs too.
+// Errors are infrastructural (an enumeration drifted, a campaign stopped
+// early); statistical failures land in the report.
+func DistCheckCampaign(tests []*litmus.Test, seed int64, camp Campaign) (*DistCheckResult, error) {
 	if tests == nil {
 		tests = DistCheckSuite()
 	}
-	programs := make([]distcheck.Program, 0, len(tests))
+	conf := &distcheck.Report{Passed: true}
+	permEst := Estimate{Threads: distcheck.PermThreads, K: distcheck.PermThreads, KCom: distcheck.PermThreads}
+	for _, st := range distCheckStrategies {
+		res, err := distcheck.Permutation(st.factory(permEst), distcheck.Seed(seed, "perm", st.name), distCheckPermRounds)
+		if err != nil {
+			return nil, err
+		}
+		conf.Add(st.name, "", res)
+	}
+	opts := engine.Options{Model: camp.Model}
+	camp.Coverage = true
+	noHit := func(*engine.Outcome) bool { return false }
 	for _, lt := range tests {
-		est := EstimateParams(lt.Program, distCheckEstimateRuns, cfg.Seed+1, cfg.Options)
-		programs = append(programs, distcheck.Program{
-			Prog: lt.Program,
-			Params: distcheck.Params{
-				Threads: est.Threads,
-				Steps:   est.K,
-				Comm:    est.KCom,
-			},
-		})
+		prog := lt.Program
+		probs, errMass, err := enumerate.BehaviorProbs(prog, opts, 0)
+		if err != nil {
+			return nil, fmt.Errorf("distcheck: %w", err)
+		}
+		support := slices.Sorted(maps.Keys(probs))
+		est := EstimateParams(prog, distCheckEstimateRuns, seed+1, opts)
+		for _, st := range distCheckStrategies {
+			camp.CheckpointCell = "distcheck/" + prog.Name() + "/" + st.name
+			res := RunCampaign(prog, noHit, func() engine.Strategy { return st.factory(est) },
+				distCheckRuns, distcheck.Seed(seed, "cell", prog.Name(), st.name), opts, camp)
+			if res.Interrupted || res.Stuck {
+				return nil, fmt.Errorf("distcheck: campaign %s/%s stopped after %d of %d trials", prog.Name(), st.name, res.Runs, distCheckRuns)
+			}
+			conf.Add(st.name, prog.Name(), distcheck.Support(res.Coverage, support))
+			if st.uniform {
+				conf.Add(st.name, prog.Name(), distcheck.Uniform(res.Coverage, probs, errMass))
+			}
+			if st.bound != nil {
+				conf.Add(st.name, prog.Name(), distcheck.Bound(res.Coverage, res.Runs, support, st.bound(est)))
+			}
+		}
 	}
-	conf, err := distcheck.Run(programs, distCheckStrategies(), cfg)
+	fixture := distcheck.CollidingFixture()
+	res, err := distcheck.Permutation(fixture, distcheck.Seed(seed, "perm", fixture.Name()), distCheckPermRounds)
 	if err != nil {
 		return nil, err
 	}
-	fix, err := distcheck.Run(nil, []distcheck.Strategy{distcheck.CollidingFixture()}, cfg)
-	if err != nil {
-		return nil, err
-	}
+	fix := &distcheck.Report{Passed: true}
+	fix.Add(fixture.Name(), "", res)
 	detected := !fix.Passed
 	return &DistCheckResult{
 		Conformance: conf,

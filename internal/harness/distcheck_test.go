@@ -1,24 +1,18 @@
 package harness
 
 import (
+	"reflect"
 	"testing"
 
-	"pctwm/internal/distcheck"
 	"pctwm/internal/litmus"
 )
 
-// distCheckFastConfig shrinks the campaign for single-program tests;
-// the statistical margins stay comfortable at these sizes.
-func distCheckFastConfig() distcheck.Config {
-	return distcheck.Config{Runs: 2000, PermRounds: 3000}
-}
-
 // TestDistCheckCampaign is the CI conformance gate: over the default
-// small-litmus suite with estimated parameters and the default fixed
-// seed, the shipped strategies pass every distributional check and the
-// colliding regression fixture is detected.
+// small-litmus suite with estimated parameters and a fixed seed, the
+// shipped strategies pass every distributional check and the colliding
+// regression fixture is detected.
 func TestDistCheckCampaign(t *testing.T) {
-	res, err := DistCheckCampaign(nil, distcheck.Config{})
+	res, err := DistCheckCampaign(nil, 1, Campaign{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +37,7 @@ func TestDistCheckCampaign(t *testing.T) {
 // TestDistCheckCampaignCustomSuite: an explicit test list overrides the
 // default suite, and the estimated parameters flow into the bounds.
 func TestDistCheckCampaignCustomSuite(t *testing.T) {
-	res, err := DistCheckCampaign([]*litmus.Test{litmus.SBRelaxed()}, distCheckFastConfig())
+	res, err := DistCheckCampaign([]*litmus.Test{litmus.SBRelaxed()}, 1, Campaign{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,5 +52,21 @@ func TestDistCheckCampaignCustomSuite(t *testing.T) {
 	}
 	if !res.Passed {
 		t.Fatalf("SB-only campaign failed: %+v", res.Conformance.Failures())
+	}
+}
+
+// TestDistCheckCampaignWorkers: the gate samples through RunCampaign, so
+// its report does not depend on the worker count.
+func TestDistCheckCampaignWorkers(t *testing.T) {
+	serial, err := DistCheckCampaign(nil, 7, Campaign{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel, err := DistCheckCampaign(nil, 7, Campaign{Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(serial, parallel) {
+		t.Fatalf("reports differ between 1 and 3 workers:\n%+v\n%+v", serial.Conformance.Results, parallel.Conformance.Results)
 	}
 }

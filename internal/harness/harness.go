@@ -271,14 +271,3 @@ func BestOverH(b *benchprog.Benchmark, d, maxH, runs int, seed int64, camp Campa
 	}
 	return best, bestH
 }
-
-// RSD returns the relative standard deviation (percent) of the samples,
-// as reported in Table 4: the population standard deviation over the
-// mean, 0 for an empty or zero-mean sample.
-func RSD(samples []float64) float64 {
-	mean := stats.Mean(samples)
-	if mean == 0 {
-		return 0
-	}
-	return 100 * stats.StdDev(samples) / mean
-}

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"math"
 	"testing"
 
 	"pctwm/internal/benchprog"
@@ -54,19 +53,6 @@ func TestRate(t *testing.T) {
 	}
 	if (TrialResult{}).Rate() != 0 {
 		t.Fatal("zero-runs rate")
-	}
-}
-
-func TestRSD(t *testing.T) {
-	if got := RSD([]float64{5, 5, 5}); got != 0 {
-		t.Fatalf("constant samples RSD %v", got)
-	}
-	got := RSD([]float64{4, 6})
-	if math.Abs(got-20) > 1e-9 { // sd=1, mean=5 → 20%
-		t.Fatalf("RSD = %v, want 20", got)
-	}
-	if RSD(nil) != 0 || RSD([]float64{0, 0}) != 0 {
-		t.Fatal("degenerate RSD")
 	}
 }
 

@@ -26,16 +26,14 @@ var ErrConformance = errors.New("report: strategy conformance failed")
 // — followed by the colliding-priority regression fixture
 // (distcheck.CollidingFixture), which must fail its permutation check.
 //
-// The campaign sizes its own run counts (distcheck defaults): statistical
-// power needs a fixed sample size, independent of the -runs table sizing.
-// Only Seed and Model flow in from the report config.
+// The campaign sizes its own run counts: statistical power needs a fixed
+// sample size, independent of the -runs table sizing. Seed and the
+// campaign template (model, workers, context, metrics) flow in from the
+// report config.
 func DistCheck(w io.Writer, cfg Config) error {
 	cfg = cfg.normalized()
 	cfg.phase("distcheck")
-	res, err := harness.DistCheckCampaign(nil, distcheck.Config{
-		Seed:    cfg.Seed,
-		Options: engine.Options{Model: cfg.Campaign.Model, Context: cfg.Campaign.Context},
-	})
+	res, err := harness.DistCheckCampaign(nil, cfg.Seed, cfg.Campaign)
 	if err != nil {
 		if cfg.interrupted() {
 			return ErrInterrupted

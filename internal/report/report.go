@@ -191,46 +191,66 @@ func Table3(w io.Writer, cfg Config) error {
 }
 
 // Table4 prints the application performance comparison (paper Table 4):
-// throughput for silo, elapsed time for mabain and iris, with the
-// relative standard deviation in parentheses, for single and multiple
-// core configurations.
+// throughput for silo, elapsed time for mabain and iris, each the mean
+// over PerfRuns runs of one campaign per tester, with the engine cost per
+// event and the number of runs that found a data race.
 func Table4(w io.Writer, cfg Config) error {
 	cfg = cfg.normalized()
 	cfg.phase("table4")
-	fmt.Fprintf(w, "Table 4: Performance on testing real-world applications (mean of %d runs, RSD in parentheses).\n", cfg.PerfRuns)
+	fmt.Fprintf(w, "Table 4: Performance on testing real-world applications (mean of %d runs).\n", cfg.PerfRuns)
 	tw := newTab(w)
-	fmt.Fprintln(tw, "App\tMetric\tCores\tC11Tester\tPCTWM\tOverhead\tns/event (c11/pctwm)\tRaces (c11/pctwm)")
+	fmt.Fprintln(tw, "App\tMetric\tC11Tester\tPCTWM\tOverhead\tns/event (c11/pctwm)\tRaces (c11/pctwm)")
 	for _, a := range apps.All() {
+		c11 := cfg.appTrials(a, "c11tester", harness.C11Tester())
+		wm := cfg.appTrials(a, "pctwm", harness.PCTWMFactory(2, 1))
 		if cfg.interrupted() {
+			// A canceled campaign stopped early: its means cover only
+			// the runs it finished, so the row is not printed.
 			tw.Flush()
 			return ErrInterrupted
 		}
-		for _, cores := range []int{1, 4} {
-			coreLabel := "single"
-			if cores > 1 {
-				coreLabel = "multiple"
-			}
-			c11 := harness.MeasureApp(a, harness.C11Tester(), cfg.PerfRuns, cfg.Seed, cores)
-			wm := harness.MeasureApp(a, harness.PCTWMFactory(2, 1), cfg.PerfRuns, cfg.Seed, cores)
-			var metric, c11Cell, wmCell, overhead string
-			switch a.Kind {
-			case apps.KindThroughput:
-				metric = "ops/sec"
-				c11Cell = fmt.Sprintf("%.0f (%.1f%%)", c11.Throughput, c11.RSDPercent)
-				wmCell = fmt.Sprintf("%.0f (%.1f%%)", wm.Throughput, wm.RSDPercent)
-				overhead = fmt.Sprintf("%+.1f%%", safePct(c11.Throughput-wm.Throughput, c11.Throughput))
-			default:
-				metric = "time/ms"
-				c11Cell = fmt.Sprintf("%.2f (%.1f%%)", 1000*c11.MeanSeconds, c11.RSDPercent)
-				wmCell = fmt.Sprintf("%.2f (%.1f%%)", 1000*wm.MeanSeconds, wm.RSDPercent)
-				overhead = fmt.Sprintf("%+.1f%%", safePct(wm.MeanSeconds-c11.MeanSeconds, c11.MeanSeconds))
-			}
-			fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\t%.0f/%.0f\t%d/%d\n",
-				a.Name, metric, coreLabel, c11Cell, wmCell, overhead,
-				c11.NsPerEvent, wm.NsPerEvent, c11.RacesDetected, wm.RacesDetected)
+		c11Time, wmTime := c11.AvgTime().Seconds(), wm.AvgTime().Seconds()
+		var metric, c11Cell, wmCell, overhead string
+		switch a.Kind {
+		case apps.KindThroughput:
+			c11Ops, wmOps := throughput(a, c11Time), throughput(a, wmTime)
+			metric = "ops/sec"
+			c11Cell = fmt.Sprintf("%.0f", c11Ops)
+			wmCell = fmt.Sprintf("%.0f", wmOps)
+			overhead = fmt.Sprintf("%+.1f%%", safePct(c11Ops-wmOps, c11Ops))
+		default:
+			metric = "time/ms"
+			c11Cell = fmt.Sprintf("%.2f", 1000*c11Time)
+			wmCell = fmt.Sprintf("%.2f", 1000*wmTime)
+			overhead = fmt.Sprintf("%+.1f%%", safePct(wmTime-c11Time, c11Time))
 		}
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%.0f/%.0f\t%d/%d\n",
+			a.Name, metric, c11Cell, wmCell, overhead,
+			c11.NsPerEvent(), wm.NsPerEvent(), c11.Hits, wm.Hits)
 	}
 	return tw.Flush()
+}
+
+// appTrials runs one Table 4 cell: PerfRuns rounds of the application
+// under the factory's strategy as one campaign, counting the rounds that
+// found a data race as hits.
+func (c Config) appTrials(a *apps.App, strategy string, factory harness.StrategyFactory) harness.TrialResult {
+	prog := a.Program()
+	opts := a.Options()
+	opts.Model = c.Campaign.Model
+	est := harness.EstimateParams(prog, 5, c.Seed^0x9e1f, opts)
+	raced := func(o *engine.Outcome) bool { return len(o.Races) > 0 }
+	return harness.RunCampaign(prog, raced, func() engine.Strategy { return factory(est) },
+		c.PerfRuns, c.Seed, opts, c.cell("table4/"+a.Name+"/"+strategy))
+}
+
+// throughput is the application's operations per second at a mean run
+// time of seconds, 0 for a run too short to time.
+func throughput(a *apps.App, seconds float64) float64 {
+	if seconds <= 0 {
+		return 0
+	}
+	return float64(a.Ops) / seconds
 }
 
 // Figure5 prints the highest bug hitting rates observed per benchmark for

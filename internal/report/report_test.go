@@ -1,8 +1,13 @@
 package report
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
+
+	"pctwm/internal/engine"
+	"pctwm/internal/telemetry"
 )
 
 // tiny is a minimal configuration so the full report renders quickly.
@@ -55,10 +60,52 @@ func TestTable4(t *testing.T) {
 	out := render(t, func(w interface{ Write([]byte) (int, error) }, cfg Config) error {
 		return Table4(w, cfg)
 	})
-	for _, want := range []string{"silo", "mabain", "iris", "ops/sec", "time/ms", "single", "multiple"} {
+	for _, want := range []string{"silo", "mabain", "iris", "ops/sec", "time/ms"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in:\n%s", want, out)
 		}
+	}
+	if len(strings.Split(strings.TrimSpace(out), "\n")) != 5 { // title + header + 3 apps
+		t.Fatalf("unexpected row count:\n%s", out)
+	}
+}
+
+// TestTable4FollowsCampaign: Table 4 runs on the campaign template, so
+// its model reaches the engine and its metrics hub counts every trial.
+// The race detector runs only under rc11, so under sc no run finds a
+// race.
+func TestTable4FollowsCampaign(t *testing.T) {
+	cfg := tiny
+	cfg.PerfRuns = 2
+	cfg.Campaign.Model = engine.ModelSC
+	cfg.Campaign.Metrics = &telemetry.Metrics{}
+	var b strings.Builder
+	if err := Table4(&b, cfg); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range strings.Split(strings.TrimSpace(b.String()), "\n")[2:] {
+		if !strings.HasSuffix(row, " 0/0") {
+			t.Errorf("races found under sc: %q", row)
+		}
+	}
+	if got, want := cfg.Campaign.Metrics.Trials(), uint64(3*2*cfg.PerfRuns); got != want {
+		t.Errorf("metrics hub counted %d trials, want %d", got, want)
+	}
+}
+
+// TestTable4Interrupted: a canceled context stops Table 4 with
+// ErrInterrupted and no row built from a campaign cut short.
+func TestTable4Interrupted(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg := tiny
+	cfg.Campaign.Context = ctx
+	var b strings.Builder
+	if err := Table4(&b, cfg); !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("err = %v, want ErrInterrupted", err)
+	}
+	if lines := strings.Split(strings.TrimSpace(b.String()), "\n"); len(lines) != 2 { // title + header
+		t.Fatalf("rows printed after the cancel:\n%s", b.String())
 	}
 }
 
