@@ -212,7 +212,7 @@ func checkGolden(t *testing.T, goldenPath string, cases []goldenCase) {
 		if err := os.WriteFile(goldenPath, append(data, '\n'), 0o644); err != nil {
 			t.Fatalf("writing %s: %v", goldenPath, err)
 		}
-		t.Logf("wrote %d cells × %d seeds to %s", len(cases), goldenSeeds, goldenPath)
+		t.Logf("wrote %d cells to %s", len(cases), goldenPath)
 		return
 	}
 
