@@ -64,22 +64,11 @@ func (s *AblatedPCTWM) NextThread(enabled []engine.PendingOp) memmodel.ThreadID 
 	if s.mode != AblateDelay {
 		return s.PCTWM.NextThread(enabled)
 	}
-	for {
-		op := &enabled[s.highestPriority(enabled)]
-		st := &s.threads[op.TID-1]
-		if !op.IsCommunicationEvent() || op.Index <= st.lastCounted {
-			return op.TID
-		}
-		st.lastCounted = op.Index
-		s.commSeen++
-		for _, idx := range s.sampled {
-			if idx == s.commSeen {
-				st.reorderIdx = op.Index // readGlobal, but no demotion
-				break
-			}
-		}
-		return op.TID
+	op := &enabled[s.highest(enabled)]
+	if s.encounter(op) > 0 {
+		s.threads[op.TID-1].reorderIdx = op.Index // readGlobal, but no demotion
 	}
+	return op.TID
 }
 
 // PickRead implements engine.Strategy.

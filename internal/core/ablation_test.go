@@ -31,14 +31,14 @@ func TestAblateDelayKeepsPriority(t *testing.T) {
 	s.Begin(engine.ProgramInfo{NumRootThreads: 2}, newRng())
 	s.OnThreadStart(1, 0)
 	s.OnThreadStart(2, 0)
-	s.thread(2).prio = 1000
+	s.prio[1] = 1000
 	read := pending(2, 0, memmodel.KindRead, memmodel.Relaxed)
 	write := pending(1, 0, memmodel.KindWrite, memmodel.Relaxed)
 	if got := s.NextThread([]engine.PendingOp{write, read}); got != 2 {
 		t.Fatalf("no-delay must schedule the sink immediately, got t%d", got)
 	}
-	if s.thread(2).prio != 1000 {
-		t.Fatalf("no-delay must not demote: prio[2]=%d", s.thread(2).prio)
+	if s.prio[1] != 1000 {
+		t.Fatalf("no-delay must not demote: prio[2]=%d", s.prio[1])
 	}
 	// The sink is still reordered: its read goes global.
 	rc := engine.ReadContext{TID: 2, Index: 0, Loc: 1, Candidates: make([]engine.ReadCandidate, 3)}

@@ -34,13 +34,13 @@ func TestPCTWMDelaysSampledCommEvent(t *testing.T) {
 	read := pending(2, 0, memmodel.KindRead, memmodel.Relaxed)
 
 	// Force thread 2 to be the highest priority so its read is counted.
-	s.thread(2).prio = 1000
+	s.prio[1] = 1000
 	got := s.NextThread([]engine.PendingOp{write, read})
 	if got != 1 {
 		t.Fatalf("sampled sink's thread must be demoted; scheduled t%d", got)
 	}
-	if s.thread(2).prio >= s.thread(1).prio {
-		t.Fatalf("demotion failed: prio[2]=%d prio[1]=%d", s.thread(2).prio, s.thread(1).prio)
+	if s.prio[1] >= s.prio[0] {
+		t.Fatalf("demotion failed: prio[2]=%d prio[1]=%d", s.prio[1], s.prio[0])
 	}
 
 	// When only the delayed thread remains, it must run (counted guard).
@@ -103,9 +103,9 @@ func TestPCTWMSpinEscape(t *testing.T) {
 	s.Begin(engine.ProgramInfo{NumRootThreads: 2}, newRng())
 	s.OnThreadStart(1, 0)
 	s.OnThreadStart(2, 0)
-	before := s.thread(1).prio
+	before := s.prio[0]
 	s.OnSpin(1)
-	if s.thread(1).prio >= before {
+	if s.prio[0] >= before {
 		t.Fatal("OnSpin must demote the spinner")
 	}
 	rc := engine.ReadContext{TID: 1, Index: 9, Loc: 1, Candidates: make([]engine.ReadCandidate, 8)}
@@ -146,7 +146,7 @@ func TestPCTPriorities(t *testing.T) {
 	s.Begin(engine.ProgramInfo{NumRootThreads: 2}, newRng())
 	s.OnThreadStart(1, 0)
 	s.OnThreadStart(2, 0)
-	*s.priority(1), *s.priority(2) = 50, 40
+	s.prio[0], s.prio[1] = 50, 40
 	en := []engine.PendingOp{
 		pending(1, 0, memmodel.KindWrite, memmodel.Relaxed),
 		pending(2, 0, memmodel.KindWrite, memmodel.Relaxed),
@@ -158,7 +158,7 @@ func TestPCTPriorities(t *testing.T) {
 	s.changeAt = []int{1}
 	s.counter = 0
 	s.OnEvent(&memmodel.Event{TID: 1, Label: memmodel.Label{Kind: memmodel.KindWrite, Order: memmodel.Relaxed, Loc: 1}})
-	if *s.priority(1) >= *s.priority(2) {
+	if s.prio[0] >= s.prio[1] {
 		t.Fatalf("change point must demote the running thread: %v", s.prio)
 	}
 	if got := s.NextThread(en); got != 2 {

@@ -8,18 +8,9 @@ import (
 	"pctwm/internal/telemetry"
 )
 
-// eventKey identifies a (possibly not yet executed) event: the thread and
-// its po index. Pending operations expose the same identity, so an event
-// delayed by Algorithm 1 is recognized again when its thread resumes.
-type eventKey struct {
-	tid   memmodel.ThreadID
-	index int
-}
-
 // pctwmThread is PCTWM's per-thread state, stored densely (index = tid-1)
 // so the per-step hot path performs no map operations.
 type pctwmThread struct {
-	prio   int
 	spins  int
 	escape bool
 	sticky bool
@@ -48,17 +39,7 @@ type pctwmThread struct {
 //     legal writes, uniformly (readGlobal); every other read reads from
 //     its thread-local view (readLocal).
 //
-// Priority invariants (the 1/(h·kcom)^d bound of §5.4 assumes them):
-//
-//   - every live thread's priority is distinct at all times: the high
-//     band is a uniformly random rank permutation (OnThreadStart), the
-//     d reserved slots 1..d are each taken by at most one delayed thread
-//     (one per sampled tuple position), and OnSpin demotes to a fresh
-//     strictly-decreasing minimum;
-//   - OnThreadStart never produces a priority in the reserved range
-//     [1, d]: high-band priorities are ≥ d+1 = highBase;
-//   - highestPriority's lowest-index tie-break is therefore unreachable
-//     in steady state; it remains only as a deterministic safety net.
+// Delays demote into the reserved slots d … 1 of priorities.
 type PCTWM struct {
 	// Depth is the bug-depth parameter d (number of communication
 	// relations to sample).
@@ -73,20 +54,14 @@ type PCTWM struct {
 	// when telemetry is off); change points are logged into it.
 	tel *telemetry.EngineCounters
 
+	priorities
 	threads []pctwmThread // index = tid-1
 	// sampled holds the d sampled communication-event indices; sampled[k]
 	// is the index (in encounter order) of tuple position k+1. d is small,
 	// so the per-communication-event lookup is a linear scan.
 	sampled   []int
-	sampleBuf []int // result buffer for sampleDistinct, reused across runs
 	fyScratch []int // Fisher–Yates scratch for sampleDistinct's dense path
-	// band lists the threads currently holding high-band priorities in
-	// ascending priority order; threads[band[i]-1].prio == highBase + i.
-	// Delayed and demoted threads leave the band.
-	band     []memmodel.ThreadID
-	commSeen int
-	minPrio  int
-	highBase int
+	commSeen  int
 }
 
 // stickyEscapeAfter is the number of livelock notifications for one
@@ -119,13 +94,10 @@ func (s *PCTWM) Name() string { return "pctwm" }
 func (s *PCTWM) Begin(info engine.ProgramInfo, r *rand.Rand) {
 	s.rng = r
 	s.tel = info.Telemetry
+	s.reset(s.Depth)
 	s.threads = s.threads[:0]
-	s.band = s.band[:0]
 	s.commSeen = 0
-	s.minPrio = 0
-	s.highBase = s.Depth + 1
-	s.sampleBuf, s.fyScratch = sampleDistinct(r, s.Depth, s.CommEvents, s.sampleBuf, s.fyScratch)
-	s.sampled = s.sampleBuf
+	s.sampled, s.fyScratch = sampleDistinct(r, s.Depth, s.CommEvents, s.sampled, s.fyScratch)
 }
 
 // thread returns the dense state slot for tid, growing the table on
@@ -138,36 +110,29 @@ func (s *PCTWM) thread(tid memmodel.ThreadID) *pctwmThread {
 	return &s.threads[i]
 }
 
-// OnThreadStart gives every new thread a random priority above the d
-// reserved slots (Algorithm 1, line 3), distinct from every other live
-// thread's: the thread is inserted at a uniformly random rank of the
-// high band and the band is renumbered from highBase. Inserting each
-// arrival at a uniform rank yields a uniformly random permutation of
-// thread ranks without knowing the final thread count up front. Threads
-// already delayed or demoted are not in the band and keep their low
-// priorities untouched.
+// OnThreadStart gives every new thread a random distinct priority above
+// the d reserved slots (Algorithm 1, line 3; see priorities.start).
 func (s *PCTWM) OnThreadStart(tid, _ memmodel.ThreadID) {
 	*s.thread(tid) = pctwmThread{lastCounted: -1, reorderIdx: -1}
-	at := s.rng.Intn(len(s.band) + 1)
-	s.band = bandInsert(s.band, tid, at)
-	for i, id := range s.band {
-		s.threads[id-1].prio = s.highBase + i
-	}
+	s.start(s.rng, tid)
 }
 
-// highestPriority returns the index in enabled of the operation whose
-// thread has the highest priority. Every enabled thread has been through
-// OnThreadStart, so its state slot exists and is indexed directly — no
-// grow checks or PendingOp copies on the per-step scan.
-func (s *PCTWM) highestPriority(enabled []engine.PendingOp) int {
-	best := 0
-	bestPrio := s.threads[enabled[0].TID-1].prio
-	for i := 1; i < len(enabled); i++ {
-		if p := s.threads[enabled[i].TID-1].prio; p > bestPrio {
-			best, bestPrio = i, p
+// encounter counts op toward kcom if it is a communication event not
+// counted before (Algorithm 1, lines 6-8) and returns its position k in
+// the sampled tuple, or 0 when it is not a sampled sink.
+func (s *PCTWM) encounter(op *engine.PendingOp) int {
+	st := &s.threads[op.TID-1]
+	if !op.IsCommunicationEvent() || op.Index <= st.lastCounted {
+		return 0
+	}
+	st.lastCounted = op.Index
+	s.commSeen++
+	for i, idx := range s.sampled {
+		if idx == s.commSeen {
+			return i + 1
 		}
 	}
-	return best
+	return 0
 }
 
 // NextThread implements the scheduling loop of Algorithm 1 (lines 2-13):
@@ -175,40 +140,26 @@ func (s *PCTWM) highestPriority(enabled []engine.PendingOp) int {
 // event is a communication event whose running index was sampled, demote
 // the thread into reserved slot d−k+1 (so the delayed events run as late
 // as possible, in tuple order) and pick again. An already-delayed event is
-// executed when its thread surfaces again as the highest priority.
+// executed when its thread surfaces again as the highest priority: it was
+// counted, so encounter returns 0.
 func (s *PCTWM) NextThread(enabled []engine.PendingOp) memmodel.ThreadID {
 	for {
-		op := &enabled[s.highestPriority(enabled)]
-		st := &s.threads[op.TID-1]
-		if !op.IsCommunicationEvent() || op.Index <= st.lastCounted {
-			return op.TID
-		}
-		st.lastCounted = op.Index
-		s.commSeen++
-		k := 0
-		for i, idx := range s.sampled {
-			if idx == s.commSeen {
-				k = i + 1
-				break
-			}
-		}
+		op := &enabled[s.highest(enabled)]
+		k := s.encounter(op)
 		if k == 0 {
 			return op.TID
 		}
-		// Delay: move the thread into reserved slot d−k+1 and mark the
-		// event as a communication sink (lines 9-13). Each tuple position
-		// is sampled at most once, so the slot is free; the thread leaves
-		// the high band so later thread starts cannot renumber it back up.
-		s.band = bandRemove(s.band, op.TID)
-		st.prio = s.Depth - k + 1
-		st.reorderIdx = op.Index
+		// Delay: mark the event as a communication sink and move the
+		// thread into reserved slot d−k+1 (lines 9-13). Each tuple
+		// position is sampled at most once, so the slot is free.
+		slot := s.Depth - k + 1
+		s.threads[op.TID-1].reorderIdx = op.Index
+		s.move(op.TID, slot)
 		if s.tel != nil {
 			s.tel.LogChangePoint(telemetry.ChangePoint{
-				TID: op.TID, Index: op.Index, Comm: s.commSeen, Slot: s.Depth - k + 1,
+				TID: op.TID, Index: op.Index, Comm: s.commSeen, Slot: slot,
 			})
 		}
-		// If this thread was the only enabled one, it must run anyway;
-		// the counted guard above returns it on the next iteration.
 	}
 }
 
@@ -247,10 +198,8 @@ func (s *PCTWM) OnEvent(*memmodel.Event) {}
 // keeps livelocking is released from view-restricted reads entirely,
 // degrading gracefully to naive random testing.
 func (s *PCTWM) OnSpin(tid memmodel.ThreadID) {
-	s.minPrio--
+	s.spin(tid)
 	st := s.thread(tid)
-	s.band = bandRemove(s.band, tid)
-	st.prio = s.minPrio
 	st.escape = true
 	st.spins++
 	if st.spins >= stickyEscapeAfter {

@@ -19,7 +19,12 @@ import (
 type POS struct {
 	rng  *rand.Rand
 	prio map[eventKey]float64
-	last map[eventKey]memmodel.Loc // pending event -> location (for conflicts)
+}
+
+// eventKey identifies a pending event: the thread and its po index.
+type eventKey struct {
+	tid   memmodel.ThreadID
+	index int
 }
 
 // NewPOS returns a partial order sampling strategy.
@@ -32,7 +37,6 @@ func (s *POS) Name() string { return "pos" }
 func (s *POS) Begin(_ engine.ProgramInfo, r *rand.Rand) {
 	s.rng = r
 	s.prio = make(map[eventKey]float64)
-	s.last = make(map[eventKey]memmodel.Loc)
 }
 
 func (s *POS) priority(op engine.PendingOp) float64 {
@@ -41,7 +45,6 @@ func (s *POS) priority(op engine.PendingOp) float64 {
 	if !ok {
 		p = s.rng.Float64()
 		s.prio[key] = p
-		s.last[key] = op.Loc
 	}
 	return p
 }

@@ -33,7 +33,7 @@ func TestPCTDistinctPriorities(t *testing.T) {
 			startPCT(s, n, r)
 			seen := map[int]memmodel.ThreadID{}
 			for tid := 1; tid <= n; tid++ {
-				p := *s.priority(memmodel.ThreadID(tid))
+				p := s.prio[tid-1]
 				if p < s.highBase {
 					t.Fatalf("n=%d round=%d: t%d priority %d inside the reserved range (highBase %d)", n, round, tid, p, s.highBase)
 				}
@@ -55,7 +55,7 @@ func TestPCTWMDistinctPriorities(t *testing.T) {
 			startPCTWM(s, n, r)
 			seen := map[int]memmodel.ThreadID{}
 			for tid := 1; tid <= n; tid++ {
-				p := s.thread(memmodel.ThreadID(tid)).prio
+				p := s.prio[tid-1]
 				if p < s.highBase {
 					t.Fatalf("n=%d round=%d: t%d priority %d inside the reserved range (highBase %d)", n, round, tid, p, s.highBase)
 				}
@@ -80,7 +80,7 @@ func TestPCTRankPermutationUniform(t *testing.T) {
 		startPCT(s, 3, r)
 		var perm [3]int
 		for tid := 1; tid <= 3; tid++ {
-			perm[tid-1] = *s.priority(memmodel.ThreadID(tid)) - s.highBase
+			perm[tid-1] = s.prio[tid-1] - s.highBase
 		}
 		counts[perm]++
 	}
@@ -106,29 +106,29 @@ func TestPCTDemotedThreadsSurviveLaterStarts(t *testing.T) {
 	s.changeAt = append(s.changeAt[:0], 1)
 	s.counter = 0
 	s.OnEvent(&memmodel.Event{TID: 1, Label: memmodel.Label{Kind: memmodel.KindWrite, Order: memmodel.Relaxed, Loc: 1}})
-	demoted := *s.priority(1)
+	demoted := s.prio[0]
 	if demoted >= s.highBase {
 		t.Fatalf("change point did not demote t1: %d", demoted)
 	}
 	s.OnThreadStart(3, 1)
 	s.OnThreadStart(4, 1)
-	if got := *s.priority(1); got != demoted {
+	if got := s.prio[0]; got != demoted {
 		t.Fatalf("later starts changed the demoted priority: %d -> %d", demoted, got)
 	}
 
 	// Spin demotion of t2 survives more starts, and stays distinct.
 	s.OnSpin(2)
-	spun := *s.priority(2)
+	spun := s.prio[1]
 	if spun >= s.highBase {
 		t.Fatalf("OnSpin did not demote t2: %d", spun)
 	}
 	s.OnThreadStart(5, 1)
-	if got := *s.priority(2); got != spun {
+	if got := s.prio[1]; got != spun {
 		t.Fatalf("later starts changed the spun priority: %d -> %d", spun, got)
 	}
 	prios := map[int]bool{}
 	for tid := memmodel.ThreadID(1); tid <= 5; tid++ {
-		p := *s.priority(tid)
+		p := s.prio[tid-1]
 		if prios[p] {
 			t.Fatalf("collision after demotions+starts at priority %d", p)
 		}
@@ -143,24 +143,24 @@ func TestPCTWMDelayedThreadSurvivesLaterStarts(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	startPCTWM(s, 2, r)
 	// t2's read is communication event #1, always sampled with kcom=1, d=1.
-	s.thread(2).prio = 1000
+	s.prio[1] = 1000
 	read := engine.PendingOp{TID: 2, Index: 0, Kind: memmodel.KindRead, Order: memmodel.Relaxed, Loc: 1,
 		Comm: memmodel.Label{Kind: memmodel.KindRead, Order: memmodel.Relaxed}.IsCommunicationEvent()}
 	write := engine.PendingOp{TID: 1, Index: 0, Kind: memmodel.KindWrite, Order: memmodel.Relaxed, Loc: 1}
 	if got := s.NextThread([]engine.PendingOp{write, read}); got != 1 {
 		t.Fatalf("sampled sink should be delayed, scheduled t%d", got)
 	}
-	slot := s.thread(2).prio
+	slot := s.prio[1]
 	if slot != s.Depth { // reserved slot d−k+1 = 1 with d=1, k=1
 		t.Fatalf("delayed thread not in reserved slot: %d", slot)
 	}
 	s.OnThreadStart(3, 1)
 	s.OnThreadStart(4, 1)
-	if got := s.thread(2).prio; got != slot {
+	if got := s.prio[1]; got != slot {
 		t.Fatalf("later starts moved the delayed thread: %d -> %d", slot, got)
 	}
 	for tid := memmodel.ThreadID(3); tid <= 4; tid++ {
-		if p := s.thread(tid).prio; p <= s.Depth {
+		if p := s.prio[tid-1]; p <= s.Depth {
 			t.Fatalf("new thread t%d landed in the reserved range: %d", tid, p)
 		}
 	}

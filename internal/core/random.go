@@ -4,9 +4,13 @@
 //     C11Tester": uniform thread choice, uniform reads-from choice);
 //   - PCT: the paper's weak-memory-aware variant of the original PCT
 //     priority scheduler (§6, "Implementation");
-//   - PCTWM: the paper's contribution, Algorithm 1 + 2.
+//   - PCTWM: the paper's contribution, Algorithm 1 + 2;
+//   - POS: partial order sampling, a randomized baseline from the
+//     related work (§7);
+//   - AblatedPCTWM: PCTWM with one ingredient of §5.2 switched off.
 //
-// All three are engine.Strategy implementations; Bounds provides the
+// All are engine.Strategy implementations. PCT and PCTWM share one
+// priority order (priorities); PCTBound and PCTWMBound give the
 // theoretical detection-probability lower bounds of §2.2 and §5.4.
 package core
 

@@ -145,15 +145,15 @@ func Table2(w io.Writer, cfg Config) error {
 	tw := newTab(w)
 	fmt.Fprintln(tw, "Benchmark\td\tRate(d)\tRate(d+1)\tRate(d+2)")
 	for _, b := range benchprog.All() {
-		if cfg.interrupted() {
-			tw.Flush()
-			return ErrInterrupted
-		}
 		cells := make([]string, 3)
 		for i := 0; i < 3; i++ {
 			res, h := harness.BestOverH(b, b.Depth+i, cfg.MaxH, cfg.Runs, cfg.Seed+int64(17*i),
 				cfg.cell(fmt.Sprintf("table2/%s/d%d", b.Name, b.Depth+i)))
 			cells[i] = fmt.Sprintf("%.1f (h:%d)", res.Rate(), h)
+		}
+		if cfg.interrupted() {
+			tw.Flush()
+			return ErrInterrupted
 		}
 		fmt.Fprintf(tw, "%s\t%d\t%s\t%s\t%s\n", b.Name, b.Depth, cells[0], cells[1], cells[2])
 	}
@@ -173,10 +173,6 @@ func Table3(w io.Writer, cfg Config) error {
 	}
 	fmt.Fprintln(tw, header)
 	for _, b := range benchprog.All() {
-		if cfg.interrupted() {
-			tw.Flush()
-			return ErrInterrupted
-		}
 		var est harness.Estimate
 		row := make([]string, 0, cfg.MaxH)
 		for h := 1; h <= cfg.MaxH; h++ {
@@ -184,6 +180,10 @@ func Table3(w io.Writer, cfg Config) error {
 				cfg.cell(fmt.Sprintf("table3/%s/h%d", b.Name, h)))
 			est = e
 			row = append(row, fmt.Sprintf("%.1f", res.Rate()))
+		}
+		if cfg.interrupted() {
+			tw.Flush()
+			return ErrInterrupted
 		}
 		fmt.Fprintf(tw, "%s\t%d\t%d\t%s\n", b.Name, est.KCom, b.Table3Depth, strings.Join(row, "\t"))
 	}
@@ -277,14 +277,12 @@ type fig5Row struct {
 }
 
 // figure5 runs the campaigns behind Figure5 and Figure5CSV. On
-// interruption it returns the rows finished so far with ErrInterrupted.
+// interruption it returns the rows finished before it with
+// ErrInterrupted; the row whose campaigns were cut short is dropped.
 func figure5(cfg Config) ([]fig5Row, error) {
 	cfg.phase("figure5")
 	var rows []fig5Row
 	for _, b := range benchprog.All() {
-		if cfg.interrupted() {
-			return rows, ErrInterrupted
-		}
 		r := fig5Row{bench: b.Name}
 		r.c11, _ = harness.BenchTrials(b, harness.C11Tester(), cfg.Runs, cfg.Seed, 0,
 			cfg.cell("figure5/"+b.Name+"/c11"))
@@ -295,6 +293,9 @@ func figure5(cfg Config) ([]fig5Row, error) {
 			wm, _ := harness.BestOverH(b, b.Depth+i, cfg.MaxH, cfg.Runs, cfg.Seed+int64(13*i),
 				cfg.cell(fmt.Sprintf("figure5/%s/pctwm-d%d", b.Name, i)))
 			r.pctwm = higherRate(r.pctwm, wm)
+		}
+		if cfg.interrupted() {
+			return rows, ErrInterrupted
 		}
 		rows = append(rows, r)
 	}
@@ -356,7 +357,8 @@ type fig6Point struct {
 }
 
 // figure6 runs the campaigns behind Figure6 and Figure6CSV. On
-// interruption it returns the series started so far with ErrInterrupted.
+// interruption it returns the series started so far with ErrInterrupted,
+// without the point whose campaigns were cut short.
 func figure6(cfg Config) ([]fig6Series, error) {
 	cfg.phase("figure6")
 	var out []fig6Series
@@ -367,15 +369,15 @@ func figure6(cfg Config) ([]fig6Series, error) {
 		}
 		s := fig6Series{bench: b}
 		for _, n := range f.sweep {
-			if cfg.interrupted() {
-				return append(out, s), ErrInterrupted
-			}
 			c11, _ := harness.BenchTrials(b, harness.C11Tester(), cfg.Fig6Runs, cfg.Seed+int64(n), n,
 				cfg.cell(fmt.Sprintf("figure6/%s/w%d/c11", b.Name, n)))
 			pct, _ := harness.BenchTrials(b, harness.PCTFactory(max(b.Depth, 1)), cfg.Fig6Runs, cfg.Seed+int64(2*n), n,
 				cfg.cell(fmt.Sprintf("figure6/%s/w%d/pct", b.Name, n)))
 			wm, _ := harness.BenchTrials(b, harness.PCTWMFactory(b.Depth, 1), cfg.Fig6Runs, cfg.Seed+int64(3*n), n,
 				cfg.cell(fmt.Sprintf("figure6/%s/w%d/pctwm", b.Name, n)))
+			if cfg.interrupted() {
+				return append(out, s), ErrInterrupted
+			}
 			s.points = append(s.points, fig6Point{n, c11.Rate(), pct.Rate(), wm.Rate()})
 		}
 		out = append(out, s)
@@ -488,14 +490,11 @@ type coverageRow struct {
 
 // coverageRows runs the censuses and campaigns behind Coverage and
 // CoverageCSV. On an error or interruption it returns the rows finished
-// so far.
+// before it; the row whose campaigns were cut short is dropped.
 func coverageRows(cfg Config) ([]coverageRow, error) {
 	cfg.phase("coverage")
 	var rows []coverageRow
 	for _, name := range coverageTargets {
-		if cfg.interrupted() {
-			return rows, ErrInterrupted
-		}
 		lt, err := findLitmus(name)
 		if err != nil {
 			return rows, err
@@ -513,6 +512,9 @@ func coverageRows(cfg Config) ([]coverageRow, error) {
 			}
 			r.sets = append(r.sets, set)
 		}
+		if cfg.interrupted() {
+			return rows, ErrInterrupted
+		}
 		rows = append(rows, r)
 	}
 	return rows, nil
@@ -528,10 +530,6 @@ func Baselines(w io.Writer, cfg Config) error {
 	tw := newTab(w)
 	fmt.Fprintln(tw, "Benchmark\td\tC11Tester\tPOS\tPCT\tPCTWM\tPCTWM bound")
 	for _, b := range benchprog.All() {
-		if cfg.interrupted() {
-			tw.Flush()
-			return ErrInterrupted
-		}
 		c11, est := harness.BenchTrials(b, harness.C11Tester(), cfg.Runs, cfg.Seed, 0,
 			cfg.cell("baselines/"+b.Name+"/c11"))
 		pos, _ := harness.BenchTrials(b, harness.POSFactory(), cfg.Runs, cfg.Seed+1, 0,
@@ -540,6 +538,10 @@ func Baselines(w io.Writer, cfg Config) error {
 			cfg.cell("baselines/"+b.Name+"/pct"))
 		wm, _ := harness.BenchTrials(b, harness.PCTWMFactory(b.Depth, 1), cfg.Runs, cfg.Seed+3, 0,
 			cfg.cell("baselines/"+b.Name+"/pctwm"))
+		if cfg.interrupted() {
+			tw.Flush()
+			return ErrInterrupted
+		}
 		bound := 100 * core.PCTWMBound(est.KCom, b.Depth, 1)
 		fmt.Fprintf(tw, "%s\t%d\t%.1f\t%.1f\t%.1f\t%.1f\t%.2f\n",
 			b.Name, b.Depth, c11.Rate(), pos.Rate(), pct.Rate(), wm.Rate(), bound)
@@ -559,10 +561,6 @@ func Ablations(w io.Writer, cfg Config) error {
 	fmt.Fprintln(tw, "Benchmark\td\tfull\tno-history\tno-delay\tno-local-views")
 	modes := []core.Ablation{core.AblateNone, core.AblateHistory, core.AblateDelay, core.AblateLocalViews}
 	for _, b := range benchprog.All() {
-		if cfg.interrupted() {
-			tw.Flush()
-			return ErrInterrupted
-		}
 		row := make([]string, 0, len(modes))
 		for i, m := range modes {
 			m := m
@@ -572,6 +570,10 @@ func Ablations(w io.Writer, cfg Config) error {
 			res, _ := harness.BenchTrials(b, factory, cfg.Runs, cfg.Seed+int64(41*i), 0,
 				cfg.cell(fmt.Sprintf("ablation/%s/m%d", b.Name, i)))
 			row = append(row, fmt.Sprintf("%.1f", res.Rate()))
+		}
+		if cfg.interrupted() {
+			tw.Flush()
+			return ErrInterrupted
 		}
 		fmt.Fprintf(tw, "%s\t%d\t%s\n", b.Name, b.Depth, strings.Join(row, "\t"))
 	}
@@ -612,17 +614,18 @@ type telemetryRow struct {
 }
 
 // telemetryRows runs the campaigns behind Telemetry and TelemetryCSV. On
-// an error or interruption it returns the rows finished so far.
+// an error or interruption it returns the rows finished before it; the
+// row whose campaign was cut short is dropped.
 func telemetryRows(cfg Config) ([]telemetryRow, error) {
 	cfg.phase("telemetry")
 	var rows []telemetryRow
 	for _, b := range benchprog.All() {
-		if cfg.interrupted() {
-			return rows, ErrInterrupted
-		}
 		camp := cfg.cell("telemetry/" + b.Name)
 		camp.Telemetry = true
 		res, _ := harness.BenchTrials(b, harness.PCTWMFactory(b.Depth, 1), cfg.Runs, cfg.Seed, 0, camp)
+		if cfg.interrupted() {
+			return rows, ErrInterrupted
+		}
 		if res.Telemetry == nil {
 			return rows, fmt.Errorf("report: campaign for %s produced no telemetry", b.Name)
 		}

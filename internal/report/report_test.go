@@ -3,6 +3,8 @@ package report
 import (
 	"context"
 	"errors"
+	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -106,6 +108,81 @@ func TestTable4Interrupted(t *testing.T) {
 	}
 	if lines := strings.Split(strings.TrimSpace(b.String()), "\n"); len(lines) != 2 { // title + header
 		t.Fatalf("rows printed after the cancel:\n%s", b.String())
+	}
+}
+
+// cutAfter is a context that reports cancellation once the metrics hub
+// has counted n trials. Its Done channel is nil, so a run in flight
+// finishes and its campaign stops before the next trial; at Workers 1 the
+// cut falls on the same trial every time.
+type cutAfter struct {
+	context.Context
+	hub *telemetry.Metrics
+	n   uint64
+}
+
+func (c cutAfter) Err() error {
+	if c.hub.Trials() >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// fieldLines splits out into lines of single-space-joined fields, so a
+// table that lost its widest row still compares equal to the rest.
+func fieldLines(out string) []string {
+	var lines []string
+	for _, l := range strings.Split(strings.TrimSpace(out), "\n") {
+		lines = append(lines, strings.Join(strings.Fields(l), " "))
+	}
+	return lines
+}
+
+// TestSectionsDropCutRow: a section canceled one trial before its end,
+// inside its last row's last campaign, returns ErrInterrupted and prints
+// every earlier row and nothing of the last one.
+func TestSectionsDropCutRow(t *testing.T) {
+	sections := []struct {
+		name     string
+		f        func(io.Writer, Config) error
+		rowLines int // lines the last row prints
+	}{
+		{"Table2", Table2, 1},
+		{"Table3", Table3, 1},
+		{"Figure5", Figure5, 1},
+		{"Figure5CSV", Figure5CSV, 3},
+		{"Figure6", Figure6, 1},
+		{"Figure6CSV", Figure6CSV, 3},
+		{"Ablations", Ablations, 1},
+		{"Baselines", Baselines, 1},
+		{"Coverage", Coverage, 1},
+		{"CoverageCSV", CoverageCSV, len(coverageStrategies)},
+		{"Telemetry", Telemetry, 1},
+		{"TelemetryCSV", TelemetryCSV, 1},
+	}
+	for _, sec := range sections {
+		t.Run(sec.name, func(t *testing.T) {
+			cfg := tiny
+			cfg.Campaign.Workers = 1
+			cfg.Campaign.Metrics = &telemetry.Metrics{}
+			var full strings.Builder
+			if err := sec.f(&full, cfg); err != nil {
+				t.Fatal(err)
+			}
+			total := cfg.Campaign.Metrics.Trials()
+			hub := &telemetry.Metrics{}
+			cfg.Campaign.Metrics = hub
+			cfg.Campaign.Context = cutAfter{context.Background(), hub, total - 1}
+			var cut strings.Builder
+			if err := sec.f(&cut, cfg); !errors.Is(err, ErrInterrupted) {
+				t.Fatalf("err = %v, want ErrInterrupted", err)
+			}
+			want := fieldLines(full.String())
+			want = want[:len(want)-sec.rowLines]
+			if got := fieldLines(cut.String()); !slices.Equal(got, want) {
+				t.Fatalf("canceled output:\n%s\nwant the full output without its last row:\n%s", cut.String(), full.String())
+			}
+		})
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolbox the evaluation
-// uses: Wilson score confidence intervals for bug hitting rates and basic
-// sample aggregates.
+// uses: Wilson score confidence intervals for bug hitting rates and the
+// chi-square and G statistics of the conformance checks.
 package stats
 
 import "math"
@@ -43,31 +43,6 @@ func Wilson(hits, n int, z float64) (low, high float64) {
 
 // Wilson95 is Wilson at 95% confidence.
 func Wilson95(hits, n int) (low, high float64) { return Wilson(hits, n, 1.96) }
-
-// Mean returns the arithmetic mean of the samples (0 for none).
-func Mean(samples []float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, s := range samples {
-		sum += s
-	}
-	return sum / float64(len(samples))
-}
-
-// StdDev returns the population standard deviation.
-func StdDev(samples []float64) float64 {
-	if len(samples) < 2 {
-		return 0
-	}
-	m := Mean(samples)
-	var sq float64
-	for _, s := range samples {
-		sq += (s - m) * (s - m)
-	}
-	return math.Sqrt(sq / float64(len(samples)))
-}
 
 // ChiSquareCDF returns P(X ≤ x) for a chi-square distribution with df
 // degrees of freedom — the regularized lower incomplete gamma function
@@ -177,20 +152,4 @@ func GStat(obs []int, exp []float64) float64 {
 		g += o * math.Log(o/e)
 	}
 	return 2 * g
-}
-
-// GeoMean returns the geometric mean of positive samples (used for
-// normalized cross-benchmark summaries).
-func GeoMean(samples []float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	var logSum float64
-	for _, s := range samples {
-		if s <= 0 {
-			return 0
-		}
-		logSum += math.Log(s)
-	}
-	return math.Exp(logSum / float64(len(samples)))
 }

@@ -151,24 +151,3 @@ func TestGAndChiSquareStats(t *testing.T) {
 		t.Fatalf("zero expectation must be skipped, got %v", x)
 	}
 }
-
-func TestMeanStdDev(t *testing.T) {
-	if Mean(nil) != 0 || StdDev(nil) != 0 {
-		t.Fatal("degenerate aggregates")
-	}
-	if m := Mean([]float64{2, 4, 6}); m != 4 {
-		t.Fatalf("mean %v", m)
-	}
-	if sd := StdDev([]float64{4, 6}); math.Abs(sd-1) > 1e-9 {
-		t.Fatalf("stddev %v", sd)
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{1, 100}); math.Abs(g-10) > 1e-9 {
-		t.Fatalf("geomean %v", g)
-	}
-	if GeoMean([]float64{1, 0}) != 0 || GeoMean(nil) != 0 {
-		t.Fatal("degenerate geomean")
-	}
-}
