@@ -19,11 +19,11 @@
 // are sorted before the final mix, so any two schedules realizing the
 // same behavior collide regardless of interleaving order. The Set
 // aggregates fingerprints across a campaign — first-seen trial indices,
-// observation counts, novelty gaps, per-depth discovery attribution —
-// with a commutative, associative Merge so sharded parallel campaigns
-// produce bit-identical results in any merge grouping, and JSON
-// round-tripping for the checkpoint store. Stats derives the online
-// saturation estimators (Good–Turing unseen mass, Chao1 richness).
+// observation counts, novelty gaps — with a commutative, associative
+// Merge so sharded parallel campaigns produce bit-identical results in
+// any merge grouping, and JSON round-tripping for the checkpoint store.
+// Stats derives the online saturation estimators (Good–Turing unseen
+// mass, Chao1 richness).
 package coverage
 
 import (

@@ -152,13 +152,12 @@ func TestAccumulatorReuse(t *testing.T) {
 type observation struct {
 	fp    uint64
 	trial int64
-	depth uint64
 }
 
 func foldSerial(obs []observation) *Set {
 	var s Set
 	for _, o := range obs {
-		s.Observe(o.fp, o.trial, o.depth)
+		s.Observe(o.fp, o.trial)
 	}
 	return &s
 }
@@ -167,17 +166,17 @@ func foldSerial(obs []observation) *Set {
 // fingerprint and keeps the earliest First.
 func TestSetObserveNovelty(t *testing.T) {
 	var s Set
-	if !s.Observe(10, 5, 1) {
+	if !s.Observe(10, 5) {
 		t.Fatal("first observation not novel")
 	}
-	if s.Observe(10, 9, 2) {
+	if s.Observe(10, 9) {
 		t.Fatal("repeat observation reported novel")
 	}
-	if s.Observe(10, 2, 3) {
+	if s.Observe(10, 2) {
 		t.Fatal("earlier repeat reported novel")
 	}
 	e := s.Entries()[0]
-	if e.First != 2 || e.Count != 3 || e.Depth != 3 {
+	if e.First != 2 || e.Count != 3 {
 		t.Fatalf("entry after out-of-order observations: %+v", e)
 	}
 	if s.Observations() != 3 || s.Len() != 1 {
@@ -196,7 +195,6 @@ func TestSetMergeDeterministic(t *testing.T) {
 		obs = append(obs, observation{
 			fp:    uint64(rng.Intn(40)) + 1,
 			trial: trial,
-			depth: uint64(rng.Intn(4)),
 		})
 	}
 	want := foldSerial(obs)
@@ -208,7 +206,7 @@ func TestSetMergeDeterministic(t *testing.T) {
 		}
 		// Round-robin sharding mimics the pooled runner's seed striping.
 		for i, o := range obs {
-			parts[i%shards].Observe(o.fp, o.trial, o.depth)
+			parts[i%shards].Observe(o.fp, o.trial)
 		}
 		// Merge in a shuffled order: Merge must be order-independent.
 		order := rng.Perm(shards)
@@ -229,7 +227,7 @@ func TestSetMergeDeterministic(t *testing.T) {
 // observation count.
 func TestSetMergeEmpty(t *testing.T) {
 	var a, b Set
-	a.Observe(1, 0, 0)
+	a.Observe(1, 0)
 	a.Merge(&b)
 	if a.Len() != 1 || a.Observations() != 1 {
 		t.Fatalf("merge of empty set perturbed: len %d obs %d", a.Len(), a.Observations())
@@ -244,10 +242,10 @@ func TestSetMergeEmpty(t *testing.T) {
 // and lossless.
 func TestSetJSONRoundTrip(t *testing.T) {
 	s := foldSerial([]observation{
-		{fp: 30, trial: 0, depth: 2},
-		{fp: 10, trial: 1, depth: 0},
-		{fp: 30, trial: 2, depth: 1},
-		{fp: 20, trial: 3, depth: 3},
+		{fp: 30, trial: 0},
+		{fp: 10, trial: 1},
+		{fp: 30, trial: 2},
+		{fp: 20, trial: 3},
 	})
 	data, err := json.Marshal(s)
 	if err != nil {
@@ -274,12 +272,12 @@ func TestSetStats(t *testing.T) {
 	// 6 trials: fp 1 at trials 0,2,5 (count 3); fp 2 at trials 1,4
 	// (count 2, doubleton); fp 3 at trial 3 (count 1, singleton).
 	s := foldSerial([]observation{
-		{fp: 1, trial: 0, depth: 0},
-		{fp: 2, trial: 1, depth: 1},
-		{fp: 1, trial: 2, depth: 0},
-		{fp: 3, trial: 3, depth: 1},
-		{fp: 2, trial: 4, depth: 2},
-		{fp: 1, trial: 5, depth: 0},
+		{fp: 1, trial: 0},
+		{fp: 2, trial: 1},
+		{fp: 1, trial: 2},
+		{fp: 3, trial: 3},
+		{fp: 2, trial: 4},
+		{fp: 1, trial: 5},
 	})
 	st := s.Stats()
 	if st.Behaviors != 3 || st.Observations != 6 {
@@ -301,10 +299,6 @@ func TestSetStats(t *testing.T) {
 	// Novelty at trials 0,1,3 → gaps 1,2.
 	if got := st.GapHist.Count; got != 2 {
 		t.Fatalf("gap observations %d want 2", got)
-	}
-	wantDepth := []DepthCount{{Depth: 0, Behaviors: 1}, {Depth: 1, Behaviors: 2}}
-	if !reflect.DeepEqual(st.ByDepth, wantDepth) {
-		t.Fatalf("by depth %+v want %+v", st.ByDepth, wantDepth)
 	}
 }
 
@@ -329,7 +323,7 @@ func TestSetEqualAndSameBehaviors(t *testing.T) {
 		t.Fatal("identical folds not equal")
 	}
 	// Same behaviors, different counts.
-	b.Observe(2, 5, 0)
+	b.Observe(2, 5)
 	if a.Equal(b) {
 		t.Fatal("Equal ignores counts")
 	}

@@ -16,10 +16,6 @@ type Entry struct {
 	First int64 `json:"first"`
 	// Count is how many trials exhibited the behavior in total.
 	Count uint64 `json:"count"`
-	// Depth is the discovering trial's change-point depth attribution:
-	// how many schedule change points the strategy had injected in that
-	// trial (0 for strategies without change points).
-	Depth uint64 `json:"depth,omitempty"`
 }
 
 // Set is a campaign's first-seen behavior set. Each worker (and each
@@ -36,30 +32,25 @@ type Set struct {
 }
 
 // Observe folds one trial's behavior into the set, reporting whether it
-// was novel. trial is the campaign-global trial index; depth is the
-// trial's change-point attribution (see Entry.Depth).
-func (s *Set) Observe(fp uint64, trial int64, depth uint64) (novel bool) {
+// was novel. trial is the campaign-global trial index.
+func (s *Set) Observe(fp uint64, trial int64) (novel bool) {
 	if s.m == nil {
 		s.m = make(map[uint64]Entry)
 	}
 	s.obs++
 	e, ok := s.m[fp]
 	if !ok {
-		s.m[fp] = Entry{FP: fp, First: trial, Count: 1, Depth: depth}
+		s.m[fp] = Entry{FP: fp, First: trial, Count: 1}
 		return true
 	}
 	e.Count++
-	if trial < e.First {
-		e.First, e.Depth = trial, depth
-	}
+	e.First = min(e.First, trial)
 	s.m[fp] = e
 	return false
 }
 
 // Merge folds o into s. The operation is commutative and associative:
-// counts add, and the earliest First (with its Depth attribution) wins,
-// with the smaller Depth breaking the (normally impossible) tie of two
-// shards claiming the same trial index.
+// counts add, and the earliest First wins.
 func (s *Set) Merge(o *Set) {
 	if o == nil || len(o.m) == 0 {
 		s.obs += o.Observations()
@@ -76,9 +67,7 @@ func (s *Set) Merge(o *Set) {
 			continue
 		}
 		e.Count += oe.Count
-		if oe.First < e.First || (oe.First == e.First && oe.Depth < e.Depth) {
-			e.First, e.Depth = oe.First, oe.Depth
-		}
+		e.First = min(e.First, oe.First)
 		s.m[fp] = e
 	}
 }
@@ -176,12 +165,6 @@ func (s *Set) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// DepthCount attributes first discoveries to a change-point depth.
-type DepthCount struct {
-	Depth     uint64 `json:"depth"`
-	Behaviors int    `json:"behaviors"`
-}
-
 // Stats summarizes a campaign's coverage state: how much has been seen,
 // how fast novelty is still arriving, and the online estimates of what
 // remains unseen.
@@ -210,9 +193,6 @@ type Stats struct {
 	// consecutive first discoveries (novelty gaps): mass drifting into
 	// high buckets is the visible shape of saturation.
 	GapHist telemetry.Hist
-	// ByDepth attributes first discoveries to the discovering trial's
-	// change-point depth, ascending.
-	ByDepth []DepthCount
 }
 
 // Stats computes the campaign summary. It is a pure function of the
@@ -223,7 +203,6 @@ func (s *Set) Stats() Stats {
 	if s == nil || len(s.m) == 0 {
 		return st
 	}
-	byDepth := make(map[uint64]int)
 	for _, e := range s.m {
 		switch e.Count {
 		case 1:
@@ -231,7 +210,6 @@ func (s *Set) Stats() Stats {
 		case 2:
 			st.Doubletons++
 		}
-		byDepth[e.Depth]++
 	}
 	if st.Observations > 0 {
 		st.UnseenMass = float64(st.Singletons) / float64(st.Observations)
@@ -247,24 +225,12 @@ func (s *Set) Stats() Stats {
 	for i := 1; i < len(novelty); i++ {
 		st.GapHist.Observe(uint64(novelty[i] - novelty[i-1]))
 	}
-	for d, n := range byDepth {
-		st.ByDepth = append(st.ByDepth, DepthCount{Depth: d, Behaviors: n})
-	}
-	slices.SortFunc(st.ByDepth, func(a, b DepthCount) int {
-		switch {
-		case a.Depth < b.Depth:
-			return -1
-		case a.Depth > b.Depth:
-			return 1
-		}
-		return 0
-	})
 	return st
 }
 
 // Equal reports whether two sets contain exactly the same entries
-// (fingerprints, first-seen indices, counts and depth attributions) —
-// the bit-identical-merge property the determinism tests pin.
+// (fingerprints, first-seen indices and counts) — the bit-identical-merge
+// property the determinism tests pin.
 func (s *Set) Equal(o *Set) bool {
 	if s.Len() != o.Len() || s.Observations() != o.Observations() {
 		return false

@@ -69,7 +69,7 @@ func setOf(counts map[uint64]int) *coverage.Set {
 	var trial int64
 	for fp, n := range counts {
 		for range n {
-			s.Observe(fp, trial, 0)
+			s.Observe(fp, trial)
 			trial++
 		}
 	}

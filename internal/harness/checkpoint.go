@@ -10,10 +10,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pctwm/internal/checkpoint"
-	"pctwm/internal/coverage"
 	"pctwm/internal/engine"
 	"pctwm/internal/telemetry"
 )
@@ -169,75 +167,15 @@ func (k campaignKey) dirName() string {
 // campaignState is the checkpoint payload: everything needed to resume a
 // campaign and finish with totals bit-identical to an uninterrupted run.
 // NextTrial is the number of leading rounds fully merged into the
-// counts; the resumed campaign continues at seed+NextTrial. Wall-clock
+// totals; the resumed campaign continues at seed+NextTrial. The totals
+// are the cumulative TrialResult in its JSON form, which leaves out the
+// per-session fields and the telemetry change-point log. Wall-clock
 // fields accumulate across sessions.
 type campaignState struct {
-	Key              string                    `json:"key"`
-	NextTrial        int                       `json:"next_trial"`
-	Complete         bool                      `json:"complete"`
-	Runs             int                       `json:"runs"`
-	Hits             int                       `json:"hits"`
-	Aborted          int                       `json:"aborted"`
-	Deadlock         int                       `json:"deadlock"`
-	Panics           int                       `json:"panics"`
-	Timeouts         int                       `json:"timeouts"`
-	Canceled         int                       `json:"canceled"`
-	TotalEvents      int                       `json:"total_events"`
-	ElapsedNs        int64                     `json:"elapsed_ns"`
-	WallNs           int64                     `json:"wall_ns"`
-	Nondeterministic int                       `json:"nondeterministic"`
-	Failures         []TrialFailure            `json:"failures,omitempty"`
-	Telemetry        *telemetry.EngineCounters `json:"telemetry,omitempty"`
-	Coverage         *coverage.Set             `json:"coverage,omitempty"`
-}
-
-// newCampaignState snapshots the cumulative result at a chunk boundary.
-// The telemetry change-point log (a bounded per-Runner diagnostic,
-// excluded from merged totals) is not persisted.
-func newCampaignState(key campaignKey, cum *TrialResult, next int, complete bool) campaignState {
-	st := campaignState{
-		Key:              key.id(),
-		NextTrial:        next,
-		Complete:         complete,
-		Runs:             cum.Runs,
-		Hits:             cum.Hits,
-		Aborted:          cum.Aborted,
-		Deadlock:         cum.Deadlock,
-		Panics:           cum.Panics,
-		Timeouts:         cum.Timeouts,
-		Canceled:         cum.Canceled,
-		TotalEvents:      cum.TotalEvents,
-		ElapsedNs:        cum.Elapsed.Nanoseconds(),
-		WallNs:           cum.Wall.Nanoseconds(),
-		Nondeterministic: cum.Nondeterministic,
-		Failures:         cum.Failures,
-	}
-	if cum.Telemetry != nil {
-		tel := *cum.Telemetry
-		tel.ChangePoints = nil
-		st.Telemetry = &tel
-	}
-	st.Coverage = cum.Coverage
-	return st
-}
-
-// restore loads the checkpointed counts into a fresh cumulative result.
-func (st *campaignState) restore(cum *TrialResult) {
-	cum.Runs = st.Runs
-	cum.Hits = st.Hits
-	cum.Aborted = st.Aborted
-	cum.Deadlock = st.Deadlock
-	cum.Panics = st.Panics
-	cum.Timeouts = st.Timeouts
-	cum.Canceled = st.Canceled
-	cum.TotalEvents = st.TotalEvents
-	cum.Elapsed = time.Duration(st.ElapsedNs)
-	cum.Wall = time.Duration(st.WallNs)
-	cum.Nondeterministic = st.Nondeterministic
-	cum.Failures = st.Failures
-	cum.Telemetry = st.Telemetry
-	cum.Coverage = st.Coverage
-	cum.ResumedRuns = st.NextTrial
+	Key       string `json:"key"`
+	NextTrial int    `json:"next_trial"`
+	Complete  bool   `json:"complete"`
+	TrialResult
 }
 
 // campaignCheckpoint is the durable store of one checkpointed campaign
@@ -293,7 +231,8 @@ func openCheckpoint(prog *engine.Program, seed int64, runs int, model string, ca
 				key.dirName(), gen, err)
 			return ck, 0
 		}
-		st.restore(res)
+		*res = st.TrialResult
+		res.ResumedRuns = st.NextTrial
 		if camp.Metrics != nil && res.Telemetry != nil {
 			camp.Metrics.MergeEngine(res.Telemetry)
 		}
@@ -309,7 +248,8 @@ func openCheckpoint(prog *engine.Program, seed int64, runs int, model string, ca
 // write degrades the spec and the campaign runs on. It reports whether
 // the test kill hook fired.
 func (ck *campaignCheckpoint) save(res *TrialResult, next, runs int, m *telemetry.Metrics) bool {
-	payload, err := json.Marshal(newCampaignState(ck.key, res, next, next >= runs))
+	payload, err := json.Marshal(campaignState{Key: ck.key.id(), NextTrial: next,
+		Complete: next >= runs, TrialResult: *res})
 	if err == nil {
 		_, err = ck.store.Save(ck.key.id(), payload)
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -14,7 +15,9 @@ import (
 
 	"pctwm/internal/benchprog"
 	"pctwm/internal/checkpoint"
+	"pctwm/internal/coverage"
 	"pctwm/internal/engine"
+	"pctwm/internal/memmodel"
 	"pctwm/internal/telemetry"
 )
 
@@ -46,21 +49,21 @@ func comparableResult(r TrialResult) TrialResult {
 }
 
 // requireIdentical asserts two stripped results are bit-identical,
-// dumping both as JSON on divergence.
+// dumping both on divergence: the fields, then the telemetry and the
+// coverage set as JSON.
 func requireIdentical(t *testing.T, label string, got, want TrialResult) {
 	t.Helper()
 	if reflect.DeepEqual(got, want) {
 		return
 	}
-	gj, _ := json.MarshalIndent(struct {
-		TrialResult
-		Telemetry *telemetry.EngineCounters
-	}{got, got.Telemetry}, "", " ")
-	wj, _ := json.MarshalIndent(struct {
-		TrialResult
-		Telemetry *telemetry.EngineCounters
-	}{want, want.Telemetry}, "", " ")
-	t.Fatalf("%s diverges:\n--- got ---\n%s\n--- want ---\n%s", label, gj, wj)
+	type fields TrialResult // without TrialResult's String method
+	dump := func(r TrialResult) string {
+		tel, _ := json.Marshal(r.Telemetry)
+		cov, _ := json.Marshal(r.Coverage)
+		r.Telemetry, r.Coverage = nil, nil
+		return fmt.Sprintf("%+v\ntelemetry %s\ncoverage %s", fields(r), tel, cov)
+	}
+	t.Fatalf("%s diverges:\n--- got ---\n%s\n--- want ---\n%s", label, dump(got), dump(want))
 }
 
 func mustBench(t *testing.T, name string) *benchprog.Benchmark {
@@ -422,5 +425,112 @@ func TestCheckpointBundleWritesHardened(t *testing.T) {
 		if f.BundlePath == "" {
 			t.Fatalf("bundle write not retried past transient fault: %+v", f)
 		}
+	}
+}
+
+// formatPayload is a checkpoint payload as earlier versions wrote it, so
+// their checkpoints must keep resuming. It carries two keys the current
+// encoding ignores: a coverage entry's change-point "depth" and the
+// telemetry change-point log.
+const formatPayload = `{
+	"key": "{\"cell\":\"format\",\"program\":\"dekker\",\"threads\":2,\"locs\":7,\"seed\":7,\"runs\":40,\"model\":\"rc11\",\"coverage\":true,\"telemetry\":true}",
+	"next_trial": 40, "complete": true,
+	"runs": 40, "hits": 6, "aborted": 2, "deadlock": 1, "panics": 1, "timeouts": 1, "canceled": 0,
+	"total_events": 2345, "elapsed_ns": 5000000, "wall_ns": 3000000, "nondeterministic": 1,
+	"failures": [
+		{"Seed": 9, "Kind": "bug", "behavior_fp": 2748, "Msg": "lost update", "Triage": "deterministic", "BundlePath": "repros/dekker-9.json"},
+		{"Seed": 12, "Kind": "harness-panic", "Msg": "panic escaped the engine: boom", "Triage": "nondeterministic", "BundlePath": ""}
+	],
+	"telemetry": {
+		"Model": "rc11", "Trials": 40,
+		"Ops": [[0,300,0,0,0,0],[0,0,0,120,0,0],[0,0,0,0,0,0],[0,0,0,0,0,0],[0,0,0,0,0,0],[0,0,0,0,0,0],[0,0,0,0,0,0]],
+		"Handoffs": 50, "SameThreadGrants": 70,
+		"RFCandidates": {"Count": 2, "Sum": 4, "Max": 3, "Buckets": [0,1,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]},
+		"ChangePointDepth": {"Count": 2, "Sum": 3, "Max": 2, "Buckets": [0,1,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]},
+		"RaceChecks": 11, "Drains": 0, "AxiomRecheckNs": 0, "ExploreRuns": 0, "ExplorePruned": 0,
+		"ChangePoints": [{"tid": 1, "index": 2, "comm": 1, "slot": 2}, {"tid": 2, "index": 0, "comm": 2, "slot": 1}]
+	},
+	"coverage": {"entries": [{"fp": 16, "first": 0, "count": 2, "depth": 1}, {"fp": 32, "first": 3, "count": 1, "depth": 2}]}
+}`
+
+// objectKeys returns the sorted keys of the JSON object data.
+func objectKeys(t *testing.T, data []byte) []string {
+	t.Helper()
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// TestCheckpointPayloadFormat pins the checkpoint payload: a payload in
+// the earlier encoding resumes into the totals it records, and the
+// current encoding writes the same top-level keys and none of the
+// per-session fields or the change-point log.
+func TestCheckpointPayloadFormat(t *testing.T) {
+	b := mustBench(t, "dekker")
+	prog := b.Program(0)
+	camp := Campaign{Workers: 1, Coverage: true, Telemetry: true, CheckpointCell: "format"}
+	key := newCampaignKey(camp, prog, 7, 40, engine.ModelRC11)
+	var st campaignState
+	if err := json.Unmarshal([]byte(formatPayload), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Key != key.id() {
+		t.Fatalf("payload key %s, campaign key %s", st.Key, key.id())
+	}
+	dir := t.TempDir()
+	store := &checkpoint.Store{Dir: filepath.Join(dir, key.dirName())}
+	if _, err := store.Save(key.id(), []byte(formatPayload)); err != nil {
+		t.Fatal(err)
+	}
+	camp.Checkpoint = &CheckpointSpec{Dir: dir, Resume: true}
+	got := RunCampaign(prog, b.Detect, func() engine.Strategy { return C11Tester()(Estimate{}) },
+		40, 7, b.Options(), camp)
+
+	tel := &telemetry.EngineCounters{Model: "rc11", Trials: 40, Handoffs: 50, SameThreadGrants: 70, RaceChecks: 11,
+		RFCandidates: telemetry.Hist{Count: 2, Sum: 4, Max: 3}, ChangePointDepth: telemetry.Hist{Count: 2, Sum: 3, Max: 2}}
+	tel.Ops[memmodel.KindRead][memmodel.Relaxed] = 300
+	tel.Ops[memmodel.KindWrite][memmodel.Release] = 120
+	tel.RFCandidates.Buckets[1], tel.RFCandidates.Buckets[2] = 1, 1
+	tel.ChangePointDepth.Buckets[1], tel.ChangePointDepth.Buckets[2] = 1, 1
+	var cov coverage.Set
+	cov.Observe(16, 0)
+	cov.Observe(32, 3)
+	cov.Observe(16, 5)
+	want := TrialResult{Runs: 40, Hits: 6, Aborted: 2, Deadlock: 1, Panics: 1, Timeouts: 1,
+		TotalEvents: 2345, Elapsed: 5 * time.Millisecond, Wall: 3 * time.Millisecond,
+		Failures: []TrialFailure{
+			{Seed: 9, Kind: "bug", BehaviorFP: 0xabc, Msg: "lost update", Triage: "deterministic", BundlePath: "repros/dekker-9.json"},
+			{Seed: 12, Kind: "harness-panic", Msg: "panic escaped the engine: boom", Triage: "nondeterministic"},
+		},
+		Nondeterministic: 1, Telemetry: tel, Coverage: &cov, ResumedRuns: 40}
+	requireIdentical(t, "resumed payload", got, want)
+	if idx, err := LoadReproIndex(nil, dir); err != nil || !reflect.DeepEqual(idx, []string{"repros/dekker-9.json"}) {
+		t.Fatalf("LoadReproIndex = %v, %v", idx, err)
+	}
+
+	// Per-session fields and the change-point log are never stored.
+	got.Interrupted, got.Stuck, got.StuckDiag, got.Durability = true, true, "stuck", DurabilityDegraded
+	got.Telemetry.ChangePoints = []telemetry.ChangePoint{{TID: 1, Index: 2, Comm: 1, Slot: 2}}
+	data, err := json.Marshal(campaignState{Key: st.Key, NextTrial: st.NextTrial, Complete: st.Complete, TrialResult: got})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if keys, want := objectKeys(t, data), objectKeys(t, []byte(formatPayload)); !reflect.DeepEqual(keys, want) {
+		t.Fatalf("payload keys %v, want %v", keys, want)
+	}
+	var enc, old struct{ Telemetry json.RawMessage }
+	if json.Unmarshal(data, &enc) != nil || json.Unmarshal([]byte(formatPayload), &old) != nil {
+		t.Fatal("payload has no telemetry object")
+	}
+	wantTel := slices.DeleteFunc(objectKeys(t, old.Telemetry), func(k string) bool { return k == "ChangePoints" })
+	if keys := objectKeys(t, enc.Telemetry); !reflect.DeepEqual(keys, wantTel) {
+		t.Fatalf("telemetry keys %v, want %v", keys, wantTel)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"pctwm/internal/enumerate"
 	"pctwm/internal/litmus"
 	"pctwm/internal/replay"
+	"pctwm/internal/telemetry"
 )
 
 // noDetect is the detector for pure coverage campaigns: nothing is a bug.
@@ -62,8 +63,8 @@ func TestCoverageCensusEquality(t *testing.T) {
 }
 
 // TestCoverageWorkerDeterminism: the merged coverage set — entries,
-// first-seen trial indices, counts, depth attributions, and every
-// derived statistic — is bit-identical at any worker count.
+// first-seen trial indices, counts, and every derived statistic — is
+// bit-identical at any worker count.
 func TestCoverageWorkerDeterminism(t *testing.T) {
 	b := mustBench(t, "dekker")
 	prog := b.Program(0)
@@ -87,6 +88,38 @@ func TestCoverageWorkerDeterminism(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got.Coverage.Stats(), ref.Coverage.Stats()) {
 			t.Fatalf("workers=%d coverage stats diverge", workers)
+		}
+	}
+}
+
+// TestCoverageWithoutTelemetry: coverage alone collects no engine
+// counters, neither in the result nor on the metrics hub, and collecting
+// them as well leaves the coverage set unchanged.
+func TestCoverageWithoutTelemetry(t *testing.T) {
+	b := mustBench(t, "dekker")
+	prog := b.Program(0)
+	opts := b.Options()
+	newStrategy := func() engine.Strategy { return core.NewPCTWM(2, 1, 10) }
+	for _, workers := range []int{1, 4} {
+		m := &telemetry.Metrics{}
+		got := RunCampaign(prog, b.Detect, newStrategy, 400, 9, opts,
+			Campaign{Workers: workers, Coverage: true, Metrics: m})
+		if got.Telemetry != nil {
+			t.Fatalf("workers=%d: coverage-only campaign collected engine counters: %+v",
+				workers, got.Telemetry.Summary())
+		}
+		if eng := m.Engine(); m.Trials() != 400 || eng.Events() != 0 {
+			t.Fatalf("workers=%d: metrics hub saw %d trials and %d engine events, want 400 and 0",
+				workers, m.Trials(), eng.Events())
+		}
+		both := RunCampaign(prog, b.Detect, newStrategy, 400, 9, opts,
+			Campaign{Workers: workers, Coverage: true, Telemetry: true})
+		if both.Telemetry == nil {
+			t.Fatalf("workers=%d: telemetry-on campaign collected no engine counters", workers)
+		}
+		if got.Coverage.Len() == 0 || !got.Coverage.Equal(both.Coverage) {
+			t.Fatalf("workers=%d: coverage set depends on telemetry:\n got %+v\nwant %+v",
+				workers, got.Coverage.Entries(), both.Coverage.Entries())
 		}
 	}
 }

@@ -59,65 +59,67 @@ func EstimateParams(prog *engine.Program, runs int, seed int64, opts engine.Opti
 	return est
 }
 
-// TrialResult aggregates a batch of runs.
+// TrialResult aggregates a batch of runs. Its JSON form is the totals a
+// campaign checkpoint stores (see campaignState); the fields tagged "-"
+// describe one session and are not stored.
 type TrialResult struct {
-	Runs     int
-	Hits     int
-	Aborted  int
-	Deadlock int
+	Runs     int `json:"runs"`
+	Hits     int `json:"hits"`
+	Aborted  int `json:"aborted"`
+	Deadlock int `json:"deadlock"`
 	// Panics counts trials whose panic escaped the engine (a strategy or
 	// harness bug): the worker recovered, quarantined its Runner, and kept
 	// going (see RunCampaign).
-	Panics int
+	Panics int `json:"panics"`
 	// Timeouts counts trials aborted by the per-trial wall-clock watchdog
 	// (engine.Options.MaxWallTime).
-	Timeouts int
+	Timeouts int `json:"timeouts"`
 	// Canceled counts trials aborted mid-run by campaign cancellation.
-	Canceled int
+	Canceled int `json:"canceled"`
 	// TotalEvents across all runs, for averages.
-	TotalEvents int
+	TotalEvents int `json:"total_events"`
 	// Elapsed is the summed per-run execution time. With parallel workers
 	// this is aggregate CPU time across all workers, not wall-clock time;
 	// use Wall for the batch's real duration.
-	Elapsed time.Duration
+	Elapsed time.Duration `json:"elapsed_ns"`
 	// Wall is the wall-clock duration of the whole batch (equal to Elapsed
 	// up to loop overhead when the batch ran serially).
-	Wall time.Duration
+	Wall time.Duration `json:"wall_ns"`
 	// Interrupted marks a campaign stopped early by context cancellation:
 	// Runs reflects completed trials only.
-	Interrupted bool
+	Interrupted bool `json:"-"`
 	// Stuck marks a campaign aborted by the stuck-worker watchdog
 	// (Campaign.StuckTimeout); StuckDiag carries the diagnostics (wedged
 	// workers + goroutine dump). The counts cover finished workers only.
-	Stuck     bool
-	StuckDiag string
+	Stuck     bool   `json:"-"`
+	StuckDiag string `json:"-"`
 	// Failures lists the captured failing trials with their flake-triage
 	// verdicts and repro-bundle paths (populated only when
 	// Campaign.ReproDir is set; at most Campaign.MaxRepros entries).
-	Failures []TrialFailure
+	Failures []TrialFailure `json:"failures,omitempty"`
 	// Nondeterministic counts captured failures whose triage re-run
 	// diverged from the original outcome for the same (program, strategy,
 	// seed) — an engine or strategy determinism bug.
-	Nondeterministic int
+	Nondeterministic int `json:"nondeterministic"`
 	// Telemetry holds the merged per-worker engine counters when the
-	// campaign collected them (Campaign.Telemetry or Campaign.Coverage);
-	// nil otherwise. Totals are bit-identical between serial and parallel
-	// campaigns over the same seed set.
-	Telemetry *telemetry.EngineCounters
+	// campaign collected them (Campaign.Telemetry); nil otherwise, also
+	// for a campaign with coverage alone. Totals are bit-identical
+	// between serial and parallel campaigns over the same seed set.
+	Telemetry *telemetry.EngineCounters `json:"telemetry,omitempty"`
 	// Coverage is the campaign's merged behavior set (Campaign.Coverage):
-	// every complete trial's fingerprint with first-seen trial indices,
-	// counts and change-point-depth attribution. Like Telemetry it is
-	// bit-identical for every worker count and across kill/resume
-	// (entries key novelty by the campaign-global trial index).
-	Coverage *coverage.Set
+	// every complete trial's fingerprint with first-seen trial indices
+	// and counts. Like Telemetry it is bit-identical for every worker
+	// count and across kill/resume (entries key novelty by the
+	// campaign-global trial index).
+	Coverage *coverage.Set `json:"coverage,omitempty"`
 	// ResumedRuns is how many of Runs were restored from a checkpoint
 	// rather than executed by this process (0 for fresh campaigns).
-	ResumedRuns int
+	ResumedRuns int `json:"-"`
 	// Durability is "" for a fully durable campaign and
 	// DurabilityDegraded when the checkpoint directory became unwritable
 	// mid-campaign: the campaign kept running, but its state and repro
 	// bundles may not all have reached disk.
-	Durability string
+	Durability string `json:"-"`
 }
 
 // DurabilityDegraded marks a campaign whose durable sinks failed

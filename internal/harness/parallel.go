@@ -75,13 +75,11 @@ type Campaign struct {
 	// TrialResult.Telemetry and Metrics. A caller's
 	// engine.Options.Telemetry is ignored: workers never share a shard.
 	Telemetry bool
-	// Coverage enables behavioral coverage: every trial's engine computes
-	// a canonical behavior fingerprint (engine.Options.Coverage), each
-	// worker folds complete trials into a private coverage.Set shard, and
-	// the shards merge into TrialResult.Coverage. Coverage implies
-	// telemetry collection (the per-trial change-point count attributes
-	// each first discovery to the depth that found it). The merged set is
-	// bit-identical for every worker count.
+	// Coverage enables behavioral coverage and no engine counters: every
+	// trial's engine computes a canonical behavior fingerprint
+	// (engine.Options.Coverage), each worker folds complete trials into a
+	// private coverage.Set shard, and the shards merge into
+	// TrialResult.Coverage, bit-identical for every worker count.
 	Coverage bool
 	// Metrics, when non-nil, receives campaign-level observations (trial
 	// counts and durations, quarantine/timeout/cancel/stuck counters,
@@ -224,11 +222,6 @@ func runChunk(prog *engine.Program, detect func(*engine.Outcome) bool,
 	newStrategy func() engine.Strategy, first, n int, seed int64, opts engine.Options, camp Campaign, sink *reproSink) TrialResult {
 	var res TrialResult
 	workers := ResolveWorkers(camp.Workers, n)
-
-	// Coverage implies telemetry collection: the per-worker counter shard
-	// supplies each trial's change-point count, the depth attribution of
-	// first discoveries.
-	collect := camp.Telemetry || camp.Coverage
 	if camp.Metrics != nil {
 		camp.Metrics.AddExpected(n)
 	}
@@ -275,7 +268,7 @@ func runChunk(prog *engine.Program, detect func(*engine.Outcome) bool,
 			hb.beat.Store(time.Now().UnixNano())
 		}
 		var tel *telemetry.EngineCounters
-		if collect {
+		if camp.Telemetry {
 			tel = &telemetry.EngineCounters{}
 		}
 		var cov *coverage.Set
@@ -358,11 +351,6 @@ func mergeTrialResults(res *TrialResult, r TrialResult) {
 		res.Telemetry = r.Telemetry
 	case r.Telemetry != nil:
 		res.Telemetry.Merge(r.Telemetry)
-		// Merge leaves the bounded change-point log (a per-Runner
-		// diagnostic, not a total) alone: keep the first one seen.
-		if len(res.Telemetry.ChangePoints) == 0 {
-			res.Telemetry.ChangePoints = r.Telemetry.ChangePoints
-		}
 	}
 	switch {
 	case res.Coverage == nil:
@@ -503,10 +491,6 @@ func runWorker(prog *engine.Program, detect func(*engine.Outcome) bool,
 			ws.seed.Store(s)
 			ws.beat.Store(time.Now().UnixNano())
 		}
-		var cpBefore uint64
-		if tel != nil {
-			cpBefore = tel.ChangePointDepth.Count
-		}
 		o, pan := safeRun(r, strat, s)
 		local.Runs++
 		if pan != nil {
@@ -537,15 +521,10 @@ func runWorker(prog *engine.Program, detect func(*engine.Outcome) bool,
 		// Coverage: only complete executions define a behavior (runs cut
 		// short by the step limit, a timeout or cancellation observed a
 		// prefix, which would make the census ill-defined). The trial is
-		// keyed by its campaign-global index and attributed to the
-		// change-point depth the strategy actually used this trial.
+		// keyed by its campaign-global index.
 		behaviorSeen := covSet != nil && o.Err == nil
 		if behaviorSeen {
-			var depth uint64
-			if tel != nil {
-				depth = tel.ChangePointDepth.Count - cpBefore
-			}
-			covSet.Observe(o.BehaviorFP, int64(i), depth)
+			covSet.Observe(o.BehaviorFP, int64(i))
 		}
 		if metrics != nil {
 			metrics.ObserveTrial(telemetry.TrialObs{

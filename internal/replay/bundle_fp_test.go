@@ -14,7 +14,7 @@ func fpBundle(t *testing.T) *Bundle {
 	t.Helper()
 	prog := lostUpdateProgram()
 	opts := engine.Options{Coverage: true}
-	trace, found, ok := FindAndRecord(prog,
+	trace, found, ok := findAndRecord(prog,
 		func() engine.Strategy { return core.NewRandom() },
 		lostUpdate, 500, 3, opts)
 	if !ok {

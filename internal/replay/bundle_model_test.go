@@ -36,7 +36,7 @@ func TestBundleModelRoundTrip(t *testing.T) {
 		t.Run(model, func(t *testing.T) {
 			prog := lostUpdateProgram()
 			opts := engine.Options{Model: model}
-			trace, found, ok := FindAndRecord(prog,
+			trace, found, ok := findAndRecord(prog,
 				func() engine.Strategy { return core.NewRandom() },
 				lostUpdate, 500, 3, opts)
 			if !ok {

@@ -140,17 +140,3 @@ func (p *Player) OnThreadStart(_, _ memmodel.ThreadID) {}
 
 // OnSpin implements engine.Strategy.
 func (p *Player) OnSpin(memmodel.ThreadID) {}
-
-// FindAndRecord searches for an execution that detect flags, recording
-// decisions; it returns the trace of the first failing execution.
-func FindAndRecord(prog *engine.Program, newStrategy func() engine.Strategy,
-	detect func(*engine.Outcome) bool, rounds int, seed int64, opts engine.Options) (*Trace, *engine.Outcome, bool) {
-	for i := 0; i < rounds; i++ {
-		rec := NewRecorder(newStrategy())
-		o := engine.Run(prog, rec, seed+int64(i), opts)
-		if detect(o) {
-			return rec.Trace(), o, true
-		}
-	}
-	return nil, nil, false
-}

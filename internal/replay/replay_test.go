@@ -9,6 +9,20 @@ import (
 	"pctwm/internal/memmodel"
 )
 
+// findAndRecord searches for an execution that detect flags, recording
+// decisions; it returns the trace of the first failing execution.
+func findAndRecord(prog *engine.Program, newStrategy func() engine.Strategy,
+	detect func(*engine.Outcome) bool, rounds int, seed int64, opts engine.Options) (*Trace, *engine.Outcome, bool) {
+	for i := 0; i < rounds; i++ {
+		rec := NewRecorder(newStrategy())
+		o := engine.Run(prog, rec, seed+int64(i), opts)
+		if detect(o) {
+			return rec.Trace(), o, true
+		}
+	}
+	return nil, nil, false
+}
+
 // TestRecordAndReplayReproducesBug: find a bug with a random strategy,
 // then replay the trace and get the identical outcome with zero derails.
 func TestRecordAndReplayReproducesBug(t *testing.T) {
@@ -19,7 +33,7 @@ func TestRecordAndReplayReproducesBug(t *testing.T) {
 		}
 		prog := b.Program(0)
 		opts := b.Options()
-		trace, found, ok := FindAndRecord(prog,
+		trace, found, ok := findAndRecord(prog,
 			func() engine.Strategy { return core.NewRandom() },
 			b.Detect, 500, 3, opts)
 		if !ok {
@@ -49,7 +63,7 @@ func TestReplayIsStrategyIndependent(t *testing.T) {
 	}
 	prog := b.Program(0)
 	opts := b.Options()
-	trace, _, ok := FindAndRecord(prog,
+	trace, _, ok := findAndRecord(prog,
 		func() engine.Strategy { return core.NewPCTWM(2, 1, 10) },
 		b.Detect, 200, 5, opts)
 	if !ok {
@@ -85,7 +99,7 @@ func TestTraceRoundTrip(t *testing.T) {
 func TestPlayerFallsBackGracefully(t *testing.T) {
 	b, _ := benchprog.ByName("dekker")
 	other, _ := benchprog.ByName("barrier")
-	trace, _, ok := FindAndRecord(b.Program(0),
+	trace, _, ok := findAndRecord(b.Program(0),
 		func() engine.Strategy { return core.NewRandom() },
 		b.Detect, 300, 1, b.Options())
 	if !ok {

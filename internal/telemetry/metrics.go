@@ -275,14 +275,12 @@ func (m *Metrics) MergeEngine(c *EngineCounters) {
 	m.mu.Unlock()
 }
 
-// Engine returns a copy of the merged engine counters (the change-point
-// log, a per-Runner diagnostic, is left empty).
+// Engine returns a copy of the merged engine counters (built by Merge
+// alone, so without a change-point log).
 func (m *Metrics) Engine() EngineCounters {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	c := m.engine
-	c.ChangePoints = nil
-	return c
+	return m.engine
 }
 
 // Snapshot is the JSON-facing (and expvar-facing) digest of a Metrics.
@@ -356,7 +354,7 @@ func rate(n uint64, d time.Duration) float64 {
 // Trials returns the number of completed trials.
 func (m *Metrics) Trials() uint64 { return m.trials.Load() }
 
-// Snapshot digests the metrics at time now (pass time.Now()).
+// SnapshotAt digests the metrics at time now (pass time.Now()).
 func (m *Metrics) SnapshotAt(now time.Time) Snapshot {
 	up := m.uptime(now)
 	trials := m.trials.Load()

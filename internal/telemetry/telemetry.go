@@ -213,9 +213,10 @@ type EngineCounters struct {
 
 	// ChangePoints is the capped per-Runner change-point log (see
 	// maxChangePointLog). It is a diagnostic for single-execution trace
-	// export and is NOT merged by Merge — merged totals stay
-	// deterministic regardless of worker interleaving.
-	ChangePoints []ChangePoint
+	// export: Merge does not merge it, so merged totals stay
+	// deterministic regardless of worker interleaving, and checkpoints
+	// do not store it.
+	ChangePoints []ChangePoint `json:"-"`
 }
 
 // CountOp records one executed event by kind and order. Out-of-range
