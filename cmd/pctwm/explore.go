@@ -29,12 +29,13 @@ import (
 //	pctwm explore -workers 8            # shard subtrees across 8 workers
 //	pctwm explore -census FILE          # also write the behavior census (JSON)
 //
-// -census additionally enumerates each explored test's ground-truth
-// behavior census — every distinct behavior fingerprint any schedule
-// can realize (internal/coverage canonicalization) — and writes them as
-// a JSON array. A saturated `pctwm litmus -coverage` campaign must
-// reproduce exactly this fingerprint set (`pctwm litmus -census`
-// verifies).
+// -census also fingerprints every execution of the same exploration
+// (internal/coverage canonicalization) and writes each explored test's
+// ground-truth behavior census — every distinct behavior fingerprint any
+// schedule can realize — as a JSON array. A saturated `pctwm litmus
+// -coverage` campaign must reproduce exactly this fingerprint set
+// (`pctwm litmus -census` verifies). An interrupted run writes no
+// census.
 //
 // Exploration shards disjoint decision-tree subtrees across -workers
 // pooled engine runners (0 = GOMAXPROCS); outcome counts are merged
@@ -78,18 +79,24 @@ func exploreCmd(args []string, stdout, stderr io.Writer) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	// Each leaf is classified by its outcome and, with -census, by its
+	// behavior; the histogram and the census both fold the leaf counts.
+	type leaf struct {
+		outcome  string
+		behavior enumerate.Behavior
+	}
 	failures := 0
 	interrupted := false
 	var censuses []*enumerate.Census
 	for _, lt := range suite {
 		var tel telemetry.EngineCounters
-		opts := engine.Options{Model: model.name}
+		opts := engine.Options{Model: model.name, Coverage: *census != ""}
 		if *stats {
 			opts.Telemetry = &tel
 		}
 		cfg := enumerate.Config{Limit: *limit, Workers: *workers, Context: ctx}
-		counts, res := enumerate.Outcomes(lt.Program, opts, cfg, func(o *engine.Outcome) string {
-			return lt.Outcome(o.FinalValues)
+		leaves, res := enumerate.Outcomes(lt.Program, opts, cfg, func(o *engine.Outcome) leaf {
+			return leaf{lt.Outcome(o.FinalValues), enumerate.BehaviorOf(o)}
 		})
 		if res.Drift != nil {
 			return c.fail(1, "%s: %v", lt.Name, res.Drift)
@@ -103,31 +110,17 @@ func exploreCmd(args []string, stdout, stderr io.Writer) int {
 		if *stats {
 			fmt.Fprintf(stdout, "  explorer: %d engine runs, %d pruned subtrees\n", tel.ExploreRuns, tel.ExplorePruned)
 		}
-		exp := lt.Expect(model.name)
-		for _, k := range slices.Sorted(maps.Keys(counts)) {
-			mark := " "
-			if slices.Contains(exp.Forbidden, k) || (len(exp.Allowed) > 0 && !slices.Contains(exp.Allowed, k)) {
-				mark = "✗ ILLEGAL"
-				failures++
-			}
-			fmt.Fprintf(stdout, "  [%s] ×%-6d %s\n", k, counts[k], mark)
+		counts := make(map[string]int)
+		behaviors := make(map[enumerate.Behavior]int)
+		for l, n := range leaves {
+			counts[l.outcome] += n
+			behaviors[l.behavior] += n
 		}
-		if res.Complete {
-			for _, f := range exp.Forbidden {
-				fmt.Fprintf(stdout, "  forbidden %q: unreachable ✓\n", f)
-			}
-		}
+		failures += printOutcomes(stdout, counts, lt.Expect(model.name), res.Complete)
 		if *census != "" && !interrupted {
-			cen, err := enumerate.BehaviorCensus(lt.Program, opts, cfg)
-			if err != nil {
-				return c.fail(1, "%s: census: %v", lt.Name, err)
-			}
+			cen := enumerate.NewCensus(lt.Program, model.name, behaviors, res)
 			fmt.Fprintf(stdout, "  census: %d distinct behavior(s), complete=%v\n", len(cen.Behaviors), cen.Complete)
 			censuses = append(censuses, cen)
-			if ctx.Err() != nil {
-				interrupted = true
-				c.logf("%s: census interrupted after %d executions (partial census not written)", lt.Name, cen.Runs)
-			}
 		}
 		fmt.Fprintln(stdout)
 		if interrupted {
@@ -137,6 +130,10 @@ func exploreCmd(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *census != "" && !interrupted {
+		if ctx.Err() != nil {
+			// The signal landed after the last exploration had finished.
+			return c.fail(1, "interrupted; census not written")
+		}
 		data, err := json.MarshalIndent(censuses, "", "  ")
 		if err != nil {
 			return c.fail(1, "encoding census: %v", err)
@@ -154,4 +151,28 @@ func exploreCmd(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// printOutcomes prints one exploration's outcome histogram, marking each
+// outcome exp makes illegal, and returns how many are illegal. After a
+// complete exploration it also lists each forbidden outcome that no
+// execution reached.
+func printOutcomes(w io.Writer, counts map[string]int, exp litmus.Expectation, complete bool) int {
+	illegal := 0
+	for _, k := range slices.Sorted(maps.Keys(counts)) {
+		mark := " "
+		if exp.Illegal(k) {
+			mark = "✗ ILLEGAL"
+			illegal++
+		}
+		fmt.Fprintf(w, "  [%s] ×%-6d %s\n", k, counts[k], mark)
+	}
+	if complete {
+		for _, f := range exp.Forbidden {
+			if counts[f] == 0 {
+				fmt.Fprintf(w, "  forbidden %q: unreachable ✓\n", f)
+			}
+		}
+	}
+	return illegal
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"slices"
 
+	"pctwm/internal/coverage"
 	"pctwm/internal/engine"
 	"pctwm/internal/enumerate"
 	"pctwm/internal/harness"
@@ -22,11 +23,16 @@ var litmusEstimate = harness.Estimate{K: 30, KCom: 15}
 // outcome histograms. It exits 1 on a conformance failure.
 //
 //	pctwm litmus [-strategy c11tester|pct|pctwm] [-runs N] [-d D] [-y H] [-s SEED]
-//	             [-coverage [-workers N] [-census FILE]]
+//	             [-workers N] [-coverage [-census FILE]]
 //
-// -coverage additionally runs each test as a behavior-coverage campaign:
-// every complete trial is fingerprinted (internal/coverage) and the
-// distinct-behavior count and saturation estimate are printed per test.
+// Each test runs as one campaign (harness.RunLitmus) of -runs trials,
+// round i at seed+i, over -workers workers. Its detect hook tallies the
+// outcome histogram (litmus.Report), and the report is the same at every
+// worker count. A trial whose panic the campaign quarantined fails the
+// test.
+// -coverage also fingerprints every complete trial of that campaign
+// (internal/coverage) and prints the distinct-behavior count and
+// saturation estimate per test.
 // -census cross-validates the campaign against a ground-truth census
 // written by `pctwm explore -census`: the campaign's behavior set must
 // equal the exhaustive enumeration's exactly (the campaign is expected
@@ -38,8 +44,8 @@ var litmusEstimate = harness.Estimate{K: 30, KCom: 15}
 func litmusCmd(args []string, stdout, stderr io.Writer) int {
 	c := newCmd("litmus", stdout, stderr)
 	t := c.trialFlags("c11tester", 2000, 2, 2, "rounds per litmus test")
-	covFlag := c.Bool("coverage", false, "run each test as a behavior-coverage campaign and print saturation per test")
-	workers := c.Int("workers", 1, "with -coverage: campaign workers (0 = GOMAXPROCS; results identical)")
+	covFlag := c.Bool("coverage", false, "also collect behavior coverage and print saturation per test")
+	workers := c.Int("workers", 1, "campaign workers per test (0 = GOMAXPROCS; reports identical)")
 	census := c.String("census", "", "with -coverage: verify campaign behavior sets against this census file from pctwm explore -census (exit 1 on mismatch)")
 	model := c.model("memory model backend: rc11, sc, tso (outcomes classify against that model's table)")
 	if code, ok := c.parse(args); !ok {
@@ -85,13 +91,14 @@ func litmusCmd(args []string, stdout, stderr io.Writer) int {
 
 	failures := 0
 	for _, lt := range suite {
-		opts := engine.Options{Model: model.name}
-		rep := lt.RunOpts(newStrategy, t.runs, t.seed, opts)
+		rep, res := harness.RunLitmus(lt, newStrategy, t.runs, t.seed,
+			harness.Campaign{Workers: *workers, Coverage: *covFlag, Model: model.name})
 		status := "ok  "
 		switch {
-		case len(rep.Illegal) > 0:
+		case len(rep.Illegal) > 0 || rep.Panics > 0:
 			// Observing a forbidden outcome is a genuine conformance
-			// failure under any strategy.
+			// failure under any strategy; a trial whose panic escaped
+			// the engine is a strategy or harness bug.
 			status = "FAIL"
 			failures++
 		case len(rep.Missing) > 0:
@@ -102,7 +109,7 @@ func litmusCmd(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "%s %s\n", status, rep)
 		if *covFlag {
-			failures += runCoverage(stdout, lt, newStrategy, t, opts, *workers, censuses)
+			failures += printCoverage(stdout, res.Coverage, censuses[lt.Program.Name()])
 		}
 	}
 	if failures > 0 {
@@ -113,26 +120,21 @@ func litmusCmd(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// runCoverage runs one litmus test as a behavior-coverage campaign,
-// prints the saturation digest, and (when a census is available for the
-// test) verifies census equality. Returns the number of failures.
-func runCoverage(w io.Writer, lt *litmus.Test, newStrategy func() engine.Strategy, t *trialFlags,
-	opts engine.Options, workers int, censuses map[string]*enumerate.Census) int {
-	camp := harness.Campaign{Workers: workers, Coverage: true}
-	noHit := func(*engine.Outcome) bool { return false }
-	res := harness.RunCampaign(lt.Program, noHit, newStrategy, t.runs, t.seed, opts, camp)
-	if res.Coverage == nil {
+// printCoverage prints a test campaign's saturation digest and, when
+// cen is the test's census, verifies census equality. Returns the
+// number of failures.
+func printCoverage(w io.Writer, cov *coverage.Set, cen *enumerate.Census) int {
+	if cov == nil {
 		fmt.Fprintf(w, "     coverage: no complete trials\n")
 		return 1
 	}
-	st := res.Coverage.Stats()
+	st := cov.Stats()
 	fmt.Fprintf(w, "     coverage: %d behavior(s) in %d trial(s), est_unseen %.2f%%, last novel at trial %d\n",
 		st.Behaviors, st.Observations, 100*st.UnseenMass, st.LastNovel)
-	cen, ok := censuses[lt.Program.Name()]
-	if !ok {
+	if cen == nil {
 		return 0
 	}
-	got, want := res.Coverage.Fingerprints(), cen.Fingerprints()
+	got, want := cov.Fingerprints(), cen.Fingerprints()
 	if slices.Equal(got, want) {
 		fmt.Fprintf(w, "     census: equal (%d behavior(s)) ✓\n", len(want))
 		return 0

@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io/fs"
+	"math/rand"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -11,6 +13,12 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"pctwm/internal/core"
+	"pctwm/internal/engine"
+	"pctwm/internal/enumerate"
+	"pctwm/internal/harness"
+	"pctwm/internal/litmus"
 )
 
 // call runs the pctwm command line in-process and returns its exit
@@ -187,9 +195,9 @@ func (w *watchedOutput) String() string {
 	return w.buf.String()
 }
 
-// TestExploreCensusInterrupted: a SIGINT that lands after the outcome
-// histogram, while explore -census enumerates the census, is an
-// interruption like one during the histogram: exit 1 and no census file.
+// TestExploreCensusInterrupted: a SIGINT that lands while explore
+// -census explores the suite, after the first test's histogram and
+// census are printed, is an interruption: exit 1 and no census file.
 func TestExploreCensusInterrupted(t *testing.T) {
 	// Catch the signal here too, so that one delivered after the command
 	// has released its own handler cannot kill the test binary.
@@ -202,12 +210,12 @@ func TestExploreCensusInterrupted(t *testing.T) {
 	var stderr bytes.Buffer
 	done := make(chan int, 1)
 	go func() {
-		done <- pctwm([]string{"explore", "-t", "CoRR2", "-workers", "1", "-census", file}, stdout, &stderr)
+		done <- pctwm([]string{"explore", "-workers", "1", "-census", file}, stdout, &stderr)
 	}()
 	select {
 	case <-stdout.seen:
 	case code := <-done:
-		t.Fatalf("exit %d before the histogram completed\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
+		t.Fatalf("exit %d before the first histogram completed\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
 	}
 	self, err := os.FindProcess(os.Getpid())
 	if err != nil {
@@ -222,5 +230,82 @@ func TestExploreCensusInterrupted(t *testing.T) {
 	}
 	if _, err := os.Stat(file); !errors.Is(err, fs.ErrNotExist) {
 		t.Errorf("interrupted census written to %s (stat: %v)", file, err)
+	}
+}
+
+// TestPrintOutcomesIllegal: an outcome that the expectation forbids and
+// the exploration reached is marked illegal, and only the forbidden
+// outcomes no execution reached are listed as unreachable.
+func TestPrintOutcomesIllegal(t *testing.T) {
+	lt := litmus.SBRelaxed()
+	counts, res := enumerate.Outcomes(lt.Program, engine.Options{}, enumerate.Config{Workers: 1},
+		func(o *engine.Outcome) string { return lt.Outcome(o.FinalValues) })
+	if !res.Complete || counts["a=0 b=0"] == 0 {
+		t.Fatalf("SB+rlx: a=0 b=0 not reached: %v %+v", counts, res)
+	}
+	exp := litmus.Expectation{Forbidden: []string{"a=0 b=0", "a=2 b=2"}}
+	var out bytes.Buffer
+	if n := printOutcomes(&out, counts, exp, true); n != 1 {
+		t.Errorf("%d illegal outcomes, want 1", n)
+	}
+	got := out.String()
+	if !regexp.MustCompile(`(?m)^  \[a=0 b=0\] ×\d+ +✗ ILLEGAL$`).MatchString(got) {
+		t.Errorf("reached forbidden outcome not marked ILLEGAL:\n%s", got)
+	}
+	if strings.Contains(got, `"a=0 b=0": unreachable`) {
+		t.Errorf("reached forbidden outcome listed as unreachable:\n%s", got)
+	}
+	if !strings.Contains(got, `forbidden "a=2 b=2": unreachable ✓`) {
+		t.Errorf("unreached forbidden outcome not listed:\n%s", got)
+	}
+}
+
+// TestLitmusWorkersIdentical: the campaign workers of `pctwm litmus`
+// share each test's outcome histogram, and the report, coverage lines
+// included, is the same at every worker count.
+func TestLitmusWorkersIdentical(t *testing.T) {
+	args := []string{"litmus", "-runs", "300", "-coverage", "-workers"}
+	code1, stdout1, stderr1 := call(append(args, "1")...)
+	code4, stdout4, stderr4 := call(append(args, "4")...)
+	if code1 != 0 || code4 != 0 {
+		t.Fatalf("exit %d at -workers 1, %d at -workers 4\nstderr:\n%s\n%s", code1, code4, stderr1, stderr4)
+	}
+	if stdout1 != stdout4 {
+		t.Fatalf("stdout differs between -workers 1 and 4:\n%s\n---\n%s", stdout1, stdout4)
+	}
+}
+
+// panicStrategy is the random strategy with a Begin that panics on about
+// one seed in four: a strategy bug that escapes the engine.
+type panicStrategy struct{ engine.Strategy }
+
+func (s panicStrategy) Begin(info engine.ProgramInfo, rng *rand.Rand) {
+	doomed := rng.Intn(4) == 0
+	s.Strategy.Begin(info, rng)
+	if doomed {
+		panic("strategy bug")
+	}
+}
+
+// TestLitmusStrategyPanic: a trial whose strategy panicked fails its
+// test and the command, though the campaign quarantines the panic and
+// runs on.
+func TestLitmusStrategyPanic(t *testing.T) {
+	strategies["panicky"] = func(int, int) harness.StrategyFactory {
+		return func(harness.Estimate) engine.Strategy { return panicStrategy{core.NewRandom()} }
+	}
+	defer delete(strategies, "panicky")
+	code, stdout, stderr := call("litmus", "-strategy", "panicky", "-runs", "200")
+	if code != 1 {
+		t.Fatalf("exit %d, want 1\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
+	}
+	lines := strings.Split(strings.TrimSpace(stdout), "\n")
+	for _, line := range lines[:len(lines)-1] {
+		if !strings.HasPrefix(line, "FAIL ") || !strings.Contains(line, "PANICS=") {
+			t.Errorf("test with panicked trials not failed: %s", line)
+		}
+	}
+	if want := fmt.Sprintf("%d conformance failure(s) under rc11", len(litmus.Suite())); lines[len(lines)-1] != want {
+		t.Errorf("last line %q, want %q", lines[len(lines)-1], want)
 	}
 }

@@ -88,7 +88,7 @@ func TestMutexExhaustive(t *testing.T) {
 			m.Unlock(th)
 		})
 	}
-	res := enumerate.Explore(p, engine.Options{DetectRaces: true}, 200000, func(o *engine.Outcome) {
+	_, res := enumerate.Outcomes(p, engine.Options{DetectRaces: true}, enumerate.Config{Limit: 200000, Workers: 1}, func(o *engine.Outcome) memmodel.Value {
 		if len(o.Races) > 0 {
 			t.Fatalf("race under some schedule: %v", o.Races[0])
 		}
@@ -96,6 +96,7 @@ func TestMutexExhaustive(t *testing.T) {
 		if o.FinalValues["count"] != locked {
 			t.Fatalf("lost update under some schedule: %v", o.FinalValues)
 		}
+		return locked
 	})
 	if !res.Complete {
 		t.Fatalf("state space unexpectedly large (%d runs)", res.Runs)

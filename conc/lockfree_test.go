@@ -47,13 +47,15 @@ func TestStackExhaustive(t *testing.T) {
 			th.Store(r, v, memmodel.NonAtomic)
 		}
 	})
-	res := enumerate.Explore(p, engine.Options{DetectRaces: true}, 300000, func(o *engine.Outcome) {
+	_, res := enumerate.Outcomes(p, engine.Options{DetectRaces: true}, enumerate.Config{Limit: 300000, Workers: 1}, func(o *engine.Outcome) memmodel.Value {
 		if len(o.Races) > 0 {
 			t.Fatalf("stack racy under some schedule: %v", o.Races[0])
 		}
-		if v := o.FinalValues["r"]; v != -1 && v != 7 {
+		v := o.FinalValues["r"]
+		if v != -1 && v != 7 {
 			t.Fatalf("torn pop: %v", o.FinalValues)
 		}
+		return v
 	})
 	if !res.Complete {
 		t.Fatalf("state space unexpectedly large (%d runs)", res.Runs)
@@ -106,13 +108,15 @@ func TestSPSCQueueExhaustive(t *testing.T) {
 			th.Store(r, v, memmodel.NonAtomic)
 		}
 	})
-	res := enumerate.Explore(p, engine.Options{DetectRaces: true}, 300000, func(o *engine.Outcome) {
+	_, res := enumerate.Outcomes(p, engine.Options{DetectRaces: true}, enumerate.Config{Limit: 300000, Workers: 1}, func(o *engine.Outcome) memmodel.Value {
 		if len(o.Races) > 0 {
 			t.Fatalf("SPSC queue racy under some schedule: %v", o.Races[0])
 		}
-		if v := o.FinalValues["r"]; v != -1 && v != 9 {
+		v := o.FinalValues["r"]
+		if v != -1 && v != 9 {
 			t.Fatalf("torn handoff: %v", o.FinalValues)
 		}
+		return v
 	})
 	if !res.Complete {
 		t.Fatalf("state space unexpectedly large (%d runs)", res.Runs)

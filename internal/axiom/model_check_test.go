@@ -40,17 +40,17 @@ func TestCheckModelAcceptsOwnExecutions(t *testing.T) {
 }
 
 // weakRecording exhaustively explores the test under rc11 and returns
-// the recording of the first execution producing the given outcome. The
-// search runs on the pooled explorer and stops at the first witness.
+// the recording of the first execution, in depth-first order, producing
+// the given outcome.
 func weakRecording(t *testing.T, lt *litmus.Test, outcome string) *engine.Recording {
 	t.Helper()
 	var rec *engine.Recording
-	res := enumerate.ExploreUntil(lt.Program, engine.Options{Record: true}, 500_000, func(o *engine.Outcome) bool {
-		if lt.Outcome(o.FinalValues) == outcome {
+	_, res := enumerate.Outcomes(lt.Program, engine.Options{Record: true}, enumerate.Config{Limit: 500_000, Workers: 1}, func(o *engine.Outcome) string {
+		out := lt.Outcome(o.FinalValues)
+		if rec == nil && out == outcome {
 			rec = o.Recording
-			return false
 		}
-		return true
+		return out
 	})
 	if res.Drift != nil {
 		t.Fatalf("%s: %v", lt.Name, res.Drift)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"pctwm/internal/memmodel"
@@ -314,12 +315,13 @@ func TestSetStatsChao1NoDoubletons(t *testing.T) {
 	}
 }
 
-// TestSetEqualAndSameBehaviors separates the exact-entry and
-// fingerprint-set-only comparisons.
+// TestSetEqualAndSameBehaviors separates the exact-entry comparison
+// (Equal) from the fingerprint-set-only one (Fingerprints, as the
+// census check compares them).
 func TestSetEqualAndSameBehaviors(t *testing.T) {
 	a := foldSerial([]observation{{fp: 1, trial: 0}, {fp: 2, trial: 1}})
 	b := foldSerial([]observation{{fp: 1, trial: 0}, {fp: 2, trial: 1}})
-	if !a.Equal(b) || !a.SameBehaviors(b) {
+	if !a.Equal(b) || !slices.Equal(a.Fingerprints(), b.Fingerprints()) {
 		t.Fatal("identical folds not equal")
 	}
 	// Same behaviors, different counts.
@@ -327,13 +329,13 @@ func TestSetEqualAndSameBehaviors(t *testing.T) {
 	if a.Equal(b) {
 		t.Fatal("Equal ignores counts")
 	}
-	if !a.SameBehaviors(b) {
-		t.Fatal("SameBehaviors should ignore counts")
+	if !slices.Equal(a.Fingerprints(), b.Fingerprints()) {
+		t.Fatal("fingerprints should ignore counts")
 	}
 	// Different behaviors.
 	c := foldSerial([]observation{{fp: 1, trial: 0}, {fp: 3, trial: 1}})
-	if a.SameBehaviors(c) {
-		t.Fatal("SameBehaviors missed a fingerprint difference")
+	if slices.Equal(a.Fingerprints(), c.Fingerprints()) {
+		t.Fatal("fingerprints missed a difference")
 	}
 }
 

@@ -246,21 +246,3 @@ func (s *Set) Equal(o *Set) bool {
 	}
 	return true
 }
-
-// SameBehaviors reports whether two sets saw the same distinct
-// behaviors, ignoring when and how often — the census-equality check
-// against the exhaustive explorer.
-func (s *Set) SameBehaviors(o *Set) bool {
-	if s.Len() != o.Len() {
-		return false
-	}
-	if s == nil || s.m == nil {
-		return true
-	}
-	for fp := range s.m {
-		if _, ok := o.m[fp]; !ok {
-			return false
-		}
-	}
-	return true
-}

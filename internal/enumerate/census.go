@@ -1,27 +1,31 @@
 package enumerate
 
 import (
-	"encoding/json"
+	"cmp"
 	"fmt"
 	"slices"
-	"strconv"
 
 	"pctwm/internal/engine"
 )
 
-// censusErrKey classifies leaves that ended in an engine error (step-
-// limit aborts, deadlocks, stalls): they are complete schedules but
-// carry no behavior fingerprint — the harness skips the same runs when
-// accumulating campaign coverage — so the census counts them separately
+// Behavior classifies one leaf for a census: its behavior fingerprint,
+// or Err for a leaf that ended in an engine error (step-limit aborts,
+// deadlocks, stalls). Such a leaf is a complete schedule but carries no
+// behavior fingerprint — the harness skips the same runs when
+// accumulating campaign coverage — so the census counts it separately
 // instead of polluting the behavior set.
-const censusErrKey = "err"
+type Behavior struct {
+	FP  uint64
+	Err bool
+}
 
-// censusKey classifies one leaf by its behavior fingerprint (hex).
-func censusKey(o *engine.Outcome) string {
+// BehaviorOf classifies a leaf explored with engine.Options.Coverage
+// set.
+func BehaviorOf(o *engine.Outcome) Behavior {
 	if o.Err != nil {
-		return censusErrKey
+		return Behavior{Err: true}
 	}
-	return strconv.FormatUint(o.BehaviorFP, 16)
+	return Behavior{FP: o.BehaviorFP}
 }
 
 // CensusEntry is one distinct behavior in a census: its fingerprint and
@@ -59,11 +63,16 @@ type Census struct {
 // nondeterministic program) aborts with an error.
 func BehaviorCensus(p *engine.Program, opts engine.Options, cfg Config) (*Census, error) {
 	opts.Coverage = true
-	counts, res := Outcomes(p, opts, cfg, censusKey)
+	counts, res := Outcomes(p, opts, cfg, BehaviorOf)
 	if res.Drift != nil {
 		return nil, res.Drift
 	}
-	model := opts.Model
+	return NewCensus(p, opts.Model, counts, res), nil
+}
+
+// NewCensus builds the census of p under model ("" means rc11) from an
+// exploration's Result and its leaf counts per BehaviorOf class.
+func NewCensus(p *engine.Program, model string, counts map[Behavior]int, res Result) *Census {
 	if model == "" {
 		model = engine.ModelRC11
 	}
@@ -73,27 +82,15 @@ func BehaviorCensus(p *engine.Program, opts engine.Options, cfg Config) (*Census
 		Complete: res.Complete && !res.Interrupted,
 		Runs:     res.Runs,
 	}
-	for k, n := range counts {
-		if k == censusErrKey {
-			c.Skipped = n
+	for b, n := range counts {
+		if b.Err {
+			c.Skipped += n
 			continue
 		}
-		fp, err := strconv.ParseUint(k, 16, 64)
-		if err != nil {
-			return nil, fmt.Errorf("enumerate: internal: bad census key %q: %w", k, err)
-		}
-		c.Behaviors = append(c.Behaviors, CensusEntry{FP: fp, Leaves: n})
+		c.Behaviors = append(c.Behaviors, CensusEntry{FP: b.FP, Leaves: n})
 	}
-	slices.SortFunc(c.Behaviors, func(a, b CensusEntry) int {
-		switch {
-		case a.FP < b.FP:
-			return -1
-		case a.FP > b.FP:
-			return 1
-		}
-		return 0
-	})
-	return c, nil
+	slices.SortFunc(c.Behaviors, func(a, b CensusEntry) int { return cmp.Compare(a.FP, b.FP) })
+	return c
 }
 
 // BehaviorProbs exhaustively enumerates p under opts and returns, for
@@ -116,17 +113,16 @@ func BehaviorProbs(p *engine.Program, opts engine.Options, limit int) (probs map
 	probs = make(map[uint64]float64)
 	r := engine.NewRunner(p, opts)
 	defer r.Close()
-	sub := dfs(r, nil, nil, limit, opts.Telemetry, nil, func(o *engine.Outcome, arity []int) bool {
+	sub := dfs(r, nil, nil, limit, opts.Telemetry, nil, func(o *engine.Outcome, arity []int) {
 		pr := 1.0
 		for _, a := range arity {
 			pr /= float64(a)
 		}
 		if o.Err != nil {
 			errMass += pr
-			return true
+			return
 		}
 		probs[o.BehaviorFP] += pr
-		return true
 	})
 	if sub.drift != nil {
 		return nil, 0, sub.drift
@@ -145,19 +141,4 @@ func (c *Census) Fingerprints() []uint64 {
 		out = append(out, e.FP)
 	}
 	return out
-}
-
-// Encode renders the census as indented JSON (entries are already
-// fingerprint-sorted, so equal censuses encode byte-identically).
-func (c *Census) Encode() ([]byte, error) {
-	return json.MarshalIndent(c, "", "  ")
-}
-
-// DecodeCensus parses a census written by Encode.
-func DecodeCensus(data []byte) (*Census, error) {
-	var c Census
-	if err := json.Unmarshal(data, &c); err != nil {
-		return nil, fmt.Errorf("enumerate: decoding census: %w", err)
-	}
-	return &c, nil
 }

@@ -176,9 +176,8 @@ type Result struct {
 	// Drift is non-nil when replaying a decision prefix observed a
 	// different tree shape than the run that recorded it — the program is
 	// nondeterministic and its outcome space cannot be enumerated. The
-	// exploration aborted where drift was detected; Runs/Truncated cover
-	// the executions visited before that (Outcomes discards counts
-	// entirely and zeroes them, so serial and parallel agree).
+	// exploration aborted where drift was detected, and the Result
+	// carries nothing else (see Outcomes).
 	Drift *DriftError
 	// Interrupted marks an exploration stopped early by Config.Context
 	// cancellation (SIGINT/SIGTERM drain): the counts returned by
@@ -226,7 +225,7 @@ func resolveWorkers(w int) int {
 // subtreeResult summarizes a bounded DFS over one subtree of the
 // decision tree. Exactly one of the terminal conditions holds: complete
 // (every leaf under the prefix visited), capped (run limit hit), stopped
-// (the stop hook or the visitor ended it), or drift.
+// (the stop hook ended it), or drift.
 type subtreeResult struct {
 	runs      int
 	truncated int
@@ -240,19 +239,19 @@ type subtreeResult struct {
 // whose decision sequence extends prefix, reusing r across runs. want
 // carries the recorded arity of each decision along prefix for drift
 // detection. limit > 0 caps visited leaves; stop (may be nil) is polled
-// between executions for cooperative early termination; visit returns
-// false to stop after the current leaf. visit additionally receives the
-// leaf's decision arities (engine-owned scratch, valid only during the
-// call): arity[i] is the number of alternatives at the leaf's i-th
-// decision point, so prod(1/arity[i]) is the exact probability a
-// uniform-decision random walk reaches this leaf (see BehaviorProbs).
+// between executions for cooperative early termination. visit receives
+// each leaf's outcome and decision arities (engine-owned scratch, valid
+// only during the call): arity[i] is the number of alternatives at the
+// leaf's i-th decision point, so prod(1/arity[i]) is the exact
+// probability a uniform-decision random walk reaches this leaf (see
+// BehaviorProbs).
 // tel (may be nil) counts engine executions into ExploreRuns.
 //
 // The steady-state loop performs no allocations of its own: the script
 // and arity buffers are reused across leaves, so per-leaf cost is the
 // pooled Runner execution plus the backtracking scan.
 func dfs(r *engine.Runner, prefix, want []int, limit int, tel *telemetry.EngineCounters,
-	stop func() bool, visit func(*engine.Outcome, []int) bool) subtreeResult {
+	stop func() bool, visit func(*engine.Outcome, []int)) subtreeResult {
 	var res subtreeResult
 	s := &scripted{}
 	script := append(make([]int, 0, len(prefix)+16), prefix...)
@@ -275,10 +274,7 @@ func dfs(r *engine.Runner, prefix, want []int, limit int, tel *telemetry.EngineC
 		if o.Aborted {
 			res.truncated++
 		}
-		if !visit(o, s.arity) {
-			res.stopped = true
-			return res
-		}
+		visit(o, s.arity)
 
 		// Backtrack: find the deepest decision point at or below the
 		// subtree root that still has an untaken alternative, bump it, and
@@ -308,47 +304,8 @@ func dfs(r *engine.Runner, prefix, want []int, limit int, tel *telemetry.EngineC
 }
 
 // tally returns a dfs visitor that counts each leaf under its key in m.
-func tally(m map[string]int, key func(*engine.Outcome) string) func(*engine.Outcome, []int) bool {
-	return func(o *engine.Outcome, _ []int) bool {
-		m[key(o)]++
-		return true
-	}
-}
-
-// result converts a whole-tree subtreeResult into the public form.
-func (s subtreeResult) result() Result {
-	return Result{
-		Runs:      s.runs,
-		Complete:  s.complete,
-		Truncated: s.truncated,
-		Drift:     s.drift,
-	}
-}
-
-// Explore runs every execution of the program (up to limit runs), calling
-// visit with each outcome. Programs must be small and loop-free for the
-// exploration to terminate; use limit as a safety net.
-//
-// Explore is serial (visit observes leaves in depth-first script order
-// on the caller's goroutine) but pooled: all executions share one
-// engine.Runner. Use Outcomes for parallel exploration. On drift the
-// exploration aborts with Result.Drift set; visit has already observed
-// the pre-drift leaves.
-func Explore(p *engine.Program, opts engine.Options, limit int, visit func(*engine.Outcome)) Result {
-	return ExploreUntil(p, opts, limit, func(o *engine.Outcome) bool {
-		visit(o)
-		return true
-	})
-}
-
-// ExploreUntil is Explore with early termination: visit returns false to
-// stop the exploration after the current leaf (Result.Complete stays
-// false). Useful for searches that only need one witness execution.
-func ExploreUntil(p *engine.Program, opts engine.Options, limit int, visit func(*engine.Outcome) bool) Result {
-	r := engine.NewRunner(p, opts)
-	defer r.Close()
-	return dfs(r, nil, nil, limit, opts.Telemetry, nil,
-		func(o *engine.Outcome, _ []int) bool { return visit(o) }).result()
+func tally[K comparable](m map[K]int, key func(*engine.Outcome) K) func(*engine.Outcome, []int) {
+	return func(o *engine.Outcome, _ []int) { m[key(o)]++ }
 }
 
 // Outcomes explores the program and classifies each execution with the
@@ -357,12 +314,13 @@ func ExploreUntil(p *engine.Program, opts engine.Options, limit int, visit func(
 // in parallel (see parallel.go); the returned counts and Result are
 // bit-identical to the serial exploration at any worker count. key must
 // be safe for concurrent use when cfg.Workers != 1 (a pure function of
-// the outcome, like litmus.Test.Outcome).
+// the outcome, like litmus.Test.Outcome). With cfg.Workers == 1, key is
+// called on the caller's goroutine once per leaf, in depth-first order.
 //
 // On drift the counts map is nil and Result carries only the Drift
 // error: partial counts of a nondeterministic program are meaningless,
 // and discarding them keeps serial and parallel output identical.
-func Outcomes(p *engine.Program, opts engine.Options, cfg Config, key func(*engine.Outcome) string) (map[string]int, Result) {
+func Outcomes[K comparable](p *engine.Program, opts engine.Options, cfg Config, key func(*engine.Outcome) K) (map[K]int, Result) {
 	if resolveWorkers(cfg.Workers) > 1 {
 		return parallelOutcomes(p, opts, cfg, key)
 	}
@@ -373,13 +331,11 @@ func Outcomes(p *engine.Program, opts engine.Options, cfg Config, key func(*engi
 
 // serialOutcomes is the serial path of Outcomes on r, counting
 // executions into tel (may be nil).
-func serialOutcomes(r *engine.Runner, tel *telemetry.EngineCounters, cfg Config, key func(*engine.Outcome) string) (map[string]int, Result) {
-	counts := make(map[string]int)
+func serialOutcomes[K comparable](r *engine.Runner, tel *telemetry.EngineCounters, cfg Config, key func(*engine.Outcome) K) (map[K]int, Result) {
+	counts := make(map[K]int)
 	sub := dfs(r, nil, nil, cfg.Limit, tel, ctxStop(cfg.Context), tally(counts, key))
 	if sub.drift != nil {
 		return nil, Result{Drift: sub.drift}
 	}
-	res := sub.result()
-	res.Interrupted = sub.stopped
-	return counts, res
+	return counts, Result{Runs: sub.runs, Complete: sub.complete, Truncated: sub.truncated, Interrupted: sub.stopped}
 }

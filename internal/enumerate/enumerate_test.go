@@ -30,14 +30,13 @@ func TestExploreCountsTinyProgram(t *testing.T) {
 	p.AddThread(func(th *engine.Thread) {
 		th.Store(r, th.Load(x, memmodel.Relaxed), memmodel.NonAtomic)
 	})
-	seen := map[memmodel.Value]bool{}
-	res := Explore(p, engine.Options{}, 0, func(o *engine.Outcome) {
-		seen[o.FinalValues["r"]] = true
+	seen, res := Outcomes(p, engine.Options{}, Config{Workers: 1}, func(o *engine.Outcome) memmodel.Value {
+		return o.FinalValues["r"]
 	})
 	if !res.Complete {
 		t.Fatal("exploration incomplete")
 	}
-	if !seen[0] || !seen[1] {
+	if seen[0] == 0 || seen[1] == 0 {
 		t.Fatalf("missing outcomes: %v (runs %d)", seen, res.Runs)
 	}
 }
@@ -97,7 +96,7 @@ func TestExhaustiveConsistency(t *testing.T) {
 		lt := lt
 		t.Run(lt.Name, func(t *testing.T) {
 			checked := 0
-			res := Explore(lt.Program, engine.Options{Record: true}, 30000, func(o *engine.Outcome) {
+			_, res := Outcomes(lt.Program, engine.Options{Record: true}, Config{Limit: 30000, Workers: 1}, func(o *engine.Outcome) bool {
 				g, err := axiom.FromRecording(o.Recording)
 				if err != nil {
 					t.Fatal(err)
@@ -106,6 +105,7 @@ func TestExhaustiveConsistency(t *testing.T) {
 					t.Fatalf("inconsistent execution: %v", vs)
 				}
 				checked++
+				return true
 			})
 			t.Logf("%s: %d executions checked (complete=%v)", lt.Name, checked, res.Complete)
 		})
@@ -128,7 +128,7 @@ func TestOutcomesHelper(t *testing.T) {
 // TestLimitStopsExploration: the run limit is honored.
 func TestLimitStopsExploration(t *testing.T) {
 	lt := litmus.IRIWRelaxed()
-	res := Explore(lt.Program, engine.Options{}, 10, func(*engine.Outcome) {})
+	_, res := Outcomes(lt.Program, engine.Options{}, Config{Limit: 10, Workers: 1}, func(*engine.Outcome) bool { return true })
 	if res.Complete || res.Runs != 10 {
 		t.Fatalf("limit ignored: %+v", res)
 	}

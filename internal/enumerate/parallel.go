@@ -123,11 +123,11 @@ func expandFrontier(r *engine.Runner, target int, tel *telemetry.EngineCounters,
 // per-unit results in frontier order, a coverage monitor that raises
 // the stop flag once the ordered prefix of finalized units covers the
 // run limit, and a drift flag that aborts everything.
-type explorePool struct {
+type explorePool[K comparable] struct {
 	units   []unit
 	next    atomic.Int64
 	results []*subtreeResult
-	counts  []map[string]int
+	counts  []map[K]int
 	limit   int
 	ctxDone func() bool
 	mu      sync.Mutex
@@ -136,12 +136,12 @@ type explorePool struct {
 
 // stopped reports whether workers should quit: the run limit is
 // covered, a unit drifted, or the context was canceled.
-func (e *explorePool) stopped() bool {
+func (e *explorePool[K]) stopped() bool {
 	return e.stop.Load() || (e.ctxDone != nil && e.ctxDone())
 }
 
 // finish records a unit's exploration result and re-evaluates coverage.
-func (e *explorePool) finish(i int, r *subtreeResult, m map[string]int) {
+func (e *explorePool[K]) finish(i int, r *subtreeResult, m map[K]int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.results[i] = r
@@ -157,7 +157,7 @@ func (e *explorePool) finish(i int, r *subtreeResult, m map[string]int) {
 // finalized units already accounts for limit executions: everything
 // after the covering point will be discarded by the merge, so workers
 // still exploring it may quit. Called with mu held.
-func (e *explorePool) updateCoverage() {
+func (e *explorePool[K]) updateCoverage() {
 	if e.limit <= 0 {
 		return
 	}
@@ -178,16 +178,16 @@ func (e *explorePool) updateCoverage() {
 // explore it on r, and record the result, until every unit is claimed.
 // Units claimed after the stop flag rose are recorded as stopped
 // without an engine run; the merge never reaches them.
-func (e *explorePool) work(r *engine.Runner, tel *telemetry.EngineCounters, key func(*engine.Outcome) string) {
+func (e *explorePool[K]) work(r *engine.Runner, tel *telemetry.EngineCounters, key func(*engine.Outcome) K) {
 	for {
 		i := int(e.next.Add(1)) - 1
 		if i >= len(e.units) {
 			return
 		}
 		sub := subtreeResult{stopped: true}
-		var m map[string]int
+		var m map[K]int
 		if !e.stopped() {
-			m = make(map[string]int)
+			m = make(map[K]int)
 			sub = dfs(r, e.units[i].prefix, e.units[i].want, e.limit, tel, e.stopped, tally(m, key))
 		}
 		if sub.stopped && tel != nil {
@@ -202,7 +202,7 @@ func (e *explorePool) work(r *engine.Runner, tel *telemetry.EngineCounters, key 
 // and after they drain (merge re-descents), so it counts into the
 // caller's telemetry directly; each worker counts into a private shard,
 // merged after the pool drains (the RunCampaign contract).
-func parallelOutcomes(p *engine.Program, opts engine.Options, cfg Config, key func(*engine.Outcome) string) (map[string]int, Result) {
+func parallelOutcomes[K comparable](p *engine.Program, opts engine.Options, cfg Config, key func(*engine.Outcome) K) (map[K]int, Result) {
 	workers := resolveWorkers(cfg.Workers)
 
 	// Phase 1: serial frontier expansion on the coordinator's Runner.
@@ -214,7 +214,7 @@ func parallelOutcomes(p *engine.Program, opts engine.Options, cfg Config, key fu
 		return nil, Result{Drift: derr}
 	}
 	if interrupted {
-		return make(map[string]int), Result{Interrupted: true}
+		return make(map[K]int), Result{Interrupted: true}
 	}
 	if !slices.ContainsFunc(units, unit.internal) {
 		// Expansion resolved the whole tree into single leaves: it is too
@@ -224,10 +224,10 @@ func parallelOutcomes(p *engine.Program, opts engine.Options, cfg Config, key fu
 	}
 
 	// Phase 2: the workers claim units in frontier order.
-	pool := &explorePool{
+	pool := &explorePool[K]{
 		units:   units,
 		results: make([]*subtreeResult, len(units)),
-		counts:  make([]map[string]int, len(units)),
+		counts:  make([]map[K]int, len(units)),
 		limit:   cfg.Limit,
 		ctxDone: ctxDone,
 	}
@@ -263,7 +263,7 @@ func parallelOutcomes(p *engine.Program, opts engine.Options, cfg Config, key fu
 	}
 
 	// Phase 3: deterministic merge in frontier order.
-	counts := make(map[string]int)
+	counts := make(map[K]int)
 	res := Result{Complete: true}
 	for i, u := range units {
 		if ctxDone != nil && ctxDone() {
@@ -291,7 +291,7 @@ func parallelOutcomes(p *engine.Program, opts engine.Options, cfg Config, key fu
 			// with exactly the remaining budget so the merged counts match
 			// the serial cut bit for bit. Cancellation still stops the
 			// re-descent between executions.
-			m = make(map[string]int)
+			m = make(map[K]int)
 			sub := dfs(rc, u.prefix, u.want, remaining, opts.Telemetry, ctxDone, tally(m, key))
 			if sub.drift != nil {
 				return nil, Result{Drift: sub.drift}

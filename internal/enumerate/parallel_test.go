@@ -221,29 +221,6 @@ func TestDriftDetectedParallel(t *testing.T) {
 	}
 }
 
-// TestDriftReportedByExplore: the serial visitor API surfaces drift in
-// its Result as well (visit has observed the pre-drift leaves).
-func TestDriftReportedByExplore(t *testing.T) {
-	res := Explore(driftProgram(), engine.Options{}, 0, func(*engine.Outcome) {})
-	if res.Drift == nil {
-		t.Fatalf("Explore missed drift: %+v", res)
-	}
-}
-
-// TestExploreUntilStops: the early-stop visitor halts the walk after
-// the current leaf.
-func TestExploreUntilStops(t *testing.T) {
-	lt := litmusByName(t, "SB+rlx")
-	seen := 0
-	res := ExploreUntil(lt.Program, engine.Options{}, 0, func(o *engine.Outcome) bool {
-		seen++
-		return seen < 3
-	})
-	if seen != 3 || res.Runs != 3 || res.Complete {
-		t.Fatalf("early stop broken: seen=%d res=%+v", seen, res)
-	}
-}
-
 // countCtx is a context whose Err() flips to context.Canceled after a
 // fixed number of polls — a deterministic stand-in for a signal arriving
 // mid-exploration.
@@ -324,7 +301,9 @@ func TestParallelLimitExactPrefix(t *testing.T) {
 	const limit = 137
 	want := make(map[string]int)
 	n := 0
-	Explore(lt.Program, engine.Options{}, limit, func(o *engine.Outcome) {
+	r := engine.NewRunner(lt.Program, engine.Options{})
+	defer r.Close()
+	dfs(r, nil, nil, limit, nil, nil, func(o *engine.Outcome, _ []int) {
 		want[lt.Outcome(o.FinalValues)]++
 		n++
 	})

@@ -78,6 +78,27 @@ func TestCampaignPanicQuarantine(t *testing.T) {
 	}
 }
 
+// TestRunLitmusPanicFails: a litmus campaign whose strategy panics on
+// some seeds fails its conformance report, though the other trials show
+// every weak outcome and nothing illegal, at every worker count.
+func TestRunLitmusPanicFails(t *testing.T) {
+	lt := litmus.SBRelaxed()
+	newStrategy := func() engine.Strategy { return newPanicky(4) }
+	serial, res := RunLitmus(lt, newStrategy, 200, 1, Campaign{Workers: 1})
+	if res.Panics == 0 || serial.Panics != res.Panics {
+		t.Fatalf("report counts %d panic(s), campaign %d: %s", serial.Panics, res.Panics, serial)
+	}
+	if len(serial.Illegal) > 0 || len(serial.Missing) > 0 {
+		t.Fatalf("surviving trials do not conform: %s", serial)
+	}
+	if serial.OK() || !strings.Contains(serial.String(), "PANICS=") {
+		t.Fatalf("quarantined panics pass the report: %s", serial)
+	}
+	if par, _ := RunLitmus(lt, newStrategy, 200, 1, Campaign{Workers: 4}); par.String() != serial.String() {
+		t.Fatalf("report differs between 1 and 4 workers:\n  %s\n  %s", serial, par)
+	}
+}
+
 // panickyProgram panics inside a ThreadFunc when the load observes the
 // sibling's store — a user-program crash that only some schedules reach.
 // The engine contains it as a PanicError outcome.

@@ -16,6 +16,7 @@ import (
 	"pctwm/internal/core"
 	"pctwm/internal/coverage"
 	"pctwm/internal/engine"
+	"pctwm/internal/litmus"
 	"pctwm/internal/stats"
 	"pctwm/internal/telemetry"
 )
@@ -247,6 +248,16 @@ func BenchTrials(b *benchprog.Benchmark, factory StrategyFactory, runs int, seed
 	est := EstimateParams(prog, 20, seed^0x5eed, opts)
 	res := RunCampaign(prog, b.Detect, func() engine.Strategy { return factory(est) }, runs, seed, opts, camp)
 	return res, est
+}
+
+// RunLitmus runs lt under camp's Model as one campaign whose detect hook
+// tallies the outcome histogram, and returns the test's conformance
+// report, which fails on any quarantined panic, with the campaign result.
+func RunLitmus(lt *litmus.Test, newStrategy func() engine.Strategy, runs int, seed int64, camp Campaign) (*litmus.Report, TrialResult) {
+	rep := lt.Tally(camp.Model)
+	res := RunCampaign(lt.Program, rep.Detect, newStrategy, runs, seed, engine.Options{Model: camp.Model}, camp)
+	rep.Finish(res.Runs, res.Aborted, res.Deadlock, res.Panics)
+	return rep, res
 }
 
 // BestOverH runs PCTWM for h = 1..maxH and returns the best rate together

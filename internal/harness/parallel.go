@@ -88,8 +88,8 @@ type Campaign struct {
 	// trial with atomics; never touched on the engine hot path.
 	Metrics *telemetry.Metrics
 	// Model, when non-empty, overrides the memory-model backend for
-	// campaigns that build their own engine.Options from a benchmark
-	// registry (BenchTrials, BestOverH). Callers that pass
+	// campaigns that build their own engine.Options (BenchTrials,
+	// BestOverH, RunLitmus, DistCheckCampaign). Callers that pass
 	// explicit Options set Options.Model directly instead.
 	Model string
 	// Checkpoint, when non-nil with a Dir, arms the durable

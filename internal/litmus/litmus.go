@@ -1,15 +1,19 @@
 // Package litmus provides classic weak-memory litmus tests expressed
-// against the engine API, together with a runner that explores each test
-// under a strategy and classifies the observed outcomes. The suite is the
-// conformance test of the memory model: allowed weak behaviours must be
-// observable, forbidden ones must never occur.
+// against the engine API, each with the outcome table of every memory
+// model, and a Report that tallies the outcomes of a campaign on a test
+// (its Detect method is the harness.RunCampaign detect hook) and
+// classifies them against the table. The suite is the conformance test
+// of the memory model: allowed weak behaviours must be observable,
+// forbidden ones must never occur.
 package litmus
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"pctwm/internal/engine"
 	"pctwm/internal/memmodel"
@@ -32,7 +36,7 @@ type Test struct {
 	// when Allowed is exhaustive.
 	Forbidden []string
 	// Weak is the subset of allowed outcomes that only weak memory can
-	// produce under rc11; the runner reports whether each was observed.
+	// produce under rc11; a Report lists those never observed.
 	Weak []string
 	// PerModel overrides the outcome table for other memory-model
 	// backends ("sc", "tso"). A model with no entry uses the base
@@ -47,6 +51,12 @@ type Expectation struct {
 	Allowed   []string
 	Forbidden []string
 	Weak      []string
+}
+
+// Illegal reports whether the model forbids outcome: Forbidden lists it,
+// or Allowed is exhaustive and omits it.
+func (e Expectation) Illegal(outcome string) bool {
+	return slices.Contains(e.Forbidden, outcome) || len(e.Allowed) > 0 && !slices.Contains(e.Allowed, outcome)
 }
 
 // Expect returns the outcome table the given memory model must satisfy
@@ -77,31 +87,73 @@ func (t *Test) Outcome(final map[string]memmodel.Value) string {
 	return string(b)
 }
 
-// Report summarizes a litmus exploration.
+// Report summarizes a campaign on a litmus test. Tally starts one,
+// Detect counts each trial's outcome, and Finish adds the campaign's
+// totals and the verdict (harness.RunLitmus does all three).
 type Report struct {
 	Test     *Test
 	Runs     int
 	Counts   map[string]int
-	Illegal  []string // observed outcomes outside Allowed
+	Illegal  []string // observed outcomes the model forbids
 	Missing  []string // Weak outcomes never observed
 	Aborted  int
 	Deadlock int
+	Panics   int // trials whose panic escaped the engine (a strategy or harness bug)
+
+	exp Expectation
+	mu  sync.Mutex // guards Counts while a campaign runs
 }
 
-// OK reports whether the exploration conforms to the model: nothing
-// illegal observed and every weak outcome witnessed.
-func (r *Report) OK() bool { return len(r.Illegal) == 0 && len(r.Missing) == 0 }
+// Tally starts the report of a campaign on t under the given memory
+// model ("" means rc11), whose expectation table classifies the outcomes.
+func (t *Test) Tally(model string) *Report {
+	return &Report{Test: t, Counts: make(map[string]int), exp: t.Expect(model)}
+}
+
+// Detect is the harness.RunCampaign detect hook: it counts the trial's
+// outcome and reports whether the model forbids it, so the campaign's
+// Hits are its illegal trials. Aborted and deadlocked trials have no
+// outcome and are not counted. Campaign workers call it concurrently.
+func (r *Report) Detect(o *engine.Outcome) bool {
+	if o.Aborted || o.Deadlocked {
+		return false
+	}
+	out := r.Test.Outcome(o.FinalValues)
+	r.mu.Lock()
+	r.Counts[out]++
+	r.mu.Unlock()
+	return r.exp.Illegal(out)
+}
+
+// Finish records the campaign's totals and classifies the counted
+// outcomes: the illegal ones, sorted, and the weak ones never observed.
+func (r *Report) Finish(runs, aborted, deadlock, panics int) {
+	r.Runs, r.Aborted, r.Deadlock, r.Panics = runs, aborted, deadlock, panics
+	for out := range r.Counts {
+		if r.exp.Illegal(out) {
+			r.Illegal = append(r.Illegal, out)
+		}
+	}
+	slices.Sort(r.Illegal)
+	for _, w := range r.exp.Weak {
+		if r.Counts[w] == 0 {
+			r.Missing = append(r.Missing, w)
+		}
+	}
+}
+
+// OK reports whether the campaign conforms to the model: no trial
+// panicked, nothing illegal observed and every weak outcome witnessed.
+func (r *Report) OK() bool { return r.Panics == 0 && len(r.Illegal) == 0 && len(r.Missing) == 0 }
 
 func (r *Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-22s runs=%d", r.Test.Name, r.Runs)
-	keys := make([]string, 0, len(r.Counts))
-	for k := range r.Counts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range slices.Sorted(maps.Keys(r.Counts)) {
 		fmt.Fprintf(&b, "  [%s]×%d", k, r.Counts[k])
+	}
+	if r.Panics > 0 {
+		fmt.Fprintf(&b, "  PANICS=%d", r.Panics)
 	}
 	if len(r.Illegal) > 0 {
 		fmt.Fprintf(&b, "  ILLEGAL=%v", r.Illegal)
@@ -110,61 +162,4 @@ func (r *Report) String() string {
 		fmt.Fprintf(&b, "  MISSING-WEAK=%v", r.Missing)
 	}
 	return b.String()
-}
-
-// Run explores the test for the given number of runs under strategies
-// produced by newStrategy (one per run, seeded deterministically from
-// seed) and classifies outcomes.
-func (t *Test) Run(newStrategy func() engine.Strategy, runs int, seed int64) *Report {
-	return t.RunOpts(newStrategy, runs, seed, engine.Options{})
-}
-
-// RunOpts is Run with explicit engine options — e.g. a non-default
-// Model (outcomes are then classified against that model's expectation
-// table). All rounds share one pooled Runner (outcomes are identical to
-// per-round engine.Run by the Runner's determinism guarantee).
-func (t *Test) RunOpts(newStrategy func() engine.Strategy, runs int, seed int64, opts engine.Options) *Report {
-	rep := &Report{Test: t, Runs: runs, Counts: make(map[string]int)}
-	exp := t.Expect(opts.Model)
-	allowed := make(map[string]bool, len(exp.Allowed))
-	for _, a := range exp.Allowed {
-		allowed[a] = true
-	}
-	forbidden := make(map[string]bool, len(exp.Forbidden))
-	for _, f := range exp.Forbidden {
-		forbidden[f] = true
-	}
-	isIllegal := func(out string) bool {
-		if forbidden[out] {
-			return true
-		}
-		return len(exp.Allowed) > 0 && !allowed[out]
-	}
-	illegal := make(map[string]bool)
-	r := engine.NewRunner(t.Program, opts)
-	defer r.Close()
-	for i := 0; i < runs; i++ {
-		o := r.Run(newStrategy(), seed+int64(i))
-		if o.Aborted {
-			rep.Aborted++
-			continue
-		}
-		if o.Deadlocked {
-			rep.Deadlock++
-			continue
-		}
-		out := t.Outcome(o.FinalValues)
-		rep.Counts[out]++
-		if isIllegal(out) && !illegal[out] {
-			illegal[out] = true
-			rep.Illegal = append(rep.Illegal, out)
-		}
-	}
-	for _, w := range exp.Weak {
-		if rep.Counts[w] == 0 {
-			rep.Missing = append(rep.Missing, w)
-		}
-	}
-	sort.Strings(rep.Illegal)
-	return rep
 }

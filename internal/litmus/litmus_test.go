@@ -11,57 +11,6 @@ import (
 	"pctwm/internal/memmodel"
 )
 
-func newRandomStrategy() engine.Strategy { return core.NewRandom() }
-
-// TestSuiteRandom explores every litmus test under the C11Tester-style
-// random strategy: forbidden outcomes must never appear and every weak
-// outcome must be witnessed.
-func TestSuiteRandom(t *testing.T) {
-	for _, lt := range Suite() {
-		lt := lt
-		t.Run(lt.Name, func(t *testing.T) {
-			rep := lt.Run(newRandomStrategy, 2000, 1)
-			if !rep.OK() {
-				t.Fatalf("conformance failure: %s", rep)
-			}
-			if rep.Aborted > 0 || rep.Deadlock > 0 {
-				t.Fatalf("aborted=%d deadlocked=%d: %s", rep.Aborted, rep.Deadlock, rep)
-			}
-		})
-	}
-}
-
-// TestSuitePCT checks that the PCT variant never produces an outcome
-// outside the model.
-func TestSuitePCT(t *testing.T) {
-	for _, lt := range Suite() {
-		lt := lt
-		t.Run(lt.Name, func(t *testing.T) {
-			rep := lt.Run(func() engine.Strategy { return core.NewPCT(3, 20) }, 1000, 2)
-			if len(rep.Illegal) > 0 {
-				t.Fatalf("illegal outcomes under PCT: %s", rep)
-			}
-		})
-	}
-}
-
-// TestSuitePCTWM checks the same for PCTWM across several (d, h) settings.
-func TestSuitePCTWM(t *testing.T) {
-	for _, lt := range Suite() {
-		lt := lt
-		t.Run(lt.Name, func(t *testing.T) {
-			for _, d := range []int{0, 1, 2, 3} {
-				for _, h := range []int{1, 3} {
-					rep := lt.Run(func() engine.Strategy { return core.NewPCTWM(d, h, 10) }, 400, int64(100*d+h))
-					if len(rep.Illegal) > 0 {
-						t.Fatalf("illegal outcomes under PCTWM(d=%d,h=%d): %s", d, h, rep)
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestOutcomeOneAlloc: the outcome key costs one allocation, the returned
 // string, and renders as "r=v" pairs in register order, as it did when it
 // was built with fmt.Sprintf and strings.Join.
@@ -85,5 +34,38 @@ func TestOutcomeOneAlloc(t *testing.T) {
 	want := "r1=-9223372036854775808 r2=-1 r3=9223372036854775807 r4=-9223372036854775808"
 	if got := lt.Outcome(final); got != want {
 		t.Errorf("long key: Outcome = %q, want %q", got, want)
+	}
+}
+
+// TestExpectationIllegal: an outcome is illegal when Forbidden lists it
+// or when an exhaustive Allowed omits it; with neither list every
+// outcome is legal.
+func TestExpectationIllegal(t *testing.T) {
+	cases := []struct {
+		name    string
+		exp     Expectation
+		illegal []string
+		legal   []string
+	}{
+		{"forbidden only", IRIWSeqCst().Expect(engine.ModelRC11),
+			[]string{"r1=1 r2=0 r3=1 r4=0"}, []string{"r1=1 r2=1 r3=1 r4=1", "r1=0 r2=0 r3=0 r4=0"}},
+		{"exhaustive allowed", SBSeqCst().Expect(engine.ModelRC11),
+			[]string{"a=0 b=0", "a=2 b=2"}, []string{"a=0 b=1", "a=1 b=0", "a=1 b=1"}},
+		{"both lists", Expectation{Allowed: []string{"x=0", "x=1"}, Forbidden: []string{"x=1"}},
+			[]string{"x=1", "x=2"}, []string{"x=0"}},
+		{"neither list", IRIWRelaxed().Expect(engine.ModelRC11),
+			nil, []string{"r1=1 r2=0 r3=1 r4=0", "r1=0 r2=0 r3=0 r4=0"}},
+	}
+	for _, c := range cases {
+		for _, out := range c.illegal {
+			if !c.exp.Illegal(out) {
+				t.Errorf("%s: %q legal, want illegal", c.name, out)
+			}
+		}
+		for _, out := range c.legal {
+			if c.exp.Illegal(out) {
+				t.Errorf("%s: %q illegal, want legal", c.name, out)
+			}
+		}
 	}
 }

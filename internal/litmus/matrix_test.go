@@ -86,18 +86,9 @@ func TestCrossModelMatrix(t *testing.T) {
 				// Every reachable outcome must be legal under the model's
 				// expectation table, and every weak outcome reachable.
 				exp := lt.Expect(model)
-				allowed := map[string]bool{}
-				for _, a := range exp.Allowed {
-					allowed[a] = true
-				}
 				for out := range got {
-					if len(exp.Allowed) > 0 && !allowed[out] {
-						t.Errorf("%s under %s: reachable outcome %q not in Allowed", lt.Name, model, out)
-					}
-				}
-				for _, f := range exp.Forbidden {
-					if got[f] {
-						t.Errorf("%s under %s: forbidden outcome %q reachable", lt.Name, model, f)
+					if exp.Illegal(out) {
+						t.Errorf("%s under %s: reachable outcome %q is illegal", lt.Name, model, out)
 					}
 				}
 				for _, w := range exp.Weak {
@@ -116,29 +107,6 @@ func TestCrossModelMatrix(t *testing.T) {
 				if !perModel[engine.ModelRC11][out] {
 					t.Errorf("%s: TSO outcome %q not reachable under RC11", lt.Name, out)
 				}
-			}
-		})
-	}
-}
-
-// TestSuiteAllModels explores the full conformance suite under every
-// backend with the random strategy, classifying against each model's
-// expectation table: nothing illegal, every weak outcome witnessed.
-func TestSuiteAllModels(t *testing.T) {
-	for _, model := range engine.Models() {
-		model := model
-		t.Run(model, func(t *testing.T) {
-			for _, lt := range Suite() {
-				lt := lt
-				t.Run(lt.Name, func(t *testing.T) {
-					rep := lt.RunOpts(newRandomStrategy, 2000, 1, engine.Options{Model: model})
-					if !rep.OK() {
-						t.Fatalf("conformance failure under %s: %s", model, rep)
-					}
-					if rep.Aborted > 0 || rep.Deadlock > 0 {
-						t.Fatalf("aborted=%d deadlocked=%d under %s: %s", rep.Aborted, rep.Deadlock, model, rep)
-					}
-				})
 			}
 		})
 	}
