@@ -43,9 +43,9 @@ import (
 // count.
 //
 // With -engine.model the enumeration runs against that backend and the
-// outcomes classify against the model's expectation table — the scripted
-// enumeration strategy is model-agnostic, so switching backends explores
-// a different reachable set under identical machinery.
+// outcomes classify against the model's expectation table — the explored
+// strategy is model-agnostic, so switching backends explores a different
+// reachable set under identical machinery.
 //
 // The command exits 1 on an illegal outcome and on interruption.
 func exploreCmd(args []string, stdout, stderr io.Writer) int {

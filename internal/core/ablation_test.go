@@ -28,7 +28,7 @@ func TestAblationNames(t *testing.T) {
 // and runs immediately.
 func TestAblateDelayKeepsPriority(t *testing.T) {
 	s := NewAblatedPCTWM(1, 1, 1, AblateDelay)
-	s.Begin(engine.ProgramInfo{NumRootThreads: 2}, newRng())
+	begin(s, engine.ProgramInfo{NumRootThreads: 2}, newRng())
 	s.OnThreadStart(1, 0)
 	s.OnThreadStart(2, 0)
 	s.prio[1] = 1000
@@ -50,7 +50,7 @@ func TestAblateDelayKeepsPriority(t *testing.T) {
 // TestAblateHistoryUnbounded: sink reads roam all candidates.
 func TestAblateHistoryUnbounded(t *testing.T) {
 	s := NewAblatedPCTWM(1, 1, 1, AblateHistory)
-	s.Begin(engine.ProgramInfo{NumRootThreads: 1}, newRng())
+	begin(s, engine.ProgramInfo{NumRootThreads: 1}, newRng())
 	s.OnThreadStart(1, 0)
 	read := pending(1, 0, memmodel.KindRead, memmodel.Relaxed)
 	s.NextThread([]engine.PendingOp{read})
@@ -72,7 +72,7 @@ func TestAblateHistoryUnbounded(t *testing.T) {
 // TestAblateLocalViewsRandomReads: non-sink reads are uniform.
 func TestAblateLocalViewsRandomReads(t *testing.T) {
 	s := NewAblatedPCTWM(0, 1, 5, AblateLocalViews)
-	s.Begin(engine.ProgramInfo{NumRootThreads: 1}, newRng())
+	begin(s, engine.ProgramInfo{NumRootThreads: 1}, newRng())
 	s.OnThreadStart(1, 0)
 	rc := engine.ReadContext{TID: 1, Index: 3, Loc: 1, Candidates: make([]engine.ReadCandidate, 5)}
 	seen := map[int]bool{}

@@ -19,12 +19,19 @@ func pending(tid memmodel.ThreadID, index int, kind memmodel.Kind, ord memmodel.
 
 func newRng() *rand.Rand { return rand.New(rand.NewSource(7)) }
 
+// begin starts a run of s with r as its random source, as the engine
+// does: strategies draw from info.Rand.
+func begin(s engine.Strategy, info engine.ProgramInfo, r *rand.Rand) {
+	info.Rand = r
+	s.Begin(info, r)
+}
+
 // TestPCTWMDelaysSampledCommEvent: with kcom=1 and d=1, the first
 // communication event's thread must be demoted below all others and its
 // read must go through readGlobal.
 func TestPCTWMDelaysSampledCommEvent(t *testing.T) {
 	s := NewPCTWM(1, 1, 1)
-	s.Begin(engine.ProgramInfo{Name: "t", NumRootThreads: 2}, newRng())
+	begin(s, engine.ProgramInfo{Name: "t", NumRootThreads: 2}, newRng())
 	s.OnThreadStart(1, 0)
 	s.OnThreadStart(2, 0)
 
@@ -60,7 +67,7 @@ func TestPCTWMDelaysSampledCommEvent(t *testing.T) {
 // view (candidate 0).
 func TestPCTWMLocalReadsByDefault(t *testing.T) {
 	s := NewPCTWM(0, 3, 10)
-	s.Begin(engine.ProgramInfo{NumRootThreads: 2}, newRng())
+	begin(s, engine.ProgramInfo{NumRootThreads: 2}, newRng())
 	s.OnThreadStart(1, 0)
 	rc := engine.ReadContext{TID: 1, Index: 5, Loc: 1, Candidates: make([]engine.ReadCandidate, 6)}
 	for i := 0; i < 10; i++ {
@@ -74,7 +81,7 @@ func TestPCTWMLocalReadsByDefault(t *testing.T) {
 // uniformly among the h mo-maximal candidates.
 func TestPCTWMHistoryWindow(t *testing.T) {
 	s := NewPCTWM(1, 2, 1)
-	s.Begin(engine.ProgramInfo{NumRootThreads: 1}, newRng())
+	begin(s, engine.ProgramInfo{NumRootThreads: 1}, newRng())
 	s.OnThreadStart(1, 0)
 	read := pending(1, 3, memmodel.KindRead, memmodel.Relaxed)
 	s.NextThread([]engine.PendingOp{read}) // counts + demotes + returns t1
@@ -100,7 +107,7 @@ func TestPCTWMHistoryWindow(t *testing.T) {
 // and the thread is demoted.
 func TestPCTWMSpinEscape(t *testing.T) {
 	s := NewPCTWM(0, 1, 5)
-	s.Begin(engine.ProgramInfo{NumRootThreads: 2}, newRng())
+	begin(s, engine.ProgramInfo{NumRootThreads: 2}, newRng())
 	s.OnThreadStart(1, 0)
 	s.OnThreadStart(2, 0)
 	before := s.prio[0]
@@ -128,7 +135,7 @@ func TestPCTWMSpinEscape(t *testing.T) {
 // not advance the communication counter.
 func TestPCTWMCountsEventsOnce(t *testing.T) {
 	s := NewPCTWM(2, 1, 10)
-	s.Begin(engine.ProgramInfo{NumRootThreads: 1}, newRng())
+	begin(s, engine.ProgramInfo{NumRootThreads: 1}, newRng())
 	s.OnThreadStart(1, 0)
 	read := pending(1, 0, memmodel.KindRead, memmodel.Relaxed)
 	s.NextThread([]engine.PendingOp{read})
@@ -143,7 +150,7 @@ func TestPCTWMCountsEventsOnce(t *testing.T) {
 // enabled thread, and change points drop the running thread's priority.
 func TestPCTPriorities(t *testing.T) {
 	s := NewPCT(2, 10)
-	s.Begin(engine.ProgramInfo{NumRootThreads: 2}, newRng())
+	begin(s, engine.ProgramInfo{NumRootThreads: 2}, newRng())
 	s.OnThreadStart(1, 0)
 	s.OnThreadStart(2, 0)
 	s.prio[0], s.prio[1] = 50, 40
@@ -170,7 +177,7 @@ func TestPCTPriorities(t *testing.T) {
 // the PCT counter.
 func TestPCTIgnoresNonMemoryEvents(t *testing.T) {
 	s := NewPCT(3, 10)
-	s.Begin(engine.ProgramInfo{NumRootThreads: 1}, newRng())
+	begin(s, engine.ProgramInfo{NumRootThreads: 1}, newRng())
 	s.OnThreadStart(1, 0)
 	for _, k := range []memmodel.Kind{memmodel.KindSpawn, memmodel.KindJoin, memmodel.KindAssert} {
 		s.OnEvent(&memmodel.Event{TID: 1, Label: memmodel.Label{Kind: k}})
@@ -241,7 +248,7 @@ func TestBounds(t *testing.T) {
 // candidates with positive frequency.
 func TestRandomStrategyUniform(t *testing.T) {
 	s := NewRandom()
-	s.Begin(engine.ProgramInfo{NumRootThreads: 3}, newRng())
+	begin(s, engine.ProgramInfo{NumRootThreads: 3}, newRng())
 	en := []engine.PendingOp{
 		pending(1, 0, memmodel.KindWrite, memmodel.Relaxed),
 		pending(2, 0, memmodel.KindWrite, memmodel.Relaxed),

@@ -21,7 +21,7 @@ type PCT struct {
 	// Events is the estimated number of program events k.
 	Events int
 
-	rng *rand.Rand
+	rng engine.Rand
 	priorities
 	counter   int   // executed events so far
 	changeAt  []int // changeAt[rank-1] = event count of change point rank
@@ -44,14 +44,18 @@ func NewPCT(d, k int) *PCT {
 func (s *PCT) Name() string { return "pct" }
 
 // Begin implements engine.Strategy.
-func (s *PCT) Begin(info engine.ProgramInfo, r *rand.Rand) {
-	s.rng = r
+func (s *PCT) Begin(info engine.ProgramInfo, _ *rand.Rand) {
+	s.rng = info.Rand
 	s.reset(s.Depth)
 	s.counter = 0
 	// Sample d−1 distinct change points from [1, k] (none, and no draw,
 	// at d = 1).
 	s.changeAt, s.sampleBuf = sampleDistinct(s.rng, s.Depth-1, s.Events, s.changeAt, s.sampleBuf)
 }
+
+// exhaustive is implemented by a source that walks every answer to its
+// draws: the explorer's scripted source (internal/enumerate).
+type exhaustive interface{ Exhaustive() }
 
 // sampleDistinct samples n distinct integers from [1, max] (fewer when
 // max < n), in random order, appending them to buf[:0]. For sparse
@@ -60,7 +64,11 @@ func (s *PCT) Begin(info engine.ProgramInfo, r *rand.Rand) {
 // dense case runs a partial Fisher–Yates over scratch, which is grown
 // once and reused across runs — the steady state allocates nothing.
 // Returns the sample and the (possibly grown) scratch buffer.
-func sampleDistinct(r *rand.Rand, n, max int, buf, scratch []int) (pts, scratch2 []int) {
+//
+// Under an exhaustive source every sample takes the Fisher–Yates path:
+// rejection has no finite tree of answers, while Fisher–Yates draws of
+// arity max, max−1, … give the same uniform distribution.
+func sampleDistinct(r engine.Rand, n, max int, buf, scratch []int) (pts, scratch2 []int) {
 	if n > max {
 		n = max
 	}
@@ -68,7 +76,7 @@ func sampleDistinct(r *rand.Rand, n, max int, buf, scratch []int) (pts, scratch2
 	if n == 0 {
 		return pts, scratch
 	}
-	if 2*n >= max {
+	if _, walked := r.(exhaustive); walked || 2*n >= max {
 		// Dense: rejection would thrash. A partial Fisher–Yates over the
 		// value range draws exactly n values in O(max) setup + O(n) swaps
 		// without the per-call permutation allocation of rand.Perm.

@@ -49,7 +49,7 @@ type PCTWM struct {
 	// CommEvents is the estimated number of communication events kcom.
 	CommEvents int
 
-	rng *rand.Rand
+	rng engine.Rand
 	// tel is the engine's telemetry shard for the current execution (nil
 	// when telemetry is off); change points are logged into it.
 	tel *telemetry.EngineCounters
@@ -91,13 +91,13 @@ func (s *PCTWM) Name() string { return "pctwm" }
 
 // Begin samples the d communication-event indices [d1…dd] uniformly from
 // [1, kcom] (Algorithm 1, Data).
-func (s *PCTWM) Begin(info engine.ProgramInfo, r *rand.Rand) {
-	s.rng = r
+func (s *PCTWM) Begin(info engine.ProgramInfo, _ *rand.Rand) {
+	s.rng = info.Rand
 	s.tel = info.Telemetry
 	s.reset(s.Depth)
 	s.threads = s.threads[:0]
 	s.commSeen = 0
-	s.sampled, s.fyScratch = sampleDistinct(r, s.Depth, s.CommEvents, s.sampled, s.fyScratch)
+	s.sampled, s.fyScratch = sampleDistinct(s.rng, s.Depth, s.CommEvents, s.sampled, s.fyScratch)
 }
 
 // thread returns the dense state slot for tid, growing the table on

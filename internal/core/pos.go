@@ -17,7 +17,7 @@ import (
 // choices are uniform among the coherence-legal candidates, like the
 // paper's PCT variant.
 type POS struct {
-	rng  *rand.Rand
+	rng  engine.Rand
 	prio map[eventKey]float64
 }
 
@@ -34,8 +34,8 @@ func NewPOS() *POS { return &POS{} }
 func (s *POS) Name() string { return "pos" }
 
 // Begin implements engine.Strategy.
-func (s *POS) Begin(_ engine.ProgramInfo, r *rand.Rand) {
-	s.rng = r
+func (s *POS) Begin(info engine.ProgramInfo, _ *rand.Rand) {
+	s.rng = info.Rand
 	s.prio = make(map[eventKey]float64)
 }
 

@@ -10,7 +10,7 @@ import (
 // TestPOSSchedulesAllThreads: over many steps POS schedules every thread.
 func TestPOSSchedulesAllThreads(t *testing.T) {
 	s := NewPOS()
-	s.Begin(engine.ProgramInfo{NumRootThreads: 3}, newRng())
+	begin(s, engine.ProgramInfo{NumRootThreads: 3}, newRng())
 	seen := map[memmodel.ThreadID]int{}
 	for i := 0; i < 600; i++ {
 		en := []engine.PendingOp{
@@ -31,7 +31,7 @@ func TestPOSSchedulesAllThreads(t *testing.T) {
 // executed or resampled, so scheduling is not a pure random walk.
 func TestPOSPriorityStable(t *testing.T) {
 	s := NewPOS()
-	s.Begin(engine.ProgramInfo{NumRootThreads: 2}, newRng())
+	begin(s, engine.ProgramInfo{NumRootThreads: 2}, newRng())
 	opA := pending(1, 0, memmodel.KindWrite, memmodel.Relaxed)
 	opB := pending(2, 0, memmodel.KindFence, memmodel.Acquire) // never conflicts
 	first := s.NextThread([]engine.PendingOp{opA, opB})
@@ -53,7 +53,7 @@ func TestPOSPriorityStable(t *testing.T) {
 // pending accesses.
 func TestPOSResamplesConflicts(t *testing.T) {
 	s := NewPOS()
-	s.Begin(engine.ProgramInfo{NumRootThreads: 2}, newRng())
+	begin(s, engine.ProgramInfo{NumRootThreads: 2}, newRng())
 	w := pending(1, 0, memmodel.KindWrite, memmodel.Relaxed)
 	r := pending(2, 0, memmodel.KindRead, memmodel.Relaxed)
 	// Force the write to win.

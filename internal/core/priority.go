@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/rand"
-
 	"pctwm/internal/engine"
 	"pctwm/internal/memmodel"
 )
@@ -51,7 +49,7 @@ func (p *priorities) reset(d int) {
 // the final thread count up front. Moved threads are not in the band and
 // keep their low priorities. The tables are reused across runs, so the
 // steady state allocates nothing.
-func (p *priorities) start(r *rand.Rand, tid memmodel.ThreadID) {
+func (p *priorities) start(r engine.Rand, tid memmodel.ThreadID) {
 	at := r.Intn(len(p.band) + 1)
 	p.band = append(p.band, 0)
 	copy(p.band[at+1:], p.band[at:])

@@ -10,14 +10,14 @@ import (
 
 // startThreads begins a fresh run and starts n root threads.
 func startPCT(s *PCT, n int, r *rand.Rand) {
-	s.Begin(engine.ProgramInfo{NumRootThreads: n}, r)
+	begin(s, engine.ProgramInfo{NumRootThreads: n}, r)
 	for tid := 1; tid <= n; tid++ {
 		s.OnThreadStart(memmodel.ThreadID(tid), 0)
 	}
 }
 
 func startPCTWM(s *PCTWM, n int, r *rand.Rand) {
-	s.Begin(engine.ProgramInfo{NumRootThreads: n}, r)
+	begin(s, engine.ProgramInfo{NumRootThreads: n}, r)
 	for tid := 1; tid <= n; tid++ {
 		s.OnThreadStart(memmodel.ThreadID(tid), 0)
 	}

@@ -26,7 +26,7 @@ import (
 // read from a write selected uniformly among the coherence-legal visible
 // writes.
 type Random struct {
-	rng *rand.Rand
+	rng engine.Rand
 }
 
 // NewRandom returns the C11Tester-style naive random strategy.
@@ -36,7 +36,7 @@ func NewRandom() *Random { return &Random{} }
 func (s *Random) Name() string { return "c11tester" }
 
 // Begin implements engine.Strategy.
-func (s *Random) Begin(_ engine.ProgramInfo, r *rand.Rand) { s.rng = r }
+func (s *Random) Begin(info engine.ProgramInfo, _ *rand.Rand) { s.rng = info.Rand }
 
 // NextThread picks uniformly among enabled threads.
 func (s *Random) NextThread(enabled []engine.PendingOp) memmodel.ThreadID {

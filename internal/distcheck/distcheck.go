@@ -1,35 +1,21 @@
-// Package distcheck is the statistical strategy-conformance harness: it
-// cross-checks the *sampling distributions* of the randomized strategies
-// against exact ground truth from the exhaustive explorer. Ordinary unit
-// tests pin what a strategy does on one seed; distcheck pins what the
-// strategy samples in aggregate — the property the PCT/PCTWM probability
-// bounds (§2.2, §5.4) are actually about, and the property that silently
-// broke when priority assignment collided.
+// Package distcheck is the strategy-conformance harness: it checks the
+// *sampling distributions* of the randomized strategies against exact
+// ground truth from the exhaustive explorer, which walks every answer to
+// a strategy's draws (internal/enumerate). Ordinary unit tests pin what
+// a strategy does on one seed; distcheck pins what the strategy samples
+// in aggregate — the property the PCT/PCTWM probability bounds (§2.2,
+// §5.4) are actually about, and the property that silently broke when
+// priority assignment collided. Three checks:
 //
-// Four checks, all deterministic for a fixed seed:
+//   - fit: a campaign's behavior frequencies against the exact
+//     distribution of the strategy that ran it (the one sampled check);
+//   - bound: every census behavior's exact probability under PCT or
+//     PCTWM against the strategy's per-behavior lower bound;
+//   - permutation: every initial priority rank ordering at exactly 1/t!,
+//     which fails the historical colliding assignment (CollidingFixture)
+//     and passes the fixed strategies.
 //
-//   - support: every behavior fingerprint observed empirically must lie
-//     in the exact support of enumerate.BehaviorProbs, the exhaustive
-//     census (an observation outside it means engine nondeterminism or a
-//     census bug);
-//   - uniform: for strategies sampling the uniform decision walk
-//     (core.Random), a G-test of the empirical behavior frequencies
-//     against the exact leaf probabilities from enumerate.BehaviorProbs,
-//     conditioned on clean runs and with low-expectation bins pooled;
-//   - permutation: a synthetic driver hands the strategy t freshly
-//     started threads with non-communication pending ops and records the
-//     order NextThread retires them. With distinct priorities the order
-//     is the initial rank permutation, uniform over t! for Random, PCT
-//     and PCTWM alike; colliding priorities bias ties toward low thread
-//     ids and a chi-square test detects it. This is the check that fails
-//     on the historical colliding assignment (CollidingFixture) and
-//     passes on the fixed strategies;
-//   - bound: for priority strategies, every census behavior's empirical
-//     hit rate must be consistent with the strategy's per-behavior lower
-//     probability bound — the Wilson interval's upper edge must reach
-//     the bound, otherwise the strategy provably under-covers.
-//
-// The package computes statistics only. The harness samples: each
+// The package computes the checks only. The harness samples: each
 // (program, strategy) cell is one harness.RunCampaign with coverage on,
 // whose coverage.Set tallies the clean runs' behaviors, and
 // harness.DistCheckCampaign runs the checks on it; the report renders
@@ -45,36 +31,35 @@ import (
 
 	"pctwm/internal/coverage"
 	"pctwm/internal/engine"
+	"pctwm/internal/enumerate"
 	"pctwm/internal/memmodel"
 	"pctwm/internal/stats"
 )
 
-// The fixed statistical parameters of every check.
+// The fixed parameters of every check.
 const (
-	// alpha is the significance level for the chi-square and G tests:
-	// strict enough to catch the collision bias within a few thousand
-	// rounds, loose enough that a correct strategy passes any reasonable
-	// seed.
+	// alpha is the significance level of the G-test: a correct strategy
+	// passes any reasonable seed.
 	alpha = 1e-3
-	// wilsonZ is the Wilson interval width for the bound check (95%).
-	wilsonZ = 1.96
+	// permTolerance absorbs the rounding of an ordering's summed weights.
+	permTolerance = 1e-12
 	// PermThreads is the width t of the synthetic permutation check (t!
-	// bins): the strategy under check is built for a program of t
+	// orderings): the strategy under check is built for a program of t
 	// threads, t steps and t communication events.
 	PermThreads = 4
 )
 
 // CheckResult is one check's verdict.
 type CheckResult struct {
-	// Check is "support", "uniform", "permutation" or "bound".
+	// Check is "fit", "bound" or "permutation".
 	Check    string `json:"check"`
 	Strategy string `json:"strategy"`
 	// Program is empty for the synthetic permutation check.
 	Program string `json:"program,omitempty"`
 	Pass    bool   `json:"pass"`
-	// Stat is the test statistic (chi-square / G) where applicable.
+	// Stat is the fit check's G statistic.
 	Stat float64 `json:"stat,omitempty"`
-	// P is the p-value where applicable.
+	// P is the fit check's p-value.
 	P      float64 `json:"p,omitempty"`
 	Detail string  `json:"detail,omitempty"`
 }
@@ -117,67 +102,44 @@ func Seed(master int64, labels ...string) int64 {
 	return master ^ int64(h.Sum64())
 }
 
-// tally returns the per-behavior trial counts of set.
-func tally(set *coverage.Set) map[uint64]int {
-	counts := make(map[uint64]int, set.Len())
-	for _, e := range set.Entries() {
-		counts[e.FP] = int(e.Count)
-	}
-	return counts
-}
-
-// Support verifies every behavior in set, a campaign's clean runs, lies
-// in support, the sorted fingerprints of the program's exhaustive census.
-func Support(set *coverage.Set, support []uint64) CheckResult {
-	res := CheckResult{Check: "support", Pass: true}
-	for _, e := range set.Entries() {
-		if _, ok := slices.BinarySearch(support, e.FP); !ok {
-			res.Pass = false
-			res.Detail = fmt.Sprintf("behavior %#x observed %d times but absent from the exhaustive census", e.FP, e.Count)
-			return res
-		}
-	}
-	res.Detail = fmt.Sprintf("%d/%d census behaviors observed", set.Len(), len(support))
-	return res
-}
-
-// Uniform G-tests the behavior frequencies in set, a campaign's clean
-// runs, against probs, the exact uniform-walk distribution
+// Fit G-tests the behavior frequencies in set, a campaign's clean runs,
+// against probs, the exact distribution of the strategy that ran it
 // (enumerate.BehaviorProbs), conditioned on clean runs (renormalized by
 // 1−errMass) and with low-expectation bins pooled (expected < 5, the
-// standard chi-square validity rule).
-func Uniform(set *coverage.Set, probs map[uint64]float64, errMass float64) CheckResult {
-	res := CheckResult{Check: "uniform"}
+// standard chi-square validity rule). An observed behavior of
+// probability 0 fails the check outright and is named: no sampling noise
+// explains it (engine nondeterminism, or a strategy that does not match
+// its exploration), and a G statistic has no bin to count it in.
+func Fit(set *coverage.Set, probs map[uint64]float64, errMass float64) CheckResult {
+	res := CheckResult{Check: "fit"}
 	clean := int(set.Observations())
 	norm := 1 - errMass
 	if norm <= 0 || clean == 0 {
-		res.Pass = false
 		res.Detail = "no clean probability mass to test against"
 		return res
 	}
-	counts := tally(set)
+	counts := make(map[uint64]int, set.Len())
+	for _, e := range set.Entries() {
+		if probs[e.FP] <= 0 {
+			res.Detail = fmt.Sprintf("behavior %#x observed %d times but has exact probability 0", e.FP, e.Count)
+			return res
+		}
+		counts[e.FP] = int(e.Count)
+	}
 	var obs []int
 	var exp []float64
 	pooledObs, pooledExp := 0, 0.0
 	for _, fp := range slices.Sorted(maps.Keys(probs)) {
 		e := float64(clean) * probs[fp] / norm
-		o := counts[fp]
-		delete(counts, fp)
 		if e < 5 {
-			pooledObs += o
+			pooledObs += counts[fp]
 			pooledExp += e
 			continue
 		}
-		obs = append(obs, o)
+		obs = append(obs, counts[fp])
 		exp = append(exp, e)
 	}
-	// Observations outside the exact support (the support check already
-	// fails the report for these) still belong in the pooled bin so the
-	// statistic stays well-formed.
-	for _, o := range counts {
-		pooledObs += o
-	}
-	if pooledExp > 0 || pooledObs > 0 {
+	if pooledExp > 0 {
 		obs = append(obs, pooledObs)
 		exp = append(exp, pooledExp)
 	}
@@ -194,55 +156,52 @@ func Uniform(set *coverage.Set, probs map[uint64]float64, errMass float64) Check
 	return res
 }
 
-// Bound verifies every census behavior in support, hit by the clean runs
-// in set out of a campaign of runs trials, is consistent with bound, the
-// strategy's per-behavior lower probability bound: the Wilson interval's
-// upper edge must reach it. A behavior whose optimistic rate estimate is
-// still below the guarantee means the strategy under-covers it.
-func Bound(set *coverage.Set, runs int, support []uint64, bound float64) CheckResult {
-	res := CheckResult{Check: "bound", Pass: true}
-	counts := tally(set)
-	bound *= 100 // in percent, like stats.Wilson
-	worst := 200.0
+// Bound verifies that every census behavior in support reaches bound,
+// the strategy's per-behavior lower probability bound, under probs, the
+// strategy's exact distribution. A behavior below the bound means the
+// strategy under-covers it.
+func Bound(probs map[uint64]float64, support []uint64, bound float64) CheckResult {
+	res := CheckResult{Check: "bound"}
+	least := 1.0
 	for _, fp := range support {
-		hits := counts[fp]
-		_, high := stats.Wilson(hits, runs, wilsonZ)
-		if high < worst {
-			worst = high
-		}
-		if high < bound {
-			res.Pass = false
-			res.Detail = fmt.Sprintf("behavior %#x: %d/%d hits, Wilson high %.3f%% < bound %.3f%%", fp, hits, runs, high, bound)
+		p := probs[fp]
+		if p < bound {
+			res.Detail = fmt.Sprintf("behavior %#x: exact probability %.3f%% < bound %.3f%%", fp, 100*p, 100*bound)
 			return res
 		}
+		least = min(least, p)
 	}
-	res.Detail = fmt.Sprintf("all %d behaviors clear the %.3f%% bound (worst Wilson high %.3f%%)", len(support), bound, worst)
+	res.Pass = true
+	res.Detail = fmt.Sprintf("all %d behaviors reach the %.3f%% bound (least %.3f%%, %.1f× the bound)",
+		len(support), 100*bound, 100*least, least/bound)
 	return res
 }
 
-// Permutation drives st directly — no engine — for the given number of
-// rounds, each handing it PermThreads freshly started threads pending
-// non-communication ops and recording the order NextThread retires them;
-// seed seeds the strategy's random source. Correct distinct-priority
-// assignment makes the retirement order the initial rank permutation,
-// uniform over t! (and Random is uniform trivially); colliding priorities
-// resolve ties toward low thread ids and skew the distribution, which the
-// chi-square test detects. No OnEvent is delivered, so PCT change points
-// never fire, and the ops carry Comm=false, so PCTWM never delays: the
-// check isolates exactly the initial priority assignment.
-func Permutation(st engine.Strategy, seed int64, rounds int) (CheckResult, error) {
+// Permutation drives st directly — no engine — once for every answer to
+// its draws (enumerate.Exact). Each run hands it PermThreads freshly
+// started threads pending non-communication ops and records the order
+// NextThread retires them. Correct distinct-priority assignment makes
+// the retirement order the initial rank permutation, so every one of
+// the t! orderings must have probability 1/t! (and Random is uniform
+// trivially); colliding priorities resolve ties toward low thread ids
+// and skew it. No OnEvent is delivered, so PCT change points never fire,
+// and the ops carry Comm=false, so PCTWM never delays: the check
+// isolates exactly the initial priority assignment.
+func Permutation(st engine.Strategy) (CheckResult, error) {
 	t := PermThreads
 	nperm := 1
 	for i := 2; i <= t; i++ {
 		nperm *= i
 	}
-	rng := rand.New(rand.NewSource(seed))
 	info := engine.ProgramInfo{Name: "distcheck-perm", NumRootThreads: t}
 	enabled := make([]engine.PendingOp, 0, t)
 	order := make([]memmodel.ThreadID, 0, t)
-	counts := make([]int, nperm)
-	for round := 0; round < rounds; round++ {
-		st.Begin(info, rng)
+	var stray error
+	runs := 0
+	probs, err := enumerate.Exact(func(src engine.Rand) int {
+		runs++
+		info.Rand = src
+		st.Begin(info, nil)
 		enabled = enabled[:0]
 		for i := 1; i <= t; i++ {
 			tid := memmodel.ThreadID(i)
@@ -257,23 +216,31 @@ func Permutation(st engine.Strategy, seed int64, rounds int) (CheckResult, error
 			tid := st.NextThread(enabled)
 			at := slices.IndexFunc(enabled, func(op engine.PendingOp) bool { return op.TID == tid })
 			if at < 0 {
-				return CheckResult{}, fmt.Errorf("distcheck: %s scheduled thread %d which has no enabled op", st.Name(), tid)
+				stray = fmt.Errorf("distcheck: %s scheduled thread %d which has no enabled op", st.Name(), tid)
+				return -1
 			}
 			order = append(order, tid)
 			enabled = slices.Delete(enabled, at, at+1)
 		}
-		counts[permIndex(order)]++
+		return permIndex(order)
+	})
+	if err != nil {
+		return CheckResult{}, fmt.Errorf("distcheck: %s: %w", st.Name(), err)
 	}
-	exp := make([]float64, nperm)
-	for i := range exp {
-		exp[i] = float64(rounds) / float64(nperm)
+	if stray != nil {
+		return CheckResult{}, stray
 	}
-	res := CheckResult{Check: "permutation"}
-	res.Stat = stats.ChiSquareStat(counts, exp)
-	res.P = stats.ChiSquareP(res.Stat, nperm-1)
-	res.Pass = res.P >= alpha
-	res.Detail = fmt.Sprintf("chi2=%.2f over %d rounds, %d! orderings", res.Stat, rounds, t)
-	return res, nil
+	uniform := 1 / float64(nperm)
+	lo, hi := 1.0, 0.0
+	for i := range nperm {
+		lo, hi = min(lo, probs[i]), max(hi, probs[i])
+	}
+	return CheckResult{
+		Check: "permutation",
+		Pass:  uniform-lo <= permTolerance && hi-uniform <= permTolerance,
+		Detail: fmt.Sprintf("%d orderings at %.4g to %.4g (uniform %.4g) over %d draw sequences",
+			nperm, lo, hi, uniform, runs),
+	}, nil
 }
 
 // permIndex maps a retirement order of threads 1..t to its Lehmer index
@@ -304,15 +271,15 @@ func CollidingFixture() engine.Strategy { return &colliding{} }
 // permutation check delivers no events, so only the initial assignment
 // matters.
 type colliding struct {
-	rng     *rand.Rand
+	rng     engine.Rand
 	prio    []int // index = tid-1
 	started int   // threads seen by OnThreadStart this run
 }
 
 func (s *colliding) Name() string { return "colliding" }
 
-func (s *colliding) Begin(_ engine.ProgramInfo, r *rand.Rand) {
-	s.rng = r
+func (s *colliding) Begin(info engine.ProgramInfo, _ *rand.Rand) {
+	s.rng = info.Rand
 	s.prio = s.prio[:0]
 	s.started = 0
 }

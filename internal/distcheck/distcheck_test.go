@@ -1,9 +1,9 @@
 package distcheck_test
 
 import (
-	"maps"
 	"math"
-	"slices"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"pctwm/internal/core"
@@ -15,11 +15,8 @@ import (
 	"pctwm/internal/litmus"
 )
 
-// The sample sizes of the tests, which match the gate's.
-const (
-	cellRuns   = 4000
-	permRounds = 6000
-)
+// cellRuns is the fit check's sample size, which matches the gate's.
+const cellRuns = 4000
 
 // testEstimate holds hand-estimated bound parameters (t, k, kcom) for
 // the small-litmus programs below.
@@ -29,10 +26,9 @@ var testEstimate = harness.Estimate{Threads: 3, K: 12, KCom: 4}
 var fixedStrategies = []struct {
 	name    string
 	factory harness.StrategyFactory
-	uniform bool
 	bound   func(harness.Estimate) float64
 }{
-	{name: "c11tester", factory: harness.C11Tester(), uniform: true},
+	{name: "c11tester", factory: harness.C11Tester()},
 	{
 		name:    "pct",
 		factory: harness.PCTFactory(3),
@@ -52,15 +48,24 @@ func sample(prog *engine.Program, factory harness.StrategyFactory, seed int64) h
 		cellRuns, seed, engine.Options{}, harness.Campaign{Workers: 1, Coverage: true})
 }
 
-// exact returns prog's exact uniform-walk distribution and its sorted
-// support.
-func exact(t *testing.T, prog *engine.Program) (probs map[uint64]float64, errMass float64, support []uint64) {
+// exact returns the exact distribution of st on prog.
+func exact(t *testing.T, prog *engine.Program, st engine.Strategy) (probs map[uint64]float64, errMass float64) {
 	t.Helper()
-	probs, errMass, err := enumerate.BehaviorProbs(prog, engine.Options{}, 0)
+	probs, errMass, err := enumerate.BehaviorProbs(prog, engine.Options{}, st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return probs, errMass, slices.Sorted(maps.Keys(probs))
+	return probs, errMass
+}
+
+// census returns the sorted behaviors of prog's census.
+func census(t *testing.T, prog *engine.Program) []uint64 {
+	t.Helper()
+	c, err := enumerate.BehaviorCensus(prog, engine.Options{}, enumerate.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.Fingerprints()
 }
 
 // setOf builds a behavior set holding each fingerprint its count times.
@@ -84,22 +89,20 @@ func TestFixedStrategiesConform(t *testing.T) {
 	rep := &distcheck.Report{Passed: true}
 	perm := harness.Estimate{Threads: distcheck.PermThreads, K: distcheck.PermThreads, KCom: distcheck.PermThreads}
 	for _, st := range fixedStrategies {
-		res, err := distcheck.Permutation(st.factory(perm), distcheck.Seed(seed, "perm", st.name), permRounds)
+		res, err := distcheck.Permutation(st.factory(perm))
 		if err != nil {
 			t.Fatal(err)
 		}
 		rep.Add(st.name, "", res)
 	}
 	for _, lt := range []*litmus.Test{litmus.SBRelaxed(), litmus.MPRelaxed()} {
-		probs, errMass, support := exact(t, lt.Program)
+		support := census(t, lt.Program)
 		for _, st := range fixedStrategies {
+			probs, errMass := exact(t, lt.Program, st.factory(testEstimate))
 			res := sample(lt.Program, st.factory, distcheck.Seed(seed, "cell", lt.Name, st.name))
-			rep.Add(st.name, lt.Name, distcheck.Support(res.Coverage, support))
-			if st.uniform {
-				rep.Add(st.name, lt.Name, distcheck.Uniform(res.Coverage, probs, errMass))
-			}
+			rep.Add(st.name, lt.Name, distcheck.Fit(res.Coverage, probs, errMass))
 			if st.bound != nil {
-				rep.Add(st.name, lt.Name, distcheck.Bound(res.Coverage, res.Runs, support, st.bound(testEstimate)))
+				rep.Add(st.name, lt.Name, distcheck.Bound(probs, support, st.bound(testEstimate)))
 			}
 		}
 	}
@@ -110,10 +113,51 @@ func TestFixedStrategiesConform(t *testing.T) {
 	if !rep.Passed {
 		t.Fatalf("conformance failures: %+v", rep.Failures())
 	}
-	// 3 permutation checks + per (2 programs × 3 strategies): support,
-	// plus uniform for Random and bound for PCT/PCTWM.
-	if len(rep.Results) != 3+2*(3+1+2) {
+	// 3 permutation checks + per (2 programs × 3 strategies): fit, plus
+	// bound for PCT/PCTWM.
+	if len(rep.Results) != 3+2*(3+2) {
 		t.Fatalf("unexpected result count %d: %+v", len(rep.Results), rep.Results)
+	}
+}
+
+// beginCounter counts the runs a strategy begins.
+type beginCounter struct {
+	engine.Strategy
+	begins int
+}
+
+func (c *beginCounter) Begin(info engine.ProgramInfo, r *rand.Rand) {
+	c.begins++
+	c.Strategy.Begin(info, r)
+}
+
+// TestPermutationExact pins the exact permutation check: the driver runs
+// once for every answer to the strategy's draws — the thread ranks and,
+// for PCT and PCTWM, the two distinct change points or delayed indices
+// out of 4 — and the shipped strategies give every ordering 1/24.
+func TestPermutationExact(t *testing.T) {
+	perm := harness.Estimate{Threads: distcheck.PermThreads, K: distcheck.PermThreads, KCom: distcheck.PermThreads}
+	want := map[string]int{"c11tester": 24, "pct": 4 * 3 * 24, "pctwm": 4 * 3 * 24}
+	for _, st := range fixedStrategies {
+		c := &beginCounter{Strategy: st.factory(perm)}
+		res, err := distcheck.Permutation(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Pass || c.begins != want[st.name] {
+			t.Errorf("%s: pass=%v over %d draw sequences, want every ordering at 1/24 over %d: %s",
+				st.name, res.Pass, c.begins, want[st.name], res.Detail)
+		}
+	}
+	// The fixture draws Intn(2), Intn(4), Intn(6) and Intn(8).
+	c := &beginCounter{Strategy: distcheck.CollidingFixture()}
+	res, err := distcheck.Permutation(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Pass || c.begins != 2*4*6*8 || !strings.Contains(res.Detail, "at 0 to 0.125 ") {
+		t.Errorf("fixture: pass=%v over %d draw sequences, want orderings at 0 to 0.125 over 384: %s",
+			res.Pass, c.begins, res.Detail)
 	}
 }
 
@@ -122,8 +166,7 @@ func TestFixedStrategiesConform(t *testing.T) {
 // permutation check, which is exactly the check the distinct-priority fix
 // makes pass.
 func TestCollidingFixturesFail(t *testing.T) {
-	fixture := distcheck.CollidingFixture()
-	res, err := distcheck.Permutation(fixture, distcheck.Seed(1, "perm", fixture.Name()), permRounds)
+	res, err := distcheck.Permutation(distcheck.CollidingFixture())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,46 +174,28 @@ func TestCollidingFixturesFail(t *testing.T) {
 		t.Fatalf("unexpected check %q", res.Check)
 	}
 	if res.Pass {
-		t.Errorf("colliding priorities not detected (chi2=%.2f p=%g)", res.Stat, res.P)
+		t.Errorf("colliding priorities not detected: %s", res.Detail)
 	}
 }
 
-// TestPermutationSeedRobustness: the permutation verdicts are not a
-// one-seed fluke — correct strategies pass and colliding ones fail
-// across several master seeds.
-func TestPermutationSeedRobustness(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-seed sweep")
+// TestFitCheckRejectsAlienBehavior: an observation of exact probability
+// 0 fails the fit check and is named, however many clean runs surround
+// it. Pooled into a bin of expectation 0, such observations once drove G
+// negative and passed.
+func TestFitCheckRejectsAlienBehavior(t *testing.T) {
+	prog := litmus.SBRelaxed().Program
+	probs, errMass := exact(t, prog, core.NewRandom())
+	obs := sample(prog, harness.C11Tester(), distcheck.Seed(1, "cell", prog.Name(), "c11tester")).Coverage
+	counts := map[uint64]int{}
+	for _, e := range obs.Entries() {
+		counts[e.FP] = int(e.Count)
 	}
-	for seed := int64(1); seed <= 5; seed++ {
-		good, err := distcheck.Permutation(core.NewPCT(3, distcheck.PermThreads), distcheck.Seed(seed, "perm", "pct"), permRounds)
-		if err != nil {
-			t.Fatal(err)
+	for _, alien := range []int{1, 50} {
+		counts[0xdeadbeef] = alien
+		res := distcheck.Fit(setOf(counts), probs, errMass)
+		if res.Pass || !strings.Contains(res.Detail, "0xdeadbeef") {
+			t.Errorf("%d alien observations: pass=%v %s", alien, res.Pass, res.Detail)
 		}
-		if !good.Pass {
-			t.Errorf("seed %d: fixed PCT failed (chi2=%.2f p=%g)", seed, good.Stat, good.P)
-		}
-		bad, err := distcheck.Permutation(distcheck.CollidingFixture(), distcheck.Seed(seed, "perm", "colliding"), permRounds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bad.Pass {
-			t.Errorf("seed %d: colliding fixture passed (chi2=%.2f p=%g)", seed, bad.Stat, bad.P)
-		}
-	}
-}
-
-// TestSupportCheckRejectsAlienBehavior: an observation outside the
-// census fails the support check.
-func TestSupportCheckRejectsAlienBehavior(t *testing.T) {
-	_, _, support := exact(t, litmus.SBRelaxed().Program)
-	counts := map[uint64]int{support[0]: 10, 0xdeadbeef: 1}
-	if res := distcheck.Support(setOf(counts), support); res.Pass {
-		t.Fatal("alien fingerprint passed the support check")
-	}
-	delete(counts, 0xdeadbeef)
-	if res := distcheck.Support(setOf(counts), support); !res.Pass {
-		t.Fatalf("census-subset observations failed: %s", res.Detail)
 	}
 }
 
@@ -178,9 +203,9 @@ func TestSupportCheckRejectsAlienBehavior(t *testing.T) {
 // G-test that the true Random strategy passes.
 func TestUniformCheckDetectsSkew(t *testing.T) {
 	prog := litmus.SBRelaxed().Program
-	probs, errMass, _ := exact(t, prog)
+	probs, errMass := exact(t, prog, core.NewRandom())
 	obs := sample(prog, harness.C11Tester(), distcheck.Seed(1, "cell", prog.Name(), "c11tester")).Coverage
-	if res := distcheck.Uniform(obs, probs, errMass); !res.Pass {
+	if res := distcheck.Fit(obs, probs, errMass); !res.Pass {
 		t.Fatalf("true Random sample failed the G-test: %s p=%g", res.Detail, res.P)
 	}
 	// Skew: move half of the most common behavior's mass onto the least
@@ -200,7 +225,48 @@ func TestUniformCheckDetectsSkew(t *testing.T) {
 	}
 	counts[maxFP] -= maxN / 2
 	counts[minFP] += maxN / 2
-	if res := distcheck.Uniform(setOf(counts), probs, errMass); res.Pass {
+	if res := distcheck.Fit(setOf(counts), probs, errMass); res.Pass {
 		t.Fatalf("skewed sample passed the G-test: %s p=%g", res.Detail, res.P)
+	}
+}
+
+// TestPCTWMDelaysBothSBscReads: at SB+sc's estimate kcom = 2, PCTWM(2, 3)
+// samples both communication indices, so both reads are always delayed
+// and only 1 of the census's 3 behaviors is reachable.
+func TestPCTWMDelaysBothSBscReads(t *testing.T) {
+	prog := litmus.SBSeqCst().Program
+	est := harness.EstimateParams(prog, 32, 1, engine.Options{})
+	if est.KCom != 2 {
+		t.Fatalf("SB+sc's kcom estimate is %d, want 2", est.KCom)
+	}
+	probs, errMass := exact(t, prog, harness.PCTWMFactory(2, 3)(est))
+	if n := len(census(t, prog)); n != 3 {
+		t.Fatalf("SB+sc census has %d behaviors, want 3", n)
+	}
+	if len(probs) != 1 || errMass != 0 {
+		t.Fatalf("PCTWM(2, 3) reaches %d behaviors (errored mass %g), want exactly 1: %v", len(probs), errMass, probs)
+	}
+}
+
+// TestStrategiesExploreLitmusSuite: PCT and PCTWM, each at the program's
+// estimate, explore every rc11 litmus test without drift, and each exact
+// distribution, errored mass included, sums to 1.
+func TestStrategiesExploreLitmusSuite(t *testing.T) {
+	strategies := map[string]harness.StrategyFactory{"pct": harness.PCTFactory(3), "pctwm": harness.PCTWMFactory(2, 3)}
+	for _, lt := range litmus.Suite() {
+		est := harness.EstimateParams(lt.Program, 32, 1, engine.Options{})
+		for name, factory := range strategies {
+			probs, errMass, err := enumerate.BehaviorProbs(lt.Program, engine.Options{}, factory(est))
+			if err != nil {
+				t.Fatalf("%s under %s: %v", lt.Name, name, err)
+			}
+			total := errMass
+			for _, p := range probs {
+				total += p
+			}
+			if math.Abs(total-1) > 1e-9 {
+				t.Errorf("%s under %s: probabilities sum to %v", lt.Name, name, total)
+			}
+		}
 	}
 }

@@ -454,6 +454,7 @@ func (e *Engine) startRoots() {
 		Name:           e.prog.Name(),
 		NumRootThreads: nRoots,
 		Telemetry:      e.tel,
+		Rand:           e.rng,
 	}, e.rng)
 	for i := 0; i < nRoots; i++ {
 		e.strat.OnThreadStart(e.threads[i].id, memmodel.InitThread)

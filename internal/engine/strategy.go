@@ -39,6 +39,13 @@ type ReadContext struct {
 	Candidates []ReadCandidate
 }
 
+// Rand is the random source of a strategy (see ProgramInfo.Rand);
+// *rand.Rand implements it.
+type Rand interface {
+	Intn(n int) int
+	Float64() float64
+}
+
 // ProgramInfo is the static information handed to a strategy at the start
 // of each execution.
 type ProgramInfo struct {
@@ -50,6 +57,10 @@ type ProgramInfo struct {
 	// PCTWM priority change points — log into it; like the engine, they
 	// must guard every use with a nil check.
 	Telemetry *telemetry.EngineCounters
+	// Rand is the execution's random source, the only one strategies
+	// draw from: the engine's seeded *rand.Rand, or the exhaustive
+	// explorer's scripted source, which walks every answer to the draws.
+	Rand Rand
 }
 
 // Strategy decides scheduling and read behavior for one execution. The
@@ -59,7 +70,8 @@ type ProgramInfo struct {
 type Strategy interface {
 	// Name identifies the strategy in reports.
 	Name() string
-	// Begin resets the strategy for a fresh execution seeded by r.
+	// Begin resets the strategy for a fresh execution drawing from
+	// info.Rand. r is not drawn from; the explorer passes nil.
 	Begin(info ProgramInfo, r *rand.Rand)
 	// NextThread picks the thread to run among the enabled pending
 	// operations (sorted by thread id, never empty).

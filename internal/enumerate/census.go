@@ -2,7 +2,6 @@ package enumerate
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 
 	"pctwm/internal/engine"
@@ -93,42 +92,37 @@ func NewCensus(p *engine.Program, model string, counts map[Behavior]int, res Res
 	return c
 }
 
-// BehaviorProbs exhaustively enumerates p under opts and returns, for
-// each behavior fingerprint, the exact probability that a
-// uniform-decision random walk — one uniform choice among the enabled
-// threads at every scheduling point and among the legal candidates at
-// every read, i.e. the sampling distribution of core.Random — produces
-// that behavior. A leaf reached through decisions of arities a_1…a_m
-// has probability prod(1/a_i); behaviors sum their leaves.
+// BehaviorProbs exhaustively explores p under opts running st, and
+// returns, for each behavior fingerprint, the exact probability that st
+// produces it. Every draw st makes from its ProgramInfo.Rand is answered
+// in turn, so a leaf reached through draws of arities a_1…a_m has
+// probability prod(1/a_i); behaviors sum their leaves. Explored with
+// core.Random, whose draws are the engine's scheduling and reads-from
+// choices, the leaves are the census's and the distribution is the
+// uniform random walk's. st must draw only Intn (POS, which draws real
+// priorities, cannot be explored).
 //
 // The second return is the probability mass on errored leaves
 // (step-limit aborts, deadlocks), which carry no behavior; conditioning
 // an empirical clean-run distribution against these probabilities must
 // renormalize by 1−errMass. The exploration is serial (floating-point
-// accumulation is order-sensitive) and always complete: limit 0 means
-// unlimited, and a limit that truncates the tree returns an error, as a
-// truncated distribution is not a distribution.
-func BehaviorProbs(p *engine.Program, opts engine.Options, limit int) (probs map[uint64]float64, errMass float64, err error) {
+// accumulation is order-sensitive) and always complete: a truncated leaf
+// set has no distribution.
+func BehaviorProbs(p *engine.Program, opts engine.Options, st engine.Strategy) (probs map[uint64]float64, errMass float64, err error) {
 	opts.Coverage = true
 	probs = make(map[uint64]float64)
 	r := engine.NewRunner(p, opts)
 	defer r.Close()
-	sub := dfs(r, nil, nil, limit, opts.Telemetry, nil, func(o *engine.Outcome, arity []int) {
-		pr := 1.0
-		for _, a := range arity {
-			pr /= float64(a)
-		}
+	w := &walker{Strategy: st, r: r, tel: opts.Telemetry}
+	sub := w.dfs(nil, nil, 0, nil, func(o *engine.Outcome, arity []int) {
 		if o.Err != nil {
-			errMass += pr
+			errMass += weight(arity)
 			return
 		}
-		probs[o.BehaviorFP] += pr
+		probs[o.BehaviorFP] += weight(arity)
 	})
 	if sub.drift != nil {
 		return nil, 0, sub.drift
-	}
-	if !sub.complete {
-		return nil, 0, fmt.Errorf("enumerate: BehaviorProbs hit the %d-run limit on %s: a truncated leaf set has no distribution", limit, p.Name())
 	}
 	return probs, errMass, nil
 }

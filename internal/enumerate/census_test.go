@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"pctwm/internal/core"
 	"pctwm/internal/engine"
 	"pctwm/internal/litmus"
 	"pctwm/internal/memmodel"
@@ -100,7 +101,7 @@ func TestBehaviorCensusSkipsErrored(t *testing.T) {
 // probability distribution whose support matches the census exactly.
 func TestBehaviorProbsSB(t *testing.T) {
 	lt := litmus.SBRelaxed()
-	probs, errMass, err := BehaviorProbs(lt.Program, engine.Options{}, 0)
+	probs, errMass, err := BehaviorProbs(lt.Program, engine.Options{}, core.NewRandom())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,15 +126,6 @@ func TestBehaviorProbsSB(t *testing.T) {
 	}
 	if len(probs) != len(c.Behaviors) {
 		t.Fatalf("probs support %d behaviors, census %d", len(probs), len(c.Behaviors))
-	}
-}
-
-// TestBehaviorProbsTruncationErrors: a limit that cuts the tree short is
-// an error, never a silently truncated distribution.
-func TestBehaviorProbsTruncationErrors(t *testing.T) {
-	lt := litmus.SBRelaxed()
-	if _, _, err := BehaviorProbs(lt.Program, engine.Options{}, 1); err == nil {
-		t.Fatal("limit=1 must truncate SB and error")
 	}
 }
 

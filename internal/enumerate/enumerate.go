@@ -1,9 +1,13 @@
 // Package enumerate exhaustively explores every scheduling and
 // reads-from choice of a (small, loop-free) program under the engine's
 // weak memory semantics — a bounded model checker built from the same
-// machinery the randomized strategies use. It drives the engine with a
-// scripted strategy and backtracks over the decision tree in
-// depth-first order.
+// machinery the randomized strategies use. It runs a real strategy whose
+// draws come from a scripted source (an engine.Rand that answers each
+// draw from a script) and backtracks over the answers in depth-first
+// order. Outcomes and BehaviorCensus explore core.Random, whose draws
+// are exactly the engine's scheduling and reads-from choices;
+// BehaviorProbs explores any strategy that makes only finite draws, and
+// Exact walks the draws of any function.
 //
 // The litmus suite uses it to verify outcome sets exactly: an outcome is
 // allowed if and only if some decision sequence produces it.
@@ -14,12 +18,13 @@
 // see parallel.go. Parallel results are bit-identical to serial at any
 // worker count.
 //
-// Enumeration assumes the program is deterministic given its decision
-// sequence: replaying a prefix of recorded choices must reach decision
-// points with the same arity every time. When that assumption breaks
-// (a nondeterministic program body, or options that change the decision
-// tree between runs), the explorer reports a DriftError in the Result
-// instead of silently clamping out-of-range choices.
+// Enumeration assumes the program and the strategy are deterministic
+// given the answers to the strategy's draws: replaying a prefix of
+// recorded answers must reach draws with the same arity every time.
+// When that assumption breaks (a nondeterministic program body, or
+// options that change the decision tree between runs), the explorer
+// reports a DriftError in the Result instead of silently clamping
+// out-of-range choices.
 package enumerate
 
 import (
@@ -28,8 +33,8 @@ import (
 	"math/rand"
 	"runtime"
 
+	"pctwm/internal/core"
 	"pctwm/internal/engine"
-	"pctwm/internal/memmodel"
 	"pctwm/internal/telemetry"
 )
 
@@ -61,100 +66,101 @@ func (e *DriftError) Error() string {
 		e.Index, e.Got, e.Want, e.Prefix)
 }
 
-// scripted is an engine.Strategy that follows a fixed prefix of decision
-// indices and takes the first alternative beyond it, recording the number
-// of alternatives at every decision point. want carries the arity the
-// previous run recorded for each scripted position; any mismatch is
-// drift (see DriftError).
-//
-// The value is reused across runs: Begin resets the per-run state, so
-// one scripted per Runner suffices for a whole exploration.
-type scripted struct {
-	script []int
-	// want[i] is the expected arity at decision point i (len(want) ==
-	// len(script) always; the positions beyond the script are discovered
-	// fresh and have no expectation).
-	want []int
-	pos  int
-	// arity[i] is the number of alternatives at decision point i of the
-	// current run.
-	arity []int
-	drift *DriftError
+// source is the explorer's engine.Rand. It answers each Intn from the
+// script, with 0 beyond its end, and records the draw's arity; want[i]
+// is the arity the run that recorded script[i] saw, and any mismatch is
+// drift (see DriftError). begin resets it for the next run.
+type source struct {
+	script, want []int
+	arity        []int // arity[i]: the answers of this run's i-th draw
+	drift        *DriftError
 }
 
-func (s *scripted) Name() string { return "enumerate" }
-
-func (s *scripted) Begin(engine.ProgramInfo, *rand.Rand) {
-	s.pos = 0
-	s.arity = s.arity[:0]
-	s.drift = nil
+func (s *source) begin(script, want []int) {
+	s.script, s.want, s.arity, s.drift = script, want, s.arity[:0], nil
 }
 
-func (s *scripted) OnEvent(*memmodel.Event)              {}
-func (s *scripted) OnThreadStart(_, _ memmodel.ThreadID) {}
-func (s *scripted) OnSpin(memmodel.ThreadID)             {}
+// fail records the run's first drift.
+func (s *source) fail(index, want, got int) {
+	if s.drift == nil {
+		s.drift = &DriftError{Index: index, Want: want, Got: got, Prefix: append([]int(nil), s.script...)}
+	}
+}
 
-func (s *scripted) decide(n int) int {
-	if s.pos < len(s.want) && s.want[s.pos] != n && s.drift == nil {
-		s.drift = &DriftError{
-			Index:  s.pos,
-			Want:   s.want[s.pos],
-			Got:    n,
-			Prefix: append([]int(nil), s.script...),
-		}
+func (s *source) Intn(n int) int {
+	pos := len(s.arity)
+	if pos < len(s.want) && s.want[pos] != n {
+		s.fail(pos, s.want[pos], n)
 	}
 	s.arity = append(s.arity, n)
 	choice := 0
-	if s.pos < len(s.script) {
-		choice = s.script[s.pos]
+	if pos < len(s.script) {
+		choice = s.script[pos]
 	}
-	s.pos++
 	if choice >= n {
 		// Out-of-range script entry: only reachable under drift (the
 		// scripted choice was in range when it was recorded). Clamp so the
 		// run stays well-formed — its outcome is discarded by the caller.
-		if s.drift == nil {
-			s.drift = &DriftError{
-				Index:  s.pos - 1,
-				Want:   choice + 1,
-				Got:    n,
-				Prefix: append([]int(nil), s.script...),
-			}
-		}
+		s.fail(pos, choice+1, n)
 		choice = n - 1
 	}
 	return choice
 }
 
-func (s *scripted) NextThread(enabled []engine.PendingOp) memmodel.ThreadID {
-	return enabled[s.decide(len(enabled))].TID
+// Float64 panics: a real value has no finite set of answers to walk, so
+// POS, which draws real priorities, is sampled only.
+func (s *source) Float64() float64 {
+	panic("enumerate: the explored strategy drew a Float64, which has no finite answers to walk")
 }
 
-func (s *scripted) PickRead(rc engine.ReadContext) int {
-	return s.decide(len(rc.Candidates))
+// Exhaustive tells core's distinct sampler to take its finite path.
+func (*source) Exhaustive() {}
+
+// end finishes a run and returns its drift, if any.
+func (s *source) end() *DriftError {
+	if n := len(s.arity); n < len(s.script) {
+		// The run that recorded this script drew at position n; the
+		// replay ended before reaching it.
+		s.fail(n, s.want[n], 0)
+	}
+	return s.drift
 }
 
-// run replays script on r, with want[i] the arity recorded for
-// script[i], and counts the execution into tel (may be nil). On return
-// s.arity holds the run's decision arities and s.drift is non-nil when
-// the replay diverged from the recording — including a replay that
-// ended before reaching a scripted decision.
-func (s *scripted) run(r *engine.Runner, script, want []int, tel *telemetry.EngineCounters) *engine.Outcome {
-	s.script, s.want = script, want
-	o := r.Run(s, 0)
-	if tel != nil {
-		tel.ExploreRuns++
+// walker explores one Runner's leaves: a decorator whose Begin hands
+// src to the explored strategy as info.Rand. One walker serves its
+// Runner for a whole exploration, so the walk allocates nothing per
+// leaf.
+type walker struct {
+	engine.Strategy
+	r   *engine.Runner
+	tel *telemetry.EngineCounters // counts ExploreRuns; may be nil
+	src source
+	out *engine.Outcome // the last run's outcome
+}
+
+// newWalker explores core.Random on r: Random's draws are exactly the
+// engine's scheduling and reads-from choices.
+func newWalker(r *engine.Runner, tel *telemetry.EngineCounters) *walker {
+	return &walker{Strategy: core.NewRandom(), r: r, tel: tel}
+}
+
+func (w *walker) Begin(info engine.ProgramInfo, _ *rand.Rand) {
+	info.Rand = &w.src
+	w.Strategy.Begin(info, nil)
+}
+
+func (w *walker) run() (truncated bool) {
+	w.out = w.r.Run(w, 0)
+	if w.tel != nil {
+		w.tel.ExploreRuns++
 	}
-	if s.drift == nil && len(s.arity) < len(script) {
-		// The run that recorded this script made a decision at position
-		// len(s.arity); the replay ended before reaching it.
-		s.drift = &DriftError{
-			Index:  len(s.arity),
-			Want:   want[len(s.arity)],
-			Prefix: append([]int(nil), script...),
-		}
-	}
-	return o
+	return w.out.Aborted
+}
+
+// dfs is dfs over the Runner's leaves under prefix, handing visit each
+// leaf's outcome (engine-owned scratch) with its draw arities.
+func (w *walker) dfs(prefix, want []int, limit int, stop func() bool, visit func(*engine.Outcome, []int)) subtreeResult {
+	return dfs(&w.src, prefix, want, limit, stop, w.run, func(arity []int) { visit(w.out, arity) })
 }
 
 // Result summarizes an exhaustive exploration.
@@ -235,25 +241,17 @@ type subtreeResult struct {
 	drift     *DriftError
 }
 
-// dfs explores, in lexicographic (depth-first) order, every execution
-// whose decision sequence extends prefix, reusing r across runs. want
-// carries the recorded arity of each decision along prefix for drift
-// detection. limit > 0 caps visited leaves; stop (may be nil) is polled
-// between executions for cooperative early termination. visit receives
-// each leaf's outcome and decision arities (engine-owned scratch, valid
-// only during the call): arity[i] is the number of alternatives at the
-// leaf's i-th decision point, so prod(1/arity[i]) is the exact
-// probability a uniform-decision random walk reaches this leaf (see
-// BehaviorProbs).
-// tel (may be nil) counts engine executions into ExploreRuns.
-//
-// The steady-state loop performs no allocations of its own: the script
-// and arity buffers are reused across leaves, so per-leaf cost is the
-// pooled Runner execution plus the backtracking scan.
-func dfs(r *engine.Runner, prefix, want []int, limit int, tel *telemetry.EngineCounters,
-	stop func() bool, visit func(*engine.Outcome, []int)) subtreeResult {
+// dfs walks, in lexicographic (depth-first) order, every answer
+// sequence of src's draws that extends prefix; want carries the recorded
+// arity of each draw along prefix for drift detection. run performs one
+// leaf, drawing from src; visit then receives the leaf's draw arities
+// (src-owned scratch), so weight(arity) is the probability that uniform
+// draws reach the leaf. limit > 0 caps visited leaves; stop (may be nil)
+// is polled between leaves for cooperative early termination. The loop
+// allocates nothing per leaf: the script and arity buffers are reused.
+func dfs(src *source, prefix, want []int, limit int, stop func() bool,
+	run func() (truncated bool), visit func(arity []int)) subtreeResult {
 	var res subtreeResult
-	s := &scripted{}
 	script := append(make([]int, 0, len(prefix)+16), prefix...)
 	expect := append(make([]int, 0, len(want)+16), want...)
 	for {
@@ -265,27 +263,27 @@ func dfs(r *engine.Runner, prefix, want []int, limit int, tel *telemetry.EngineC
 			res.stopped = true
 			return res
 		}
-		o := s.run(r, script, expect, tel)
-		if s.drift != nil {
-			res.drift = s.drift
+		src.begin(script, expect)
+		truncated := run()
+		if res.drift = src.end(); res.drift != nil {
 			return res
 		}
 		res.runs++
-		if o.Aborted {
+		if truncated {
 			res.truncated++
 		}
-		visit(o, s.arity)
+		visit(src.arity)
 
-		// Backtrack: find the deepest decision point at or below the
-		// subtree root that still has an untaken alternative, bump it, and
-		// drop everything after. Choices beyond the script length were 0.
-		i := len(s.arity) - 1
+		// Backtrack: find the deepest draw at or below the subtree root
+		// that still has an untaken answer, bump it, and drop everything
+		// after. Answers beyond the script length were 0.
+		i := len(src.arity) - 1
 		for i >= len(prefix) {
 			c := 0
 			if i < len(script) {
 				c = script[i]
 			}
-			if c+1 < s.arity[i] {
+			if c+1 < src.arity[i] {
 				break
 			}
 			i--
@@ -299,8 +297,34 @@ func dfs(r *engine.Runner, prefix, want []int, limit int, tel *telemetry.EngineC
 		}
 		script = script[:i+1]
 		script[i]++
-		expect = append(expect[:0], s.arity[:i+1]...)
+		expect = append(expect[:0], src.arity[:i+1]...)
 	}
+}
+
+// weight is prod(1/arity[i]), divided in draw order.
+func weight(arity []int) float64 {
+	pr := 1.0
+	for _, a := range arity {
+		pr /= float64(a)
+	}
+	return pr
+}
+
+// Exact runs f once for every answer sequence of its draws from the
+// source it is handed, and returns each result's probability under
+// uniform draws (a result sums the weights of its sequences). f must
+// draw only Intn, be deterministic given the answers (or the walk stops
+// with a DriftError) and make finitely many draws.
+func Exact[K comparable](f func(engine.Rand) K) (map[K]float64, error) {
+	var src source
+	probs := make(map[K]float64)
+	var k K
+	sub := dfs(&src, nil, nil, 0, nil, func() bool { k = f(&src); return false },
+		func(arity []int) { probs[k] += weight(arity) })
+	if sub.drift != nil {
+		return nil, sub.drift
+	}
+	return probs, nil
 }
 
 // tally returns a dfs visitor that counts each leaf under its key in m.
@@ -326,14 +350,13 @@ func Outcomes[K comparable](p *engine.Program, opts engine.Options, cfg Config, 
 	}
 	r := engine.NewRunner(p, opts)
 	defer r.Close()
-	return serialOutcomes(r, opts.Telemetry, cfg, key)
+	return serialOutcomes(newWalker(r, opts.Telemetry), cfg, key)
 }
 
-// serialOutcomes is the serial path of Outcomes on r, counting
-// executions into tel (may be nil).
-func serialOutcomes[K comparable](r *engine.Runner, tel *telemetry.EngineCounters, cfg Config, key func(*engine.Outcome) K) (map[K]int, Result) {
+// serialOutcomes is the serial path of Outcomes on w.
+func serialOutcomes[K comparable](w *walker, cfg Config, key func(*engine.Outcome) K) (map[K]int, Result) {
 	counts := make(map[K]int)
-	sub := dfs(r, nil, nil, cfg.Limit, tel, ctxStop(cfg.Context), tally(counts, key))
+	sub := w.dfs(nil, nil, cfg.Limit, ctxStop(cfg.Context), tally(counts, key))
 	if sub.drift != nil {
 		return nil, Result{Drift: sub.drift}
 	}

@@ -23,6 +23,7 @@ import (
 	"slices"
 	"testing"
 
+	"pctwm/internal/core"
 	"pctwm/internal/engine"
 	"pctwm/internal/litmus"
 )
@@ -72,7 +73,7 @@ func exploreGoldenCell(t *testing.T, lt *litmus.Test, model string) exploreGolde
 		census.word(uint64(e.Leaves))
 	}
 	census.word(uint64(c.Skipped))
-	probs, errMass, err := BehaviorProbs(lt.Program, opts, 0)
+	probs, errMass, err := BehaviorProbs(lt.Program, opts, core.NewRandom())
 	if err != nil {
 		t.Fatal(err)
 	}

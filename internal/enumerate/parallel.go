@@ -73,15 +73,17 @@ func appendCopy(s []int, v int) []int {
 // arities of the whole all-zeros descent below it), so expansion costs
 // one engine run per non-zero child only — the trie of recorded
 // arities is what lets re-descents skip already-known structure.
-func expandFrontier(r *engine.Runner, target int, tel *telemetry.EngineCounters,
-	stop func() bool) (level []unit, interrupted bool, drift *DriftError) {
-	s := &scripted{}
+func expandFrontier(w *walker, target int, stop func() bool) (level []unit, interrupted bool, drift *DriftError) {
+	// probe runs the first leaf under prefix: its all-zeros descent.
 	probe := func(prefix, want []int) (unit, *DriftError) {
-		s.run(r, prefix, want, tel)
-		if s.drift != nil {
-			return unit{}, s.drift
+		var tail []int
+		sub := w.dfs(prefix, want, 1, nil, func(_ *engine.Outcome, arity []int) {
+			tail = append([]int(nil), arity[len(prefix):]...)
+		})
+		if sub.drift != nil {
+			return unit{}, sub.drift
 		}
-		return unit{prefix, want, append([]int(nil), s.arity[len(prefix):]...)}, nil
+		return unit{prefix, want, tail}, nil
 	}
 
 	if stop != nil && stop() {
@@ -178,7 +180,7 @@ func (e *explorePool[K]) updateCoverage() {
 // explore it on r, and record the result, until every unit is claimed.
 // Units claimed after the stop flag rose are recorded as stopped
 // without an engine run; the merge never reaches them.
-func (e *explorePool[K]) work(r *engine.Runner, tel *telemetry.EngineCounters, key func(*engine.Outcome) K) {
+func (e *explorePool[K]) work(w *walker, key func(*engine.Outcome) K) {
 	for {
 		i := int(e.next.Add(1)) - 1
 		if i >= len(e.units) {
@@ -188,10 +190,10 @@ func (e *explorePool[K]) work(r *engine.Runner, tel *telemetry.EngineCounters, k
 		var m map[K]int
 		if !e.stopped() {
 			m = make(map[K]int)
-			sub = dfs(r, e.units[i].prefix, e.units[i].want, e.limit, tel, e.stopped, tally(m, key))
+			sub = w.dfs(e.units[i].prefix, e.units[i].want, e.limit, e.stopped, tally(m, key))
 		}
-		if sub.stopped && tel != nil {
-			tel.ExplorePruned++
+		if sub.stopped && w.tel != nil {
+			w.tel.ExplorePruned++
 		}
 		e.finish(i, &sub, m)
 	}
@@ -209,7 +211,8 @@ func parallelOutcomes[K comparable](p *engine.Program, opts engine.Options, cfg 
 	ctxDone := ctxStop(cfg.Context)
 	rc := engine.NewRunner(p, opts)
 	defer rc.Close()
-	units, interrupted, derr := expandFrontier(rc, workers*shardFactor, opts.Telemetry, ctxDone)
+	wc := newWalker(rc, opts.Telemetry)
+	units, interrupted, derr := expandFrontier(wc, workers*shardFactor, ctxDone)
 	if derr != nil {
 		return nil, Result{Drift: derr}
 	}
@@ -220,7 +223,7 @@ func parallelOutcomes[K comparable](p *engine.Program, opts engine.Options, cfg 
 		// Expansion resolved the whole tree into single leaves: it is too
 		// small to repay starting the workers' Runners, so explore it
 		// serially on the coordinator's warm Runner instead.
-		return serialOutcomes(rc, opts.Telemetry, cfg, key)
+		return serialOutcomes(wc, cfg, key)
 	}
 
 	// Phase 2: the workers claim units in frontier order.
@@ -244,7 +247,7 @@ func parallelOutcomes[K comparable](p *engine.Program, opts engine.Options, cfg 
 			wopts.Telemetry = tel
 			r := engine.NewRunner(p, wopts)
 			defer r.Close()
-			pool.work(r, tel, key)
+			pool.work(newWalker(r, tel), key)
 		}(shards[w])
 	}
 	wg.Wait()
@@ -292,7 +295,7 @@ func parallelOutcomes[K comparable](p *engine.Program, opts engine.Options, cfg 
 			// the serial cut bit for bit. Cancellation still stops the
 			// re-descent between executions.
 			m = make(map[K]int)
-			sub := dfs(rc, u.prefix, u.want, remaining, opts.Telemetry, ctxDone, tally(m, key))
+			sub := wc.dfs(u.prefix, u.want, remaining, ctxDone, tally(m, key))
 			if sub.drift != nil {
 				return nil, Result{Drift: sub.drift}
 			}

@@ -303,7 +303,7 @@ func TestParallelLimitExactPrefix(t *testing.T) {
 	n := 0
 	r := engine.NewRunner(lt.Program, engine.Options{})
 	defer r.Close()
-	dfs(r, nil, nil, limit, nil, nil, func(o *engine.Outcome, _ []int) {
+	newWalker(r, nil).dfs(nil, nil, limit, nil, func(o *engine.Outcome, _ []int) {
 		want[lt.Outcome(o.FinalValues)]++
 		n++
 	})

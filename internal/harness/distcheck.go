@@ -2,8 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 
 	"pctwm/internal/core"
 	"pctwm/internal/distcheck"
@@ -13,16 +11,15 @@ import (
 )
 
 // The strategy parameters a conformance campaign checks, the profiling
-// budget that estimates each program's k/kcom, and the sample sizes.
-// Statistical power needs a fixed sample size, so these do not follow
-// any table's run count.
+// budget that estimates each program's k/kcom, and the sample size of
+// the fit check. Statistical power needs a fixed sample size, so it does
+// not follow any table's run count.
 const (
 	distCheckPCTDepth     = 3 // PCT's d
 	distCheckPCTWMDepth   = 2 // PCTWM's d
 	distCheckPCTWMHistory = 3 // PCTWM's h
 	distCheckEstimateRuns = 32
 	distCheckRuns         = 4000 // trials per (program, strategy) cell
-	distCheckPermRounds   = 6000 // rounds per permutation check
 )
 
 // DistCheckResult pairs the two halves of a conformance campaign: the
@@ -59,16 +56,15 @@ func DistCheckSuite() []*litmus.Test {
 }
 
 // distCheckStrategies are the shipped strategies under conformance test.
-// Random samples the uniform decision walk, so it is G-tested against the
-// exact distribution; PCT and PCTWM are checked against their
-// per-behavior lower bounds at the program's estimate.
+// Each is G-tested against its own exact distribution; PCT and PCTWM are
+// also checked against their per-behavior lower bounds at the program's
+// estimate.
 var distCheckStrategies = []struct {
 	name    string
 	factory StrategyFactory
-	uniform bool
 	bound   func(Estimate) float64
 }{
-	{name: "c11tester", factory: C11Tester(), uniform: true},
+	{name: "c11tester", factory: C11Tester()},
 	{
 		name:    "pct",
 		factory: PCTFactory(distCheckPCTDepth),
@@ -84,14 +80,15 @@ var distCheckStrategies = []struct {
 // DistCheckCampaign runs the strategy-conformance suite over tests (nil
 // selects DistCheckSuite) from the master seed, then runs the permutation
 // check on the colliding regression fixture to prove detection still
-// works. Each program is enumerated once for its exact behavior
-// distribution and profiled by EstimateParams for its bound parameters.
-// Each (program, strategy) cell is one RunCampaign from camp with
-// coverage on, whose first round runs at a seed derived from the master
-// seed and the cell, so the report is the same for every worker count.
-// camp's Model applies to the enumerations and the profiling runs too.
-// Errors are infrastructural (an enumeration drifted, a campaign stopped
-// early); statistical failures land in the report.
+// works. Each program is profiled once by EstimateParams for its
+// strategy parameters and censused once; each strategy's exact
+// distribution is computed once, at that estimate. Each (program,
+// strategy) cell is one RunCampaign from camp with coverage on, whose
+// first round runs at a seed derived from the master seed and the cell,
+// so the report is the same for every worker count. camp's Model applies
+// to the explorations and the profiling runs too. Errors are
+// infrastructural (an exploration drifted, a campaign stopped early);
+// conformance failures land in the report.
 func DistCheckCampaign(tests []*litmus.Test, seed int64, camp Campaign) (*DistCheckResult, error) {
 	if tests == nil {
 		tests = DistCheckSuite()
@@ -99,7 +96,7 @@ func DistCheckCampaign(tests []*litmus.Test, seed int64, camp Campaign) (*DistCh
 	conf := &distcheck.Report{Passed: true}
 	permEst := Estimate{Threads: distcheck.PermThreads, K: distcheck.PermThreads, KCom: distcheck.PermThreads}
 	for _, st := range distCheckStrategies {
-		res, err := distcheck.Permutation(st.factory(permEst), distcheck.Seed(seed, "perm", st.name), distCheckPermRounds)
+		res, err := distcheck.Permutation(st.factory(permEst))
 		if err != nil {
 			return nil, err
 		}
@@ -110,30 +107,30 @@ func DistCheckCampaign(tests []*litmus.Test, seed int64, camp Campaign) (*DistCh
 	noHit := func(*engine.Outcome) bool { return false }
 	for _, lt := range tests {
 		prog := lt.Program
-		probs, errMass, err := enumerate.BehaviorProbs(prog, opts, 0)
+		census, err := enumerate.BehaviorCensus(prog, opts, enumerate.Config{Workers: 1})
 		if err != nil {
 			return nil, fmt.Errorf("distcheck: %w", err)
 		}
-		support := slices.Sorted(maps.Keys(probs))
 		est := EstimateParams(prog, distCheckEstimateRuns, seed+1, opts)
 		for _, st := range distCheckStrategies {
+			probs, errMass, err := enumerate.BehaviorProbs(prog, opts, st.factory(est))
+			if err != nil {
+				return nil, fmt.Errorf("distcheck: %s under %s: %w", prog.Name(), st.name, err)
+			}
 			camp.CheckpointCell = "distcheck/" + prog.Name() + "/" + st.name
 			res := RunCampaign(prog, noHit, func() engine.Strategy { return st.factory(est) },
 				distCheckRuns, distcheck.Seed(seed, "cell", prog.Name(), st.name), opts, camp)
 			if res.Interrupted || res.Stuck {
 				return nil, fmt.Errorf("distcheck: campaign %s/%s stopped after %d of %d trials", prog.Name(), st.name, res.Runs, distCheckRuns)
 			}
-			conf.Add(st.name, prog.Name(), distcheck.Support(res.Coverage, support))
-			if st.uniform {
-				conf.Add(st.name, prog.Name(), distcheck.Uniform(res.Coverage, probs, errMass))
-			}
+			conf.Add(st.name, prog.Name(), distcheck.Fit(res.Coverage, probs, errMass))
 			if st.bound != nil {
-				conf.Add(st.name, prog.Name(), distcheck.Bound(res.Coverage, res.Runs, support, st.bound(est)))
+				conf.Add(st.name, prog.Name(), distcheck.Bound(probs, census.Fingerprints(), st.bound(est)))
 			}
 		}
 	}
 	fixture := distcheck.CollidingFixture()
-	res, err := distcheck.Permutation(fixture, distcheck.Seed(seed, "perm", fixture.Name()), distCheckPermRounds)
+	res, err := distcheck.Permutation(fixture)
 	if err != nil {
 		return nil, err
 	}

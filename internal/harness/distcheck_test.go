@@ -25,7 +25,7 @@ func TestDistCheckCampaign(t *testing.T) {
 	}
 	if !res.Detected {
 		for _, r := range res.Fixtures.Results {
-			t.Logf("fixture %-16s pass=%v chi2=%.2f p=%g", r.Strategy, r.Pass, r.Stat, r.P)
+			t.Logf("fixture %-16s pass=%v %s", r.Strategy, r.Pass, r.Detail)
 		}
 		t.Error("colliding fixture was not detected")
 	}

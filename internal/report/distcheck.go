@@ -17,19 +17,19 @@ import (
 // should exit nonzero.
 var ErrConformance = errors.New("report: strategy conformance failed")
 
-// DistCheck renders the statistical strategy-conformance harness
+// DistCheck renders the strategy-conformance harness
 // (internal/distcheck): the shipped Random/PCT/PCTWM strategies checked
-// against exact ground truth from the exhaustive explorer — empirical
-// support vs. the behavior census, a G-test of Random against the exact
-// uniform-walk distribution, a chi-square test of the priority rank
-// permutation, and per-behavior Wilson bounds against PCTBound/PCTWMBound
-// — followed by the colliding-priority regression fixture
-// (distcheck.CollidingFixture), which must fail its permutation check.
+// against exact ground truth from the exhaustive explorer — a G-test of
+// each strategy's campaign against its own exact distribution, the exact
+// rank-permutation probabilities, and each census behavior's exact
+// probability against PCTBound/PCTWMBound — followed by the
+// colliding-priority regression fixture (distcheck.CollidingFixture),
+// which must fail its permutation check.
 //
 // The campaign sizes its own run counts: statistical power needs a fixed
 // sample size, independent of the -runs table sizing. Seed and the
 // campaign template (model, workers, context, metrics) flow in from the
-// report config.
+// report config; the seed moves only the fit check's samples.
 func DistCheck(w io.Writer, cfg Config) error {
 	cfg = cfg.normalized()
 	cfg.phase("distcheck")
@@ -53,13 +53,13 @@ func DistCheck(w io.Writer, cfg Config) error {
 	}
 	fmt.Fprintln(w, "\nRegression fixture (pre-fix colliding priority assignment) — the permutation check must FAIL:")
 	tw = newTab(w)
-	fmt.Fprintln(tw, "Fixture\tVerdict\tchi2\tp")
+	fmt.Fprintln(tw, "Fixture\tVerdict\tDetail")
 	for _, r := range res.Fixtures.Results {
 		v := "detected"
 		if r.Pass {
 			v = "NOT DETECTED"
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%.2f\t%.3g\n", r.Strategy, v, r.Stat, r.P)
+		fmt.Fprintf(tw, "%s\t%s\t%s\n", r.Strategy, v, r.Detail)
 	}
 	if err := tw.Flush(); err != nil {
 		return err
@@ -85,11 +85,10 @@ func dash(s string) string {
 	return s
 }
 
-// pValue renders the p-value for the statistical checks and a dash for
-// the exact ones (support, bound), which have no test statistic.
+// pValue renders the p-value of the fit check, the one sampled check,
+// and a dash for the exact ones (bound, permutation).
 func pValue(r distcheck.CheckResult) string {
-	switch r.Check {
-	case "uniform", "permutation":
+	if r.Check == "fit" {
 		return fmt.Sprintf("%.3g", r.P)
 	}
 	return "-"

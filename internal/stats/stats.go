@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolbox the evaluation
-// uses: Wilson score confidence intervals for bug hitting rates and the
-// chi-square and G statistics of the conformance checks.
+// uses: Wilson score confidence intervals for bug hitting rates, and the
+// G statistic and chi-square p-value of the conformance fit check.
 package stats
 
 import "math"
@@ -120,28 +120,13 @@ func regIncGammaLower(a, x float64) float64 {
 	return 1 - q
 }
 
-// ChiSquareStat returns Pearson's chi-square statistic Σ (obs−exp)²/exp
-// over paired observed counts and expected counts. Bins with
-// non-positive expectation are skipped (the caller is expected to pool
-// them; see the validity rule of thumb exp ≥ 5 per bin).
-func ChiSquareStat(obs []int, exp []float64) float64 {
-	var x float64
-	for i, e := range exp {
-		if i >= len(obs) || e <= 0 {
-			continue
-		}
-		d := float64(obs[i]) - e
-		x += d * d / e
-	}
-	return x
-}
-
 // GStat returns the G-test (log-likelihood ratio) statistic
 // 2·Σ obs·ln(obs/exp) over paired observed counts and expected counts.
 // Empty observed bins contribute 0 (the limit of x·ln x at 0); bins with
-// non-positive expectation are skipped. Under the null hypothesis G is
-// asymptotically chi-square distributed with the same degrees of freedom
-// as Pearson's statistic.
+// non-positive expectation are skipped (the caller is expected to pool
+// low-expectation bins; see the validity rule of thumb exp ≥ 5 per bin).
+// Under the null hypothesis G is asymptotically chi-square distributed
+// with the same degrees of freedom as Pearson's statistic.
 func GStat(obs []int, exp []float64) float64 {
 	var g float64
 	for i, e := range exp {
