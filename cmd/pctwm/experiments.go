@@ -65,7 +65,7 @@ var sections = []struct {
 // -progress prints a periodic one-line status to stderr.
 // -checkpoint-dir arms durable campaign checkpoints: every trial batch
 // periodically snapshots its cumulative state under DIR (one
-// subdirectory per section cell), and `pctwm experiments -resume DIR`
+// subdirectory per campaign cell), and `pctwm experiments -resume DIR`
 // with otherwise identical flags continues a killed run with
 // bit-identical artifacts at any worker count; an unwritable directory
 // degrades gracefully (the run finishes, a "durability: degraded" notice
@@ -79,7 +79,7 @@ func experimentsCmd(args []string, stdout, stderr io.Writer) int {
 	}
 	c := newCmd("experiments", stdout, stderr)
 	quick := c.Bool("quick", false, "use the small smoke-run configuration")
-	runs := c.Int("runs", 0, "rounds per configuration for tables 2-3 and figure 5 (0 = section default)")
+	runs := c.Int("runs", 0, "rounds per campaign for tables 2-3, figure 5, ablation, baselines, coverage and telemetry (0 = section default)")
 	fig6runs := c.Int("fig6runs", 0, "rounds per figure 6 point (0 = section default)")
 	perfruns := c.Int("perfruns", 0, "timed runs per table 4 cell (0 = section default)")
 	seed := c.Int64("s", report.Default().Seed, "base random seed")

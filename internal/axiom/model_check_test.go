@@ -1,6 +1,7 @@
 package axiom_test
 
 import (
+	"slices"
 	"testing"
 
 	"pctwm/internal/axiom"
@@ -8,6 +9,7 @@ import (
 	"pctwm/internal/engine"
 	"pctwm/internal/enumerate"
 	"pctwm/internal/litmus"
+	"pctwm/internal/memmodel"
 )
 
 // TestCheckModelAcceptsOwnExecutions: every backend generates only
@@ -105,6 +107,60 @@ func TestCheckTSORejectsStaleMessagePassing(t *testing.T) {
 	}
 	if vs := g.CheckSC(); len(vs) == 0 {
 		t.Fatal("CheckSC accepted a stale message-passing read")
+	}
+}
+
+// TestCheckTSOAcceptsDrainReorderedRead: under tso a write's Stamp is
+// its issue order, while coherence is the order the store buffers drain
+// in. In {x=1; load z | x=2; load z | load x; load x} the write issued
+// first can drain last, so the reader's second read takes a source
+// stamped before its first read's. CheckTSO replays the drains and
+// accepts the execution; rc11's checker takes the stamps as mo and
+// reports read-coherence. The first such leaf in depth-first order is
+// checked.
+func TestCheckTSOAcceptsDrainReorderedRead(t *testing.T) {
+	p := engine.NewProgram("drain-reorder")
+	x, z := p.Loc("x", 0), p.Loc("z", 0)
+	for v := memmodel.Value(1); v <= 2; v++ {
+		p.AddThread(func(th *engine.Thread) {
+			th.Store(x, v, memmodel.Relaxed)
+			th.Load(z, memmodel.Relaxed)
+		})
+	}
+	p.AddThread(func(th *engine.Thread) {
+		th.Load(x, memmodel.Relaxed)
+		th.Load(x, memmodel.Relaxed)
+	})
+	const reader memmodel.ThreadID = 3 // root threads count from 1
+	var tso, rc11 []axiom.Violation
+	found := false
+	_, res := enumerate.Outcomes(p, engine.Options{Model: engine.ModelTSO, Record: true}, enumerate.Config{Workers: 1}, func(o *engine.Outcome) bool {
+		evs := o.Recording.Events
+		var src []memmodel.TS // the stamps of the reader's sources, in po
+		for _, ev := range evs {
+			if ev.TID == reader && ev.Label.Kind == memmodel.KindRead {
+				src = append(src, evs[ev.ReadsFrom].Stamp)
+			}
+		}
+		if found || src[1] >= src[0] {
+			return false
+		}
+		found = true
+		g, err := axiom.FromRecording(o.Recording)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tso, rc11 = g.CheckModel(engine.ModelTSO), g.Check()
+		return true
+	})
+	if !found || !res.Complete {
+		t.Fatalf("no leaf reads against stamp order (complete=%v)", res.Complete)
+	}
+	if len(tso) > 0 {
+		t.Fatalf("CheckTSO rejected a drain-reordered read: %v", tso)
+	}
+	if !slices.ContainsFunc(rc11, func(v axiom.Violation) bool { return v.Axiom == "read-coherence" }) {
+		t.Fatalf("rc11's checker did not report read-coherence: %v", rc11)
 	}
 }
 

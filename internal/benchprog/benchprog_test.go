@@ -15,6 +15,18 @@ const trialRuns = 250
 // GOMAXPROCS).
 var serial = harness.Campaign{Workers: 1}
 
+// estimate profiles b with writes inserted writes: 20 runs from
+// seed^0x5eed, so each campaign below runs at the estimate of its own seed.
+func estimate(b *benchprog.Benchmark, writes int, seed int64) harness.Estimate {
+	return harness.EstimateParams(b.Program(writes), 20, seed^0x5eed, b.Options())
+}
+
+// campaign runs b with writes inserted writes under the factory's
+// strategy at est as one serial campaign of runs rounds from seed.
+func campaign(b *benchprog.Benchmark, writes int, factory harness.StrategyFactory, est harness.Estimate, runs int, seed int64) harness.TrialResult {
+	return harness.RunCampaign(b.Program(writes), b.Detect, func() engine.Strategy { return factory(est) }, runs, seed, b.Options(), serial)
+}
+
 // TestAllBenchmarksRunClean checks that every benchmark executes without
 // aborts or deadlocks under all strategies.
 func TestAllBenchmarksRunClean(t *testing.T) {
@@ -26,7 +38,7 @@ func TestAllBenchmarksRunClean(t *testing.T) {
 				harness.PCTFactory(b.Depth + 1),
 				harness.PCTWMFactory(b.Depth, 1),
 			} {
-				res, _ := harness.BenchTrials(b, factory, 100, 7, 0, serial)
+				res := campaign(b, 0, factory, estimate(b, 0, 7), 100, 7)
 				if res.Aborted > 0 || res.Deadlock > 0 {
 					t.Fatalf("aborted=%d deadlocked=%d", res.Aborted, res.Deadlock)
 				}
@@ -46,7 +58,7 @@ func TestDepthZeroBenchmarksAlwaysHit(t *testing.T) {
 		}
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			res, _ := harness.BenchTrials(b, harness.PCTWMFactory(0, 1), trialRuns, 11, 0, serial)
+			res := campaign(b, 0, harness.PCTWMFactory(0, 1), estimate(b, 0, 11), trialRuns, 11)
 			if res.Hits != res.Runs {
 				t.Fatalf("PCTWM d=0 hit %d/%d, want all", res.Hits, res.Runs)
 			}
@@ -62,8 +74,14 @@ func TestPCTWMBeatsBaselines(t *testing.T) {
 	for _, b := range benchprog.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			random, _ := harness.BenchTrials(b, harness.C11Tester(), trialRuns, 21, 0, serial)
-			pctwm, _ := harness.BestOverH(b, b.Depth, 2, trialRuns, 22, serial)
+			random := campaign(b, 0, harness.C11Tester(), estimate(b, 0, 21), trialRuns, 21)
+			var pctwm harness.TrialResult // the better of h = 1, 2
+			for h := 1; h <= 2; h++ {
+				seed := int64(22 + 1000*h)
+				if res := campaign(b, 0, harness.PCTWMFactory(b.Depth, h), estimate(b, 0, seed), trialRuns, seed); res.Rate() >= pctwm.Rate() {
+					pctwm = res
+				}
+			}
 			if b.Name == "seqlock" {
 				if pctwm.Rate() >= random.Rate() {
 					t.Fatalf("seqlock should favor random testing: pctwm %.1f%% vs random %.1f%%", pctwm.Rate(), random.Rate())
@@ -111,8 +129,8 @@ func TestExtraWritesDoNotChangeDepth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, _ := harness.BenchTrials(b, harness.PCTWMFactory(b.Depth, 1), trialRuns, 31, 0, serial)
-		loaded, _ := harness.BenchTrials(b, harness.PCTWMFactory(b.Depth, 1), trialRuns, 32, 10, serial)
+		base := campaign(b, 0, harness.PCTWMFactory(b.Depth, 1), estimate(b, 0, 31), trialRuns, 31)
+		loaded := campaign(b, 10, harness.PCTWMFactory(b.Depth, 1), estimate(b, 10, 32), trialRuns, 32)
 		if diff := base.Rate() - loaded.Rate(); diff > 25 || diff < -25 {
 			t.Fatalf("%s: PCTWM rate moved from %.1f%% to %.1f%% with 10 inserted writes", name, base.Rate(), loaded.Rate())
 		}
@@ -203,7 +221,7 @@ func TestFixedBenchmarksAreClean(t *testing.T) {
 // must still expose their bugs.
 func TestSeededBenchmarksStillDetect(t *testing.T) {
 	for _, b := range benchprog.All() {
-		res, _ := harness.BenchTrials(b, harness.PCTWMFactory(b.Depth, 1), 150, 13, 0, serial)
+		res := campaign(b, 0, harness.PCTWMFactory(b.Depth, 1), estimate(b, 0, 13), 150, 13)
 		if res.Hits == 0 {
 			t.Fatalf("%s: seeded bug no longer detected", b.Name)
 		}

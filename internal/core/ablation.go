@@ -8,7 +8,6 @@ import (
 // Ablation switches off one ingredient of PCTWM to measure its
 // contribution (the design choices of paper §5.2):
 //
-//   - AblateNone: the full algorithm;
 //   - AblateHistory: communication sinks read uniformly among all legal
 //     candidates instead of the h mo-maximal ones (no Definition-5
 //     bounding);
@@ -21,8 +20,7 @@ import (
 type Ablation int
 
 const (
-	AblateNone Ablation = iota
-	AblateHistory
+	AblateHistory Ablation = iota + 1
 	AblateDelay
 	AblateLocalViews
 )
@@ -30,8 +28,6 @@ const (
 // String names the ablation for reports.
 func (a Ablation) String() string {
 	switch a {
-	case AblateNone:
-		return "pctwm"
 	case AblateHistory:
 		return "pctwm-nohistory"
 	case AblateDelay:

@@ -9,7 +9,6 @@ import (
 
 func TestAblationNames(t *testing.T) {
 	want := map[Ablation]string{
-		AblateNone:       "pctwm",
 		AblateHistory:    "pctwm-nohistory",
 		AblateDelay:      "pctwm-nodelay",
 		AblateLocalViews: "pctwm-nolocalviews",

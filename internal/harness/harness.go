@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"time"
 
-	"pctwm/internal/benchprog"
 	"pctwm/internal/core"
 	"pctwm/internal/coverage"
 	"pctwm/internal/engine"
@@ -236,20 +235,6 @@ func PCTWMFactory(d, h int) StrategyFactory {
 	return func(est Estimate) engine.Strategy { return core.NewPCTWM(d, h, est.KCom) }
 }
 
-// BenchTrials profiles the benchmark, then runs trials with the factory
-// as one campaign (RunCampaign). The parameter estimate runs before the
-// trials and is not subject to the campaign context.
-func BenchTrials(b *benchprog.Benchmark, factory StrategyFactory, runs int, seed int64, extraWrites int, camp Campaign) (TrialResult, Estimate) {
-	prog := b.Program(extraWrites)
-	opts := b.Options()
-	if camp.Model != "" {
-		opts.Model = camp.Model
-	}
-	est := EstimateParams(prog, 20, seed^0x5eed, opts)
-	res := RunCampaign(prog, b.Detect, func() engine.Strategy { return factory(est) }, runs, seed, opts, camp)
-	return res, est
-}
-
 // RunLitmus runs lt under camp's Model as one campaign whose detect hook
 // tallies the outcome histogram, and returns the test's conformance
 // report, which fails on any quarantined panic, with the campaign result.
@@ -258,29 +243,4 @@ func RunLitmus(lt *litmus.Test, newStrategy func() engine.Strategy, runs int, se
 	res := RunCampaign(lt.Program, rep.Detect, newStrategy, runs, seed, engine.Options{Model: camp.Model}, camp)
 	rep.Finish(res.Runs, res.Aborted, res.Deadlock, res.Panics)
 	return rep, res
-}
-
-// BestOverH runs PCTWM for h = 1..maxH and returns the best rate together
-// with the h that achieved it (Table 2 reports "Rate (h:x)"). Each h-sweep
-// row runs as one campaign, and the sweep stops early (returning the best
-// row so far) when the campaign context is canceled.
-func BestOverH(b *benchprog.Benchmark, d, maxH, runs int, seed int64, camp Campaign) (TrialResult, int) {
-	var best TrialResult
-	bestH := 1
-	for h := 1; h <= maxH; h++ {
-		if camp.Context != nil && camp.Context.Err() != nil {
-			best.Interrupted = true
-			break
-		}
-		res, _ := BenchTrials(b, PCTWMFactory(d, h), runs, seed+int64(1000*h), 0, camp)
-		if res.Rate() > best.Rate() || (h == 1 && best.Runs == 0) {
-			best, bestH = res, h
-		}
-		if res.Interrupted || res.Stuck {
-			best.Interrupted = best.Interrupted || res.Interrupted
-			best.Stuck = best.Stuck || res.Stuck
-			break
-		}
-	}
-	return best, bestH
 }

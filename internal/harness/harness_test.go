@@ -3,7 +3,6 @@ package harness
 import (
 	"testing"
 
-	"pctwm/internal/benchprog"
 	"pctwm/internal/engine"
 	"pctwm/internal/memmodel"
 )
@@ -66,20 +65,6 @@ func TestFactories(t *testing.T) {
 	}
 	if s := PCTWMFactory(2, 3)(est); s.Name() != "pctwm" {
 		t.Fatalf("factory name %q", s.Name())
-	}
-}
-
-func TestBestOverH(t *testing.T) {
-	b, err := benchprog.ByName("dekker")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, h := BestOverH(b, b.Depth, 2, 60, 5, Campaign{Workers: 1})
-	if h < 1 || h > 2 {
-		t.Fatalf("best h out of range: %d", h)
-	}
-	if res.Rate() < 99 {
-		t.Fatalf("dekker at d=0 should hit ~always, got %.1f%%", res.Rate())
 	}
 }
 

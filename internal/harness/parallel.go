@@ -88,9 +88,9 @@ type Campaign struct {
 	// trial with atomics; never touched on the engine hot path.
 	Metrics *telemetry.Metrics
 	// Model, when non-empty, overrides the memory-model backend for
-	// campaigns that build their own engine.Options (BenchTrials,
-	// BestOverH, RunLitmus, DistCheckCampaign). Callers that pass
-	// explicit Options set Options.Model directly instead.
+	// campaigns that build their own engine.Options (RunLitmus,
+	// DistCheckCampaign). Callers that pass explicit Options set
+	// Options.Model directly instead.
 	Model string
 	// Checkpoint, when non-nil with a Dir, arms the durable
 	// checkpoint/resume layer: the campaign runs in chunks and persists

@@ -31,8 +31,8 @@ var ErrInterrupted = errors.New("report: interrupted")
 // (1000 rounds for the tables, 500 for Figure 6, 10 runs for Table 4);
 // smaller values trade precision for speed.
 type Config struct {
-	// Runs is the number of rounds per configuration for Tables 2-3 and
-	// Figure 5.
+	// Runs is the number of rounds per campaign of Tables 2-3, Figure 5,
+	// Ablations, Baselines, Coverage and Telemetry.
 	Runs int
 	// Fig6Runs is the number of rounds per point in Figure 6.
 	Fig6Runs int
@@ -51,6 +51,10 @@ type Config struct {
 	// are defined for rc11: benchmarks whose bugs need weak behaviour
 	// report lower (or zero) rates under sc/tso.
 	Campaign harness.Campaign
+	// cells holds the finished campaigns of the benchmark sections by
+	// key (see run): All shares one map across its sections, and a
+	// section run alone makes its own.
+	cells map[string]harness.TrialResult
 }
 
 // cell is the campaign template for one trial batch, labeled with the
@@ -100,7 +104,61 @@ func (c Config) normalized() Config {
 	if c.MaxH <= 0 {
 		c.MaxH = d.MaxH
 	}
+	if c.cells == nil {
+		c.cells = map[string]harness.TrialResult{}
+	}
 	return c
+}
+
+// program is one benchmark with writes inserted relaxed writes, under
+// the campaign's model, with its Table 1 estimate: every campaign the
+// benchmark sections run on it uses that estimate.
+type program struct {
+	*benchprog.Benchmark
+	writes int
+	prog   *engine.Program
+	opts   engine.Options
+	est    harness.Estimate
+}
+
+// program builds b with writes inserted writes and estimates it by
+// Table 1's rule: the mean of 50 profiling runs from the base seed.
+func (c Config) program(b *benchprog.Benchmark, writes int) program {
+	p := program{Benchmark: b, writes: writes, prog: b.Program(writes), opts: b.Options()}
+	p.opts.Model = c.Campaign.Model
+	p.est = harness.EstimateParams(p.prog, 50, c.Seed, p.opts)
+	return p
+}
+
+// strategy is a strategy factory with a name that spells out its
+// parameters, so that the name keys the campaigns it runs.
+type strategy struct {
+	name    string
+	factory harness.StrategyFactory
+}
+
+var c11tester = strategy{"c11tester", harness.C11Tester()}
+
+func pct(d int) strategy { return strategy{fmt.Sprintf("pct-d%d", d), harness.PCTFactory(d)} }
+
+func pctwm(d, h int) strategy {
+	return strategy{fmt.Sprintf("pctwm-d%d-h%d", d, h), harness.PCTWMFactory(d, h)}
+}
+
+// run returns the campaign of p under s for runs rounds, round i at
+// Seed+i. Its key, the CheckpointCell, names p, s and runs, which with
+// the config determine the result: each key runs once per cells map.
+// Interrupted or stuck campaigns are not stored.
+func (c Config) run(p program, s strategy, runs int) harness.TrialResult {
+	camp := c.cell(fmt.Sprintf("%s/w%d/%s/r%d", p.Name, p.writes, s.name, runs))
+	if res, ok := c.cells[camp.CheckpointCell]; ok {
+		return res
+	}
+	res := harness.RunCampaign(p.prog, p.Detect, func() engine.Strategy { return s.factory(p.est) }, runs, c.Seed, p.opts, camp)
+	if !res.Interrupted && !res.Stuck {
+		c.cells[camp.CheckpointCell] = res
+	}
+	return res
 }
 
 func newTab(w io.Writer) *tabwriter.Writer {
@@ -128,16 +186,15 @@ func Table1(w io.Writer, cfg Config) error {
 			tw.Flush()
 			return ErrInterrupted
 		}
-		opts := b.Options()
-		opts.Model = cfg.Campaign.Model
-		est := harness.EstimateParams(b.Program(0), 50, cfg.Seed, opts)
+		est := cfg.program(b, 0).est
 		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\n", b.Name, benchprog.LOC(b.Name), est.K, est.KCom, b.Depth)
 	}
 	return tw.Flush()
 }
 
 // Table2 prints PCTWM bug hitting rates for bug depths d, d+1, d+2, each
-// with the best history depth (paper Table 2).
+// with the best history depth (paper Table 2): the grid of PCTWM
+// campaigns at d..d+2 × h = 1..MaxH that Table 3 and Figure 5 read.
 func Table2(w io.Writer, cfg Config) error {
 	cfg = cfg.normalized()
 	cfg.phase("table2")
@@ -145,11 +202,16 @@ func Table2(w io.Writer, cfg Config) error {
 	tw := newTab(w)
 	fmt.Fprintln(tw, "Benchmark\td\tRate(d)\tRate(d+1)\tRate(d+2)")
 	for _, b := range benchprog.All() {
+		p := cfg.program(b, 0)
 		cells := make([]string, 3)
-		for i := 0; i < 3; i++ {
-			res, h := harness.BestOverH(b, b.Depth+i, cfg.MaxH, cfg.Runs, cfg.Seed+int64(17*i),
-				cfg.cell(fmt.Sprintf("table2/%s/d%d", b.Name, b.Depth+i)))
-			cells[i] = fmt.Sprintf("%.1f (h:%d)", res.Rate(), h)
+		for i := range cells {
+			rate, bestH := -1.0, 0 // the least h on a tie
+			for h := 1; h <= cfg.MaxH; h++ {
+				if r := cfg.run(p, pctwm(b.Depth+i, h), cfg.Runs).Rate(); r > rate {
+					rate, bestH = r, h
+				}
+			}
+			cells[i] = fmt.Sprintf("%.1f (h:%d)", rate, bestH)
 		}
 		if cfg.interrupted() {
 			tw.Flush()
@@ -160,8 +222,9 @@ func Table2(w io.Writer, cfg Config) error {
 	return tw.Flush()
 }
 
-// Table3 prints PCTWM bug hitting rates for history depths h = 1..4 at
-// each benchmark's Table-3 bug depth (paper Table 3).
+// Table3 prints PCTWM bug hitting rates for history depths h = 1..MaxH
+// at each benchmark's Table-3 bug depth (paper Table 3), Table 2's grid
+// cells at that depth.
 func Table3(w io.Writer, cfg Config) error {
 	cfg = cfg.normalized()
 	cfg.phase("table3")
@@ -173,19 +236,16 @@ func Table3(w io.Writer, cfg Config) error {
 	}
 	fmt.Fprintln(tw, header)
 	for _, b := range benchprog.All() {
-		var est harness.Estimate
-		row := make([]string, 0, cfg.MaxH)
+		p := cfg.program(b, 0)
+		row := make([]string, cfg.MaxH)
 		for h := 1; h <= cfg.MaxH; h++ {
-			res, e := harness.BenchTrials(b, harness.PCTWMFactory(b.Table3Depth, h), cfg.Runs, cfg.Seed+int64(31*h), 0,
-				cfg.cell(fmt.Sprintf("table3/%s/h%d", b.Name, h)))
-			est = e
-			row = append(row, fmt.Sprintf("%.1f", res.Rate()))
+			row[h-1] = fmt.Sprintf("%.1f", cfg.run(p, pctwm(b.Table3Depth, h), cfg.Runs).Rate())
 		}
 		if cfg.interrupted() {
 			tw.Flush()
 			return ErrInterrupted
 		}
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%s\n", b.Name, est.KCom, b.Table3Depth, strings.Join(row, "\t"))
+		fmt.Fprintf(tw, "%s\t%d\t%d\t%s\n", b.Name, p.est.KCom, b.Table3Depth, strings.Join(row, "\t"))
 	}
 	return tw.Flush()
 }
@@ -201,8 +261,7 @@ func Table4(w io.Writer, cfg Config) error {
 	tw := newTab(w)
 	fmt.Fprintln(tw, "App\tMetric\tC11Tester\tPCTWM\tOverhead\tns/event (c11/pctwm)\tRaces (c11/pctwm)")
 	for _, a := range apps.All() {
-		c11 := cfg.appTrials(a, "c11tester", harness.C11Tester())
-		wm := cfg.appTrials(a, "pctwm", harness.PCTWMFactory(2, 1))
+		c11, wm := cfg.appTrials(a)
 		if cfg.interrupted() {
 			// A canceled campaign stopped early: its means cover only
 			// the runs it finished, so the row is not printed.
@@ -231,17 +290,19 @@ func Table4(w io.Writer, cfg Config) error {
 	return tw.Flush()
 }
 
-// appTrials runs one Table 4 cell: PerfRuns rounds of the application
-// under the factory's strategy as one campaign, counting the rounds that
-// found a data race as hits.
-func (c Config) appTrials(a *apps.App, strategy string, factory harness.StrategyFactory) harness.TrialResult {
-	prog := a.Program()
-	opts := a.Options()
+// appTrials runs the two Table 4 cells of an application at its one
+// estimate: PerfRuns rounds under C11Tester and under PCTWM(2, 1), each
+// as one campaign, counting the rounds that found a data race as hits.
+func (c Config) appTrials(a *apps.App) (c11, wm harness.TrialResult) {
+	prog, opts := a.Program(), a.Options()
 	opts.Model = c.Campaign.Model
 	est := harness.EstimateParams(prog, 5, c.Seed^0x9e1f, opts)
 	raced := func(o *engine.Outcome) bool { return len(o.Races) > 0 }
-	return harness.RunCampaign(prog, raced, func() engine.Strategy { return factory(est) },
-		c.PerfRuns, c.Seed, opts, c.cell("table4/"+a.Name+"/"+strategy))
+	trials := func(s strategy) harness.TrialResult {
+		return harness.RunCampaign(prog, raced, func() engine.Strategy { return s.factory(est) },
+			c.PerfRuns, c.Seed, opts, c.cell("table4/"+a.Name+"/"+s.name))
+	}
+	return trials(c11tester), trials(strategy{"pctwm", harness.PCTWMFactory(2, 1)})
 }
 
 // throughput is the application's operations per second at a mean run
@@ -254,8 +315,8 @@ func throughput(a *apps.App, seconds float64) float64 {
 }
 
 // Figure5 prints the highest bug hitting rates observed per benchmark for
-// the three algorithms (paper Figure 5): C11Tester as-is, PCT and PCTWM
-// over bug depths d..d+2 (and h ∈ 1..MaxH for PCTWM).
+// the three algorithms (paper Figure 5): C11Tester as-is, PCT over bug
+// depths max(d+i, 1) for i = 0..2, and PCTWM over Table 2's grid.
 func Figure5(w io.Writer, cfg Config) error {
 	cfg = cfg.normalized()
 	fmt.Fprintf(w, "Figure 5: Highest bug hitting rates (%%) observed over %d rounds.\n", cfg.Runs)
@@ -283,16 +344,13 @@ func figure5(cfg Config) ([]fig5Row, error) {
 	cfg.phase("figure5")
 	var rows []fig5Row
 	for _, b := range benchprog.All() {
-		r := fig5Row{bench: b.Name}
-		r.c11, _ = harness.BenchTrials(b, harness.C11Tester(), cfg.Runs, cfg.Seed, 0,
-			cfg.cell("figure5/"+b.Name+"/c11"))
+		p := cfg.program(b, 0)
+		r := fig5Row{bench: b.Name, c11: cfg.run(p, c11tester, cfg.Runs)}
 		for i := 0; i < 3; i++ {
-			pct, _ := harness.BenchTrials(b, harness.PCTFactory(max(b.Depth+i, 1)), cfg.Runs, cfg.Seed+int64(7*i), 0,
-				cfg.cell(fmt.Sprintf("figure5/%s/pct-d%d", b.Name, i)))
-			r.pct = higherRate(r.pct, pct)
-			wm, _ := harness.BestOverH(b, b.Depth+i, cfg.MaxH, cfg.Runs, cfg.Seed+int64(13*i),
-				cfg.cell(fmt.Sprintf("figure5/%s/pctwm-d%d", b.Name, i)))
-			r.pctwm = higherRate(r.pctwm, wm)
+			r.pct = higherRate(r.pct, cfg.run(p, pct(max(b.Depth+i, 1)), cfg.Runs))
+			for h := 1; h <= cfg.MaxH; h++ {
+				r.pctwm = higherRate(r.pctwm, cfg.run(p, pctwm(b.Depth+i, h), cfg.Runs))
+			}
 		}
 		if cfg.interrupted() {
 			return rows, ErrInterrupted
@@ -369,16 +427,13 @@ func figure6(cfg Config) ([]fig6Series, error) {
 		}
 		s := fig6Series{bench: b}
 		for _, n := range f.sweep {
-			c11, _ := harness.BenchTrials(b, harness.C11Tester(), cfg.Fig6Runs, cfg.Seed+int64(n), n,
-				cfg.cell(fmt.Sprintf("figure6/%s/w%d/c11", b.Name, n)))
-			pct, _ := harness.BenchTrials(b, harness.PCTFactory(max(b.Depth, 1)), cfg.Fig6Runs, cfg.Seed+int64(2*n), n,
-				cfg.cell(fmt.Sprintf("figure6/%s/w%d/pct", b.Name, n)))
-			wm, _ := harness.BenchTrials(b, harness.PCTWMFactory(b.Depth, 1), cfg.Fig6Runs, cfg.Seed+int64(3*n), n,
-				cfg.cell(fmt.Sprintf("figure6/%s/w%d/pctwm", b.Name, n)))
+			p := cfg.program(b, n)
+			pt := fig6Point{n, cfg.run(p, c11tester, cfg.Fig6Runs).Rate(),
+				cfg.run(p, pct(max(b.Depth, 1)), cfg.Fig6Runs).Rate(), cfg.run(p, pctwm(b.Depth, 1), cfg.Fig6Runs).Rate()}
 			if cfg.interrupted() {
 				return append(out, s), ErrInterrupted
 			}
-			s.points = append(s.points, fig6Point{n, c11.Rate(), pct.Rate(), wm.Rate()})
+			s.points = append(s.points, pt)
 		}
 		out = append(out, s)
 	}
@@ -397,11 +452,8 @@ const coverageCensusLimit = 500000
 // coverageStrategies are the strategies the coverage artifacts race
 // against each other (same lineup as the historical outcome-coverage
 // table: the POS-paper comparison set).
-var coverageStrategies = []struct {
-	name    string
-	factory harness.StrategyFactory
-}{
-	{"c11tester", harness.C11Tester()},
+var coverageStrategies = []strategy{
+	c11tester,
 	{"pos", harness.POSFactory()},
 	{"pct", harness.PCTFactory(2)},
 	{"pctwm", harness.PCTWMFactory(2, 2)},
@@ -417,21 +469,19 @@ func findLitmus(name string) (*litmus.Test, error) {
 	return nil, fmt.Errorf("report: unknown litmus test %q", name)
 }
 
-// coverageCampaign runs one litmus coverage campaign and returns its
-// deterministic behavior set.
-func (c Config) coverageCampaign(lt *litmus.Test, strategy string, factory harness.StrategyFactory, seedOff int64) (*coverage.Set, error) {
-	opts := engine.Options{Model: c.Campaign.Model}
-	est := harness.EstimateParams(lt.Program, 10, c.Seed, opts)
-	camp := c.cell("coverage/" + lt.Name + "/" + strategy)
+// coverageCampaign runs one litmus coverage campaign at the test's
+// estimate and returns its deterministic behavior set.
+func (c Config) coverageCampaign(lt *litmus.Test, est harness.Estimate, s strategy, seedOff int64) (*coverage.Set, error) {
+	camp := c.cell("coverage/" + lt.Name + "/" + s.name)
 	camp.Coverage = true
 	noHit := func(*engine.Outcome) bool { return false }
-	res := harness.RunCampaign(lt.Program, noHit, func() engine.Strategy { return factory(est) },
-		c.Runs, c.Seed+seedOff, opts, camp)
+	res := harness.RunCampaign(lt.Program, noHit, func() engine.Strategy { return s.factory(est) },
+		c.Runs, c.Seed+seedOff, engine.Options{Model: c.Campaign.Model}, camp)
 	if res.Coverage == nil {
 		if res.Interrupted {
 			return nil, ErrInterrupted
 		}
-		return nil, fmt.Errorf("report: coverage campaign %s/%s produced no coverage", lt.Name, strategy)
+		return nil, fmt.Errorf("report: coverage campaign %s/%s produced no coverage", lt.Name, s.name)
 	}
 	return res.Coverage, nil
 }
@@ -499,14 +549,16 @@ func coverageRows(cfg Config) ([]coverageRow, error) {
 		if err != nil {
 			return rows, err
 		}
-		census, err := enumerate.BehaviorCensus(lt.Program, engine.Options{Model: cfg.Campaign.Model},
+		opts := engine.Options{Model: cfg.Campaign.Model}
+		census, err := enumerate.BehaviorCensus(lt.Program, opts,
 			enumerate.Config{Limit: coverageCensusLimit, Workers: cfg.Campaign.Workers, Context: cfg.Campaign.Context})
 		if err != nil {
 			return rows, err
 		}
+		est := harness.EstimateParams(lt.Program, 10, cfg.Seed, opts)
 		r := coverageRow{program: lt.Name, census: census}
 		for i, s := range coverageStrategies {
-			set, err := cfg.coverageCampaign(lt, s.name, s.factory, int64(23*i))
+			set, err := cfg.coverageCampaign(lt, est, s, int64(23*i))
 			if err != nil {
 				return rows, err
 			}
@@ -522,7 +574,8 @@ func coverageRows(cfg Config) ([]coverageRow, error) {
 
 // Baselines prints an extended comparison beyond the paper's Figure 5:
 // the four randomized algorithms side by side at each benchmark's design
-// depth, together with PCTWM's theoretical lower bound (§5.4).
+// depth, together with PCTWM's theoretical lower bound (§5.4) at the
+// benchmark's estimate. Its other columns are Figure 5's and Table 2's.
 func Baselines(w io.Writer, cfg Config) error {
 	cfg = cfg.normalized()
 	cfg.phase("baselines")
@@ -530,21 +583,16 @@ func Baselines(w io.Writer, cfg Config) error {
 	tw := newTab(w)
 	fmt.Fprintln(tw, "Benchmark\td\tC11Tester\tPOS\tPCT\tPCTWM\tPCTWM bound")
 	for _, b := range benchprog.All() {
-		c11, est := harness.BenchTrials(b, harness.C11Tester(), cfg.Runs, cfg.Seed, 0,
-			cfg.cell("baselines/"+b.Name+"/c11"))
-		pos, _ := harness.BenchTrials(b, harness.POSFactory(), cfg.Runs, cfg.Seed+1, 0,
-			cfg.cell("baselines/"+b.Name+"/pos"))
-		pct, _ := harness.BenchTrials(b, harness.PCTFactory(max(b.Depth, 1)), cfg.Runs, cfg.Seed+2, 0,
-			cfg.cell("baselines/"+b.Name+"/pct"))
-		wm, _ := harness.BenchTrials(b, harness.PCTWMFactory(b.Depth, 1), cfg.Runs, cfg.Seed+3, 0,
-			cfg.cell("baselines/"+b.Name+"/pctwm"))
+		p := cfg.program(b, 0)
+		row := make([]string, 0, 4)
+		for _, s := range []strategy{c11tester, {"pos", harness.POSFactory()}, pct(max(b.Depth, 1)), pctwm(b.Depth, 1)} {
+			row = append(row, fmt.Sprintf("%.1f", cfg.run(p, s, cfg.Runs).Rate()))
+		}
 		if cfg.interrupted() {
 			tw.Flush()
 			return ErrInterrupted
 		}
-		bound := 100 * core.PCTWMBound(est.KCom, b.Depth, 1)
-		fmt.Fprintf(tw, "%s\t%d\t%.1f\t%.1f\t%.1f\t%.1f\t%.2f\n",
-			b.Name, b.Depth, c11.Rate(), pos.Rate(), pct.Rate(), wm.Rate(), bound)
+		fmt.Fprintf(tw, "%s\t%d\t%s\t%.2f\n", b.Name, b.Depth, strings.Join(row, "\t"), 100*core.PCTWMBound(p.est.KCom, b.Depth, 1))
 	}
 	return tw.Flush()
 }
@@ -552,23 +600,21 @@ func Baselines(w io.Writer, cfg Config) error {
 // Ablations prints the contribution of each PCTWM ingredient (history
 // bounding, sink delaying, thread-local views) to the bug hitting rate at
 // every benchmark's design depth — the ablation study for the design
-// choices of §5.2.
+// choices of §5.2. The full algorithm's column is Table 2's (d, 1) cell.
 func Ablations(w io.Writer, cfg Config) error {
 	cfg = cfg.normalized()
 	cfg.phase("ablation")
 	fmt.Fprintf(w, "Ablation: PCTWM ingredient contributions (%%), %d rounds, h=1, d = design depth.\n", cfg.Runs)
 	tw := newTab(w)
 	fmt.Fprintln(tw, "Benchmark\td\tfull\tno-history\tno-delay\tno-local-views")
-	modes := []core.Ablation{core.AblateNone, core.AblateHistory, core.AblateDelay, core.AblateLocalViews}
 	for _, b := range benchprog.All() {
-		row := make([]string, 0, len(modes))
-		for i, m := range modes {
-			m := m
+		p := cfg.program(b, 0)
+		row := []string{fmt.Sprintf("%.1f", cfg.run(p, pctwm(b.Depth, 1), cfg.Runs).Rate())}
+		for _, m := range []core.Ablation{core.AblateHistory, core.AblateDelay, core.AblateLocalViews} {
 			factory := func(est harness.Estimate) engine.Strategy {
 				return core.NewAblatedPCTWM(b.Depth, 1, est.KCom, m)
 			}
-			res, _ := harness.BenchTrials(b, factory, cfg.Runs, cfg.Seed+int64(41*i), 0,
-				cfg.cell(fmt.Sprintf("ablation/%s/m%d", b.Name, i)))
+			res := cfg.run(p, strategy{fmt.Sprintf("%v-d%d-h1", m, b.Depth), factory}, cfg.Runs)
 			row = append(row, fmt.Sprintf("%.1f", res.Rate()))
 		}
 		if cfg.interrupted() {
@@ -581,10 +627,11 @@ func Ablations(w io.Writer, cfg Config) error {
 }
 
 // Telemetry prints the engine-counter profile of one PCTWM campaign per
-// benchmark: how the executed-event mix, scheduler handoff ratio,
-// reads-from candidate-bag sizes, and priority-change-point depths differ
-// across the suite. The counters are merged from the per-worker shards of
-// each campaign, so the totals are identical for every Workers setting.
+// benchmark, Table 2's (d, 1) cell run with counters on: how the
+// executed-event mix, scheduler handoff ratio, reads-from candidate-bag
+// sizes, and priority-change-point depths differ across the suite. The
+// counters are merged from the per-worker shards of each campaign, so the
+// totals are identical for every Workers setting.
 func Telemetry(w io.Writer, cfg Config) error {
 	cfg = cfg.normalized()
 	fmt.Fprintf(w, "Engine telemetry per benchmark: PCTWM (h=1, design depth), %d rounds.\n", cfg.Runs)
@@ -618,11 +665,10 @@ type telemetryRow struct {
 // row whose campaign was cut short is dropped.
 func telemetryRows(cfg Config) ([]telemetryRow, error) {
 	cfg.phase("telemetry")
+	cfg.Campaign.Telemetry = true
 	var rows []telemetryRow
 	for _, b := range benchprog.All() {
-		camp := cfg.cell("telemetry/" + b.Name)
-		camp.Telemetry = true
-		res, _ := harness.BenchTrials(b, harness.PCTWMFactory(b.Depth, 1), cfg.Runs, cfg.Seed, 0, camp)
+		res := cfg.run(cfg.program(b, 0), pctwm(b.Depth, 1), cfg.Runs)
 		if cfg.interrupted() {
 			return rows, ErrInterrupted
 		}
@@ -634,8 +680,10 @@ func telemetryRows(cfg Config) ([]telemetryRow, error) {
 	return rows, nil
 }
 
-// All renders every table and figure in order.
+// All renders every table and figure in order. The sections share one
+// cells map, so a campaign two sections print runs once.
 func All(w io.Writer, cfg Config) error {
+	cfg = cfg.normalized()
 	sections := []func(io.Writer, Config) error{
 		Table1, Table2, Table3, Table4, Figure5, Figure6, Ablations, Baselines, Coverage,
 	}

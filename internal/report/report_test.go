@@ -3,11 +3,14 @@ package report
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
+	"pctwm/internal/benchprog"
 	"pctwm/internal/engine"
 	"pctwm/internal/telemetry"
 )
@@ -280,6 +283,79 @@ func TestAll(t *testing.T) {
 	for _, want := range []string{"Table 1", "Table 4", "Figure 6", "Ablation", "coverage"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in full report", want)
+		}
+	}
+}
+
+// withoutTable4 drops the Table 4 block, whose timings vary between
+// runs, the way CI's archive diff does.
+func withoutTable4(out string) string {
+	start := strings.Index(out, "Table 4")
+	if start < 0 {
+		return out
+	}
+	return out[:start] + out[start+strings.Index(out[start:], "\n\n")+2:]
+}
+
+// tableRows maps the first field of each line of out to its other
+// fields: a table section's rows by benchmark.
+func tableRows(out string) map[string][]string {
+	rows := map[string][]string{}
+	for _, l := range strings.Split(out, "\n") {
+		if f := strings.Fields(l); len(f) > 0 {
+			rows[f[0]] = f[1:]
+		}
+	}
+	return rows
+}
+
+// TestSectionsShareCells: every campaign of a program runs at its one
+// Table 1 estimate, and a cell several sections print runs once. So
+// Table 3's kcom column is Table 1's, Figure 5's PCTWM column is the
+// maximum of Table 2's row, Baselines' PCTWM column is Ablations' full
+// column, and each section prints the same alone as inside All.
+func TestSectionsShareCells(t *testing.T) {
+	var all strings.Builder
+	if err := All(&all, tiny); err != nil {
+		t.Fatal(err)
+	}
+	var alone []string
+	out := map[string]map[string][]string{}
+	for _, sec := range []struct {
+		name string
+		f    func(io.Writer, Config) error
+	}{
+		{"table1", Table1}, {"table2", Table2}, {"table3", Table3}, {"table4", Table4}, {"figure5", Figure5},
+		{"figure6", Figure6}, {"ablation", Ablations}, {"baselines", Baselines}, {"coverage", Coverage},
+	} {
+		var b strings.Builder
+		if err := sec.f(&b, tiny); err != nil {
+			t.Fatal(err)
+		}
+		alone = append(alone, b.String())
+		out[sec.name] = tableRows(b.String())
+	}
+	if got, want := withoutTable4(all.String()), withoutTable4(strings.Join(alone, "\n")); got != want {
+		t.Errorf("All printed:\n%s\nthe sections alone printed:\n%s", got, want)
+	}
+	for _, b := range benchprog.All() {
+		t1, t2, t3 := out["table1"][b.Name], out["table2"][b.Name], out["table3"][b.Name]
+		if t1[2] != t3[0] {
+			t.Errorf("%s: Table 3 kcom %s, Table 1 kcom %s", b.Name, t3[0], t1[2])
+		}
+		best := 0.0
+		for i := 1; i < len(t2); i += 2 {
+			rate, _ := strconv.ParseFloat(t2[i], 64)
+			best = max(best, rate)
+			if h, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(t2[i+1], "(h:"), ")")); err != nil || h < 1 || h > tiny.MaxH {
+				t.Errorf("%s: Table 2 best h %s outside 1..%d", b.Name, t2[i+1], tiny.MaxH)
+			}
+		}
+		if got := out["figure5"][b.Name][2]; got != fmt.Sprintf("%.1f", best) {
+			t.Errorf("%s: Figure 5 PCTWM %s, Table 2 row maximum %.1f", b.Name, got, best)
+		}
+		if got, want := out["baselines"][b.Name][4], out["ablation"][b.Name][1]; got != want {
+			t.Errorf("%s: Baselines PCTWM %s, Ablations full %s", b.Name, got, want)
 		}
 	}
 }
