@@ -154,6 +154,53 @@ func BenchmarkRunnerReuse(b *testing.B) {
 	}
 }
 
+// alternator grants the enabled thread after the last one granted, in
+// thread-id order, so a run of two live threads hands off at every step.
+type alternator struct{ last memmodel.ThreadID }
+
+func (s *alternator) Name() string                         { return "alternate" }
+func (s *alternator) Begin(engine.ProgramInfo, *rand.Rand) { s.last = 0 }
+func (s *alternator) OnEvent(*memmodel.Event)              {}
+func (s *alternator) OnThreadStart(_, _ memmodel.ThreadID) {}
+func (s *alternator) OnSpin(memmodel.ThreadID)             {}
+func (s *alternator) PickRead(engine.ReadContext) int      { return 0 }
+
+func (s *alternator) NextThread(enabled []engine.PendingOp) memmodel.ThreadID {
+	next := enabled[0].TID
+	for _, op := range enabled {
+		if op.TID > s.last {
+			next = op.TID
+			break
+		}
+	}
+	s.last = next
+	return next
+}
+
+// BenchmarkHandoff measures the scheduler's thread handoff, the per-layer
+// cost of a step that switches threads: two threads of 500 relaxed stores
+// under sc (the cheapest backend), alternating at every step.
+func BenchmarkHandoff(b *testing.B) {
+	p := engine.NewProgram("handoff")
+	x := p.Loc("X", 0)
+	for range 2 {
+		p.AddThread(func(th *engine.Thread) {
+			for i := range 500 {
+				th.Store(x, memmodel.Value(i), memmodel.Relaxed)
+			}
+		})
+	}
+	r := engine.NewRunner(p, engine.Options{Model: engine.ModelSC})
+	defer r.Close()
+	strat := &alternator{}
+	steps := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		steps += r.Run(strat, int64(i)).Steps
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
+}
+
 // Exhaustive-exploration throughput. One iteration enumerates the full
 // reachable outcome space of the litmus suite — the workload behind the
 // conformance tests and the CI models job. The repository benchmark's

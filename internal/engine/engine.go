@@ -36,19 +36,19 @@ type Engine struct {
 
 	locs []location // index = Loc-1
 
-	threads     []*Thread // index = ThreadID-1, creation order
-	freeThreads []*Thread // recycled thread shells from earlier runs
-	nextTID     memmodel.ThreadID
+	threads []*Thread // index = ThreadID-1; a shell keeps its index across runs
+	nextTID memmodel.ThreadID
 
 	// Scheduler state (all accesses serialized by the baton, see
-	// sched.go). The yielding thread publishes the next grant in
-	// granted/grantRes and yields; the host trampoline (run) resumes
-	// granted, which reads grantRes. endRun tells the trampoline the run
-	// is over; killing turns teardown resumes into unwinds; startFn
+	// sched.go). The parking thread publishes the next grant in
+	// granted/grantRes; the trampoline resumes granted, which reads
+	// grantRes. endRun tells the trampoline the run is over, and start is
+	// when it began; killing turns teardown resumes into unwinds; startFn
 	// carries the ThreadFunc into a coroutine being started.
 	granted  *Thread
 	grantRes response
 	endRun   bool
+	start    time.Time
 	killing  bool
 	startFn  ThreadFunc
 	closed   bool
@@ -168,8 +168,8 @@ func fvHash(vals []memmodel.Value) uint64 {
 //
 // A Runner pools thread coroutines between runs (parked on their
 // between-runs yield). Call Close when done with a Runner to release them;
-// a dropped unclosed Runner pins its pooled coroutines (at most the
-// program's thread count) until process exit.
+// a dropped unclosed Runner pins its pooled coroutines (one fewer than the
+// most threads a run created) until process exit.
 //
 // Determinism guarantee: for a fixed program, strategy and seed, a run
 // produces the same Outcome (and byte-identical Recording) whether the
@@ -373,8 +373,8 @@ func (e *Engine) finalize() {
 
 // releaseRun drains the per-run pooled state. Message bags go back to the
 // arenas; locations and thread shells are truncated in place so the next
-// run reuses their backing storage (including, on the direct path, each
-// shell's parked goroutine).
+// run reuses their backing storage (including each shell's parked
+// coroutine).
 func (e *Engine) releaseRun() {
 	// Static locations stay warm (initWarm): their single init message is
 	// identical in every run of the same program, so only the writes the
@@ -400,7 +400,6 @@ func (e *Engine) releaseRun() {
 		}
 	}
 	e.locs = e.locs[:keep]
-	e.freeThreads = append(e.freeThreads, e.threads...)
 	e.threads = e.threads[:0]
 }
 
@@ -430,9 +429,10 @@ func (e *Engine) locName(l memmodel.Loc) string {
 	return fmt.Sprintf("x%d", l)
 }
 
-// startRoots creates and starts the root threads and announces them to the
-// strategy. The caller holds the baton.
-func (e *Engine) startRoots() {
+// startRoots creates the root threads, starts all but the first (the host
+// thread, returned for the caller to run) on their coroutines and
+// announces them to the strategy. The caller holds the baton.
+func (e *Engine) startRoots() *Thread {
 	e.initMemory()
 
 	// Root threads inherit the init thread's view (the spawn of root
@@ -442,12 +442,14 @@ func (e *Engine) startRoots() {
 		lastInit = e.nextEventID - 1
 	}
 	nRoots := len(e.prog.threads)
-	for _, rt := range e.prog.threads {
+	for i, rt := range e.prog.threads {
 		t := e.newThread(rt.name, nil, e.root)
 		if e.rec != nil {
 			e.rec.SpawnLinks = append(e.rec.SpawnLinks, SpawnLink{From: lastInit, Child: t.id})
 		}
-		e.startThread(t, rt.fn)
+		if i > 0 {
+			e.startThread(t, rt.fn)
+		}
 	}
 
 	e.strat.Begin(ProgramInfo{
@@ -459,6 +461,8 @@ func (e *Engine) startRoots() {
 	for i := 0; i < nRoots; i++ {
 		e.strat.OnThreadStart(e.threads[i].id, memmodel.InitThread)
 	}
+	e.threads[0].started = true
+	return e.threads[0]
 }
 
 // driveStep performs one scheduling decision: it collects the enabled
@@ -468,7 +472,7 @@ func (e *Engine) startRoots() {
 // StopOnBug) and no thread should be woken. The caller must hold the
 // baton.
 func (e *Engine) driveStep() (granted *Thread, res response, ended bool) {
-	if e.watchdogOn && e.outcome.Steps&watchdogMask == 0 && e.checkInterrupt() {
+	if e.stopped || e.watchdogOn && e.outcome.Steps&watchdogMask == 0 && e.checkInterrupt() {
 		return nil, response{}, true
 	}
 	enabled := e.enabledOps()
@@ -616,22 +620,24 @@ func (e *Engine) thread(tid memmodel.ThreadID) *Thread {
 	return nil
 }
 
+// newThread appends the next thread, reusing the shell an earlier run
+// left at its index (index 0 holds the host thread's, with no coroutine).
 func (e *Engine) newThread(name string, parent *Thread, view viewClock) *Thread {
 	e.nextTID++
-	var t *Thread
-	if n := len(e.freeThreads); n > 0 {
-		t = e.freeThreads[n-1]
-		e.freeThreads = e.freeThreads[:n-1]
-		t.recycle()
-	} else {
-		t = &Thread{eng: e}
+	n := len(e.threads)
+	if n == cap(e.threads) {
+		e.threads = append(e.threads, nil)
 	}
+	e.threads = e.threads[:n+1]
+	if e.threads[n] == nil {
+		e.threads[n] = &Thread{eng: e, host: n == 0}
+	}
+	t := e.threads[n]
+	t.recycle()
 	t.id = e.nextTID
 	t.name = name
 	t.parent = parent
-	t.firstPark = true
 	t.cur.copyFrom(view)
-	e.threads = append(e.threads, t)
 	return t
 }
 

@@ -307,6 +307,29 @@ func TestDurationMeasuredAroundExecution(t *testing.T) {
 	}
 }
 
+// TestRunnerPoolsNoHostCoroutine: thread shells keep their index across
+// runs, so the host thread's shell never gets a coroutine, and a Runner
+// pools one coroutine per other thread.
+func TestRunnerPoolsNoHostCoroutine(t *testing.T) {
+	r := NewRunner(spinForeverProgram(), Options{MaxSteps: 50})
+	defer r.Close()
+	for i := 0; i < 10; i++ {
+		r.Run(&scriptStrategy{readPick: 0}, int64(i))
+	}
+	live := 0
+	for i, th := range r.e.threads[:cap(r.e.threads)] {
+		if th != nil && th.live {
+			live++
+			if i == 0 {
+				t.Error("the host thread's shell holds a coroutine")
+			}
+		}
+	}
+	if want := r.Program().NumThreads() - 1; live != want {
+		t.Errorf("%d pooled coroutines, want %d", live, want)
+	}
+}
+
 // TestNoGoroutineLeakAfterAbortedRuns: the regression test for the
 // direct-handoff scheduler's coroutine pool. Aborted runs leave threads
 // parked mid-execution; the Runner must unwind and pool them, and Close
@@ -323,8 +346,9 @@ func TestNoGoroutineLeakAfterAbortedRuns(t *testing.T) {
 		}
 	}
 
-	// Before Close the pool may hold up to the program's thread count.
-	if n := runtime.NumGoroutine(); n > base+2*r.Program().NumThreads()+2 {
+	// Before Close the pool holds a coroutine per thread but the first,
+	// which runs on the caller's goroutine.
+	if n := runtime.NumGoroutine(); n > base+(r.Program().NumThreads()-1)+2 {
 		t.Fatalf("goroutines grew with aborted runs: base %d, now %d", base, n)
 	}
 

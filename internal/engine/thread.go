@@ -6,10 +6,10 @@ import (
 	"pctwm/internal/memmodel"
 )
 
-// ThreadFunc is the body of a simulated thread. It runs in its own
-// goroutine but is fully serialized by the engine: at most one thread makes
-// progress at a time, and every shared-memory access goes through the
-// Thread handle.
+// ThreadFunc is the body of a simulated thread. It runs on its own
+// coroutine (the first root thread on Run's goroutine) but is fully
+// serialized by the engine: at most one thread makes progress at a time,
+// and every shared-memory access goes through the Thread handle.
 type ThreadFunc func(t *Thread)
 
 // ThreadHandle identifies a spawned thread for Join.
@@ -20,8 +20,8 @@ type ThreadHandle struct {
 // TID returns the thread id of the spawned thread.
 func (h *ThreadHandle) TID() memmodel.ThreadID { return h.tid }
 
-// killedError is panicked inside thread coroutines when the engine tears
-// an execution down early (bug found, step limit, ...).
+// killedError is panicked inside thread bodies when the engine tears an
+// execution down early (bug found, step limit, ...).
 type killedError struct{}
 
 func (killedError) Error() string { return "pctwm: execution torn down" }
@@ -46,18 +46,20 @@ type Thread struct {
 	ext  reqExt
 	pend PendingOp
 
-	// The thread body runs on a coroutine (iter.Pull, see sched.go). resume switches into the coroutine, yield
-	// switches back to the most recent resumer, stop terminates the
-	// coroutine (Runner.Close) — all direct goroutine switches that never
-	// enter the Go scheduler. live marks the shell's pooled coroutine
-	// (parked on its between-runs yield, released by Runner.Close).
-	resume func()
+	// host marks the first root thread, whose body runs on the goroutine
+	// that called Run; every other body runs on a coroutine (iter.Pull,
+	// see sched.go). resume switches into it, yield back to the most
+	// recent resumer, and stop terminates it (Runner.Close): direct
+	// goroutine switches that never enter the Go scheduler. live marks the
+	// shell's pooled coroutine (parked on its between-runs yield).
+	host   bool
+	resume func() (struct{}, bool)
 	stop   func()
 	yield  func(struct{}) bool
 	live   bool
 
-	// firstPark marks the one park in a thread's life that must report to
-	// the starter instead of driving the scheduler itself.
+	// firstPark marks the one park in a coroutine thread's life that must
+	// report to the starter instead of driving the scheduler itself.
 	firstPark bool
 
 	// rc11 memory-model state (paper §5.1 / Algorithm 2), each view with

@@ -7,7 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
+	"sync"
 	"text/tabwriter"
 
 	"pctwm/internal/apps"
@@ -251,24 +253,23 @@ func Table3(w io.Writer, cfg Config) error {
 }
 
 // Table4 prints the application performance comparison (paper Table 4):
-// throughput for silo, elapsed time for mabain and iris, each the mean
-// over PerfRuns runs of one campaign per tester, with the engine cost per
-// event and the number of runs that found a data race.
+// throughput for silo, elapsed time for mabain and iris, each from the
+// median of PerfRuns runs of one campaign per tester, with the engine
+// cost per event and the number of runs that found a data race.
 func Table4(w io.Writer, cfg Config) error {
 	cfg = cfg.normalized()
 	cfg.phase("table4")
-	fmt.Fprintf(w, "Table 4: Performance on testing real-world applications (mean of %d runs).\n", cfg.PerfRuns)
+	fmt.Fprintf(w, "Table 4: Performance on testing real-world applications (median of %d runs).\n", cfg.PerfRuns)
 	tw := newTab(w)
 	fmt.Fprintln(tw, "App\tMetric\tC11Tester\tPCTWM\tOverhead\tns/event (c11/pctwm)\tRaces (c11/pctwm)")
 	for _, a := range apps.All() {
-		c11, wm := cfg.appTrials(a)
+		c11, wm, c11Time, wmTime := cfg.appTrials(a)
 		if cfg.interrupted() {
-			// A canceled campaign stopped early: its means cover only
+			// A canceled campaign stopped early: its medians cover only
 			// the runs it finished, so the row is not printed.
 			tw.Flush()
 			return ErrInterrupted
 		}
-		c11Time, wmTime := c11.AvgTime().Seconds(), wm.AvgTime().Seconds()
 		var metric, c11Cell, wmCell, overhead string
 		switch a.Kind {
 		case apps.KindThroughput:
@@ -293,19 +294,36 @@ func Table4(w io.Writer, cfg Config) error {
 // appTrials runs the two Table 4 cells of an application at its one
 // estimate: PerfRuns rounds under C11Tester and under PCTWM(2, 1), each
 // as one campaign, counting the rounds that found a data race as hits.
-func (c Config) appTrials(a *apps.App) (c11, wm harness.TrialResult) {
+// A cell's time is its median run's, in seconds, so that one run
+// preempted on a busy host does not set it.
+func (c Config) appTrials(a *apps.App) (c11, wm harness.TrialResult, c11Time, wmTime float64) {
 	prog, opts := a.Program(), a.Options()
 	opts.Model = c.Campaign.Model
 	est := harness.EstimateParams(prog, 5, c.Seed^0x9e1f, opts)
-	raced := func(o *engine.Outcome) bool { return len(o.Races) > 0 }
-	trials := func(s strategy) harness.TrialResult {
-		return harness.RunCampaign(prog, raced, func() engine.Strategy { return s.factory(est) },
+	trials := func(s strategy) (harness.TrialResult, float64) {
+		var mu sync.Mutex // the campaign's workers share times
+		var times []float64
+		raced := func(o *engine.Outcome) bool {
+			mu.Lock()
+			defer mu.Unlock()
+			times = append(times, o.Duration.Seconds())
+			return len(o.Races) > 0
+		}
+		res := harness.RunCampaign(prog, raced, func() engine.Strategy { return s.factory(est) },
 			c.PerfRuns, c.Seed, opts, c.cell("table4/"+a.Name+"/"+s.name))
+		n := len(times)
+		if n == 0 { // resumed whole from a checkpoint, which keeps only the mean
+			return res, res.AvgTime().Seconds()
+		}
+		slices.Sort(times)
+		return res, (times[(n-1)/2] + times[n/2]) / 2
 	}
-	return trials(c11tester), trials(strategy{"pctwm", harness.PCTWMFactory(2, 1)})
+	c11, c11Time = trials(c11tester)
+	wm, wmTime = trials(strategy{"pctwm", harness.PCTWMFactory(2, 1)})
+	return c11, wm, c11Time, wmTime
 }
 
-// throughput is the application's operations per second at a mean run
+// throughput is the application's operations per second at a run
 // time of seconds, 0 for a run too short to time.
 func throughput(a *apps.App, seconds float64) float64 {
 	if seconds <= 0 {

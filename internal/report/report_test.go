@@ -76,13 +76,14 @@ func TestTable4(t *testing.T) {
 }
 
 // TestTable4FollowsCampaign: Table 4 runs on the campaign template, so
-// its model reaches the engine and its metrics hub counts every trial.
-// The race detector runs only under rc11, so under sc no run finds a
-// race.
+// its model reaches the engine, its workers share the cells' run times
+// and its metrics hub counts every trial. The race detector runs only
+// under rc11, so under sc no run finds a race.
 func TestTable4FollowsCampaign(t *testing.T) {
 	cfg := tiny
 	cfg.PerfRuns = 2
 	cfg.Campaign.Model = engine.ModelSC
+	cfg.Campaign.Workers = 2
 	cfg.Campaign.Metrics = &telemetry.Metrics{}
 	var b strings.Builder
 	if err := Table4(&b, cfg); err != nil {
