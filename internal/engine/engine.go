@@ -206,13 +206,25 @@ func (r *Runner) Program() *Program { return r.e.prog }
 // returns the outcome. The seed drives only the strategy's decisions; the
 // engine itself is deterministic. The returned Outcome does not alias
 // Runner state and stays valid across subsequent runs.
+//
+// A panic of a strategy callback or an engine invariant escapes Run after
+// Run has restored the Runner: its next run equals a fresh Runner's.
 func (r *Runner) Run(strat Strategy, seed int64) *Outcome {
 	e := &r.e
 	if e.closed {
 		panic("pctwm: Runner.Run called after Close")
 	}
 	e.reset(strat, seed)
+	ran := false
+	defer func() {
+		if !ran {
+			// A panic escaped run: restore the Runner and let it go on.
+			e.stopThreads()
+			e.releaseRun()
+		}
+	}()
 	e.run()
+	ran = true
 	e.finalize()
 	if rr := e.rec; rr != nil {
 		rr.out = e.outcome

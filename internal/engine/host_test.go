@@ -185,53 +185,3 @@ func TestDurationExcludesHostUnwind(t *testing.T) {
 			o.Aborted, o.Duration, wall, unwind)
 	}
 }
-
-// TestFirstDecisionPanicIsThreadOneCrash: the run's first decision is
-// made inside thread 1's first park, so a strategy panic there is thread
-// 1's crash, like a panic in any decision made inside a thread's park.
-// The run goes on with the other threads.
-func TestFirstDecisionPanicIsThreadOneCrash(t *testing.T) {
-	p := engine.NewProgram("first-decision")
-	x, y := p.Loc("X", 0), p.Loc("Y", 0)
-	p.AddThread(func(th *engine.Thread) { th.Store(x, 1, memmodel.Relaxed) })
-	p.AddThread(func(th *engine.Thread) { th.Store(y, 1, memmodel.Relaxed) })
-	calls := 0
-	o := engine.Run(p, &pickStrategy{next: func(en []engine.PendingOp) memmodel.ThreadID {
-		if calls++; calls == 1 {
-			panic("strategy bug")
-		}
-		return en[0].TID
-	}}, 1, engine.Options{})
-	if o.Err == nil || o.Err.Kind != engine.PanicError || o.Err.TID != 1 || !strings.Contains(o.Err.Msg, "strategy bug") {
-		t.Fatalf("Err = %+v, want thread 1's crash with the strategy's panic", o.Err)
-	}
-	if o.FinalValues["X"] != 0 || o.FinalValues["Y"] != 1 {
-		t.Fatalf("final values %v, want thread 2's store only", o.FinalValues)
-	}
-}
-
-// TestResumedThreadPanicEscapesRun: a strategy panic in the decision a
-// finishing thread makes while thread 1 is parked is not thread 1's
-// crash. It escapes Run, as it does when thread 1 has finished.
-func TestResumedThreadPanicEscapesRun(t *testing.T) {
-	p := engine.NewProgram("escape")
-	x, y := p.Loc("X", 0), p.Loc("Y", 0)
-	p.AddThread(func(th *engine.Thread) {
-		th.Store(x, 1, memmodel.Relaxed)
-		th.Store(x, 2, memmodel.Relaxed)
-	})
-	p.AddThread(func(th *engine.Thread) { th.Store(y, 1, memmodel.Relaxed) })
-	var got any
-	func() {
-		defer func() { got = recover() }()
-		engine.Run(p, &pickStrategy{next: func(en []engine.PendingOp) memmodel.ThreadID {
-			if len(en) == 1 && en[0].TID == 1 {
-				panic("strategy bug") // thread 2 has finished
-			}
-			return highest(en)
-		}}, 1, engine.Options{})
-	}()
-	if got != "strategy bug" {
-		t.Fatalf("Run panicked with %v, want the strategy's panic", got)
-	}
-}

@@ -42,9 +42,7 @@ func (e *Engine) run() {
 	defer e.teardown()
 	e.start = time.Now()
 	e.endRun = false
-	host := e.startRoots()
-	e.granted = host // the host thread holds the grant while its code runs (see runBody)
-	host.runBody(e.prog.threads[0].fn)
+	e.startRoots().runBody(e.prog.threads[0].fn)
 	e.trampoline(nil)
 }
 
@@ -91,7 +89,7 @@ func (e *Engine) startThread(t *Thread, fn ThreadFunc) {
 
 // coroLoop is the body of a pooled thread coroutine: it serves one
 // ThreadFunc per run and parks on its between-runs yield in between. The
-// yield returns false only when Runner.Close stops the coroutine.
+// yield returns false only when stopThreads stops the coroutine.
 func (t *Thread) coroLoop(yield func(struct{}) bool) {
 	t.yield = yield
 	for {
@@ -112,10 +110,10 @@ func (t *Thread) runBody(fn ThreadFunc) {
 			// between-runs yield returns to teardown), the host to run.
 			return
 		}
-		if r != nil && t.host && t.eng.granted != t {
-			// The host thread was parked in its trampoline: the panic
-			// escaped the thread it resumed, and escapes Run as it would
-			// from run's trampoline.
+		if r != nil && t.parked {
+			// Raised while parked in submit, by a decision (a strategy
+			// callback or an engine invariant) or by the thread the host
+			// trampoline resumed, not by the program: it escapes Run.
 			panic(r)
 		}
 		t.finish(r != nil, r)
@@ -164,23 +162,28 @@ func (t *Thread) park() response {
 		if t.host {
 			if e.trampoline(t) {
 				// The run ended while this thread was parked: unwind its
-				// body on the host, so user-code defers still run.
-				panic(killedError{})
+				// body on the host.
+				panic(t.unwind())
 			}
 			return e.grantRes
 		}
 	}
-	if !t.yield(struct{}{}) {
-		// Runner.Close stopped the coroutine while parked mid-run. Close
-		// only runs between runs (teardown unwinds mid-run threads first),
-		// but iter.Pull surfaces a stop as a false yield: unwind like a
-		// kill so user-code defers still run.
-		panic(killedError{})
-	}
-	if e.killing {
-		panic(killedError{})
+	// A false yield means stopThreads stopped the coroutine while parked
+	// mid-run (it runs after teardown has unwound mid-run threads, but
+	// iter.Pull surfaces a stop as a false yield), and killing that
+	// teardown resumed it: unwind its body.
+	if !t.yield(struct{}{}) || e.killing {
+		panic(t.unwind())
 	}
 	return e.grantRes
+}
+
+// unwind clears the thread's park mark and returns the panic value that
+// unwinds its body, so that user-code defers still run, unmarked: a panic
+// in one is the program's (runBody).
+func (t *Thread) unwind() killedError {
+	t.parked = false
+	return killedError{}
 }
 
 // teardown unwinds every thread coroutine still parked inside its
@@ -210,13 +213,17 @@ func (r *Runner) Close() {
 		return
 	}
 	e.closed = true
+	e.stopThreads()
+}
+
+// stopThreads stops every pooled thread coroutine (the next run creates
+// new ones): one parked between runs returns from coroLoop, one parked
+// mid-run unwinds first (park), and one whose panic escaped is already
+// dead. iter.Pull's stop returns only after the coroutine has exited.
+func (e *Engine) stopThreads() {
 	for _, t := range e.threads[:cap(e.threads)] {
 		if t != nil && t.live {
 			t.live = false
-			// stop resumes the coroutine parked on its between-runs
-			// yield; the yield returns false and coroLoop returns.
-			// iter.Pull's stop is synchronous: it returns only after
-			// the coroutine has exited.
 			t.stop()
 		}
 	}

@@ -60,7 +60,9 @@ type Thread struct {
 
 	// firstPark marks the one park in a coroutine thread's life that must
 	// report to the starter instead of driving the scheduler itself.
+	// parked marks the thread while it is parked in submit (see runBody).
 	firstPark bool
+	parked    bool
 
 	// rc11 memory-model state (paper §5.1 / Algorithm 2), each view with
 	// its happens-before clock; only cur's clock, ticked per event, is
@@ -111,6 +113,7 @@ func (t *Thread) recycle() {
 	t.nextIndex = 0
 	t.finished = false
 	t.started = false
+	t.parked = false
 	t.resetSpin()
 }
 
@@ -128,7 +131,10 @@ func (t *Thread) submit() response {
 		Loc:   t.req.loc,
 		Comm:  t.eng.model.commSink(kind, t.req.order),
 	}
-	return t.park()
+	t.parked = true
+	res := t.park()
+	t.parked = false
+	return res
 }
 
 // Load performs an atomic (or, with memmodel.NonAtomic, a plain) load of

@@ -99,6 +99,80 @@ func TestRunLitmusPanicFails(t *testing.T) {
 	}
 }
 
+// lateBugStrategy wraps Random and, on the runs whose Begin-time draw
+// Intn(4) is 0 (doomed), panics at its third NextThread when armed: a
+// strategy bug raised inside a decision, after the run has started.
+// Unarmed, it makes the same draws and runs the same schedules.
+type lateBugStrategy struct {
+	engine.Strategy
+	armed, doomed bool
+	decisions     int
+}
+
+func (s *lateBugStrategy) Begin(info engine.ProgramInfo, rng *rand.Rand) {
+	s.doomed, s.decisions = info.Rand.Intn(4) == 0, 0
+	s.Strategy.Begin(info, rng)
+}
+func (s *lateBugStrategy) NextThread(en []engine.PendingOp) memmodel.ThreadID {
+	if s.decisions++; s.armed && s.doomed && s.decisions == 3 {
+		panic("strategy bug")
+	}
+	return s.Strategy.NextThread(en)
+}
+
+// TestStrategyBugIsNotAProgramBug: a strategy panic inside a decision
+// escapes the engine, so the campaign counts it in Panics and never as
+// the program's bug, at any worker count, and a captured one is a
+// deterministic harness-panic bundle. The other trials run the schedules
+// they run without the bug.
+func TestStrategyBugIsNotAProgramBug(t *testing.T) {
+	b, err := benchprog.ByName("dekker")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, opts := b.Program(0), b.Options()
+	const runs, seed = 400, 1
+	doomed := map[int64]bool{}
+	wantPanics, wantHits := 0, 0
+	r := engine.NewRunner(prog, opts)
+	defer r.Close()
+	for i := int64(0); i < runs; i++ {
+		s := &lateBugStrategy{Strategy: core.NewRandom()}
+		hit := b.Detect(r.Run(s, seed+i))
+		doomed[seed+i] = s.doomed
+		if s.doomed {
+			wantPanics++
+		} else if hit {
+			wantHits++
+		}
+	}
+	newStrategy := func() engine.Strategy { return &lateBugStrategy{Strategy: core.NewRandom(), armed: true} }
+	for _, workers := range []int{1, 4} {
+		res := RunCampaign(prog, b.Detect, newStrategy, runs, seed, opts, Campaign{Workers: workers})
+		if res.Runs != runs || res.Panics != wantPanics || res.Hits != wantHits {
+			t.Errorf("%d workers: %d runs, %d panics, %d hits: want %d, %d and %d",
+				workers, res.Runs, res.Panics, res.Hits, runs, wantPanics, wantHits)
+		}
+	}
+
+	res := RunCampaign(prog, b.Detect, newStrategy, runs, seed, opts,
+		Campaign{Workers: 1, ReproDir: t.TempDir(), MaxRepros: 10})
+	captured := 0
+	for _, f := range res.Failures {
+		if !doomed[f.Seed] {
+			continue
+		}
+		captured++
+		if f.Kind != "harness-panic" || f.Triage != replay.TriageDeterministic {
+			t.Errorf("seed %d's strategy panic captured as %s (triage %s), want a DETERMINISTIC harness-panic",
+				f.Seed, f.Kind, f.Triage)
+		}
+	}
+	if captured == 0 {
+		t.Fatalf("no strategy panic among the %d captured failures", len(res.Failures))
+	}
+}
+
 // panickyProgram panics inside a ThreadFunc when the load observes the
 // sibling's store — a user-program crash that only some schedules reach.
 // The engine contains it as a PanicError outcome.

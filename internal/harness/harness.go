@@ -67,9 +67,10 @@ type TrialResult struct {
 	Hits     int `json:"hits"`
 	Aborted  int `json:"aborted"`
 	Deadlock int `json:"deadlock"`
-	// Panics counts trials whose panic escaped the engine (a strategy or
-	// harness bug): the worker recovered, quarantined its Runner, and kept
-	// going (see RunCampaign).
+	// Panics counts trials whose panic escaped the engine (a strategy
+	// callback or an engine invariant; the program's panics are crashes).
+	// None is a hit: the worker replaced its strategy, kept its Runner and
+	// went on (see RunCampaign).
 	Panics int `json:"panics"`
 	// Timeouts counts trials aborted by the per-trial wall-clock watchdog
 	// (engine.Options.MaxWallTime).

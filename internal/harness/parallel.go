@@ -148,11 +148,12 @@ type TrialFailure struct {
 // cancellation, per-trial and campaign-level watchdogs, and the repro
 // sink. See Campaign for the knobs.
 //
-// Panic quarantine: a panic that escapes engine.Runner.Run (a buggy
-// strategy, a harness bug) is recovered at the trial boundary, counted in
-// TrialResult.Panics, and the worker's possibly-corrupted Runner and
-// strategy are replaced with fresh ones — one hostile trial never poisons
-// a sibling worker's trials or the rest of the worker's own rounds.
+// Panic quarantine: a panic that escapes engine.Runner.Run (a strategy
+// callback or an engine invariant, not the program) is recovered at the
+// trial boundary and counted in TrialResult.Panics, never as a hit. Run
+// restored the Runner, so the worker keeps it and replaces only the
+// strategy, whose state is its own — one hostile trial never poisons a
+// sibling worker's trials or the rest of the worker's own rounds.
 //
 // The rounds run in chunks of consecutive indices, each on its own worker
 // pool, and every chunk's result is folded into the campaign's. Without
@@ -432,9 +433,9 @@ type panicInfo struct {
 }
 
 // safeRun executes one trial with a recover boundary: a panic out of
-// Runner.Run (strategy bug, harness bug — user-program panics are already
-// contained by the engine and surface as PanicError outcomes) is
-// converted into a structured panicInfo instead of killing the worker.
+// Runner.Run (a strategy or engine bug — the program's own panics surface
+// as PanicError outcomes) is converted into a structured panicInfo
+// instead of killing the worker.
 func safeRun(r *engine.Runner, strat engine.Strategy, seed int64) (o *engine.Outcome, pan *panicInfo) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -442,17 +443,6 @@ func safeRun(r *engine.Runner, strat engine.Strategy, seed int64) (o *engine.Out
 		}
 	}()
 	return r.Run(strat, seed), nil
-}
-
-// closeQuarantined releases a Runner whose last trial panicked. The
-// Runner's internal state is suspect, so Close runs on a side goroutine
-// with its own recover: if teardown itself wedges or panics, the campaign
-// loses one goroutine instead of a worker.
-func closeQuarantined(r *engine.Runner) {
-	go func() {
-		defer func() { recover() }()
-		r.Close()
-	}()
 }
 
 // runWorker drains the chunk's n rounds, starting at campaign index
@@ -463,7 +453,7 @@ func closeQuarantined(r *engine.Runner) {
 // this worker's private engine-counter shard, metrics the shared campaign
 // hub (atomics, touched once per trial). strat is the worker's
 // already-created strategy (its Name labels the worker's pprof context);
-// newStrategy only mints quarantine replacements.
+// newStrategy only mints the replacements of a strategy that panicked.
 func runWorker(prog *engine.Program, detect func(*engine.Outcome) bool,
 	strat engine.Strategy, newStrategy func() engine.Strategy, first, n int, seed int64, opts engine.Options,
 	next *atomic.Int64, ctx context.Context, sink *reproSink, ws *workerState,
@@ -475,7 +465,7 @@ func runWorker(prog *engine.Program, detect func(*engine.Outcome) bool,
 		defer metrics.WorkerDone()
 	}
 	r := engine.NewRunner(prog, opts)
-	defer func() { r.Close() }()
+	defer r.Close()
 	for {
 		j := int(next.Add(1)) - 1
 		if j >= n {
@@ -494,8 +484,8 @@ func runWorker(prog *engine.Program, detect func(*engine.Outcome) bool,
 		o, pan := safeRun(r, strat, s)
 		local.Runs++
 		if pan != nil {
-			// Quarantine: count the panic, replace the suspect Runner and
-			// strategy, and keep draining rounds.
+			// Quarantine: count the panic, replace the strategy and keep
+			// draining rounds on the Runner, which Run restored.
 			local.Panics++
 			if metrics != nil {
 				metrics.ObserveTrial(telemetry.TrialObs{Quarantined: true})
@@ -504,8 +494,6 @@ func runWorker(prog *engine.Program, detect func(*engine.Outcome) bool,
 				sink.capture(s, 0, "harness-panic", "panic escaped the engine: "+pan.val,
 					replay.OutcomeSummary{}, pan)
 			}
-			closeQuarantined(r)
-			r = engine.NewRunner(prog, opts)
 			strat = newStrategy()
 			continue
 		}
@@ -720,11 +708,7 @@ func (s *reproSink) triage(seed int64, fp uint64, kind, msg string, orig replay.
 	rec := replay.NewRecorder(strat)
 	fresh := engine.NewRunner(s.prog, reOpts)
 	o2, pan2 := safeRun(fresh, rec, seed)
-	if pan2 == nil {
-		fresh.Close()
-	} else {
-		closeQuarantined(fresh)
-	}
+	fresh.Close()
 
 	bundle := replay.NewBundle(s.prog, stratName, seed, reOpts)
 	bundle.Trace = rec.Trace()

@@ -32,7 +32,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	counter("pctwm_trials_total", "Trials completed across all campaigns.", s.Trials)
 	counter("pctwm_trial_hits_total", "Failed (bug-hitting) trials: assertion violations, races, panics, deadlocks.", s.Hits)
 	counter("pctwm_trial_deadlocks_total", "Trials that ended in a reported deadlock.", s.Deadlocks)
-	counter("pctwm_trial_quarantines_total", "Trials whose worker panicked and was quarantined (fresh Runner swapped in).", s.Quarantines)
+	counter("pctwm_trial_quarantines_total", "Trials whose panic escaped the engine: a strategy or engine bug, not the program's (the worker replaced its strategy).", s.Quarantines)
 	counter("pctwm_trial_timeouts_total", "Trials stopped by the per-trial wall-clock watchdog.", s.Timeouts)
 	counter("pctwm_trial_cancels_total", "Trials cut short by campaign cancellation.", s.Cancels)
 	counter("pctwm_events_total", "Events executed across all trials.", s.Events)

@@ -55,7 +55,8 @@ type TrialObs struct {
 	// Hit marks a failed (bug-hitting) outcome: assertion violation,
 	// detected race, or structured panic/deadlock error.
 	Hit bool
-	// Quarantined marks a trial whose worker panicked and was replaced.
+	// Quarantined marks a trial whose panic escaped the engine (a strategy
+	// or engine bug): the worker replaced its strategy.
 	Quarantined bool
 	// TimedOut marks a per-trial wall-clock watchdog expiry.
 	TimedOut bool

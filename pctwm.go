@@ -110,8 +110,9 @@ func Run(p *Program, s Strategy, seed int64, opts Options) *Outcome {
 // NewRunner prepares a reusable Runner for the program: location tables,
 // message storage, thread shells and their coroutines survive between
 // Run calls. For a fixed strategy and seed, a run's Outcome is identical
-// whether the Runner is fresh or reused. A Runner is not safe for
-// concurrent use; give each worker goroutine its own.
+// whether the Runner is fresh or reused, and a Runner stays usable after a
+// panic of the strategy or the engine escaped its Run. A Runner is not
+// safe for concurrent use; give each worker goroutine its own.
 func NewRunner(p *Program, opts Options) *Runner { return engine.NewRunner(p, opts) }
 
 // NewRandomStrategy returns the C11Tester-style naive random strategy:
