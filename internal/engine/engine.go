@@ -42,14 +42,13 @@ type Engine struct {
 	// Scheduler state (all accesses serialized by the baton, see
 	// sched.go). The parking thread publishes the next grant in
 	// granted/grantRes; the trampoline resumes granted, which reads
-	// grantRes. endRun tells the trampoline the run is over, and start is
-	// when it began; killing turns teardown resumes into unwinds; startFn
+	// grantRes. endRun tells the trampoline the run is over, and turns
+	// teardown resumes into unwinds; start is when the run began; startFn
 	// carries the ThreadFunc into a coroutine being started.
 	granted  *Thread
 	grantRes response
 	endRun   bool
 	start    time.Time
-	killing  bool
 	startFn  ThreadFunc
 	closed   bool
 
@@ -208,23 +207,15 @@ func (r *Runner) Program() *Program { return r.e.prog }
 // Runner state and stays valid across subsequent runs.
 //
 // A panic of a strategy callback or an engine invariant escapes Run after
-// Run has restored the Runner: its next run equals a fresh Runner's.
+// the run's teardown has restored the Runner: its next run equals a fresh
+// Runner's.
 func (r *Runner) Run(strat Strategy, seed int64) *Outcome {
 	e := &r.e
 	if e.closed {
 		panic("pctwm: Runner.Run called after Close")
 	}
 	e.reset(strat, seed)
-	ran := false
-	defer func() {
-		if !ran {
-			// A panic escaped run: restore the Runner and let it go on.
-			e.stopThreads()
-			e.releaseRun()
-		}
-	}()
 	e.run()
-	ran = true
 	e.finalize()
 	if rr := e.rec; rr != nil {
 		rr.out = e.outcome

@@ -32,9 +32,6 @@ func (e *Engine) apply(t *Thread) response {
 	case opExchange:
 		res.value = e.model.execRMW(t, req.loc, req.order, func(memmodel.Value) memmodel.Value { return req.value })
 	case opFence:
-		if !req.order.IsAcquire() && !req.order.IsRelease() {
-			panic(fmt.Sprintf("pctwm: fence with order %s", req.order))
-		}
 		ev, _ := e.beginEvent(t, memmodel.Label{Kind: memmodel.KindFence, Order: req.order})
 		e.model.onFence(t, req.order)
 		e.finishEvent(t, ev)
@@ -83,13 +80,8 @@ func (e *Engine) finishEvent(t *Thread, ev *memmodel.Event) {
 	e.strat.OnEvent(ev)
 }
 
-func (e *Engine) loc(l memmodel.Loc) *location {
-	i := int(l) - 1
-	if i < 0 || i >= len(e.locs) {
-		panic(fmt.Sprintf("pctwm: access to invalid location %d", l))
-	}
-	return &e.locs[i]
-}
+// loc returns the location of an access, whose range submit checked.
+func (e *Engine) loc(l memmodel.Loc) *location { return &e.locs[l-1] }
 
 func (e *Engine) execSpawn(t *Thread, fn ThreadFunc) *ThreadHandle {
 	e.model.onSpawn(t)

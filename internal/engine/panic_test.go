@@ -22,6 +22,7 @@ type faultyStrategy struct {
 	spun      [4]bool
 	last      memmodel.ThreadID
 	decisions int
+	struck    bool // a fault panicked in this run
 }
 
 func (s *faultyStrategy) Name() string { return "faulty" }
@@ -82,22 +83,25 @@ func isEnabled(en []engine.PendingOp, tid memmodel.ThreadID) bool {
 // panicProgram has three threads, so that two coroutines hand off to
 // each other: thread 1, the host thread, stores X and spins until it
 // reads F set; thread 2 spawns thread 3, loads X and joins thread 3;
-// thread 3 sets F. The thread whose id is crash panics right after its
-// store.
-func panicProgram(crash memmodel.ThreadID) *engine.Program {
+// thread 3 sets F. Threads 1 and 2 defer a store to D, so that a panic
+// unwinds an operation on the host and on a coroutine. The thread whose
+// id is crash runs bug right after its store.
+func panicProgram(crash memmodel.ThreadID, bug func(*engine.Thread)) *engine.Program {
 	p := engine.NewProgram("panic-points")
-	x, f := p.Loc("X", 0), p.Loc("F", 0)
+	x, f, d := p.Loc("X", 0), p.Loc("F", 0), p.Loc("D", 0)
 	store := func(th *engine.Thread, l memmodel.Loc) {
 		th.Store(l, 1, memmodel.Relaxed)
 		if th.ID() == crash {
-			panic("program bug")
+			bug(th)
 		}
 	}
 	p.AddThread(func(th *engine.Thread) {
+		defer th.Store(d, 1, memmodel.Relaxed)
 		store(th, x)
 		spinOn(th, x, f)
 	})
 	p.AddThread(func(th *engine.Thread) {
+		defer th.Store(d, 2, memmodel.Relaxed)
 		h := th.Spawn(func(c *engine.Thread) { store(c, f) })
 		th.Load(x, memmodel.Relaxed)
 		th.Join(h)
@@ -105,15 +109,19 @@ func panicProgram(crash memmodel.ThreadID) *engine.Program {
 	return p
 }
 
-// TestPanicRule: a panic raised by the program's own code is that
-// thread's crash, and every other panic escapes Run: one raised by any
-// strategy callback, or by an engine invariant inside a decision. After
-// it, the same Runner's next runs equal a fresh Runner's, Recording
-// included; panicked runs leak no goroutine, and Close releases the pool.
+// TestPanicRule: a panic raised by the program's own code, or by misuse
+// the thread's operation shows, is that thread's crash, and every other
+// panic escapes Run: one raised by any strategy callback, or by an engine
+// invariant inside a decision. The deferred operations it unwinds make
+// no decision. After it, the same Runner's next runs equal a fresh
+// Runner's, Recording included; panicked runs leak no goroutine, and
+// Close releases the pool.
 func TestPanicRule(t *testing.T) {
+	// A fault strikes once per run, as a strategy bug on one path does.
 	panicIn := func(hook string, when cond) fault {
 		return func(s *faultyStrategy, h string, tid memmodel.ThreadID, en []engine.PendingOp) int {
-			if h == hook && when(s, tid, en) {
+			if h == hook && !s.struck && when(s, tid, en) {
+				s.struck = true
 				panic("strategy bug in " + hook)
 			}
 			return -1
@@ -136,7 +144,8 @@ func TestPanicRule(t *testing.T) {
 
 	cases := []struct {
 		name  string
-		crash memmodel.ThreadID // the thread that panics in its own code, or 0
+		crash memmodel.ThreadID // the thread that runs bug, or 0
+		bug   func(*engine.Thread)
 		fault fault
 		// want is what Run panics with or, for a crash, the PanicError's
 		// message.
@@ -165,8 +174,14 @@ func TestPanicRule(t *testing.T) {
 		{name: "non-enabled NextThread", fault: choose("NextThread", func(_ *faultyStrategy, _ memmodel.ThreadID, en []engine.PendingOp) bool {
 			return !isEnabled(en, 2) // blocked in Join
 		}, 2), want: "strategy faulty chose non-enabled thread 2"},
-		{name: "program panic in thread 1", crash: 1, fault: none, want: "thread T1 (t1) crashed: program bug"},
-		{name: "program panic in thread 3", crash: 3, fault: none, want: "thread T2.3 (t3) crashed: program bug"},
+		{name: "program panic in thread 1", crash: 1, bug: func(*engine.Thread) { panic("program bug") },
+			fault: none, want: "thread T1 (t1) crashed: program bug"},
+		{name: "program panic in thread 3", crash: 3, bug: func(*engine.Thread) { panic("program bug") },
+			fault: none, want: "thread T2.3 (t3) crashed: program bug"},
+		{name: "relaxed fence in thread 3", crash: 3, bug: func(th *engine.Thread) { th.Fence(memmodel.Relaxed) },
+			fault: none, want: "thread T2.3 (t3) crashed: pctwm: fence with order rlx"},
+		{name: "invalid location in thread 1", crash: 1, bug: func(th *engine.Thread) { th.Load(99, memmodel.Relaxed) },
+			fault: none, want: "thread T1 (t1) crashed: pctwm: access to invalid location 99"},
 	}
 	for _, model := range engine.Models() {
 		opts := engine.Options{Model: model, Record: true, DetectRaces: true, Coverage: true}
@@ -176,7 +191,7 @@ func TestPanicRule(t *testing.T) {
 			}
 			t.Run(model+"/"+c.name, func(t *testing.T) {
 				base := runtime.NumGoroutine()
-				p := panicProgram(c.crash)
+				p := panicProgram(c.crash, c.bug)
 				faulty := func(r *engine.Runner) (o *engine.Outcome, got any) {
 					defer func() { got = recover() }()
 					return r.Run(&faultyStrategy{fault: c.fault}, 1), nil
@@ -184,8 +199,11 @@ func TestPanicRule(t *testing.T) {
 				r := engine.NewRunner(p, opts)
 				o, got := faulty(r)
 				if c.crash != 0 {
-					if got != nil || o.Err == nil || o.Err.Kind != engine.PanicError || o.Err.TID != c.crash || o.Err.Msg != c.want {
-						t.Fatalf("Run panicked with %v, Err %+v: want thread %d's crash %q", got, o.Err, c.crash, c.want)
+					if got != nil {
+						t.Fatalf("Run panicked with %v, want thread %d's crash %q", got, c.crash, c.want)
+					}
+					if o.Err == nil || o.Err.Kind != engine.PanicError || o.Err.TID != c.crash || o.Err.Msg != c.want {
+						t.Fatalf("Err %+v, want thread %d's crash %q", o.Err, c.crash, c.want)
 					}
 				} else if s, _ := got.(string); !strings.Contains(s, c.want) {
 					t.Fatalf("Run panicked with %v, want %q", got, c.want)
@@ -249,28 +267,50 @@ func TestFirstDecisionPanicEscapesRun(t *testing.T) {
 	}
 }
 
-// TestTornDownThreadDeferredPanicIsItsCrash: a deferred call that panics
-// while the run tears its thread down, thread 1 unwound on the host and
-// thread 2 by teardown, is the program's panic: that thread's crash, not
-// an escape from Run, and the Runner's next runs equal a fresh Runner's.
-func TestTornDownThreadDeferredPanicIsItsCrash(t *testing.T) {
-	p := engine.NewProgram("deferred-panic")
-	f := p.Loc("F", 0)
-	for i := 0; i < 2; i++ {
-		p.AddThread(func(th *engine.Thread) {
-			defer func() { panic("deferred bug") }()
-			spinOn(th, 0, f)
-		})
+// TestTornDownThreadDeferredCalls: as a deadlock's end tears the threads
+// down, thread 1 unwound on the host and threads 2 and 3 by teardown, a
+// deferred call's operation is not performed and unwinds that call, and
+// a deferred call that panics is the program's panic: that thread's
+// crash, not an escape from Run. Neither makes a decision, though thread
+// 3, which joins thread 2, is enabled once thread 2 has crashed. The
+// Runner's next runs equal a fresh Runner's.
+func TestTornDownThreadDeferredCalls(t *testing.T) {
+	p := engine.NewProgram("deferred-calls")
+	x, d := p.Loc("X", 0), p.Loc("D", 0)
+	after := 0 // deferred calls that went on after their operation
+	store := func(th *engine.Thread) {
+		th.Store(d, 1, memmodel.Relaxed)
+		after++
 	}
-	opts := engine.Options{MaxSteps: 20}
+	crash := func() { panic("deferred bug") }
+	p.AddThread(func(th *engine.Thread) {
+		defer crash()
+		defer store(th)
+		var h2 *engine.ThreadHandle
+		h2 = th.Spawn(func(c *engine.Thread) {
+			defer crash()
+			defer store(c)
+			c.Load(x, memmodel.Relaxed)
+			c.Join(h2) // itself: never enabled
+		})
+		h3 := th.Spawn(func(c *engine.Thread) {
+			defer crash()
+			c.Join(h2)
+		})
+		th.Join(h3)
+	})
+	var opts engine.Options
 	r := engine.NewRunner(p, opts)
 	defer r.Close()
-	want := []string{"thread T1 (t1) crashed: deferred bug", "thread T2 (t2) crashed: deferred bug"}
+	want := []string{"thread T1 (t1) crashed: deferred bug", "thread T1.2 (t2) crashed: deferred bug",
+		"thread T1.3 (t3) crashed: deferred bug"}
 	for i := 0; i < 3; i++ {
+		after = 0
 		o := stripTiming(r.Run(&pickStrategy{next: lowest}, 1))
-		if !o.Aborted || !reflect.DeepEqual(o.BugMessages, want) {
-			t.Fatalf("run %d: aborted %v, bug messages %q: want a step-limit abort and the crashes %q",
-				i, o.Aborted, o.BugMessages, want)
+		if !o.Deadlocked || o.Steps != 3 || o.FinalValues["D"] != 0 || after != 0 || !reflect.DeepEqual(o.BugMessages, want) {
+			t.Fatalf("run %d: deadlocked %v after %d steps, D = %d, %d deferred calls went on after their store, bug messages %q: "+
+				"want a deadlock after 3 steps, D unwritten, none, and the crashes %q",
+				i, o.Deadlocked, o.Steps, o.FinalValues["D"], after, o.BugMessages, want)
 		}
 		if f := stripTiming(engine.Run(p, &pickStrategy{next: lowest}, 1, opts)); !reflect.DeepEqual(o, f) {
 			t.Fatalf("run %d: the reused Runner's run differs from a fresh Runner's:\nreused: %+v\nfresh:  %+v", i, o, f)

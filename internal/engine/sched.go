@@ -110,10 +110,11 @@ func (t *Thread) runBody(fn ThreadFunc) {
 			// between-runs yield returns to teardown), the host to run.
 			return
 		}
-		if r != nil && t.parked {
+		if r != nil && t.parked && !t.eng.endRun {
 			// Raised while parked in submit, by a decision (a strategy
 			// callback or an engine invariant) or by the thread the host
-			// trampoline resumed, not by the program: it escapes Run.
+			// trampoline resumed: it escapes Run. After the run's end, it
+			// is the program's, raised by a deferred call.
 			panic(r)
 		}
 		t.finish(r != nil, r)
@@ -128,10 +129,10 @@ func (t *Thread) runBody(fn ThreadFunc) {
 func (t *Thread) finish(panicked bool, val any) {
 	e := t.eng
 	e.finishThread(t, panicked, val)
-	if t.firstPark {
-		// Finished without ever parking: the starter holds the baton and is
-		// blocked in startThread's resume call. The completion is accounted
-		// (we are serialized with the starter), so fall out.
+	if t.firstPark || e.endRun {
+		// Finished without ever parking (the starter holds the baton and
+		// is blocked in startThread's resume call; the completion is
+		// accounted), or after the run's end: make no decision.
 		return
 	}
 	// This thread was the last granted: it holds the baton and drives the
@@ -162,28 +163,19 @@ func (t *Thread) park() response {
 		if t.host {
 			if e.trampoline(t) {
 				// The run ended while this thread was parked: unwind its
-				// body on the host.
-				panic(t.unwind())
+				// body on the host, so user-code defers still run.
+				panic(killedError{})
 			}
 			return e.grantRes
 		}
 	}
-	// A false yield means stopThreads stopped the coroutine while parked
-	// mid-run (it runs after teardown has unwound mid-run threads, but
-	// iter.Pull surfaces a stop as a false yield), and killing that
-	// teardown resumed it: unwind its body.
-	if !t.yield(struct{}{}) || e.killing {
-		panic(t.unwind())
+	// The run ended while this coroutine was parked: teardown resumed it,
+	// or stopThreads stopped it (a false yield): unwind its body, so
+	// user-code defers still run.
+	if !t.yield(struct{}{}) || e.endRun {
+		panic(killedError{})
 	}
 	return e.grantRes
-}
-
-// unwind clears the thread's park mark and returns the panic value that
-// unwinds its body, so that user-code defers still run, unmarked: a panic
-// in one is the program's (runBody).
-func (t *Thread) unwind() killedError {
-	t.parked = false
-	return killedError{}
 }
 
 // teardown unwinds every thread coroutine still parked inside its
@@ -193,15 +185,21 @@ func (t *Thread) unwind() killedError {
 // unwound on the host when the run ended. Each resume below returns when
 // the killed thread has finished unwinding its user-code stack and parked
 // between runs, so the run's pooled state is quiescent when releaseRun
-// executes.
+// executes. A run that reaches teardown without having ended is one a
+// panic escapes: teardown then also restores the Runner before the panic
+// goes on, stopping every pooled coroutine and releasing the run.
 func (e *Engine) teardown() {
-	e.killing = true
+	escaped := !e.endRun
+	e.endRun = true
 	for _, t := range e.threads {
 		if t.started && !t.finished && !t.host {
 			t.resume()
 		}
 	}
-	e.killing = false
+	if escaped {
+		e.stopThreads()
+		e.releaseRun()
+	}
 }
 
 // Close releases the Runner's pooled thread coroutines. It must not be

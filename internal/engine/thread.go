@@ -122,6 +122,19 @@ func (t *Thread) recycle() {
 // PendingOp summary, so enabledOps does not recompute it on every
 // scheduling decision while the thread stays parked.
 func (t *Thread) submit() response {
+	if t.parked {
+		// A deferred call's operation as the thread unwinds from a park
+		// makes no decision. After the run's end it unwinds the call too;
+		// while a decision's panic unwinds the thread it is not performed,
+		// so that the panic escapes with its own value (runBody).
+		if t.eng.endRun {
+			panic(killedError{})
+		}
+		return response{}
+	}
+	if t.req.code <= opExchange && uint(t.req.loc-1) >= uint(len(t.eng.locs)) {
+		panic(fmt.Sprintf("pctwm: access to invalid location %d", t.req.loc))
+	}
 	kind := t.req.pendingKind()
 	t.pend = PendingOp{
 		TID:   t.id,
@@ -195,6 +208,9 @@ func (t *Thread) Exchange(loc memmodel.Loc, v memmodel.Value, ord memmodel.Order
 // Fence issues a memory fence with the given order (Acquire, Release,
 // AcqRel or SeqCst).
 func (t *Thread) Fence(ord memmodel.Order) {
+	if !ord.IsAcquire() && !ord.IsRelease() {
+		panic(fmt.Sprintf("pctwm: fence with order %s", ord))
+	}
 	t.req = request{code: opFence, order: ord}
 	t.submit()
 }

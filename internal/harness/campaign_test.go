@@ -124,52 +124,55 @@ func (s *lateBugStrategy) NextThread(en []engine.PendingOp) memmodel.ThreadID {
 // escapes the engine, so the campaign counts it in Panics and never as
 // the program's bug, at any worker count, and a captured one is a
 // deterministic harness-panic bundle. The other trials run the schedules
-// they run without the bug.
+// they run without the bug. Dekker runs without and with extra writes,
+// which its first thread performs in a deferred call.
 func TestStrategyBugIsNotAProgramBug(t *testing.T) {
 	b, err := benchprog.ByName("dekker")
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, opts := b.Program(0), b.Options()
-	const runs, seed = 400, 1
-	doomed := map[int64]bool{}
-	wantPanics, wantHits := 0, 0
-	r := engine.NewRunner(prog, opts)
-	defer r.Close()
-	for i := int64(0); i < runs; i++ {
-		s := &lateBugStrategy{Strategy: core.NewRandom()}
-		hit := b.Detect(r.Run(s, seed+i))
-		doomed[seed+i] = s.doomed
-		if s.doomed {
-			wantPanics++
-		} else if hit {
-			wantHits++
+	for _, extra := range []int{0, 2} {
+		prog, opts := b.Program(extra), b.Options()
+		const runs, seed = 400, 1
+		doomed := map[int64]bool{}
+		wantPanics, wantHits := 0, 0
+		r := engine.NewRunner(prog, opts)
+		for i := int64(0); i < runs; i++ {
+			s := &lateBugStrategy{Strategy: core.NewRandom()}
+			hit := b.Detect(r.Run(s, seed+i))
+			doomed[seed+i] = s.doomed
+			if s.doomed {
+				wantPanics++
+			} else if hit {
+				wantHits++
+			}
 		}
-	}
-	newStrategy := func() engine.Strategy { return &lateBugStrategy{Strategy: core.NewRandom(), armed: true} }
-	for _, workers := range []int{1, 4} {
-		res := RunCampaign(prog, b.Detect, newStrategy, runs, seed, opts, Campaign{Workers: workers})
-		if res.Runs != runs || res.Panics != wantPanics || res.Hits != wantHits {
-			t.Errorf("%d workers: %d runs, %d panics, %d hits: want %d, %d and %d",
-				workers, res.Runs, res.Panics, res.Hits, runs, wantPanics, wantHits)
+		r.Close()
+		newStrategy := func() engine.Strategy { return &lateBugStrategy{Strategy: core.NewRandom(), armed: true} }
+		for _, workers := range []int{1, 4} {
+			res := RunCampaign(prog, b.Detect, newStrategy, runs, seed, opts, Campaign{Workers: workers})
+			if res.Runs != runs || res.Panics != wantPanics || res.Hits != wantHits {
+				t.Errorf("%d extra writes, %d workers: %d runs, %d panics, %d hits: want %d, %d and %d",
+					extra, workers, res.Runs, res.Panics, res.Hits, runs, wantPanics, wantHits)
+			}
 		}
-	}
 
-	res := RunCampaign(prog, b.Detect, newStrategy, runs, seed, opts,
-		Campaign{Workers: 1, ReproDir: t.TempDir(), MaxRepros: 10})
-	captured := 0
-	for _, f := range res.Failures {
-		if !doomed[f.Seed] {
-			continue
+		res := RunCampaign(prog, b.Detect, newStrategy, runs, seed, opts,
+			Campaign{Workers: 1, ReproDir: t.TempDir(), MaxRepros: 10})
+		captured := 0
+		for _, f := range res.Failures {
+			if !doomed[f.Seed] {
+				continue
+			}
+			captured++
+			if f.Kind != "harness-panic" || f.Triage != replay.TriageDeterministic {
+				t.Errorf("%d extra writes: seed %d's strategy panic captured as %s (triage %s), want a DETERMINISTIC harness-panic",
+					extra, f.Seed, f.Kind, f.Triage)
+			}
 		}
-		captured++
-		if f.Kind != "harness-panic" || f.Triage != replay.TriageDeterministic {
-			t.Errorf("seed %d's strategy panic captured as %s (triage %s), want a DETERMINISTIC harness-panic",
-				f.Seed, f.Kind, f.Triage)
+		if captured == 0 {
+			t.Fatalf("%d extra writes: no strategy panic among the %d captured failures", extra, len(res.Failures))
 		}
-	}
-	if captured == 0 {
-		t.Fatalf("no strategy panic among the %d captured failures", len(res.Failures))
 	}
 }
 
