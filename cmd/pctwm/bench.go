@@ -107,7 +107,7 @@ func benchCmd(args []string, stdout, stderr io.Writer) int {
 		prog := b.Program(0)
 		opts := b.Options()
 		opts.Model = model.name
-		est := harness.EstimateParams(prog, 20, t.seed^0x5eed, opts)
+		est := harness.Profile(prog, opts)
 		d := t.depthFor(b.Depth)
 		row := fmt.Sprintf("%s\t%d", b.Name, d)
 		if cp.Metrics != nil {

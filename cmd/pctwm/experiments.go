@@ -121,8 +121,8 @@ func experimentsCmd(args []string, stdout, stderr io.Writer) int {
 		cfg.PerfRuns = *perfruns
 	}
 	cfg.Seed = *seed
+	cfg.Model = model.name
 	cfg.Campaign = cp.Campaign
-	cfg.Campaign.Model = model.name
 	err = run(stdout, cfg)
 	cp.stop()
 	if errors.Is(err, report.ErrInterrupted) {

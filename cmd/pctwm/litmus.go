@@ -14,10 +14,6 @@ import (
 	"pctwm/internal/litmus"
 )
 
-// litmusEstimate stands in for the profiling estimate: litmus tests are
-// a few events long, so PCT and PCTWM get fixed k and kcom.
-var litmusEstimate = harness.Estimate{K: 30, KCom: 15}
-
 // litmusCmd is `pctwm litmus`: it runs the weak-memory litmus
 // conformance suite under a chosen strategy and reports the observed
 // outcome histograms. It exits 1 on a conformance failure.
@@ -25,11 +21,12 @@ var litmusEstimate = harness.Estimate{K: 30, KCom: 15}
 //	pctwm litmus [-strategy c11tester|pct|pctwm] [-runs N] [-d D] [-y H] [-s SEED]
 //	             [-workers N] [-coverage [-census FILE]]
 //
-// Each test runs as one campaign (harness.RunLitmus) of -runs trials,
-// round i at seed+i, over -workers workers. Its detect hook tallies the
-// outcome histogram (litmus.Report), and the report is the same at every
-// worker count. A trial whose panic the campaign quarantined fails the
-// test.
+// Each test runs as one campaign (harness.RunLitmus) of -runs trials
+// under -engine.model, round i at seed+i, over -workers workers, with
+// the strategy at the test's estimate under that model (harness.Profile,
+// the rule every command uses). Its detect hook tallies the outcome
+// histogram (litmus.Report), and the report is the same at every worker
+// count. A trial whose panic the campaign quarantined fails the test.
 // -coverage also fingerprints every complete trial of that campaign
 // (internal/coverage) and prints the distinct-behavior count and
 // saturation estimate per test.
@@ -55,7 +52,7 @@ func litmusCmd(args []string, stdout, stderr io.Writer) int {
 		return c.fail(2, "-census requires -coverage")
 	}
 	factory := strategies[string(t.strategy)](t.depth, t.history)
-	newStrategy := func() engine.Strategy { return factory(litmusEstimate) }
+	opts := engine.Options{Model: model.name}
 
 	suite := litmus.Suite()
 	// The census file is an array (one entry per test `pctwm explore`
@@ -91,8 +88,9 @@ func litmusCmd(args []string, stdout, stderr io.Writer) int {
 
 	failures := 0
 	for _, lt := range suite {
-		rep, res := harness.RunLitmus(lt, newStrategy, t.runs, t.seed,
-			harness.Campaign{Workers: *workers, Coverage: *covFlag, Model: model.name})
+		est := harness.Profile(lt.Program, opts)
+		rep, res := harness.RunLitmus(lt, func() engine.Strategy { return factory(est) }, t.runs, t.seed, opts,
+			harness.Campaign{Workers: *workers, Coverage: *covFlag})
 		status := "ok  "
 		switch {
 		case len(rep.Illegal) > 0 || rep.Panics > 0:

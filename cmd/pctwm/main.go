@@ -257,8 +257,9 @@ type trial struct {
 	newStrategy func() engine.Strategy
 }
 
-// trial resolves -b name, sets the model, estimates k and kcom from
-// profiling runs as the paper does, and builds the -strategy factory.
+// trial resolves -b name, sets the model, estimates k and kcom by the
+// one rule (harness.Profile, Table 1's), and builds the -strategy
+// factory.
 func (t *trialFlags) trial(name, model string, extraWrites int) (*trial, error) {
 	p, err := lookupProgram(name)
 	if err != nil {
@@ -266,7 +267,7 @@ func (t *trialFlags) trial(name, model string, extraWrites int) (*trial, error) 
 	}
 	p.opts.Model = model
 	prog := p.build(extraWrites)
-	est := harness.EstimateParams(prog, 20, t.seed^0x5eed, p.opts)
+	est := harness.Profile(prog, p.opts)
 	factory := strategies[string(t.strategy)](t.depthFor(p.depth), t.history)
 	return &trial{p, prog, est, func() engine.Strategy { return factory(est) }}, nil
 }

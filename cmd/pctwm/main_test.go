@@ -89,6 +89,30 @@ func TestSubcommands(t *testing.T) {
 	}
 }
 
+// TestRunEstimateIsTable1s: `pctwm run` estimates a benchmark by Table
+// 1's rule, so for each of the nine benchmarks it prints Table 1's k and
+// kcom, and a campaign it runs tests the strategy the tables test.
+func TestRunEstimateIsTable1s(t *testing.T) {
+	code, table, stderr := call("experiments", "-section", "table1")
+	if code != 0 {
+		t.Fatalf("experiments -section table1: exit %d\n%s", code, stderr)
+	}
+	rows := strings.Split(strings.TrimSpace(table), "\n")[2:] // title, header
+	if len(rows) != 9 {
+		t.Fatalf("Table 1 has %d rows, want 9:\n%s", len(rows), table)
+	}
+	for _, row := range rows {
+		f := strings.Fields(row) // Benchmark LOC k kcom d
+		code, stdout, stderr := call("run", "-b", f[0], "-runs", "1")
+		if code != 0 {
+			t.Fatalf("run -b %s: exit %d\n%s", f[0], code, stderr)
+		}
+		if want := fmt.Sprintf("%s under pctwm: estimated k=%s kcom=%s ", f[0], f[2], f[3]); !strings.Contains(stdout, want) {
+			t.Errorf("run -b %s prints %q, want Table 1's %q", f[0], strings.SplitN(stdout, "\n", 2)[0], want)
+		}
+	}
+}
+
 // TestUsageErrors: every usage error exits 2.
 func TestUsageErrors(t *testing.T) {
 	dir := t.TempDir()

@@ -12,10 +12,12 @@ import (
 //
 //	pctwm run -b dekker [-strategy pctwm] [-runs 1000] [-d D] [-y H] [-s SEED] [-extra-writes N] [-v]
 //
-// The strategy parameters k and kcom are estimated from profiling runs,
-// as in the paper. -b accepts the nine Table-1 benchmark names, p1, mp2,
-// and the application names iris, mabain, silo. -v first searches for
-// and prints the first failing round.
+// The strategy parameters k and kcom are estimated by the rule every
+// command and report section uses, Table 1's (harness.Profile): for a
+// benchmark, run prints Table 1's k and kcom, and its campaign at -s S
+// is the report's campaign at seed S. -b accepts the nine Table-1
+// benchmark names, p1, mp2, and the application names iris, mabain,
+// silo. -v first searches for and prints the first failing round.
 func runCmd(args []string, stdout, stderr io.Writer) int {
 	c := newCmd("run", stdout, stderr)
 	name := c.String("b", "", "benchmark or application name (required)")

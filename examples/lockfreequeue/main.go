@@ -94,7 +94,7 @@ func main() {
 		{"correct (release/acquire)", pctwm.Release, pctwm.Acquire, false},
 	} {
 		p := build("msqueue-"+v.label, v.pub, v.walk)
-		est := pctwm.Estimate(p, 20, 3, opts)
+		est := pctwm.Estimate(p, opts)
 		fmt.Printf("%s:\n", v.label)
 		for _, newStrategy := range []func() pctwm.Strategy{
 			func() pctwm.Strategy { return pctwm.NewRandomStrategy() },

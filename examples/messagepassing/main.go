@@ -57,7 +57,7 @@ func main() {
 	bug := func(o *pctwm.Outcome) bool { return o.BugHit }
 
 	mp2 := buildMP2()
-	est := pctwm.Estimate(mp2, 20, 1, pctwm.Options{})
+	est := pctwm.Estimate(mp2, pctwm.Options{})
 	fmt.Printf("MP2: kcom=%d; the bug has depth d=2 (two reads must observe remote writes)\n", est.KCom)
 	for d := 0; d <= 3; d++ {
 		res := pctwm.RunTrials(mp2, bug, func() pctwm.Strategy {
@@ -68,7 +68,7 @@ func main() {
 	}
 
 	mp1 := buildMP1()
-	est1 := pctwm.Estimate(mp1, 20, 2, pctwm.Options{})
+	est1 := pctwm.Estimate(mp1, pctwm.Options{})
 	res := pctwm.RunTrials(mp1, bug, func() pctwm.Strategy {
 		return pctwm.NewPCTWM(2, 2, est1.KCom)
 	}, rounds, 9, pctwm.Options{StopOnBug: true})

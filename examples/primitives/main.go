@@ -80,7 +80,7 @@ func main() {
 		{"correct primitives (conc.Mutex + conc.WaitGroup)", buildCorrect()},
 		{"hand-rolled relaxed wait group", buildBroken()},
 	} {
-		est := pctwm.Estimate(v.prog, 20, 1, opts)
+		est := pctwm.Estimate(v.prog, opts)
 		fmt.Printf("%s:\n", v.label)
 		for _, newStrategy := range []func() pctwm.Strategy{
 			func() pctwm.Strategy { return pctwm.NewRandomStrategy() },

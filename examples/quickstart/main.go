@@ -40,7 +40,7 @@ func main() {
 
 	// Estimate the program parameters from profiling runs (the paper's
 	// k and kcom inputs).
-	est := pctwm.Estimate(p, 20, 1, pctwm.Options{})
+	est := pctwm.Estimate(p, pctwm.Options{})
 	fmt.Printf("estimated k=%d events, kcom=%d communication events\n\n", est.K, est.KCom)
 
 	const rounds = 1000

@@ -15,10 +15,11 @@ const trialRuns = 250
 // GOMAXPROCS).
 var serial = harness.Campaign{Workers: 1}
 
-// estimate profiles b with writes inserted writes: 20 runs from
-// seed^0x5eed, so each campaign below runs at the estimate of its own seed.
-func estimate(b *benchprog.Benchmark, writes int, seed int64) harness.Estimate {
-	return harness.EstimateParams(b.Program(writes), 20, seed^0x5eed, b.Options())
+// estimate profiles b with writes inserted writes by the one rule
+// (harness.Profile), so each campaign below runs at the estimate that
+// `pctwm run` and the report use.
+func estimate(b *benchprog.Benchmark, writes int) harness.Estimate {
+	return harness.Profile(b.Program(writes), b.Options())
 }
 
 // campaign runs b with writes inserted writes under the factory's
@@ -38,7 +39,7 @@ func TestAllBenchmarksRunClean(t *testing.T) {
 				harness.PCTFactory(b.Depth + 1),
 				harness.PCTWMFactory(b.Depth, 1),
 			} {
-				res := campaign(b, 0, factory, estimate(b, 0, 7), 100, 7)
+				res := campaign(b, 0, factory, estimate(b, 0), 100, 7)
 				if res.Aborted > 0 || res.Deadlock > 0 {
 					t.Fatalf("aborted=%d deadlocked=%d", res.Aborted, res.Deadlock)
 				}
@@ -58,7 +59,7 @@ func TestDepthZeroBenchmarksAlwaysHit(t *testing.T) {
 		}
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			res := campaign(b, 0, harness.PCTWMFactory(0, 1), estimate(b, 0, 11), trialRuns, 11)
+			res := campaign(b, 0, harness.PCTWMFactory(0, 1), estimate(b, 0), trialRuns, 11)
 			if res.Hits != res.Runs {
 				t.Fatalf("PCTWM d=0 hit %d/%d, want all", res.Hits, res.Runs)
 			}
@@ -74,11 +75,11 @@ func TestPCTWMBeatsBaselines(t *testing.T) {
 	for _, b := range benchprog.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			random := campaign(b, 0, harness.C11Tester(), estimate(b, 0, 21), trialRuns, 21)
+			random := campaign(b, 0, harness.C11Tester(), estimate(b, 0), trialRuns, 21)
 			var pctwm harness.TrialResult // the better of h = 1, 2
 			for h := 1; h <= 2; h++ {
 				seed := int64(22 + 1000*h)
-				if res := campaign(b, 0, harness.PCTWMFactory(b.Depth, h), estimate(b, 0, seed), trialRuns, seed); res.Rate() >= pctwm.Rate() {
+				if res := campaign(b, 0, harness.PCTWMFactory(b.Depth, h), estimate(b, 0), trialRuns, seed); res.Rate() >= pctwm.Rate() {
 					pctwm = res
 				}
 			}
@@ -129,8 +130,8 @@ func TestExtraWritesDoNotChangeDepth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base := campaign(b, 0, harness.PCTWMFactory(b.Depth, 1), estimate(b, 0, 31), trialRuns, 31)
-		loaded := campaign(b, 10, harness.PCTWMFactory(b.Depth, 1), estimate(b, 10, 32), trialRuns, 32)
+		base := campaign(b, 0, harness.PCTWMFactory(b.Depth, 1), estimate(b, 0), trialRuns, 31)
+		loaded := campaign(b, 10, harness.PCTWMFactory(b.Depth, 1), estimate(b, 10), trialRuns, 32)
 		if diff := base.Rate() - loaded.Rate(); diff > 25 || diff < -25 {
 			t.Fatalf("%s: PCTWM rate moved from %.1f%% to %.1f%% with 10 inserted writes", name, base.Rate(), loaded.Rate())
 		}
@@ -221,7 +222,7 @@ func TestFixedBenchmarksAreClean(t *testing.T) {
 // must still expose their bugs.
 func TestSeededBenchmarksStillDetect(t *testing.T) {
 	for _, b := range benchprog.All() {
-		res := campaign(b, 0, harness.PCTWMFactory(b.Depth, 1), estimate(b, 0, 13), 150, 13)
+		res := campaign(b, 0, harness.PCTWMFactory(b.Depth, 1), estimate(b, 0), 150, 13)
 		if res.Hits == 0 {
 			t.Fatalf("%s: seeded bug no longer detected", b.Name)
 		}

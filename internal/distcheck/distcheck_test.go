@@ -235,7 +235,7 @@ func TestUniformCheckDetectsSkew(t *testing.T) {
 // and only 1 of the census's 3 behaviors is reachable.
 func TestPCTWMDelaysBothSBscReads(t *testing.T) {
 	prog := litmus.SBSeqCst().Program
-	est := harness.EstimateParams(prog, 32, 1, engine.Options{})
+	est := harness.Profile(prog, engine.Options{})
 	if est.KCom != 2 {
 		t.Fatalf("SB+sc's kcom estimate is %d, want 2", est.KCom)
 	}
@@ -254,7 +254,7 @@ func TestPCTWMDelaysBothSBscReads(t *testing.T) {
 func TestStrategiesExploreLitmusSuite(t *testing.T) {
 	strategies := map[string]harness.StrategyFactory{"pct": harness.PCTFactory(3), "pctwm": harness.PCTWMFactory(2, 3)}
 	for _, lt := range litmus.Suite() {
-		est := harness.EstimateParams(lt.Program, 32, 1, engine.Options{})
+		est := harness.Profile(lt.Program, engine.Options{})
 		for name, factory := range strategies {
 			probs, errMass, err := enumerate.BehaviorProbs(lt.Program, engine.Options{}, factory(est))
 			if err != nil {

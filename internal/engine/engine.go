@@ -667,14 +667,9 @@ func (e *Engine) isEnabled(t *Thread) bool {
 	if !t.started || t.finished {
 		return false
 	}
-	// A thread parked on Join is blocked until its target terminates.
-	if t.req.code == opJoin {
-		child := e.thread(t.req.joinTID)
-		if child == nil || !child.finished {
-			return false
-		}
-	}
-	return true
+	// A thread parked on Join is blocked until its target terminates
+	// (Join checked that the target is a thread of this run).
+	return t.req.code != opJoin || e.thread(t.req.joinTID).finished
 }
 
 // enabledOps collects the pending operations of all enabled threads in

@@ -101,9 +101,6 @@ func (e *Engine) execSpawn(t *Thread, fn ThreadFunc) *ThreadHandle {
 
 func (e *Engine) execJoin(t *Thread, child memmodel.ThreadID) {
 	c := e.thread(child)
-	if c == nil {
-		panic(fmt.Sprintf("pctwm: join of unknown thread %d", child))
-	}
 	if !c.finished {
 		// The scheduler only grants enabled threads; being granted here
 		// means the child finished.

@@ -141,6 +141,16 @@ func TestPanicRule(t *testing.T) {
 	}
 	none := func(*faultyStrategy, string, memmodel.ThreadID, []engine.PendingOp) int { return -1 }
 	const threads = 3 // two roots and the thread the second spawns
+	// A handle kept from another program's run names its thread 4, past
+	// this program's thread count.
+	spawner := engine.NewProgram("spawner")
+	var kept *engine.ThreadHandle
+	spawner.AddThread(func(th *engine.Thread) {
+		for i := 0; i < threads; i++ {
+			kept = th.Spawn(func(*engine.Thread) {})
+		}
+	})
+	engine.Run(spawner, core.NewRandom(), 1, engine.Options{})
 
 	cases := []struct {
 		name  string
@@ -182,6 +192,10 @@ func TestPanicRule(t *testing.T) {
 			fault: none, want: "thread T2.3 (t3) crashed: pctwm: fence with order rlx"},
 		{name: "invalid location in thread 1", crash: 1, bug: func(th *engine.Thread) { th.Load(99, memmodel.Relaxed) },
 			fault: none, want: "thread T1 (t1) crashed: pctwm: access to invalid location 99"},
+		{name: "join of a zero handle in thread 3", crash: 3, bug: func(th *engine.Thread) { th.Join(&engine.ThreadHandle{}) },
+			fault: none, want: "thread T2.3 (t3) crashed: pctwm: join of unknown thread 0"},
+		{name: "join of a handle from another run in thread 1", crash: 1, bug: func(th *engine.Thread) { th.Join(kept) },
+			fault: none, want: "thread T1 (t1) crashed: pctwm: join of unknown thread 4"},
 	}
 	for _, model := range engine.Models() {
 		opts := engine.Options{Model: model, Record: true, DetectRaces: true, Coverage: true}

@@ -243,9 +243,14 @@ func (t *Thread) Spawn(fn ThreadFunc) *ThreadHandle {
 
 // Join blocks until the thread behind h terminates; the child's final view
 // is merged into this thread's view (termination synchronizes with join).
+// A handle that names no thread of this run (a zero ThreadHandle, or one
+// kept from another run) is the joining thread's crash.
 func (t *Thread) Join(h *ThreadHandle) {
 	if h == nil {
 		panic("pctwm: Join(nil)")
+	}
+	if t.eng.thread(h.tid) == nil {
+		panic(fmt.Sprintf("pctwm: join of unknown thread %d", h.tid))
 	}
 	t.req = request{code: opJoin, joinTID: h.tid}
 	t.submit()

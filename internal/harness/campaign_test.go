@@ -84,7 +84,7 @@ func TestCampaignPanicQuarantine(t *testing.T) {
 func TestRunLitmusPanicFails(t *testing.T) {
 	lt := litmus.SBRelaxed()
 	newStrategy := func() engine.Strategy { return newPanicky(4) }
-	serial, res := RunLitmus(lt, newStrategy, 200, 1, Campaign{Workers: 1})
+	serial, res := RunLitmus(lt, newStrategy, 200, 1, engine.Options{}, Campaign{Workers: 1})
 	if res.Panics == 0 || serial.Panics != res.Panics {
 		t.Fatalf("report counts %d panic(s), campaign %d: %s", serial.Panics, res.Panics, serial)
 	}
@@ -94,7 +94,7 @@ func TestRunLitmusPanicFails(t *testing.T) {
 	if serial.OK() || !strings.Contains(serial.String(), "PANICS=") {
 		t.Fatalf("quarantined panics pass the report: %s", serial)
 	}
-	if par, _ := RunLitmus(lt, newStrategy, 200, 1, Campaign{Workers: 4}); par.String() != serial.String() {
+	if par, _ := RunLitmus(lt, newStrategy, 200, 1, engine.Options{}, Campaign{Workers: 4}); par.String() != serial.String() {
 		t.Fatalf("report differs between 1 and 4 workers:\n  %s\n  %s", serial, par)
 	}
 }

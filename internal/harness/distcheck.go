@@ -10,15 +10,13 @@ import (
 	"pctwm/internal/litmus"
 )
 
-// The strategy parameters a conformance campaign checks, the profiling
-// budget that estimates each program's k/kcom, and the sample size of
-// the fit check. Statistical power needs a fixed sample size, so it does
-// not follow any table's run count.
+// The strategy parameters a conformance campaign checks, and the sample
+// size of the fit check. Statistical power needs a fixed sample size, so
+// it does not follow any table's run count.
 const (
-	distCheckPCTDepth     = 3 // PCT's d
-	distCheckPCTWMDepth   = 2 // PCTWM's d
-	distCheckPCTWMHistory = 3 // PCTWM's h
-	distCheckEstimateRuns = 32
+	distCheckPCTDepth     = 3    // PCT's d
+	distCheckPCTWMDepth   = 2    // PCTWM's d
+	distCheckPCTWMHistory = 3    // PCTWM's h
 	distCheckRuns         = 4000 // trials per (program, strategy) cell
 )
 
@@ -80,16 +78,16 @@ var distCheckStrategies = []struct {
 // DistCheckCampaign runs the strategy-conformance suite over tests (nil
 // selects DistCheckSuite) from the master seed, then runs the permutation
 // check on the colliding regression fixture to prove detection still
-// works. Each program is profiled once by EstimateParams for its
-// strategy parameters and censused once; each strategy's exact
-// distribution is computed once, at that estimate. Each (program,
-// strategy) cell is one RunCampaign from camp with coverage on, whose
-// first round runs at a seed derived from the master seed and the cell,
-// so the report is the same for every worker count. camp's Model applies
-// to the explorations and the profiling runs too. Errors are
+// works. Each program is estimated once by Profile for its strategy
+// parameters and censused once; each strategy's exact distribution is
+// computed once, at that estimate. Each (program, strategy) cell is one
+// RunCampaign under opts from camp with coverage on, whose first round
+// runs at a seed derived from the master seed and the cell, so the
+// report is the same for every worker count. opts (its model) applies to
+// the explorations and the profiling runs too. Errors are
 // infrastructural (an exploration drifted, a campaign stopped early);
 // conformance failures land in the report.
-func DistCheckCampaign(tests []*litmus.Test, seed int64, camp Campaign) (*DistCheckResult, error) {
+func DistCheckCampaign(tests []*litmus.Test, seed int64, opts engine.Options, camp Campaign) (*DistCheckResult, error) {
 	if tests == nil {
 		tests = DistCheckSuite()
 	}
@@ -102,7 +100,6 @@ func DistCheckCampaign(tests []*litmus.Test, seed int64, camp Campaign) (*DistCh
 		}
 		conf.Add(st.name, "", res)
 	}
-	opts := engine.Options{Model: camp.Model}
 	camp.Coverage = true
 	noHit := func(*engine.Outcome) bool { return false }
 	for _, lt := range tests {
@@ -111,7 +108,7 @@ func DistCheckCampaign(tests []*litmus.Test, seed int64, camp Campaign) (*DistCh
 		if err != nil {
 			return nil, fmt.Errorf("distcheck: %w", err)
 		}
-		est := EstimateParams(prog, distCheckEstimateRuns, seed+1, opts)
+		est := Profile(prog, opts)
 		for _, st := range distCheckStrategies {
 			probs, errMass, err := enumerate.BehaviorProbs(prog, opts, st.factory(est))
 			if err != nil {

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"pctwm/internal/engine"
 	"pctwm/internal/litmus"
 )
 
@@ -12,7 +13,7 @@ import (
 // shipped strategies pass every distributional check and the colliding
 // regression fixture is detected.
 func TestDistCheckCampaign(t *testing.T) {
-	res, err := DistCheckCampaign(nil, 1, Campaign{})
+	res, err := DistCheckCampaign(nil, 1, engine.Options{}, Campaign{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestDistCheckCampaign(t *testing.T) {
 // TestDistCheckCampaignCustomSuite: an explicit test list overrides the
 // default suite, and the estimated parameters flow into the bounds.
 func TestDistCheckCampaignCustomSuite(t *testing.T) {
-	res, err := DistCheckCampaign([]*litmus.Test{litmus.SBRelaxed()}, 1, Campaign{})
+	res, err := DistCheckCampaign([]*litmus.Test{litmus.SBRelaxed()}, 1, engine.Options{}, Campaign{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +59,11 @@ func TestDistCheckCampaignCustomSuite(t *testing.T) {
 // TestDistCheckCampaignWorkers: the gate samples through RunCampaign, so
 // its report does not depend on the worker count.
 func TestDistCheckCampaignWorkers(t *testing.T) {
-	serial, err := DistCheckCampaign(nil, 7, Campaign{Workers: 1})
+	serial, err := DistCheckCampaign(nil, 7, engine.Options{}, Campaign{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := DistCheckCampaign(nil, 7, Campaign{Workers: 3})
+	parallel, err := DistCheckCampaign(nil, 7, engine.Options{}, Campaign{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,10 +30,23 @@ type Estimate struct {
 	Threads int
 }
 
+// Profile estimates prog's k and kcom under opts (its model included) by
+// the one rule every command, report section and gate uses, Table 1's:
+// the mean of 50 Random runs from the fixed seed 20230325, the
+// experiments' default. An estimate is a property of the program and its
+// model, so it does not move with a campaign's seed.
+func Profile(prog *engine.Program, opts engine.Options) Estimate {
+	return EstimateParams(prog, 50, 20230325, opts)
+}
+
 // EstimateParams profiles prog with the naive random strategy and returns
 // the mean observed event counts, rounded to nearest. The mean (rather
 // than the maximum) keeps the sampled change points and communication
 // indices within the range of events an execution actually encounters.
+//
+// It is the mechanism Profile calls. The repository benchmark (bench/),
+// whose sites move to Profile with its next revision, and tests that pin
+// their own runs and seed for a golden still call it directly.
 func EstimateParams(prog *engine.Program, runs int, seed int64, opts engine.Options) Estimate {
 	est := Estimate{Threads: prog.NumThreads()}
 	if runs < 1 {
@@ -236,12 +249,13 @@ func PCTWMFactory(d, h int) StrategyFactory {
 	return func(est Estimate) engine.Strategy { return core.NewPCTWM(d, h, est.KCom) }
 }
 
-// RunLitmus runs lt under camp's Model as one campaign whose detect hook
-// tallies the outcome histogram, and returns the test's conformance
-// report, which fails on any quarantined panic, with the campaign result.
-func RunLitmus(lt *litmus.Test, newStrategy func() engine.Strategy, runs int, seed int64, camp Campaign) (*litmus.Report, TrialResult) {
-	rep := lt.Tally(camp.Model)
-	res := RunCampaign(lt.Program, rep.Detect, newStrategy, runs, seed, engine.Options{Model: camp.Model}, camp)
+// RunLitmus runs lt under opts as one campaign whose detect hook tallies
+// the outcome histogram against opts.Model's table, and returns the
+// test's conformance report, which fails on any quarantined panic, with
+// the campaign result.
+func RunLitmus(lt *litmus.Test, newStrategy func() engine.Strategy, runs int, seed int64, opts engine.Options, camp Campaign) (*litmus.Report, TrialResult) {
+	rep := lt.Tally(opts.Model)
+	res := RunCampaign(lt.Program, rep.Detect, newStrategy, runs, seed, opts, camp)
 	rep.Finish(res.Runs, res.Aborted, res.Deadlock, res.Panics)
 	return rep, res
 }

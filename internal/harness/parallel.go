@@ -87,11 +87,6 @@ type Campaign struct {
 	// -metrics-addr endpoint and the -progress reporter. Updated once per
 	// trial with atomics; never touched on the engine hot path.
 	Metrics *telemetry.Metrics
-	// Model, when non-empty, overrides the memory-model backend for
-	// campaigns that build their own engine.Options (RunLitmus,
-	// DistCheckCampaign). Callers that pass explicit Options set
-	// Options.Model directly instead.
-	Model string
 	// Checkpoint, when non-nil with a Dir, arms the durable
 	// checkpoint/resume layer: the campaign runs in chunks and persists
 	// its cumulative state after each one (see CheckpointSpec). One spec

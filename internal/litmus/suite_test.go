@@ -16,7 +16,7 @@ func newRandomStrategy() engine.Strategy { return core.NewRandom() }
 // A trial whose panic the campaign quarantined fails the test.
 func campaign(t *testing.T, lt *litmus.Test, newStrategy func() engine.Strategy, runs int, seed int64, model string) *litmus.Report {
 	t.Helper()
-	rep, _ := harness.RunLitmus(lt, newStrategy, runs, seed, harness.Campaign{Workers: 1, Model: model})
+	rep, _ := harness.RunLitmus(lt, newStrategy, runs, seed, engine.Options{Model: model}, harness.Campaign{Workers: 1})
 	if rep.Panics > 0 {
 		t.Fatalf("%d trial(s) panicked: %s", rep.Panics, rep)
 	}

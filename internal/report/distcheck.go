@@ -27,13 +27,13 @@ var ErrConformance = errors.New("report: strategy conformance failed")
 // which must fail its permutation check.
 //
 // The campaign sizes its own run counts: statistical power needs a fixed
-// sample size, independent of the -runs table sizing. Seed and the
-// campaign template (model, workers, context, metrics) flow in from the
+// sample size, independent of the -runs table sizing. Seed, model and
+// the campaign template (workers, context, metrics) flow in from the
 // report config; the seed moves only the fit check's samples.
 func DistCheck(w io.Writer, cfg Config) error {
 	cfg = cfg.normalized()
 	cfg.phase("distcheck")
-	res, err := harness.DistCheckCampaign(nil, cfg.Seed, cfg.Campaign)
+	res, err := harness.DistCheckCampaign(nil, cfg.Seed, engine.Options{Model: cfg.Model}, cfg.Campaign)
 	if err != nil {
 		if cfg.interrupted() {
 			return ErrInterrupted
@@ -41,7 +41,7 @@ func DistCheck(w io.Writer, cfg Config) error {
 		return err
 	}
 	fmt.Fprintf(w, "Strategy conformance: distributional checks against exact ground truth (seed=%d, model=%s).\n",
-		cfg.Seed, modelLabel(cfg.Campaign.Model))
+		cfg.Seed, modelLabel(cfg.Model))
 	tw := newTab(w)
 	fmt.Fprintln(tw, "Check\tStrategy\tProgram\tVerdict\tp\tDetail")
 	for _, r := range res.Conformance.Results {

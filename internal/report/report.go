@@ -42,16 +42,21 @@ type Config struct {
 	PerfRuns int
 	// MaxH bounds the history-depth search (Tables 2-3 use h ∈ 1..4).
 	MaxH int
-	// Seed makes the whole report deterministic.
+	// Seed makes the whole report deterministic. It seeds the campaigns'
+	// rounds, not the estimates: every program is estimated by
+	// harness.Profile, so Table 1 does not move with it.
 	Seed int64
+	// Model is the memory model every campaign, census and estimate runs
+	// under ("" means rc11). The paper's numbers are defined for rc11:
+	// benchmarks whose bugs need weak behaviour report lower (or zero)
+	// rates under sc/tso.
+	Model string
 	// Campaign is the template every trial batch copies (see
 	// harness.Campaign): worker count, the context that cancels report
 	// generation (sections then return ErrInterrupted after flushing the
 	// rows completed so far), repro sink, metrics hub (sections also mark
-	// their name as its phase), memory model, coverage and checkpoint
-	// spec. Each batch labels its own CheckpointCell. The paper's numbers
-	// are defined for rc11: benchmarks whose bugs need weak behaviour
-	// report lower (or zero) rates under sc/tso.
+	// their name as its phase), coverage and checkpoint spec. Each batch
+	// labels its own CheckpointCell.
 	Campaign harness.Campaign
 	// cells holds the finished campaigns of the benchmark sections by
 	// key (see run): All shares one map across its sections, and a
@@ -113,8 +118,8 @@ func (c Config) normalized() Config {
 }
 
 // program is one benchmark with writes inserted relaxed writes, under
-// the campaign's model, with its Table 1 estimate: every campaign the
-// benchmark sections run on it uses that estimate.
+// the config's model, with its estimate: every campaign the benchmark
+// sections run on it uses that estimate.
 type program struct {
 	*benchprog.Benchmark
 	writes int
@@ -123,12 +128,12 @@ type program struct {
 	est    harness.Estimate
 }
 
-// program builds b with writes inserted writes and estimates it by
-// Table 1's rule: the mean of 50 profiling runs from the base seed.
+// program builds b with writes inserted writes and estimates it by the
+// one rule, Table 1's (harness.Profile).
 func (c Config) program(b *benchprog.Benchmark, writes int) program {
 	p := program{Benchmark: b, writes: writes, prog: b.Program(writes), opts: b.Options()}
-	p.opts.Model = c.Campaign.Model
-	p.est = harness.EstimateParams(p.prog, 50, c.Seed, p.opts)
+	p.opts.Model = c.Model
+	p.est = harness.Profile(p.prog, p.opts)
 	return p
 }
 
@@ -291,15 +296,16 @@ func Table4(w io.Writer, cfg Config) error {
 	return tw.Flush()
 }
 
-// appTrials runs the two Table 4 cells of an application at its one
-// estimate: PerfRuns rounds under C11Tester and under PCTWM(2, 1), each
-// as one campaign, counting the rounds that found a data race as hits.
+// appTrials runs the two Table 4 cells of an application at its
+// estimate (harness.Profile): PerfRuns rounds under C11Tester and under
+// PCTWM(2, 1), each as one campaign, counting the rounds that found a
+// data race as hits.
 // A cell's time is its median run's, in seconds, so that one run
 // preempted on a busy host does not set it.
 func (c Config) appTrials(a *apps.App) (c11, wm harness.TrialResult, c11Time, wmTime float64) {
 	prog, opts := a.Program(), a.Options()
-	opts.Model = c.Campaign.Model
-	est := harness.EstimateParams(prog, 5, c.Seed^0x9e1f, opts)
+	opts.Model = c.Model
+	est := harness.Profile(prog, opts)
 	trials := func(s strategy) (harness.TrialResult, float64) {
 		var mu sync.Mutex // the campaign's workers share times
 		var times []float64
@@ -494,7 +500,7 @@ func (c Config) coverageCampaign(lt *litmus.Test, est harness.Estimate, s strate
 	camp.Coverage = true
 	noHit := func(*engine.Outcome) bool { return false }
 	res := harness.RunCampaign(lt.Program, noHit, func() engine.Strategy { return s.factory(est) },
-		c.Runs, c.Seed+seedOff, engine.Options{Model: c.Campaign.Model}, camp)
+		c.Runs, c.Seed+seedOff, engine.Options{Model: c.Model}, camp)
 	if res.Coverage == nil {
 		if res.Interrupted {
 			return nil, ErrInterrupted
@@ -567,13 +573,13 @@ func coverageRows(cfg Config) ([]coverageRow, error) {
 		if err != nil {
 			return rows, err
 		}
-		opts := engine.Options{Model: cfg.Campaign.Model}
+		opts := engine.Options{Model: cfg.Model}
 		census, err := enumerate.BehaviorCensus(lt.Program, opts,
 			enumerate.Config{Limit: coverageCensusLimit, Workers: cfg.Campaign.Workers, Context: cfg.Campaign.Context})
 		if err != nil {
 			return rows, err
 		}
-		est := harness.EstimateParams(lt.Program, 10, cfg.Seed, opts)
+		est := harness.Profile(lt.Program, opts)
 		r := coverageRow{program: lt.Name, census: census}
 		for i, s := range coverageStrategies {
 			set, err := cfg.coverageCampaign(lt, est, s, int64(23*i))

@@ -43,6 +43,24 @@ func TestTable1(t *testing.T) {
 	}
 }
 
+// TestTable1IgnoresSeed: every program is estimated by one rule
+// (harness.Profile), a property of the program and its model, so Table 1
+// prints the same table at any seed.
+func TestTable1IgnoresSeed(t *testing.T) {
+	var def, one strings.Builder
+	if err := Table1(&def, Default()); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Default()
+	cfg.Seed = 1
+	if err := Table1(&one, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if def.String() != one.String() {
+		t.Fatalf("Table 1 moved with the seed:\nseed %d:\n%s\nseed 1:\n%s", Default().Seed, def.String(), one.String())
+	}
+}
+
 func TestTable2(t *testing.T) {
 	out := render(t, func(w interface{ Write([]byte) (int, error) }, cfg Config) error {
 		return Table2(w, cfg)
@@ -75,14 +93,15 @@ func TestTable4(t *testing.T) {
 	}
 }
 
-// TestTable4FollowsCampaign: Table 4 runs on the campaign template, so
-// its model reaches the engine, its workers share the cells' run times
-// and its metrics hub counts every trial. The race detector runs only
+// TestTable4FollowsCampaign: Table 4 runs under the config's model and
+// on the campaign template, so the model reaches the engine, the
+// template's workers share the cells' run times and its metrics hub
+// counts every trial. The race detector runs only
 // under rc11, so under sc no run finds a race.
 func TestTable4FollowsCampaign(t *testing.T) {
 	cfg := tiny
 	cfg.PerfRuns = 2
-	cfg.Campaign.Model = engine.ModelSC
+	cfg.Model = engine.ModelSC
 	cfg.Campaign.Workers = 2
 	cfg.Campaign.Metrics = &telemetry.Metrics{}
 	var b strings.Builder

@@ -32,7 +32,7 @@
 //		t.Assert(t.Load(y, pctwm.Relaxed) == 1 || true, "...")
 //	})
 //	// ...
-//	est := pctwm.Estimate(p, 20, 1, pctwm.Options{})
+//	est := pctwm.Estimate(p, pctwm.Options{})
 //	for seed := int64(0); seed < 1000; seed++ {
 //		o := pctwm.Run(p, pctwm.NewPCTWM(2, 1, est.KCom), seed, pctwm.Options{StopOnBug: true})
 //		if o.BugHit { /* found it */ }
@@ -131,11 +131,13 @@ func NewPCTWM(d, h, kcom int) Strategy { return core.NewPCTWM(d, h, kcom) }
 // 2018; discussed in the paper's related work).
 func NewPOS() Strategy { return core.NewPOS() }
 
-// Estimate profiles the program with random testing and returns the mean
-// event count k and communication event count kcom, the inputs PCT and
-// PCTWM expect.
-func Estimate(p *Program, runs int, seed int64, opts Options) ProgramEstimate {
-	return harness.EstimateParams(p, runs, seed, opts)
+// Estimate profiles the program under opts (its memory model included)
+// with random testing and returns the mean event count k and
+// communication event count kcom, the inputs PCT and PCTWM expect. It
+// takes the mean of 50 runs from a fixed seed, the paper's Table 1 rule
+// and the one every pctwm command uses.
+func Estimate(p *Program, opts Options) ProgramEstimate {
+	return harness.Profile(p, opts)
 }
 
 // RunTrials executes the program for `runs` rounds on one pooled Runner

@@ -36,7 +36,7 @@ func buildSB() (*pctwm.Program, func(*pctwm.Outcome) bool) {
 // every round while random testing only sometimes does.
 func TestPublicAPIQuickstart(t *testing.T) {
 	p, weak := buildSB()
-	est := pctwm.Estimate(p, 10, 1, pctwm.Options{})
+	est := pctwm.Estimate(p, pctwm.Options{})
 	if est.K < 4 || est.KCom < 2 {
 		t.Fatalf("estimate %+v", est)
 	}
