@@ -51,8 +51,8 @@ import (
 // "durability: degraded".
 //
 // SIGINT/SIGTERM interrupt the run gracefully: in-flight trials are
-// aborted through the engine's cooperative cancellation, the rows
-// measured so far are printed, and the command exits 1.
+// aborted through the engine's cooperative cancellation, the finished
+// rows are printed, and the command exits 1; a second signal kills it.
 func benchCmd(args []string, stdout, stderr io.Writer) int {
 	c := newCmd("bench", stdout, stderr)
 	t := c.trialFlags("", 500, -1, 1, "rounds per strategy per benchmark")
@@ -99,6 +99,7 @@ func benchCmd(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintln(tw, header)
 	interrupted := false
 	bundles := 0
+rows:
 	for _, b := range benches {
 		if cp.Context.Err() != nil {
 			interrupted = true
@@ -129,20 +130,19 @@ func benchCmd(args []string, stdout, stderr io.Writer) int {
 			res := harness.RunCampaign(prog, b.Detect, func() engine.Strategy { return factory(est) },
 				t.runs, t.seed+int64(10*i), opts, camp)
 			bundles += reportFailures(c, b.Name, col.name, res)
+			if interrupted = res.Interrupted; interrupted {
+				break rows
+			}
 			if *telFlag && res.Telemetry != nil {
 				reportTelemetry(c, b.Name, col.name, res.Telemetry)
 			}
 			if cp.Coverage && res.Coverage != nil {
 				reportCoverage(c, b.Name, col.name, res.Coverage)
 			}
-			interrupted = interrupted || res.Interrupted
 			lo, hi := res.CI95()
 			row += fmt.Sprintf("\t%.1f [%.0f,%.0f]", res.Rate(), lo, hi)
 		}
 		fmt.Fprintln(tw, row)
-		if interrupted {
-			break
-		}
 	}
 	tw.Flush()
 	cp.stop()

@@ -1,15 +1,12 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"maps"
 	"os"
-	"os/signal"
 	"slices"
-	"syscall"
 
 	"pctwm/internal/engine"
 	"pctwm/internal/enumerate"
@@ -74,9 +71,8 @@ func exploreCmd(args []string, stdout, stderr io.Writer) int {
 
 	// SIGINT/SIGTERM drain: cancel the exploration pool between
 	// executions, print whatever partial histogram was merged, and exit
-	// 1. A second signal kills the process immediately (stop() restores
-	// default disposition).
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	// 1. A second signal kills the process.
+	ctx, stop := interruptContext()
 	defer stop()
 
 	// Each leaf is classified by its outcome and, with -census, by its

@@ -331,6 +331,18 @@ type campaign struct {
 	stops []func()
 }
 
+// interruptContext returns a context that the first SIGINT or SIGTERM
+// cancels, and its stop function. The handler is released before the
+// context is done, so a second signal takes the default action and kills
+// the process: the way out of a command whose workers do not drain.
+func interruptContext() (context.Context, context.CancelFunc) {
+	signaled, release := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, cancel := context.WithCancel(context.Background())
+	stop := func() { release(); cancel() }
+	context.AfterFunc(signaled, stop)
+	return ctx, stop
+}
+
 // start checks the group and starts its services: the SIGINT/SIGTERM
 // drain (the first signal cancels Context, so the command flushes partial
 // results; a second kills the process), the metrics hub and its endpoint,
@@ -344,7 +356,7 @@ func (f *campaignFlags) start(c *cmd) (*campaign, error) {
 		}
 		f.ckptDir = f.resume
 	}
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stopSignals := interruptContext()
 	cp := &campaign{c: c, stops: []func(){stopSignals}, Campaign: harness.Campaign{
 		Workers: f.workers, Context: ctx, ReproDir: f.reproDir, MaxRepros: f.maxRepros, Coverage: f.coverage,
 	}}

@@ -1,18 +1,23 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"flag"
 	"fmt"
 	"io/fs"
 	"math/rand"
 	"os"
+	"os/exec"
 	"os/signal"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
+	"time"
 
 	"pctwm/internal/core"
 	"pctwm/internal/engine"
@@ -219,27 +224,24 @@ func (w *watchedOutput) String() string {
 	return w.buf.String()
 }
 
-// TestExploreCensusInterrupted: a SIGINT that lands while explore
-// -census explores the suite, after the first test's histogram and
-// census are printed, is an interruption: exit 1 and no census file.
-func TestExploreCensusInterrupted(t *testing.T) {
+// callInterrupted runs the command line in-process, sends this process a
+// SIGINT once the command's output (stdout and stderr together) shows
+// want, and returns the exit status and the output.
+func callInterrupted(t *testing.T, want string, args ...string) (int, string) {
+	t.Helper()
 	// Catch the signal here too, so that one delivered after the command
 	// has released its own handler cannot kill the test binary.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
 	defer signal.Stop(sig)
 
-	file := filepath.Join(t.TempDir(), "census.json")
-	stdout := &watchedOutput{want: "complete=true", seen: make(chan struct{})}
-	var stderr bytes.Buffer
+	out := &watchedOutput{want: want, seen: make(chan struct{})}
 	done := make(chan int, 1)
-	go func() {
-		done <- pctwm([]string{"explore", "-workers", "1", "-census", file}, stdout, &stderr)
-	}()
+	go func() { done <- pctwm(args, out, out) }()
 	select {
-	case <-stdout.seen:
+	case <-out.seen:
 	case code := <-done:
-		t.Fatalf("exit %d before the first histogram completed\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
+		t.Fatalf("exit %d before the output showed %q:\n%s", code, want, out)
 	}
 	self, err := os.FindProcess(os.Getpid())
 	if err != nil {
@@ -249,11 +251,98 @@ func TestExploreCensusInterrupted(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-sig
-	if code := <-done; code != 1 {
-		t.Errorf("exit %d, want 1\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
+	return <-done, out.String()
+}
+
+// TestExploreCensusInterrupted: a SIGINT that lands while explore
+// -census explores the suite, after the first test's histogram and
+// census are printed, is an interruption: exit 1 and no census file.
+func TestExploreCensusInterrupted(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "census.json")
+	if code, out := callInterrupted(t, "complete=true", "explore", "-workers", "1", "-census", file); code != 1 {
+		t.Errorf("exit %d, want 1\n%s", code, out)
 	}
 	if _, err := os.Stat(file); !errors.Is(err, fs.ErrNotExist) {
 		t.Errorf("interrupted census written to %s (stat: %v)", file, err)
+	}
+}
+
+// TestBenchInterrupted: a SIGINT that lands after a benchmark's first
+// cell has finished cuts a later cell of its row short, and bench prints
+// no row for that benchmark: exit 1 and only the header and the closing
+// line.
+func TestBenchInterrupted(t *testing.T) {
+	code, out := callInterrupted(t, "telemetry dekker/c11tester", "bench", "-bench", "dekker", "-runs", "20000", "-telemetry")
+	if code != 1 || !strings.Contains(out, "(interrupted: partial results") {
+		t.Fatalf("exit %d, want 1 with the interrupted line\n%s", code, out)
+	}
+	if row := regexp.MustCompile(`(?m)^dekker .*$`).FindString(out); row != "" {
+		t.Errorf("interrupted row printed: %s", row)
+	}
+}
+
+// sigintIgnored is whether this process started with SIGINT ignored,
+// which a child process inherits. It is read before any test handles the
+// signal, since a handler that is released leaves the report stale.
+var sigintIgnored = signal.Ignored(os.Interrupt)
+
+// TestSecondSignalKills: the first SIGINT cancels a command's campaign
+// context and the second kills the process, so a campaign whose workers
+// never drain can still be stopped from the terminal. The command process
+// is this test binary, run again with the argument secondSignalChild: it
+// starts the campaign group's signal drain and never returns.
+func TestSecondSignalKills(t *testing.T) {
+	const secondSignalChild = "second-signal-child"
+	if flag.Arg(0) == secondSignalChild {
+		c := newCmd("bench", os.Stdout, os.Stderr)
+		cp, err := c.campaignFlags().start(c)
+		if err != nil {
+			fmt.Println(err)
+			os.Exit(2)
+		}
+		fmt.Println("started")
+		<-cp.Context.Done()
+		fmt.Println("draining")
+		time.Sleep(time.Minute) // a worker wedged outside the engine
+		os.Exit(0)
+	}
+	if sigintIgnored {
+		t.Skip("SIGINT is ignored here, and a child process inherits that")
+	}
+
+	child := exec.Command(os.Args[0], "-test.run=^TestSecondSignalKills$", secondSignalChild)
+	stdout, err := child.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := child.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		child.Wait()
+	}()
+	defer func() {
+		child.Process.Kill()
+		<-exited
+	}()
+	lines := bufio.NewScanner(stdout)
+	for _, want := range []string{"started", "draining"} {
+		if !lines.Scan() || lines.Text() != want {
+			t.Fatalf("child printed %q, want %q", lines.Text(), want)
+		}
+		if err := child.Process.Signal(os.Interrupt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case <-exited:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the second SIGINT did not kill the process within 5 s")
+	}
+	if ws, ok := child.ProcessState.Sys().(syscall.WaitStatus); !ok || !ws.Signaled() || ws.Signal() != syscall.SIGINT {
+		t.Fatalf("child ended with %v, want death by SIGINT", child.ProcessState)
 	}
 }
 

@@ -123,9 +123,10 @@ func (s *lateBugStrategy) NextThread(en []engine.PendingOp) memmodel.ThreadID {
 // TestStrategyBugIsNotAProgramBug: a strategy panic inside a decision
 // escapes the engine, so the campaign counts it in Panics and never as
 // the program's bug, at any worker count, and a captured one is a
-// deterministic harness-panic bundle. The other trials run the schedules
-// they run without the bug. Dekker runs without and with extra writes,
-// which its first thread performs in a deferred call.
+// deterministic harness-panic bundle whose stack names the strategy's
+// frame. The other trials run the schedules they run without the bug.
+// Dekker runs without and with extra writes, which its first thread
+// performs in a deferred call.
 func TestStrategyBugIsNotAProgramBug(t *testing.T) {
 	b, err := benchprog.ByName("dekker")
 	if err != nil {
@@ -168,6 +169,11 @@ func TestStrategyBugIsNotAProgramBug(t *testing.T) {
 			if f.Kind != "harness-panic" || f.Triage != replay.TriageDeterministic {
 				t.Errorf("%d extra writes: seed %d's strategy panic captured as %s (triage %s), want a DETERMINISTIC harness-panic",
 					extra, f.Seed, f.Kind, f.Triage)
+			}
+			if bundle, err := replay.LoadBundle(f.BundlePath); err != nil {
+				t.Error(err)
+			} else if !strings.Contains(bundle.Stack, "lateBugStrategy") {
+				t.Errorf("%d extra writes: seed %d's bundle stack does not name the strategy:\n%s", extra, f.Seed, bundle.Stack)
 			}
 		}
 		if captured == 0 {
@@ -289,90 +295,24 @@ func TestCampaignCancelMidRun(t *testing.T) {
 	}
 }
 
-// blockingStrategy wedges inside NextThread until its gate channel closes
-// — a worker stuck mid-trial that cooperative cancellation cannot reach.
-// It closes entered (when non-nil) as it wedges.
-type blockingStrategy struct {
-	gate, entered chan struct{}
-}
-
-func (s *blockingStrategy) Name() string                         { return "blocking" }
-func (s *blockingStrategy) Begin(engine.ProgramInfo, *rand.Rand) {}
-func (s *blockingStrategy) NextThread(en []engine.PendingOp) memmodel.ThreadID {
-	if s.entered != nil {
-		close(s.entered)
-		s.entered = nil
+// TestCampaignTimeoutIsNotBundled: a trial stopped by the per-trial
+// wall-clock bound is not a failure, so the repro sink bundles none: the
+// triage re-run drops the bound and would record another run.
+func TestCampaignTimeoutIsNotBundled(t *testing.T) {
+	b, err := benchprog.ByName("dekker")
+	if err != nil {
+		t.Fatal(err)
 	}
-	<-s.gate
-	return en[0].TID
-}
-
-// afterBlocker holds every trial of its strategy in Begin until the
-// blocker has wedged (or the test ends), so the other workers cannot
-// drain the campaign before the blocker's worker claims a trial.
-type afterBlocker struct {
-	engine.Strategy
-	entered, gate chan struct{}
-}
-
-func (s afterBlocker) Begin(info engine.ProgramInfo, rng *rand.Rand) {
-	select {
-	case <-s.entered:
-	case <-s.gate:
+	opts := b.Options()
+	opts.MaxWallTime = time.Nanosecond
+	dir := t.TempDir()
+	res := RunCampaign(b.Program(0), b.Detect, func() engine.Strategy { return core.NewRandom() },
+		50, 1, opts, Campaign{Workers: 1, ReproDir: dir, MaxRepros: 3})
+	if res.Timeouts != 50 || len(res.Failures) != 0 {
+		t.Fatalf("%d timeouts and %d captured failures, want 50 and 0: %+v", res.Timeouts, len(res.Failures), res.Failures)
 	}
-	s.Strategy.Begin(info, rng)
-}
-func (s *blockingStrategy) PickRead(engine.ReadContext) int      { return 0 }
-func (s *blockingStrategy) OnEvent(*memmodel.Event)              {}
-func (s *blockingStrategy) OnThreadStart(_, _ memmodel.ThreadID) {}
-func (s *blockingStrategy) OnSpin(memmodel.ThreadID)             {}
-
-// TestCampaignStuckWatchdog: a worker wedged inside a trial trips the
-// campaign watchdog — the campaign returns a partial result marked Stuck
-// with diagnostics naming the wedged worker, instead of hanging forever.
-// The one-worker cases (Workers: 1, and a single round capped to one
-// worker) pin that a pool of one is watched too. Each campaign runs under
-// a deadline so a missing watchdog fails the test instead of hanging it.
-func TestCampaignStuckWatchdog(t *testing.T) {
-	b, _ := benchprog.ByName("dekker")
-	prog := b.Program(0)
-	for _, c := range []struct {
-		name          string
-		workers, runs int
-	}{
-		{"workers2", 2, 500},
-		{"workers1", 1, 500},
-		{"one-round", 2, 1},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			gate, entered := make(chan struct{}), make(chan struct{})
-			defer close(gate) // release the leaked worker after the test
-			var tookBlocker atomic.Bool
-			newStrategy := func() engine.Strategy {
-				if tookBlocker.CompareAndSwap(false, true) {
-					return &blockingStrategy{gate: gate, entered: entered}
-				}
-				return afterBlocker{core.NewRandom(), entered, gate}
-			}
-
-			done := make(chan TrialResult, 1)
-			go func() {
-				done <- RunCampaign(prog, b.Detect, newStrategy, c.runs, 1, b.Options(),
-					Campaign{Workers: c.workers, StuckTimeout: 120 * time.Millisecond})
-			}()
-			var res TrialResult
-			select {
-			case res = <-done:
-			case <-time.After(5 * time.Second):
-				t.Fatal("stuck campaign never returned: the watchdog did not fire")
-			}
-			if !res.Stuck {
-				t.Fatalf("watchdog did not flag the wedged worker: %+v", res)
-			}
-			if !strings.Contains(res.StuckDiag, "stuck workers") || !strings.Contains(res.StuckDiag, "goroutine") {
-				t.Fatalf("diagnostics missing worker/goroutine details:\n%s", res.StuckDiag)
-			}
-		})
+	if files, err := os.ReadDir(dir); err != nil || len(files) != 0 {
+		t.Fatalf("bundles written for timed-out trials: %v (%v)", files, err)
 	}
 }
 

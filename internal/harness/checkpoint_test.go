@@ -30,7 +30,6 @@ import (
 func comparableResult(r TrialResult) TrialResult {
 	r.Elapsed, r.Wall = 0, 0
 	r.ResumedRuns = 0
-	r.StuckDiag = ""
 	if r.Telemetry != nil {
 		tel := *r.Telemetry
 		tel.ChangePoints = nil
@@ -516,7 +515,7 @@ func TestCheckpointPayloadFormat(t *testing.T) {
 	}
 
 	// Per-session fields and the change-point log are never stored.
-	got.Interrupted, got.Stuck, got.StuckDiag, got.Durability = true, true, "stuck", DurabilityDegraded
+	got.Interrupted, got.Durability = true, DurabilityDegraded
 	got.Telemetry.ChangePoints = []telemetry.ChangePoint{{TID: 1, Index: 2, Comm: 1, Slot: 2}}
 	data, err := json.Marshal(campaignState{Key: st.Key, NextTrial: st.NextTrial, Complete: st.Complete, TrialResult: got})
 	if err != nil {

@@ -117,7 +117,7 @@ func DistCheckCampaign(tests []*litmus.Test, seed int64, opts engine.Options, ca
 			camp.CheckpointCell = "distcheck/" + prog.Name() + "/" + st.name
 			res := RunCampaign(prog, noHit, func() engine.Strategy { return st.factory(est) },
 				distCheckRuns, distcheck.Seed(seed, "cell", prog.Name(), st.name), opts, camp)
-			if res.Interrupted || res.Stuck {
+			if res.Interrupted {
 				return nil, fmt.Errorf("distcheck: campaign %s/%s stopped after %d of %d trials", prog.Name(), st.name, res.Runs, distCheckRuns)
 			}
 			conf.Add(st.name, prog.Name(), distcheck.Fit(res.Coverage, probs, errMass))

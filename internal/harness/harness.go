@@ -102,11 +102,6 @@ type TrialResult struct {
 	// Interrupted marks a campaign stopped early by context cancellation:
 	// Runs reflects completed trials only.
 	Interrupted bool `json:"-"`
-	// Stuck marks a campaign aborted by the stuck-worker watchdog
-	// (Campaign.StuckTimeout); StuckDiag carries the diagnostics (wedged
-	// workers + goroutine dump). The counts cover finished workers only.
-	Stuck     bool   `json:"-"`
-	StuckDiag string `json:"-"`
 	// Failures lists the captured failing trials with their flake-triage
 	// verdicts and repro-bundle paths (populated only when
 	// Campaign.ReproDir is set; at most Campaign.MaxRepros entries).
@@ -214,9 +209,7 @@ func (r TrialResult) String() string {
 	if r.Durability == DurabilityDegraded {
 		s += ", durability DEGRADED"
 	}
-	if r.Stuck {
-		s += ", STUCK"
-	} else if r.Interrupted {
+	if r.Interrupted {
 		s += ", interrupted"
 	}
 	return s

@@ -36,23 +36,23 @@ func ResolveWorkers(workers, runs int) int {
 }
 
 // Campaign configures a trial batch: worker count, cooperative
-// cancellation, the campaign-level stuck-worker watchdog, and the
-// repro-bundle sink with its flake triage. The zero value runs on
-// GOMAXPROCS workers with no watchdogs and no bundles; set Workers: 1 for
-// a single worker.
+// cancellation, and the repro-bundle sink with its flake triage. The zero
+// value runs on GOMAXPROCS workers with no bundles; set Workers: 1 for a
+// single worker. A worker wedged outside the engine's step loop never
+// returns, and neither does its campaign.
 type Campaign struct {
 	// Workers spreads the rounds over this many goroutines (0 =
 	// GOMAXPROCS). Hit counts and event totals are identical for every
 	// worker count.
 	Workers int
-	// Context cancels the campaign cooperatively: workers stop claiming
-	// new rounds, and the in-flight run of every worker is aborted by the
-	// engine's step-loop watchdog (CanceledError). The merged result is
+	// Context is the campaign's one stop source: canceling it makes the
+	// workers stop claiming new rounds and aborts each one's in-flight run
+	// in the engine's step loop (CanceledError). The merged result is
 	// marked Interrupted with Runs reflecting completed trials only.
 	Context context.Context
 	// ReproDir enables the repro sink: the first MaxRepros failing trials
-	// (bug hits, races, panics, deadlocks, timeouts — not step-limit
-	// aborts or cancellations) are re-run once on a fresh Runner with a
+	// (bug hits, races, panics, deadlocks — not step-limit aborts,
+	// timeouts or cancellations) are re-run once on a fresh Runner with a
 	// decision recorder, triaged for determinism, and written as JSON
 	// bundles under this directory (see replay.Bundle / pctwm replay).
 	ReproDir string
@@ -60,15 +60,6 @@ type Campaign struct {
 	// (default 3 when ReproDir is set). The cap bounds the extra work:
 	// the happy path and all failures beyond the cap cost nothing.
 	MaxRepros int
-	// StuckTimeout arms the campaign watchdog: if any worker goes this
-	// long without finishing a trial, the campaign cancels the remaining
-	// work, collects diagnostics (stuck seeds + goroutine dump), waits a
-	// short grace period for workers to unwind, and returns a partial
-	// result marked Stuck instead of hanging forever. A worker wedged
-	// outside the engine's step loop (e.g. a ThreadFunc spinning without
-	// memory operations) cannot be killed and is leaked — the diagnostics
-	// name it. 0 disables the watchdog.
-	StuckTimeout time.Duration
 	// Telemetry enables per-worker engine counters: every worker's Runner
 	// gets its own telemetry.EngineCounters shard (plain fields, no
 	// hot-path synchronization), merged at the end into
@@ -82,7 +73,7 @@ type Campaign struct {
 	// TrialResult.Coverage, bit-identical for every worker count.
 	Coverage bool
 	// Metrics, when non-nil, receives campaign-level observations (trial
-	// counts and durations, quarantine/timeout/cancel/stuck counters,
+	// counts and durations, quarantine/timeout/cancel counters,
 	// repro triage verdicts, worker utilization) — the hub behind the
 	// -metrics-addr endpoint and the -progress reporter. Updated once per
 	// trial with atomics; never touched on the engine hot path.
@@ -108,9 +99,9 @@ const defaultMaxRepros = 3
 type TrialFailure struct {
 	// Seed is the failing round's engine seed.
 	Seed int64
-	// Kind classifies the failure: "bug", "race", "panic", "deadlock",
-	// "timeout" or "harness-panic" (a panic that escaped the engine —
-	// strategy or harness code).
+	// Kind classifies the failure: "bug", "race", "panic", "deadlock" or
+	// "harness-panic" (a panic that escaped the engine — strategy or
+	// harness code).
 	Kind string
 	// BehaviorFP is the failing trial's behavior fingerprint (0 when the
 	// campaign ran without Campaign.Coverage or the trial had no
@@ -119,8 +110,8 @@ type TrialFailure struct {
 	BehaviorFP uint64 `json:"behavior_fp,omitempty"`
 	// Msg is a short human-readable description.
 	Msg string
-	// Triage is the flake-triage verdict (replay.TriageDeterministic,
-	// replay.TriageNondeterministic or replay.TriageSkipped).
+	// Triage is the flake-triage verdict (replay.TriageDeterministic or
+	// replay.TriageNondeterministic).
 	Triage string
 	// BundlePath is the written repro bundle ("" if writing failed; Msg
 	// then carries the error).
@@ -139,9 +130,9 @@ type TrialFailure struct {
 // only Wall changes. Elapsed sums per-run execution time across workers
 // (aggregate CPU time); Wall is the batch's wall-clock duration.
 //
-// The campaign adds a resilience layer: panic quarantine, cooperative
-// cancellation, per-trial and campaign-level watchdogs, and the repro
-// sink. See Campaign for the knobs.
+// The campaign adds a resilience layer: panic quarantine, cancellation
+// through Campaign.Context, the per-trial wall-clock bound of opts, and
+// the repro sink. See Campaign for the knobs.
 //
 // Panic quarantine: a panic that escapes engine.Runner.Run (a strategy
 // callback or an engine invariant, not the program) is recovered at the
@@ -183,7 +174,7 @@ func RunCampaign(prog *engine.Program, detect func(*engine.Outcome) bool,
 		}
 		chunk := runChunk(prog, detect, newStrategy, at, n, seed, opts, camp, sink)
 		mergeTrialResults(&res, chunk)
-		if chunk.Interrupted || chunk.Stuck {
+		if chunk.Interrupted {
 			// Partial chunks reach the returned result but never a
 			// checkpoint: durable state advances by whole chunks only.
 			break
@@ -201,13 +192,8 @@ func RunCampaign(prog *engine.Program, detect func(*engine.Outcome) bool,
 	if ck != nil && ck.spec.Degraded() {
 		res.Durability = DurabilityDegraded
 	}
-	if m := camp.Metrics; m != nil {
-		if res.Interrupted {
-			m.CampaignInterrupted()
-		}
-		if res.Stuck {
-			m.WorkerStuck()
-		}
+	if res.Interrupted && camp.Metrics != nil {
+		camp.Metrics.CampaignInterrupted()
 	}
 	return res
 }
@@ -229,22 +215,10 @@ func runChunk(prog *engine.Program, detect func(*engine.Outcome) bool,
 	// calls (some callers hand out stateful strategies by call order).
 	progName := prog.Name()
 
-	// Derive the campaign context: the caller's context if any, wrapped in
-	// a cancelable child when the stuck-worker watchdog needs a kill
-	// switch. The engine polls it inside the step loop, so cancellation
-	// aborts in-flight runs, not just pending ones.
-	ctx := camp.Context
-	cancel := context.CancelFunc(nil)
-	if camp.StuckTimeout > 0 {
-		base := ctx
-		if base == nil {
-			base = context.Background()
-		}
-		ctx, cancel = context.WithCancel(base)
-		defer cancel()
-	}
-	if ctx != nil {
-		opts.Context = ctx
+	// The engine polls the campaign context inside the step loop, so
+	// cancellation aborts in-flight runs, not just pending ones.
+	if camp.Context != nil {
+		opts.Context = camp.Context
 	}
 
 	start := time.Now()
@@ -252,17 +226,8 @@ func runChunk(prog *engine.Program, detect func(*engine.Outcome) bool,
 		next   atomic.Int64
 		wg     sync.WaitGroup
 		locals = make([]TrialResult, workers)
-		states = make([]*workerState, workers)
 	)
 	for w := 0; w < workers; w++ {
-		states[w] = &workerState{}
-		// The per-trial heartbeat costs a clock read, so workers publish
-		// it only while the watchdog that reads it is armed.
-		var hb *workerState
-		if camp.StuckTimeout > 0 {
-			hb = states[w]
-			hb.beat.Store(time.Now().UnixNano())
-		}
 		var tel *telemetry.EngineCounters
 		if camp.Telemetry {
 			tel = &telemetry.EngineCounters{}
@@ -274,28 +239,15 @@ func runChunk(prog *engine.Program, detect func(*engine.Outcome) bool,
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			defer states[w].done.Store(true)
 			strat := newStrategy()
-			labeledWorker(ctx, w, strat.Name(), progName, func() {
-				locals[w] = runWorker(prog, detect, strat, newStrategy, first, n, seed, opts, &next, ctx, sink, hb, tel, camp.Metrics, cov)
+			labeledWorker(camp.Context, w, strat.Name(), progName, func() {
+				locals[w] = runWorker(prog, detect, strat, newStrategy, first, n, seed, opts, &next, camp.Context, sink, tel, camp.Metrics, cov)
 			})
 		}(w)
 	}
+	wg.Wait()
 
-	if camp.StuckTimeout > 0 {
-		done := make(chan struct{})
-		go func() { wg.Wait(); close(done) }()
-		res.Stuck, res.StuckDiag = watchCampaign(done, states, camp.StuckTimeout, cancel)
-	} else {
-		wg.Wait()
-	}
-
-	for w, l := range locals {
-		if !states[w].done.Load() {
-			// Stuck worker: its result and shards were never published,
-			// and a wedged goroutine may still be writing them.
-			continue
-		}
+	for _, l := range locals {
 		mergeTrialResults(&res, l)
 	}
 	if camp.Metrics != nil && res.Telemetry != nil {
@@ -338,10 +290,6 @@ func mergeTrialResults(res *TrialResult, r TrialResult) {
 	res.Elapsed += r.Elapsed
 	res.Wall += r.Wall
 	res.Interrupted = res.Interrupted || r.Interrupted
-	res.Stuck = res.Stuck || r.Stuck
-	if r.StuckDiag != "" {
-		res.StuckDiag = r.StuckDiag
-	}
 	switch {
 	case res.Telemetry == nil:
 		res.Telemetry = r.Telemetry
@@ -356,71 +304,6 @@ func mergeTrialResults(res *TrialResult, r TrialResult) {
 	}
 }
 
-// workerState is the heartbeat a worker publishes for the campaign
-// watchdog: the wall-clock time and seed of its current trial (published
-// only while Campaign.StuckTimeout is armed), and whether it has returned.
-type workerState struct {
-	beat atomic.Int64 // UnixNano at the last trial boundary
-	seed atomic.Int64 // seed of the trial in flight
-	done atomic.Bool
-}
-
-// watchCampaign polls worker heartbeats until the pool drains or a worker
-// exceeds stuckAfter without finishing a trial. On a stuck worker it
-// cancels the campaign context (aborting every worker still inside the
-// engine's step loop), waits a grace period, and returns diagnostics
-// naming the wedged workers plus a truncated all-goroutine dump. Workers
-// wedged outside the step loop are leaked by design — the alternative is
-// hanging the campaign forever.
-func watchCampaign(done chan struct{}, states []*workerState, stuckAfter time.Duration, cancel context.CancelFunc) (bool, string) {
-	poll := stuckAfter / 4
-	if poll < 10*time.Millisecond {
-		poll = 10 * time.Millisecond
-	}
-	ticker := time.NewTicker(poll)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-done:
-			return false, ""
-		case <-ticker.C:
-			now := time.Now().UnixNano()
-			var wedged []string
-			for w, ws := range states {
-				if ws.done.Load() {
-					continue
-				}
-				if now-ws.beat.Load() > int64(stuckAfter) {
-					wedged = append(wedged, fmt.Sprintf("worker %d (seed %d, silent %v)",
-						w, ws.seed.Load(), time.Duration(now-ws.beat.Load()).Round(time.Millisecond)))
-				}
-			}
-			if len(wedged) == 0 {
-				continue
-			}
-			// A worker is stuck. Cancel the campaign so every worker still
-			// passing through the engine step loop aborts, then give the
-			// pool a grace period to unwind before declaring the campaign
-			// stuck and returning partial results.
-			cancel()
-			grace := stuckAfter
-			if grace < 200*time.Millisecond {
-				grace = 200 * time.Millisecond
-			}
-			select {
-			case <-done:
-				return false, "" // everyone unwound after the cancel: not stuck after all
-			case <-time.After(grace):
-			}
-			buf := make([]byte, 16<<10)
-			buf = buf[:runtime.Stack(buf, true)]
-			diag := fmt.Sprintf("campaign watchdog: stuck workers after %v: %s\ngoroutine dump (truncated):\n%s",
-				stuckAfter, strings.Join(wedged, "; "), buf)
-			return true, diag
-		}
-	}
-}
-
 // panicInfo captures a panic that escaped the engine during one trial.
 type panicInfo struct {
 	val   string
@@ -429,12 +312,16 @@ type panicInfo struct {
 
 // safeRun executes one trial with a recover boundary: a panic out of
 // Runner.Run (a strategy or engine bug — the program's own panics surface
-// as PanicError outcomes) is converted into a structured panicInfo
-// instead of killing the worker.
-func safeRun(r *engine.Runner, strat engine.Strategy, seed int64) (o *engine.Outcome, pan *panicInfo) {
+// as PanicError outcomes) is converted into a structured panicInfo, with
+// the stack only withStack (for a repro bundle), instead of killing the
+// worker.
+func safeRun(r *engine.Runner, strat engine.Strategy, seed int64, withStack bool) (o *engine.Outcome, pan *panicInfo) {
 	defer func() {
 		if v := recover(); v != nil {
-			pan = &panicInfo{val: fmt.Sprint(v), stack: string(debug.Stack())}
+			pan = &panicInfo{val: fmt.Sprint(v)}
+			if withStack {
+				pan.stack = string(debug.Stack())
+			}
 		}
 	}()
 	return r.Run(strat, seed), nil
@@ -442,16 +329,15 @@ func safeRun(r *engine.Runner, strat engine.Strategy, seed int64) (o *engine.Out
 
 // runWorker drains the chunk's n rounds, starting at campaign index
 // first, from the shared counter next on one pooled Runner, applying the
-// per-trial resilience protocol: heartbeat (ws, nil unless the campaign
-// watchdog is armed), cancellation check, panic quarantine, outcome
-// classification, failure capture, and (when armed) telemetry: tel is
-// this worker's private engine-counter shard, metrics the shared campaign
-// hub (atomics, touched once per trial). strat is the worker's
+// per-trial resilience protocol: cancellation check, panic quarantine,
+// outcome classification, failure capture, and (when armed) telemetry:
+// tel is this worker's private engine-counter shard, metrics the shared
+// campaign hub (atomics, touched once per trial). strat is the worker's
 // already-created strategy (its Name labels the worker's pprof context);
 // newStrategy only mints the replacements of a strategy that panicked.
 func runWorker(prog *engine.Program, detect func(*engine.Outcome) bool,
 	strat engine.Strategy, newStrategy func() engine.Strategy, first, n int, seed int64, opts engine.Options,
-	next *atomic.Int64, ctx context.Context, sink *reproSink, ws *workerState,
+	next *atomic.Int64, ctx context.Context, sink *reproSink,
 	tel *telemetry.EngineCounters, metrics *telemetry.Metrics, covSet *coverage.Set) TrialResult {
 	var local TrialResult
 	opts.Telemetry = tel
@@ -472,11 +358,7 @@ func runWorker(prog *engine.Program, detect func(*engine.Outcome) bool,
 			break
 		}
 		s := seed + int64(i)
-		if ws != nil {
-			ws.seed.Store(s)
-			ws.beat.Store(time.Now().UnixNano())
-		}
-		o, pan := safeRun(r, strat, s)
+		o, pan := safeRun(r, strat, s, false)
 		local.Runs++
 		if pan != nil {
 			// Quarantine: count the panic, replace the strategy and keep
@@ -543,17 +425,14 @@ func runWorker(prog *engine.Program, detect func(*engine.Outcome) bool,
 			}
 		}
 	}
-	if ws != nil {
-		ws.beat.Store(time.Now().UnixNano())
-	}
 	local.Telemetry, local.Coverage = tel, covSet
 	return local
 }
 
 // classifyFailure decides whether a trial outcome is worth a repro bundle
-// and names its kind. Step-limit aborts (livelock guard trips, common and
-// benign in bounded benchmarks) and cancellations (operator action) are
-// not failures.
+// and names its kind. As in Outcome.Failed, step-limit aborts (common and
+// benign in bounded benchmarks), timeouts (which the unbounded triage
+// re-run cannot reproduce) and cancellations are not failures.
 func classifyFailure(o *engine.Outcome, hit bool) (string, bool) {
 	if o.Err != nil {
 		switch o.Err.Kind {
@@ -561,8 +440,6 @@ func classifyFailure(o *engine.Outcome, hit bool) (string, bool) {
 			return "panic", true
 		case engine.DeadlockError:
 			return "deadlock", true
-		case engine.TimeoutError:
-			return "timeout", true
 		}
 	}
 	if hit {
@@ -702,7 +579,7 @@ func (s *reproSink) triage(seed int64, fp uint64, kind, msg string, orig replay.
 	stratName := strat.Name()
 	rec := replay.NewRecorder(strat)
 	fresh := engine.NewRunner(s.prog, reOpts)
-	o2, pan2 := safeRun(fresh, rec, seed)
+	o2, pan2 := safeRun(fresh, rec, seed, true)
 	fresh.Close()
 
 	bundle := replay.NewBundle(s.prog, stratName, seed, reOpts)
@@ -712,7 +589,10 @@ func (s *reproSink) triage(seed int64, fp uint64, kind, msg string, orig replay.
 	switch {
 	case pan2 != nil:
 		bundle.HarnessPanic = pan2.val
-		bundle.Stack = pan2.stack
+		bundle.Stack = rec.PanicStack()
+		if bundle.Stack == "" {
+			bundle.Stack = pan2.stack
+		}
 		if pan != nil && pan.val == pan2.val {
 			fail.Triage = replay.TriageDeterministic
 		} else {
@@ -723,11 +603,6 @@ func (s *reproSink) triage(seed int64, fp uint64, kind, msg string, orig replay.
 		// is not a function of (program, strategy, seed).
 		bundle.Outcome = replay.Summarize(o2)
 		fail.Triage = replay.TriageNondeterministic
-	case kind == "timeout":
-		// Wall-clock-dependent: the re-run (without the bound) legitimately
-		// diverges from the timed-out original; determinism is not judged.
-		bundle.Outcome = replay.Summarize(o2)
-		fail.Triage = replay.TriageSkipped
 	default:
 		bundle.Outcome = replay.Summarize(o2)
 		if diffs := orig.Diff(bundle.Outcome); len(diffs) == 0 {

@@ -139,9 +139,6 @@ const (
 	// outcome for the same (program, strategy, seed) — an engine or
 	// strategy determinism bug; the bundle's trace captures the re-run.
 	TriageNondeterministic = "NONDETERMINISTIC"
-	// TriageSkipped: the failure was wall-clock-dependent (timeout) or
-	// interrupted, so determinism was not judged.
-	TriageSkipped = "SKIPPED"
 )
 
 // Bundle is a self-contained reproduction artifact for one failing trial:

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"runtime/debug"
 
 	"pctwm/internal/engine"
 	"pctwm/internal/memmodel"
@@ -39,6 +40,7 @@ func Decode(data []byte) (*Trace, error) {
 type Recorder struct {
 	inner engine.Strategy
 	trace Trace
+	stack string
 }
 
 // NewRecorder wraps inner.
@@ -52,17 +54,33 @@ func (r *Recorder) Trace() *Trace {
 	}
 }
 
+// PanicStack returns the stack of the panic the wrapped strategy raised
+// in the current run ("" if none), taken where it was raised: re-raised
+// out of a thread's coroutine, the panic has lost the strategy's frames.
+func (r *Recorder) PanicStack() string { return r.stack }
+
+// catch, deferred by every callback, records a panic's stack and
+// re-raises the same value, so what escapes Run is unchanged.
+func (r *Recorder) catch() {
+	if v := recover(); v != nil {
+		r.stack = string(debug.Stack())
+		panic(v)
+	}
+}
+
 // Name implements engine.Strategy.
 func (r *Recorder) Name() string { return r.inner.Name() + "+record" }
 
 // Begin implements engine.Strategy.
 func (r *Recorder) Begin(info engine.ProgramInfo, rng *rand.Rand) {
-	r.trace = Trace{}
+	r.trace, r.stack = Trace{}, ""
+	defer r.catch()
 	r.inner.Begin(info, rng)
 }
 
 // NextThread implements engine.Strategy.
 func (r *Recorder) NextThread(enabled []engine.PendingOp) memmodel.ThreadID {
+	defer r.catch()
 	tid := r.inner.NextThread(enabled)
 	r.trace.Threads = append(r.trace.Threads, tid)
 	return tid
@@ -70,21 +88,23 @@ func (r *Recorder) NextThread(enabled []engine.PendingOp) memmodel.ThreadID {
 
 // PickRead implements engine.Strategy.
 func (r *Recorder) PickRead(rc engine.ReadContext) int {
+	defer r.catch()
 	i := r.inner.PickRead(rc)
 	r.trace.Reads = append(r.trace.Reads, i)
 	return i
 }
 
 // OnEvent implements engine.Strategy.
-func (r *Recorder) OnEvent(ev *memmodel.Event) { r.inner.OnEvent(ev) }
+func (r *Recorder) OnEvent(ev *memmodel.Event) { defer r.catch(); r.inner.OnEvent(ev) }
 
 // OnThreadStart implements engine.Strategy.
 func (r *Recorder) OnThreadStart(tid, parent memmodel.ThreadID) {
+	defer r.catch()
 	r.inner.OnThreadStart(tid, parent)
 }
 
 // OnSpin implements engine.Strategy.
-func (r *Recorder) OnSpin(tid memmodel.ThreadID) { r.inner.OnSpin(tid) }
+func (r *Recorder) OnSpin(tid memmodel.ThreadID) { defer r.catch(); r.inner.OnSpin(tid) }
 
 // Player replays a trace. Decisions beyond the trace (which can only
 // happen if the program changed) fall back to the first alternative.

@@ -155,14 +155,14 @@ func pctwm(d, h int) strategy {
 // run returns the campaign of p under s for runs rounds, round i at
 // Seed+i. Its key, the CheckpointCell, names p, s and runs, which with
 // the config determine the result: each key runs once per cells map.
-// Interrupted or stuck campaigns are not stored.
+// Interrupted campaigns are not stored.
 func (c Config) run(p program, s strategy, runs int) harness.TrialResult {
 	camp := c.cell(fmt.Sprintf("%s/w%d/%s/r%d", p.Name, p.writes, s.name, runs))
 	if res, ok := c.cells[camp.CheckpointCell]; ok {
 		return res
 	}
 	res := harness.RunCampaign(p.prog, p.Detect, func() engine.Strategy { return s.factory(p.est) }, runs, c.Seed, p.opts, camp)
-	if !res.Interrupted && !res.Stuck {
+	if !res.Interrupted {
 		c.cells[camp.CheckpointCell] = res
 	}
 	return res

@@ -36,13 +36,11 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	counter("pctwm_trial_timeouts_total", "Trials stopped by the per-trial wall-clock watchdog.", s.Timeouts)
 	counter("pctwm_trial_cancels_total", "Trials cut short by campaign cancellation.", s.Cancels)
 	counter("pctwm_events_total", "Events executed across all trials.", s.Events)
-	counter("pctwm_campaigns_interrupted_total", "Campaigns cut short by context cancellation (SIGINT/SIGTERM or watchdog).", s.Interrupts)
-	counter("pctwm_campaigns_stuck_total", "Stuck-worker watchdog firings.", s.Stuck)
+	counter("pctwm_campaigns_interrupted_total", "Campaigns cut short by context cancellation (SIGINT/SIGTERM).", s.Interrupts)
 
 	fmt.Fprintf(w, "# HELP pctwm_repro_bundles_total Repro bundles written, by flake-triage verdict.\n# TYPE pctwm_repro_bundles_total counter\n")
 	fmt.Fprintf(w, "pctwm_repro_bundles_total{triage=\"deterministic\"} %d\n", s.ReproDet)
 	fmt.Fprintf(w, "pctwm_repro_bundles_total{triage=\"nondeterministic\"} %d\n", s.ReproNondet)
-	fmt.Fprintf(w, "pctwm_repro_bundles_total{triage=\"skipped\"} %d\n", s.ReproSkipped)
 
 	counter("pctwm_checkpoint_writes_total", "Checkpoint generations committed to durable storage.", s.CheckpointWrites)
 	counter("pctwm_checkpoint_retries_total", "Durable-write retries after transient filesystem errors.", s.CheckpointRetries)

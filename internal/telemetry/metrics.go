@@ -94,11 +94,9 @@ type Metrics struct {
 	timeouts    atomic.Uint64
 	cancels     atomic.Uint64
 	interrupts  atomic.Uint64 // campaigns cut short by context cancellation
-	stuck       atomic.Uint64 // stuck-worker watchdog firings
 
 	reproDeterministic    atomic.Uint64
 	reproNondeterministic atomic.Uint64
-	reproSkipped          atomic.Uint64
 
 	checkpointWrites   atomic.Uint64 // committed checkpoint generations
 	checkpointRetries  atomic.Uint64 // durable-write retries after transient errors
@@ -232,22 +230,17 @@ func UnseenMass(singletons, observations uint64) float64 {
 }
 
 // CampaignInterrupted counts a campaign cut short by context
-// cancellation (SIGINT/SIGTERM or a stuck-watchdog cancel).
+// cancellation (SIGINT/SIGTERM).
 func (m *Metrics) CampaignInterrupted() { m.interrupts.Add(1) }
 
-// WorkerStuck counts a stuck-worker watchdog firing.
-func (m *Metrics) WorkerStuck() { m.stuck.Add(1) }
-
 // ReproTriaged counts one repro bundle by its triage verdict
-// ("DETERMINISTIC", "NONDETERMINISTIC", anything else = skipped).
+// ("DETERMINISTIC" or "NONDETERMINISTIC").
 func (m *Metrics) ReproTriaged(verdict string) {
 	switch verdict {
 	case "DETERMINISTIC":
 		m.reproDeterministic.Add(1)
 	case "NONDETERMINISTIC":
 		m.reproNondeterministic.Add(1)
-	default:
-		m.reproSkipped.Add(1)
 	}
 }
 
@@ -287,21 +280,19 @@ func (m *Metrics) Engine() EngineCounters {
 // Snapshot is the JSON-facing (and expvar-facing) digest of a Metrics.
 // All derived ratios are zero-guarded so the struct always encodes.
 type Snapshot struct {
-	Phase        string  `json:"phase,omitempty"`
-	UptimeSec    float64 `json:"uptime_sec"`
-	Expected     uint64  `json:"expected"`
-	Trials       uint64  `json:"trials"`
-	Hits         uint64  `json:"hits"`
-	Events       uint64  `json:"events"`
-	Deadlocks    uint64  `json:"deadlocks"`
-	Quarantines  uint64  `json:"quarantines"`
-	Timeouts     uint64  `json:"timeouts"`
-	Cancels      uint64  `json:"cancels"`
-	Interrupts   uint64  `json:"interrupts"`
-	Stuck        uint64  `json:"stuck"`
-	ReproDet     uint64  `json:"repro_deterministic"`
-	ReproNondet  uint64  `json:"repro_nondeterministic"`
-	ReproSkipped uint64  `json:"repro_skipped"`
+	Phase       string  `json:"phase,omitempty"`
+	UptimeSec   float64 `json:"uptime_sec"`
+	Expected    uint64  `json:"expected"`
+	Trials      uint64  `json:"trials"`
+	Hits        uint64  `json:"hits"`
+	Events      uint64  `json:"events"`
+	Deadlocks   uint64  `json:"deadlocks"`
+	Quarantines uint64  `json:"quarantines"`
+	Timeouts    uint64  `json:"timeouts"`
+	Cancels     uint64  `json:"cancels"`
+	Interrupts  uint64  `json:"interrupts"`
+	ReproDet    uint64  `json:"repro_deterministic"`
+	ReproNondet uint64  `json:"repro_nondeterministic"`
 
 	CheckpointWrites   uint64 `json:"checkpoint_writes"`
 	CheckpointRetries  uint64 `json:"checkpoint_retries"`
@@ -382,21 +373,19 @@ func (m *Metrics) SnapshotAt(now time.Time) Snapshot {
 	nsPerEvent := m.nsPerEvent.Snapshot()
 	behaviors, covObs, singletons := m.Coverage()
 	return Snapshot{
-		Phase:        m.Phase(),
-		UptimeSec:    up.Seconds(),
-		Expected:     m.expected.Load(),
-		Trials:       trials,
-		Hits:         m.hits.Load(),
-		Events:       m.events.Load(),
-		Deadlocks:    m.deadlocks.Load(),
-		Quarantines:  m.quarantines.Load(),
-		Timeouts:     m.timeouts.Load(),
-		Cancels:      m.cancels.Load(),
-		Interrupts:   m.interrupts.Load(),
-		Stuck:        m.stuck.Load(),
-		ReproDet:     m.reproDeterministic.Load(),
-		ReproNondet:  m.reproNondeterministic.Load(),
-		ReproSkipped: m.reproSkipped.Load(),
+		Phase:       m.Phase(),
+		UptimeSec:   up.Seconds(),
+		Expected:    m.expected.Load(),
+		Trials:      trials,
+		Hits:        m.hits.Load(),
+		Events:      m.events.Load(),
+		Deadlocks:   m.deadlocks.Load(),
+		Quarantines: m.quarantines.Load(),
+		Timeouts:    m.timeouts.Load(),
+		Cancels:     m.cancels.Load(),
+		Interrupts:  m.interrupts.Load(),
+		ReproDet:    m.reproDeterministic.Load(),
+		ReproNondet: m.reproNondeterministic.Load(),
 
 		CheckpointWrites:   m.checkpointWrites.Load(),
 		CheckpointRetries:  m.checkpointRetries.Load(),

@@ -193,13 +193,12 @@ func TestMetricsObserveTrial(t *testing.T) {
 	m.ObserveTrial(TrialObs{TimedOut: true, Canceled: true})
 	m.ReproTriaged("DETERMINISTIC")
 	m.ReproTriaged("NONDETERMINISTIC")
-	m.ReproTriaged("SKIPPED")
 	s := m.SnapshotAt(time.Now())
 	if s.Trials != 3 || s.Hits != 1 || s.Deadlocks != 1 || s.Quarantines != 1 ||
 		s.Timeouts != 1 || s.Cancels != 1 {
 		t.Fatalf("taxonomy: %+v", s)
 	}
-	if s.ReproDet != 1 || s.ReproNondet != 1 || s.ReproSkipped != 1 {
+	if s.ReproDet != 1 || s.ReproNondet != 1 {
 		t.Fatalf("triage: %+v", s)
 	}
 	if s.NsPerEvent.Count != 1 || s.NsPerEvent.Mean != 1000 {
