@@ -35,7 +35,6 @@ import (
 	"pctwm/internal/engine"
 	"pctwm/internal/harness"
 	"pctwm/internal/litmus"
-	"pctwm/internal/replay"
 	"pctwm/internal/telemetry"
 )
 
@@ -52,7 +51,7 @@ var commands = []struct {
 	{"litmus", "run the litmus conformance suite under one strategy", litmusCmd},
 	{"replay", "re-execute repro bundles and verify they reproduce", replayCmd},
 	{"run", "test one benchmark or application under one strategy", runCmd},
-	{"trace", "find a failing execution, replay it and render its graph", traceCmd},
+	{"trace", "find a failing execution, re-run its seed and render its graph", traceCmd},
 }
 
 func main() {
@@ -272,33 +271,22 @@ func (t *trialFlags) trial(name, model string, extraWrites int) (*trial, error) 
 	return &trial{p, prog, est, func() engine.Strategy { return factory(est) }}, nil
 }
 
-// failure is the first failing execution firstFailure found.
-type failure struct {
-	round int
-	out   *engine.Outcome
-	trace *replay.Trace             // the round's recorded decisions
-	tel   *telemetry.EngineCounters // the round's counters (PCTWM change points)
-}
-
 // firstFailure runs rounds at seeds t.seed, t.seed+1, ... up to -runs on
-// one pooled Runner, each under a fresh recorded strategy with fresh
-// engine counters, and returns the first one tr.detect flags. A warm
-// Runner executes the same run per seed as a fresh engine.Run
-// (TestTraceEquivalence* pins this).
-func (t *trialFlags) firstFailure(tr *trial) (failure, bool) {
-	tel := &telemetry.EngineCounters{}
-	opts := tr.opts
-	opts.Telemetry = tel
-	r := engine.NewRunner(tr.prog, opts)
+// one pooled Runner under one strategy value, which Begin resets per
+// round as in every campaign worker, and returns the first round
+// tr.detect flags with its outcome. A round is a function of its seed, so
+// a run of seed t.seed+round on engine.Run repeats it (a warm Runner runs
+// what a fresh one does: TestTraceEquivalence* pins this).
+func (t *trialFlags) firstFailure(tr *trial) (int, *engine.Outcome, bool) {
+	r := engine.NewRunner(tr.prog, tr.opts)
 	defer r.Close()
+	strat := tr.newStrategy()
 	for i := 0; i < t.runs; i++ {
-		*tel = telemetry.EngineCounters{}
-		rec := replay.NewRecorder(tr.newStrategy())
-		if o := r.Run(rec, t.seed+int64(i)); tr.detect(o) {
-			return failure{i, o, rec.Trace(), tel}, true
+		if o := r.Run(strat, t.seed+int64(i)); tr.detect(o) {
+			return i, o, true
 		}
 	}
-	return failure{}, false
+	return 0, nil, false
 }
 
 // campaignFlags is the flag group bench and experiments share.

@@ -19,11 +19,14 @@ import (
 	"testing"
 	"time"
 
+	"pctwm/internal/benchprog"
 	"pctwm/internal/core"
 	"pctwm/internal/engine"
 	"pctwm/internal/enumerate"
 	"pctwm/internal/harness"
 	"pctwm/internal/litmus"
+	"pctwm/internal/replay"
+	"pctwm/internal/telemetry"
 )
 
 // call runs the pctwm command line in-process and returns its exit
@@ -115,6 +118,41 @@ func TestRunEstimateIsTable1s(t *testing.T) {
 		if want := fmt.Sprintf("%s under pctwm: estimated k=%s kcom=%s ", f[0], f[2], f[3]); !strings.Contains(stdout, want) {
 			t.Errorf("run -b %s prints %q, want Table 1's %q", f[0], strings.SplitN(stdout, "\n", 2)[0], want)
 		}
+	}
+}
+
+// TestTraceRerunRepeatsTheFailure: the round firstFailure finds, under
+// one strategy value on a warm Runner, is what trace's re-run of its seed
+// on engine.Run, with recording and counters on, executes again: for
+// every benchmark, strategy and model both runs fail with the same
+// outcome.
+func TestTraceRerunRepeatsTheFailure(t *testing.T) {
+	found := 0
+	for _, model := range engine.Models() {
+		for _, b := range benchprog.All() {
+			for _, strategy := range []string{"c11tester", "pct", "pctwm"} {
+				tf := &trialFlags{strategy: strategyFlag(strategy), runs: 500, depth: -1, history: 1, seed: 1}
+				tr, err := tf.trial(b.Name, model, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				round, first, ok := tf.firstFailure(tr)
+				if !ok {
+					continue
+				}
+				found++
+				opts := tr.opts
+				opts.Record, opts.Telemetry = true, &telemetry.EngineCounters{}
+				again := engine.Run(tr.prog, tr.newStrategy(), tf.seed+int64(round), opts)
+				if diffs := replay.Summarize(first).Diff(replay.Summarize(again)); len(diffs) != 0 || !tr.detect(again) {
+					t.Errorf("%s under %s and %s, round %d: the re-run differs %v (fails: %v)",
+						b.Name, strategy, model, round, diffs, tr.detect(again))
+				}
+			}
+		}
+	}
+	if found == 0 {
+		t.Fatal("no benchmark failed under any strategy")
 	}
 }
 

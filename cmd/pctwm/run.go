@@ -40,12 +40,12 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 		*name, t.strategy, tr.est.K, tr.est.KCom, tr.est.Threads)
 
 	if *verbose {
-		if f, ok := t.firstFailure(tr); ok {
-			fmt.Fprintf(stdout, "first failure at round %d (seed %d):\n", f.round, t.seed+int64(f.round))
-			for _, m := range f.out.BugMessages {
+		if round, o, ok := t.firstFailure(tr); ok {
+			fmt.Fprintf(stdout, "first failure at round %d (seed %d):\n", round, t.seed+int64(round))
+			for _, m := range o.BugMessages {
 				fmt.Fprintln(stdout, "  assertion:", m)
 			}
-			for _, r := range f.out.Races {
+			for _, r := range o.Races {
 				fmt.Fprintln(stdout, "  race:", r)
 			}
 		}

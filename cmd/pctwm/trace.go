@@ -9,15 +9,16 @@ import (
 	"pctwm/internal/axiom"
 	"pctwm/internal/engine"
 	"pctwm/internal/memmodel"
-	"pctwm/internal/replay"
+	"pctwm/internal/telemetry"
 	"pctwm/internal/telemetry/perfetto"
 )
 
 // traceCmd is `pctwm trace`: it finds a failing execution of a benchmark,
-// replays it deterministically, and renders its execution graph — either
-// as a per-thread text listing or as Graphviz DOT — together with the
-// consistency verdict under the -engine.model axioms and any detected
-// data races. It exits 1 when no round of -runs fails.
+// re-runs its seed with recording and engine counters on, and renders its
+// execution graph — either as a per-thread text listing or as Graphviz
+// DOT — together with the consistency verdict under the -engine.model
+// axioms and any detected data races. It exits 1 when no round of -runs
+// fails, or when the re-run does not fail.
 //
 //	pctwm trace -b dekker [-strategy pctwm] [-d D] [-y H] [-s SEED] [-runs N] [-dot]
 //	            [-perfetto out.json]
@@ -41,17 +42,21 @@ func traceCmd(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return c.fail(2, "%v", err)
 	}
-	f, ok := t.firstFailure(tr)
+	round, _, ok := t.firstFailure(tr)
 	if !ok {
 		return c.fail(1, "no failing execution of %s in %d rounds", *name, t.runs)
 	}
 
-	// Replay with recording to obtain the execution graph.
+	// A run is a function of its seed: the failing round's seed, re-run
+	// with recording and counters on, yields its execution graph and its
+	// PCTWM change points.
+	seed := t.seed + int64(round)
+	tel := &telemetry.EngineCounters{}
 	opts := tr.opts
-	opts.Record = true
-	o := engine.Run(tr.prog, replay.NewPlayer(f.trace), 0, opts)
+	opts.Record, opts.Telemetry = true, tel
+	o := engine.Run(tr.prog, tr.newStrategy(), seed, opts)
 	if !tr.detect(o) {
-		return c.fail(1, "replay lost the failure")
+		return c.fail(1, "the re-run of seed %d lost the failure", seed)
 	}
 	// The recheck is the graph build and the check together: hb and sw
 	// are derived inside the check, so it runs before the rendering.
@@ -61,7 +66,7 @@ func traceCmd(args []string, stdout, stderr io.Writer) int {
 		return c.fail(1, "%v", err)
 	}
 	vs := g.CheckModel(o.Recording.Model)
-	f.tel.AddAxiomRecheck(time.Since(recheckStart).Nanoseconds())
+	tel.AddAxiomRecheck(time.Since(recheckStart).Nanoseconds())
 	locName := func(l memmodel.Loc) string {
 		if n, ok := o.Recording.LocNames[l]; ok {
 			return n
@@ -70,7 +75,7 @@ func traceCmd(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *perfOut != "" {
-		data, err := perfetto.Marshal(o.Recording, f.tel.ChangePoints)
+		data, err := perfetto.Marshal(o.Recording, tel.ChangePoints)
 		if err != nil {
 			return c.fail(1, "%v", err)
 		}
@@ -100,7 +105,7 @@ func traceCmd(args []string, stdout, stderr io.Writer) int {
 	}
 	if len(vs) == 0 {
 		fmt.Fprintf(stdout, "consistency: the execution satisfies the %s axioms (rechecked in %v)\n",
-			model.name, time.Duration(f.tel.AxiomRecheckNs).Round(time.Microsecond))
+			model.name, time.Duration(tel.AxiomRecheckNs).Round(time.Microsecond))
 	} else {
 		for _, v := range vs {
 			fmt.Fprintln(stdout, "consistency VIOLATION:", v)

@@ -71,11 +71,15 @@ type Observer interface {
 	CheckpointDegraded()
 }
 
-// Write-retry and retention defaults (zero-value Store fields).
+// The durable-write policy: a write gets writeAttempts attempts, the
+// first retry writeBackoff after the first failure and each later one
+// twice as long after the one before, and a Store keeps its
+// keepGenerations newest generations: the current one plus the fallback
+// a corrupt write recovers to.
 const (
-	defaultAttempts = 4
-	defaultBackoff  = 2 * time.Millisecond
-	defaultKeep     = 2
+	writeAttempts   = 4
+	writeBackoff    = 2 * time.Millisecond
+	keepGenerations = 2
 )
 
 // envelope is the on-disk checkpoint frame. Payload is stored as raw
@@ -154,21 +158,13 @@ func DecodeEnvelope(data []byte, key string) (payload []byte, gen uint64, err er
 }
 
 // Store reads and writes the numbered checkpoint generations of one
-// campaign cell under Dir. The zero value plus Dir is ready to use
-// (real filesystem, default retry/retention). Stores are cheap; create
-// one per cell.
+// campaign cell under Dir. The zero value plus Dir is ready to use on the
+// real filesystem. Stores are cheap; create one per cell.
 type Store struct {
 	// FS is the filesystem written through (nil = OS).
 	FS FS
 	// Dir holds this store's generation files (created on first Save).
 	Dir string
-	// Keep is how many newest generations survive GC (0 = 2: the
-	// current one plus the fallback a corrupt write recovers to).
-	Keep int
-	// Attempts bounds durable-write retries (0 = 4 total attempts).
-	Attempts int
-	// Backoff is the first retry delay, doubling per attempt (0 = 2ms).
-	Backoff time.Duration
 	// Observer receives durability telemetry (may be nil).
 	Observer Observer
 }
@@ -180,19 +176,27 @@ func (s *Store) fsys() FS {
 	return s.FS
 }
 
-func (s *Store) keep() int {
-	if s.Keep <= 0 {
-		return defaultKeep
-	}
-	return s.Keep
-}
-
 const genSuffix = ".ckpt"
 
 // genName renders a generation filename; zero-padding makes
 // lexicographic order equal numeric order.
 func genName(gen uint64) string {
 	return fmt.Sprintf("gen-%016d%s", gen, genSuffix)
+}
+
+// Slug maps a name onto a filesystem-safe file-name component: ASCII
+// letters, digits, '-', '_' and '.' stay, every other rune becomes '_'.
+// Campaign cell directories and repro bundles are named with it.
+func Slug(s string) string {
+	return strings.Map(func(r rune) rune {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
+			r == '-', r == '_', r == '.':
+			return r
+		default:
+			return '_'
+		}
+	}, s)
 }
 
 // parseGen extracts the generation number from a filename (ok=false for
@@ -227,7 +231,7 @@ func (s *Store) generations() []uint64 {
 
 // Save writes payload (valid JSON) as the next generation for key:
 // envelope + checksum, temp-file write, atomic rename, bounded retries
-// with exponential backoff, then GC of generations beyond Keep. Returns
+// with exponential backoff, then GC of the older generations. Returns
 // the generation number written.
 func (s *Store) Save(key string, payload []byte) (uint64, error) {
 	gen := uint64(1)
@@ -249,12 +253,11 @@ func (s *Store) Save(key string, payload []byte) (uint64, error) {
 	return gen, nil
 }
 
-// gc removes generations older than the Keep newest. Removal errors are
-// ignored: stale generations are garbage, not state.
+// gc removes generations older than the keepGenerations newest. Removal
+// errors are ignored: stale generations are garbage, not state.
 func (s *Store) gc(newest uint64) {
-	keep := uint64(s.keep())
 	for _, g := range s.generations() {
-		if g+keep <= newest {
+		if g+keepGenerations <= newest {
 			_ = s.fsys().Remove(filepath.Join(s.Dir, genName(g)))
 		}
 	}
@@ -263,21 +266,13 @@ func (s *Store) gc(newest uint64) {
 // writeDurable is one atomic (temp + rename) write with bounded retry
 // and exponential backoff on any error.
 func (s *Store) writeDurable(path string, data []byte) error {
-	attempts := s.Attempts
-	if attempts <= 0 {
-		attempts = defaultAttempts
-	}
-	backoff := s.Backoff
-	if backoff <= 0 {
-		backoff = defaultBackoff
-	}
 	var err error
-	for i := 0; i < attempts; i++ {
+	for i := 0; i < writeAttempts; i++ {
 		if i > 0 {
 			if s.Observer != nil {
 				s.Observer.CheckpointRetried()
 			}
-			time.Sleep(backoff << (i - 1))
+			time.Sleep(writeBackoff << (i - 1))
 		}
 		if err = writeOnce(s.fsys(), path, data); err == nil {
 			return nil

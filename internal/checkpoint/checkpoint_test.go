@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 )
 
 // countObserver records observer callbacks for assertions.
@@ -29,7 +28,7 @@ func (o *countObserver) CheckpointDegraded() { o.mu.Lock(); o.degraded++; o.mu.U
 func newStore(t *testing.T) (*Store, *countObserver) {
 	t.Helper()
 	obs := &countObserver{}
-	return &Store{Dir: filepath.Join(t.TempDir(), "ckpt"), Backoff: time.Microsecond, Observer: obs}, obs
+	return &Store{Dir: filepath.Join(t.TempDir(), "ckpt"), Observer: obs}, obs
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -178,7 +177,7 @@ func TestStoreAllGenerationsCorrupt(t *testing.T) {
 func TestStoreRetriesTransientWriteErrors(t *testing.T) {
 	ffs := &FaultFS{}
 	obs := &countObserver{}
-	s := &Store{FS: ffs, Dir: filepath.Join(t.TempDir(), "ckpt"), Backoff: time.Microsecond, Observer: obs}
+	s := &Store{FS: ffs, Dir: filepath.Join(t.TempDir(), "ckpt"), Observer: obs}
 	ffs.FailWrites(2, errors.New("injected ENOSPC"))
 	if _, err := s.Save("k", []byte(`{"i":1}`)); err != nil {
 		t.Fatalf("Save with 2 transient failures: %v", err)
@@ -193,7 +192,7 @@ func TestStoreRetriesTransientWriteErrors(t *testing.T) {
 
 func TestStoreExhaustsRetriesOnPermanentError(t *testing.T) {
 	ffs := &FaultFS{}
-	s := &Store{FS: ffs, Dir: filepath.Join(t.TempDir(), "ckpt"), Attempts: 3, Backoff: time.Microsecond}
+	s := &Store{FS: ffs, Dir: filepath.Join(t.TempDir(), "ckpt")}
 	werr := errors.New("injected EACCES")
 	ffs.SetPermanentError(werr)
 	if _, err := s.Save("k", []byte(`{"i":1}`)); !errors.Is(err, werr) {
@@ -204,7 +203,7 @@ func TestStoreExhaustsRetriesOnPermanentError(t *testing.T) {
 func TestStoreSurvivesTornWrite(t *testing.T) {
 	ffs := &FaultFS{}
 	obs := &countObserver{}
-	s := &Store{FS: ffs, Dir: filepath.Join(t.TempDir(), "ckpt"), Backoff: time.Microsecond, Observer: obs}
+	s := &Store{FS: ffs, Dir: filepath.Join(t.TempDir(), "ckpt"), Observer: obs}
 	if _, err := s.Save("k", []byte(`{"i":1}`)); err != nil {
 		t.Fatal(err)
 	}

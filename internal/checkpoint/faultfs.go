@@ -6,7 +6,7 @@ import (
 )
 
 // FaultFS wraps an FS with scriptable fault injection for testing the
-// durable sinks: transient failures on the next N mutating calls,
+// durable sinks: transient failures on the next N writes or renames,
 // a permanent error that persists until cleared (an unwritable
 // directory mid-campaign), and torn writes (the write reports success
 // but only half the bytes reach the file — what a SIGKILL or power cut
@@ -23,12 +23,10 @@ type FaultFS struct {
 	mu          sync.Mutex
 	failWrites  int   // next N WriteFile calls fail
 	failRenames int   // next N Rename calls fail
-	failMkdirs  int   // next N MkdirAll calls fail
 	permanent   error // all mutating calls fail until cleared
 	injected    error // the error transient failures return
 	tornWrites  int   // next N WriteFile calls write half the data, report success
-
-	writes, renames, mkdirs int // successful-call counters for assertions
+	writes      int   // WriteFile calls that reached Base
 }
 
 func (f *FaultFS) base() FS {
@@ -50,13 +48,6 @@ func (f *FaultFS) FailRenames(n int, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.failRenames, f.injected = n, err
-}
-
-// FailMkdirs makes the next n MkdirAll calls fail with err.
-func (f *FaultFS) FailMkdirs(n int, err error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.failMkdirs, f.injected = n, err
 }
 
 // SetPermanentError makes every mutating call fail with err until
@@ -86,19 +77,11 @@ func (f *FaultFS) Writes() int {
 
 func (f *FaultFS) MkdirAll(path string, perm fs.FileMode) error {
 	f.mu.Lock()
-	if f.permanent != nil {
-		err := f.permanent
-		f.mu.Unlock()
-		return err
-	}
-	if f.failMkdirs > 0 {
-		f.failMkdirs--
-		err := f.injected
-		f.mu.Unlock()
-		return err
-	}
-	f.mkdirs++
+	err := f.permanent
 	f.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	return f.base().MkdirAll(path, perm)
 }
 
@@ -141,7 +124,6 @@ func (f *FaultFS) Rename(oldpath, newpath string) error {
 		f.mu.Unlock()
 		return err
 	}
-	f.renames++
 	f.mu.Unlock()
 	return f.base().Rename(oldpath, newpath)
 }

@@ -12,7 +12,7 @@
 // generation number, an FNV-1a/64 checksum of the payload, and the
 // payload itself. Atomicity comes from write-to-temp-then-rename;
 // durability against flaky disks from bounded retry with exponential
-// backoff; recoverability from keeping the last Keep generations and
+// backoff; recoverability from keeping the last two generations and
 // falling back past a corrupt newest one on load.
 package checkpoint
 

@@ -108,19 +108,16 @@ type Engine struct {
 	// predictable branch. Its scratch is reused across runs.
 	cov *coverage.Accumulator
 
-	// Watchdog state (cancellation + wall-clock bound), refreshed per run
-	// by reset. watchdogOn gates the hot path: when neither a Context nor
-	// a MaxWallTime is configured, driveStep pays a single cached-bool
-	// branch and never touches a channel or the clock.
-	watchdogOn bool
-	ctxDone    <-chan struct{}
-	deadline   time.Time
+	// ctxDone is Options.Context's Done channel, refreshed per run by
+	// reset. It gates the hot path: without a Context, driveStep pays one
+	// nil check and never touches a channel.
+	ctxDone <-chan struct{}
 }
 
 // watchdogInterval is how many scheduler grants pass between cancellation
-// / deadline checks (power of two; the check is `steps&watchdogMask==0`).
-// 64 keeps the poll off the per-event profile while bounding the overrun
-// of a canceled or timed-out run to tens of microseconds of stepping.
+// polls (power of two; the poll is `steps&watchdogMask==0`). 64 keeps the
+// poll off the per-event profile while bounding the overrun of a canceled
+// run to tens of microseconds of stepping.
 const (
 	watchdogInterval = 64
 	watchdogMask     = watchdogInterval - 1
@@ -301,41 +298,20 @@ func (e *Engine) reset(strat Strategy, seed int64) {
 	if e.opts.Context != nil {
 		e.ctxDone = e.opts.Context.Done()
 	}
-	e.deadline = time.Time{}
-	if e.opts.MaxWallTime > 0 {
-		e.deadline = time.Now().Add(e.opts.MaxWallTime)
-	}
-	e.watchdogOn = e.ctxDone != nil || e.opts.MaxWallTime > 0
 }
 
-// checkInterrupt polls the run's cancellation context and wall-clock
-// deadline (called from driveStep every watchdogInterval grants). It
-// reports true when the run must end, having recorded the structured
-// cause. Cancellation wins over the deadline so an operator interrupt is
-// never misreported as a timeout.
+// checkInterrupt polls the run's cancellation context (called from
+// driveStep every watchdogInterval grants). It reports true when the run
+// must end, having recorded a CanceledError.
 func (e *Engine) checkInterrupt() bool {
-	if e.ctxDone != nil {
-		select {
-		case <-e.ctxDone:
-			e.outcome.Canceled = true
-			msg := "run canceled"
-			if err := e.opts.Context.Err(); err != nil {
-				msg = "run canceled: " + err.Error()
-			}
-			e.setRunError(&RunError{Kind: CanceledError, Msg: msg})
-			return true
-		default:
-		}
-	}
-	if !e.deadline.IsZero() && time.Now().After(e.deadline) {
-		e.outcome.TimedOut = true
-		e.setRunError(&RunError{
-			Kind: TimeoutError,
-			Msg:  fmt.Sprintf("wall-clock limit (%v) exceeded", e.opts.MaxWallTime),
-		})
+	select {
+	case <-e.ctxDone:
+		e.outcome.Canceled = true
+		e.setRunError(&RunError{Kind: CanceledError, Msg: "run canceled: " + e.opts.Context.Err().Error()})
 		return true
+	default:
+		return false
 	}
-	return false
 }
 
 // finalize snapshots everything the Outcome needs from engine state, then
@@ -475,7 +451,7 @@ func (e *Engine) startRoots() *Thread {
 // StopOnBug) and no thread should be woken. The caller must hold the
 // baton.
 func (e *Engine) driveStep() (granted *Thread, res response, ended bool) {
-	if e.stopped || e.watchdogOn && e.outcome.Steps&watchdogMask == 0 && e.checkInterrupt() {
+	if e.stopped || e.ctxDone != nil && e.outcome.Steps&watchdogMask == 0 && e.checkInterrupt() {
 		return nil, response{}, true
 	}
 	enabled := e.enabledOps()

@@ -104,7 +104,7 @@ func TestRunErrorDeadlock(t *testing.T) {
 
 // TestFailedAccountsForErr: Failed() reflects the structured error —
 // panics and deadlocks are failures, resource aborts (step limit,
-// timeout, cancellation) are not, and a panicking run (which sets both
+// cancellation) are not, and a panicking run (which sets both
 // BugHit and a PanicError) is counted exactly once.
 func TestFailedAccountsForErr(t *testing.T) {
 	cases := []struct {
@@ -118,7 +118,6 @@ func TestFailedAccountsForErr(t *testing.T) {
 		{"panic-err-only", Outcome{Err: &RunError{Kind: PanicError}}, true},
 		{"deadlock", Outcome{Deadlocked: true, Err: &RunError{Kind: DeadlockError}}, true},
 		{"step-limit", Outcome{Aborted: true, Err: &RunError{Kind: StepLimitError}}, false},
-		{"timeout", Outcome{TimedOut: true, Err: &RunError{Kind: TimeoutError}}, false},
 		{"canceled", Outcome{Canceled: true, Err: &RunError{Kind: CanceledError}}, false},
 	}
 	for _, c := range cases {
@@ -170,32 +169,6 @@ func TestRunErrorNilOnCleanAndAssertRuns(t *testing.T) {
 	}
 	if o.Err != nil {
 		t.Errorf("assertion failure: Err = %+v, want nil", o.Err)
-	}
-}
-
-// TestRunErrorTimeout: a livelocked execution with a wall-clock bound is
-// cut off with a TimeoutError long before it burns through a huge step
-// budget.
-func TestRunErrorTimeout(t *testing.T) {
-	o := run(t, spinForeverProgram(), &scriptStrategy{readPick: 0},
-		Options{MaxSteps: 1 << 30, MaxWallTime: 2 * time.Millisecond})
-	if !o.TimedOut {
-		t.Fatalf("expected a timed-out run: %+v", o)
-	}
-	if o.Err == nil || o.Err.Kind != TimeoutError {
-		t.Fatalf("Err = %+v, want TimeoutError", o.Err)
-	}
-	if !strings.Contains(o.Err.Msg, "2ms") {
-		t.Errorf("Err.Msg = %q, want the configured limit named", o.Err.Msg)
-	}
-	if o.Aborted {
-		t.Error("timeout also reported as step-limit abort")
-	}
-	if o.Failed() {
-		t.Error("a timeout must not count as a program failure")
-	}
-	if !o.Abnormal() {
-		t.Error("a timeout must count as abnormal")
 	}
 }
 
@@ -277,7 +250,6 @@ func TestRunErrorKindString(t *testing.T) {
 		PanicError:      "panic",
 		DeadlockError:   "deadlock",
 		StepLimitError:  "step-limit",
-		TimeoutError:    "timeout",
 		CanceledError:   "canceled",
 		RunErrorKind(0): "unknown",
 	}

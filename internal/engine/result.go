@@ -53,8 +53,6 @@ const (
 	DeadlockError
 	// StepLimitError: the execution hit Options.MaxSteps.
 	StepLimitError
-	// TimeoutError: the execution exceeded Options.MaxWallTime.
-	TimeoutError
 	// CanceledError: Options.Context was canceled mid-run.
 	CanceledError
 )
@@ -68,8 +66,6 @@ func (k RunErrorKind) String() string {
 		return "deadlock"
 	case StepLimitError:
 		return "step-limit"
-	case TimeoutError:
-		return "timeout"
 	case CanceledError:
 		return "canceled"
 	}
@@ -114,8 +110,8 @@ type Outcome struct {
 	// Deadlocked is true when unfinished threads remained but none was
 	// enabled (a join cycle).
 	Deadlocked bool
-	// TimedOut is true when the execution exceeded Options.MaxWallTime
-	// (Err.Kind is TimeoutError).
+	// TimedOut is never set: a run has no wall-clock bound. The field
+	// stays because the repository benchmark (bench/) reads it.
 	TimedOut bool
 	// Canceled is true when Options.Context was canceled mid-run (Err.Kind
 	// is CanceledError). The run's threads were unwound cleanly; the
@@ -145,7 +141,7 @@ type Outcome struct {
 // failure or thread crash (BugHit), a data race (the C11Tester notion
 // used for the application benchmarks), or a structured abnormal ending
 // that indicts the program — a panic or a deadlock. Resource aborts
-// (step limit, wall-clock timeout, cancellation) are NOT failures: they
+// (step limit, cancellation) are NOT failures: they
 // say the run was cut short, not that the program misbehaved; use
 // Abnormal (or inspect Err directly) to see those.
 //
@@ -163,7 +159,7 @@ func (o *Outcome) Failed() bool {
 }
 
 // Abnormal reports whether the execution ended abnormally for any reason
-// (panic, deadlock, step limit, wall-clock timeout, cancellation).
+// (panic, deadlock, step limit, cancellation).
 func (o *Outcome) Abnormal() bool { return o.Err != nil }
 
 // Options configure one execution. The zero value gives the documented
@@ -183,14 +179,6 @@ type Options struct {
 	// (guards against livelocks the strategy cannot escape). 0 means the
 	// default of 100000.
 	MaxSteps int
-	// MaxWallTime bounds one execution's wall-clock duration. The step
-	// loop checks a precomputed deadline every watchdogInterval grants, so
-	// a livelocked execution under a buggy strategy is cut off in bounded
-	// real time instead of spinning to MaxSteps; the run ends with a
-	// TimeoutError and unwinds its threads cleanly. 0 disables the bound.
-	// Timeouts are inherently wall-clock-dependent: the same seed may time
-	// out at a different step (or not at all) on a re-run.
-	MaxWallTime time.Duration
 	// Context, when non-nil, cancels in-flight executions: the step loop
 	// polls Context.Done() every watchdogInterval grants and ends the run
 	// with a CanceledError, releasing coroutines with no goroutine leaks.

@@ -15,6 +15,7 @@ import (
 	"pctwm/internal/litmus"
 	"pctwm/internal/memmodel"
 	"pctwm/internal/replay"
+	"pctwm/internal/telemetry"
 )
 
 // panickyStrategy panics in Begin for a deterministic, seed-dependent
@@ -295,24 +296,60 @@ func TestCampaignCancelMidRun(t *testing.T) {
 	}
 }
 
-// TestCampaignTimeoutIsNotBundled: a trial stopped by the per-trial
-// wall-clock bound is not a failure, so the repro sink bundles none: the
-// triage re-run drops the bound and would record another run.
-func TestCampaignTimeoutIsNotBundled(t *testing.T) {
+// cancelingStrategy is a strategy that cancels its campaign at the first
+// decision of the run numbered at (counting from 0).
+type cancelingStrategy struct {
+	engine.Strategy
+	cancel   context.CancelFunc
+	at, runs int
+}
+
+func (s *cancelingStrategy) Begin(info engine.ProgramInfo, rng *rand.Rand) {
+	s.runs++
+	s.Strategy.Begin(info, rng)
+}
+
+func (s *cancelingStrategy) NextThread(en []engine.PendingOp) memmodel.ThreadID {
+	if s.runs > s.at {
+		s.cancel()
+	}
+	return s.Strategy.NextThread(en)
+}
+
+// TestCampaignCanceledTrialIsNotARun: a trial that the campaign's cancel
+// cuts short counts only in Canceled. It is not in Runs, TotalEvents or
+// Elapsed, it is not classified, and a metrics hub counts it as a cancel,
+// not a trial. Dekker's 100 extra writes keep round 5 running past the
+// engine's first cancellation poll after its first decision.
+func TestCampaignCanceledTrialIsNotARun(t *testing.T) {
 	b, err := benchprog.ByName("dekker")
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := b.Options()
-	opts.MaxWallTime = time.Nanosecond
-	dir := t.TempDir()
-	res := RunCampaign(b.Program(0), b.Detect, func() engine.Strategy { return core.NewRandom() },
-		50, 1, opts, Campaign{Workers: 1, ReproDir: dir, MaxRepros: 3})
-	if res.Timeouts != 50 || len(res.Failures) != 0 {
-		t.Fatalf("%d timeouts and %d captured failures, want 50 and 0: %+v", res.Timeouts, len(res.Failures), res.Failures)
+	prog, opts := b.Program(100), b.Options()
+	const seed, at = 1, 5
+	r := engine.NewRunner(prog, opts)
+	wantEvents := 0
+	for i := int64(0); i < at; i++ {
+		wantEvents += r.Run(core.NewRandom(), seed+i).Events
 	}
-	if files, err := os.ReadDir(dir); err != nil || len(files) != 0 {
-		t.Fatalf("bundles written for timed-out trials: %v (%v)", files, err)
+	r.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	detects := 0
+	detect := func(o *engine.Outcome) bool { detects++; return b.Detect(o) }
+	newStrategy := func() engine.Strategy {
+		return &cancelingStrategy{Strategy: core.NewRandom(), cancel: cancel, at: at}
+	}
+	var m telemetry.Metrics
+	res := RunCampaign(prog, detect, newStrategy, 10, seed, opts, Campaign{Workers: 1, Context: ctx, Metrics: &m})
+	if res.Runs != at || res.Canceled != 1 || !res.Interrupted || detects != at || res.TotalEvents != wantEvents {
+		t.Fatalf("%d runs, %d canceled, interrupted %v, %d detect calls, %d events: want %d, 1, true, %d and %d",
+			res.Runs, res.Canceled, res.Interrupted, detects, res.TotalEvents, at, at, wantEvents)
+	}
+	if s := m.SnapshotAt(time.Now()); s.Trials != at || s.Cancels != 1 || s.Events != uint64(wantEvents) {
+		t.Fatalf("hub: %d trials, %d cancels, %d events: want %d, 1 and %d", s.Trials, s.Cancels, s.Events, at, wantEvents)
 	}
 }
 

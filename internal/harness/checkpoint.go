@@ -7,7 +7,6 @@ import (
 	"hash/fnv"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -147,21 +146,13 @@ func (k campaignKey) id() string {
 // human-readable slug plus a hash of the full identity (two cells that
 // differ only in, say, seed never share a directory).
 func (k campaignKey) dirName() string {
-	slug := k.Cell
-	if slug == "" {
-		slug = k.Program
+	name := k.Cell
+	if name == "" {
+		name = k.Program
 	}
-	slug = strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_', r == '.':
-			return r
-		default:
-			return '_'
-		}
-	}, slug)
 	h := fnv.New64a()
 	h.Write([]byte(k.id()))
-	return fmt.Sprintf("%s-%016x", slug, h.Sum64())
+	return fmt.Sprintf("%s-%016x", checkpoint.Slug(name), h.Sum64())
 }
 
 // campaignState is the checkpoint payload: everything needed to resume a

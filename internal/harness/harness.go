@@ -85,10 +85,12 @@ type TrialResult struct {
 	// None is a hit: the worker replaced its strategy, kept its Runner and
 	// went on (see RunCampaign).
 	Panics int `json:"panics"`
-	// Timeouts counts trials aborted by the per-trial wall-clock watchdog
-	// (engine.Options.MaxWallTime).
+	// Timeouts is never set: a run has no wall-clock bound. The field and
+	// its JSON key stay because the repository benchmark (bench/) reads it
+	// and checkpoint payloads carry the key.
 	Timeouts int `json:"timeouts"`
-	// Canceled counts trials aborted mid-run by campaign cancellation.
+	// Canceled counts trials that campaign cancellation cut short. None of
+	// them is in Runs.
 	Canceled int `json:"canceled"`
 	// TotalEvents across all runs, for averages.
 	TotalEvents int `json:"total_events"`
@@ -193,9 +195,6 @@ func (r TrialResult) String() string {
 		r.AvgTime().Round(time.Microsecond), r.Wall.Round(time.Millisecond))
 	if r.Panics > 0 {
 		s += fmt.Sprintf(", %d panic(s)", r.Panics)
-	}
-	if r.Timeouts > 0 {
-		s += fmt.Sprintf(", %d timeout(s)", r.Timeouts)
 	}
 	if r.Nondeterministic > 0 {
 		s += fmt.Sprintf(", %d NONDETERMINISTIC", r.Nondeterministic)

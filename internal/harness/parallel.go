@@ -51,10 +51,10 @@ type Campaign struct {
 	// marked Interrupted with Runs reflecting completed trials only.
 	Context context.Context
 	// ReproDir enables the repro sink: the first MaxRepros failing trials
-	// (bug hits, races, panics, deadlocks — not step-limit aborts,
-	// timeouts or cancellations) are re-run once on a fresh Runner with a
-	// decision recorder, triaged for determinism, and written as JSON
-	// bundles under this directory (see replay.Bundle / pctwm replay).
+	// (bug hits, races, panics, deadlocks — not step-limit aborts or
+	// cancellations) are re-run once on a fresh Runner with a decision
+	// recorder, triaged for determinism, and written as JSON bundles under
+	// this directory (see replay.Bundle / pctwm replay).
 	ReproDir string
 	// MaxRepros caps how many failures are triaged and bundled
 	// (default 3 when ReproDir is set). The cap bounds the extra work:
@@ -73,7 +73,7 @@ type Campaign struct {
 	// TrialResult.Coverage, bit-identical for every worker count.
 	Coverage bool
 	// Metrics, when non-nil, receives campaign-level observations (trial
-	// counts and durations, quarantine/timeout/cancel counters,
+	// counts and durations, quarantine/cancel counters,
 	// repro triage verdicts, worker utilization) — the hub behind the
 	// -metrics-addr endpoint and the -progress reporter. Updated once per
 	// trial with atomics; never touched on the engine hot path.
@@ -131,8 +131,8 @@ type TrialFailure struct {
 // (aggregate CPU time); Wall is the batch's wall-clock duration.
 //
 // The campaign adds a resilience layer: panic quarantine, cancellation
-// through Campaign.Context, the per-trial wall-clock bound of opts, and
-// the repro sink. See Campaign for the knobs.
+// through Campaign.Context, and the repro sink. See Campaign for the
+// knobs.
 //
 // Panic quarantine: a panic that escapes engine.Runner.Run (a strategy
 // callback or an engine invariant, not the program) is recovered at the
@@ -284,7 +284,6 @@ func mergeTrialResults(res *TrialResult, r TrialResult) {
 	res.Aborted += r.Aborted
 	res.Deadlock += r.Deadlock
 	res.Panics += r.Panics
-	res.Timeouts += r.Timeouts
 	res.Canceled += r.Canceled
 	res.TotalEvents += r.TotalEvents
 	res.Elapsed += r.Elapsed
@@ -359,10 +358,10 @@ func runWorker(prog *engine.Program, detect func(*engine.Outcome) bool,
 		}
 		s := seed + int64(i)
 		o, pan := safeRun(r, strat, s, false)
-		local.Runs++
 		if pan != nil {
 			// Quarantine: count the panic, replace the strategy and keep
 			// draining rounds on the Runner, which Run restored.
+			local.Runs++
 			local.Panics++
 			if metrics != nil {
 				metrics.ObserveTrial(telemetry.TrialObs{Quarantined: true})
@@ -374,19 +373,24 @@ func runWorker(prog *engine.Program, detect func(*engine.Outcome) bool,
 			strat = newStrategy()
 			continue
 		}
+		if o.Canceled {
+			// The campaign's cancel cut the trial short: a partial
+			// execution, so not a run, and never classified.
+			local.Canceled++
+			local.Interrupted = true
+			if metrics != nil {
+				metrics.ObserveTrial(telemetry.TrialObs{Canceled: true})
+			}
+			break
+		}
+		local.Runs++
 		local.TotalEvents += o.Events
 		local.Elapsed += o.Duration
-		hit := false
-		if !o.Canceled {
-			// Canceled trials summarize a partial execution; they are not
-			// classified (preserving pre-telemetry behaviour, where the
-			// worker broke out before running the detector).
-			hit = detect(o)
-		}
-		// Coverage: only complete executions define a behavior (runs cut
-		// short by the step limit, a timeout or cancellation observed a
-		// prefix, which would make the census ill-defined). The trial is
-		// keyed by its campaign-global index.
+		hit := detect(o)
+		// Coverage: only complete executions define a behavior (a run cut
+		// short by the step limit observed a prefix, which would make the
+		// census ill-defined). The trial is keyed by its campaign-global
+		// index.
 		behaviorSeen := covSet != nil && o.Err == nil
 		if behaviorSeen {
 			covSet.Observe(o.BehaviorFP, int64(i))
@@ -397,20 +401,11 @@ func runWorker(prog *engine.Program, detect func(*engine.Outcome) bool,
 				Events:      o.Events,
 				Hit:         hit,
 				Deadlocked:  o.Deadlocked,
-				TimedOut:    o.TimedOut,
-				Canceled:    o.Canceled,
 				BehaviorFP:  o.BehaviorFP,
 				HasBehavior: behaviorSeen,
 			})
 		}
-		if o.Canceled {
-			local.Canceled++
-			local.Interrupted = true
-			break
-		}
-		if o.TimedOut {
-			local.Timeouts++
-		} else if o.Aborted {
+		if o.Aborted {
 			local.Aborted++
 		}
 		if o.Deadlocked {
@@ -431,8 +426,7 @@ func runWorker(prog *engine.Program, detect func(*engine.Outcome) bool,
 
 // classifyFailure decides whether a trial outcome is worth a repro bundle
 // and names its kind. As in Outcome.Failed, step-limit aborts (common and
-// benign in bounded benchmarks), timeouts (which the unbounded triage
-// re-run cannot reproduce) and cancellations are not failures.
+// benign in bounded benchmarks) and cancellations are not failures.
 func classifyFailure(o *engine.Outcome, hit bool) (string, bool) {
 	if o.Err != nil {
 		switch o.Err.Kind {
@@ -566,14 +560,13 @@ func (s *reproSink) capture(seed int64, fp uint64, kind, msg string, orig replay
 // triage re-runs the failing seed on a fresh Runner with a recorder
 // wrapped around a fresh strategy, compares the re-run against the
 // original outcome (determinism verdict), and writes the repro bundle.
-// The re-run strips the campaign Context and wall-clock bound so the
-// recorded trace covers a complete, deterministic execution.
+// The re-run strips the campaign Context so the recorded trace covers a
+// complete execution.
 func (s *reproSink) triage(seed int64, fp uint64, kind, msg string, orig replay.OutcomeSummary, pan *panicInfo) TrialFailure {
 	fail := TrialFailure{Seed: seed, Kind: kind, Msg: msg, BehaviorFP: fp}
 
 	reOpts := s.opts
 	reOpts.Context = nil
-	reOpts.MaxWallTime = 0
 
 	strat := s.newStrategy()
 	stratName := strat.Name()

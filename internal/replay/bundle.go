@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"time"
 
 	"pctwm/internal/checkpoint"
@@ -47,9 +46,9 @@ type OutcomeSummary struct {
 	FinalValues map[string]memmodel.Value `json:"final_values,omitempty"`
 }
 
-// Summarize digests an outcome. The TimedOut/Canceled flags are folded
-// into ErrKind; bundles are written from triage re-runs that strip the
-// wall-clock bound, so a summary normally carries a deterministic kind.
+// Summarize digests an outcome. The Canceled flag is folded into ErrKind;
+// bundles are written from triage re-runs without a Context, so a
+// bundle's summary never carries a cancellation.
 func Summarize(o *engine.Outcome) OutcomeSummary {
 	s := OutcomeSummary{
 		Steps:       o.Steps,
@@ -265,7 +264,7 @@ func DecodeBundle(data []byte) (*Bundle, error) {
 // bundle that a later pctwm replay chokes on), and bounded retry with
 // exponential backoff on transient write errors.
 func (b *Bundle) WriteFileFS(fsys checkpoint.FS, dir string) (string, error) {
-	name := fmt.Sprintf("%s-%s-seed%d.json", sanitizeName(b.Program), sanitizeName(b.Strategy), b.Seed)
+	name := fmt.Sprintf("%s-%s-seed%d.json", checkpoint.Slug(b.Program), checkpoint.Slug(b.Strategy), b.Seed)
 	path := filepath.Join(dir, name)
 	data, err := b.Encode()
 	if err != nil {
@@ -284,19 +283,6 @@ func LoadBundle(path string) (*Bundle, error) {
 		return nil, fmt.Errorf("replay: %w", err)
 	}
 	return DecodeBundle(data)
-}
-
-// sanitizeName maps a program/strategy name onto a filesystem-safe slug.
-func sanitizeName(s string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '-', r == '_', r == '.':
-			return r
-		default:
-			return '_'
-		}
-	}, s)
 }
 
 // VerifyResult is the outcome of replaying a bundle against a program.
@@ -318,8 +304,8 @@ type VerifyResult struct {
 
 // Verify re-executes the bundle's trace against prog and compares the
 // result with the recorded outcome. The bundle's embedded options are
-// used verbatim (they never include a Context or wall-clock bound — the
-// writer strips those), so the replay is deterministic.
+// used verbatim, less any Context (which does not serialize), so the
+// replay is deterministic.
 func (b *Bundle) Verify(prog *engine.Program) (VerifyResult, error) {
 	if !b.Matches(prog) {
 		return VerifyResult{}, fmt.Errorf(

@@ -1,9 +1,12 @@
 package replay
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"pctwm/internal/benchprog"
 	"pctwm/internal/core"
 	"pctwm/internal/engine"
 	"pctwm/internal/memmodel"
@@ -97,6 +100,36 @@ func TestBundleLegacyVersionUpgrades(t *testing.T) {
 	}
 	if b.Model != engine.ModelRC11 || b.Options.Model != engine.ModelRC11 {
 		t.Fatalf("legacy bundle model = %q / %q, want rc11", b.Model, b.Options.Model)
+	}
+}
+
+// TestBundleRetiredWallClockBound: a version-3 bundle whose options
+// carry the per-run wall-clock bound that runs no longer have (set to 0,
+// off) decodes, and its trace replays to a match. The fixture is a dekker
+// bundle written by a build that still had the bound: every bundle such a
+// build wrote carries the option.
+func TestBundleRetiredWallClockBound(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "dekker-pctwm-seed31.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := DecodeBundle(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Version != 3 {
+		t.Fatalf("fixture version %d, want 3", b.Version)
+	}
+	dekker, err := benchprog.ByName("dekker")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := b.Verify(dekker.Program(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Match {
+		t.Fatalf("bundle does not replay: derails=%d diffs=%v", res.Derails, res.Diffs)
 	}
 }
 

@@ -6,8 +6,6 @@
 package replay
 
 import (
-	"encoding/json"
-	"fmt"
 	"math/rand"
 	"runtime/debug"
 
@@ -15,25 +13,13 @@ import (
 	"pctwm/internal/memmodel"
 )
 
-// Trace is the decision sequence of one execution. It is
-// JSON-serializable for storing alongside a bug report.
+// Trace is the decision sequence of one execution, as a repro bundle
+// stores it (Bundle.Trace).
 type Trace struct {
 	// Threads is the sequence of scheduled thread ids.
 	Threads []memmodel.ThreadID `json:"threads"`
 	// Reads is the sequence of reads-from candidate indices.
 	Reads []int `json:"reads"`
-}
-
-// Encode renders the trace as JSON.
-func (t *Trace) Encode() ([]byte, error) { return json.Marshal(t) }
-
-// Decode parses a JSON trace.
-func Decode(data []byte) (*Trace, error) {
-	var t Trace
-	if err := json.Unmarshal(data, &t); err != nil {
-		return nil, fmt.Errorf("replay: decoding trace: %w", err)
-	}
-	return &t, nil
 }
 
 // Recorder wraps a strategy and captures every decision it makes.

@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"reflect"
 	"testing"
 
 	"pctwm/internal/benchprog"
@@ -75,21 +76,22 @@ func TestReplayIsStrategyIndependent(t *testing.T) {
 	}
 }
 
-// TestTraceRoundTrip: traces survive JSON encoding.
+// TestTraceRoundTrip: traces survive a bundle's JSON encoding.
 func TestTraceRoundTrip(t *testing.T) {
-	tr := &Trace{Threads: []memmodel.ThreadID{1, 2, 1}, Reads: []int{0, 2, 1}}
-	data, err := tr.Encode()
+	b := NewBundle(lostUpdateProgram(), "random", 1, engine.Options{})
+	b.Trace = &Trace{Threads: []memmodel.ThreadID{1, 2, 1}, Reads: []int{0, 2, 1}}
+	data, err := b.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Decode(data)
+	back, err := DecodeBundle(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Threads) != 3 || len(back.Reads) != 3 || back.Reads[1] != 2 {
-		t.Fatalf("round trip lost data: %+v", back)
+	if !reflect.DeepEqual(back.Trace, b.Trace) {
+		t.Fatalf("round trip lost data: %+v", back.Trace)
 	}
-	if _, err := Decode([]byte("{")); err == nil {
+	if _, err := DecodeBundle([]byte("{")); err == nil {
 		t.Fatal("bad JSON accepted")
 	}
 }

@@ -16,8 +16,8 @@ func TestMetricsCoverage(t *testing.T) {
 	m.ObserveTrial(TrialObs{HasBehavior: true, BehaviorFP: 10})
 	m.ObserveTrial(TrialObs{HasBehavior: true, BehaviorFP: 10})
 	m.ObserveTrial(TrialObs{HasBehavior: true, BehaviorFP: 20})
-	m.ObserveTrial(TrialObs{})               // coverage off
-	m.ObserveTrial(TrialObs{TimedOut: true}) // no behavior
+	m.ObserveTrial(TrialObs{})                            // coverage off
+	m.ObserveTrial(TrialObs{Hit: true, Deadlocked: true}) // errored: no behavior
 	behaviors, obs, singletons := m.Coverage()
 	if behaviors != 2 || obs != 3 || singletons != 1 {
 		t.Fatalf("behaviors=%d obs=%d singletons=%d, want 2/3/1", behaviors, obs, singletons)
@@ -59,16 +59,12 @@ func TestWritePrometheusCoverage(t *testing.T) {
 // disagree. This pins the table against both the bucket math and the
 // /metrics output.
 func TestBucketLabelPin(t *testing.T) {
-	labels := BucketLabels()
-	if labels[HistBuckets-1] != "+Inf" {
-		t.Fatalf("last label %q, want +Inf", labels[HistBuckets-1])
+	if last := BucketLabel(HistBuckets - 1); last != "+Inf" {
+		t.Fatalf("last label %q, want +Inf", last)
 	}
 	for i := 0; i < HistBuckets-1; i++ {
-		if want := fmt.Sprintf("%d", BucketUpper(i)); labels[i] != want {
-			t.Fatalf("label[%d] = %q, want %q", i, labels[i], want)
-		}
-		if labels[i] != BucketLabel(i) {
-			t.Fatalf("BucketLabels()[%d] != BucketLabel(%d)", i, i)
+		if want := fmt.Sprintf("%d", BucketUpper(i)); BucketLabel(i) != want {
+			t.Fatalf("BucketLabel(%d) = %q, want %q", i, BucketLabel(i), want)
 		}
 	}
 
@@ -89,7 +85,7 @@ func TestBucketLabelPin(t *testing.T) {
 	}
 	next := 0
 	for _, le := range got {
-		for next < HistBuckets && labels[next] != le {
+		for next < HistBuckets && BucketLabel(next) != le {
 			next++
 		}
 		if next == HistBuckets {

@@ -58,9 +58,8 @@ type TrialObs struct {
 	// Quarantined marks a trial whose panic escaped the engine (a strategy
 	// or engine bug): the worker replaced its strategy.
 	Quarantined bool
-	// TimedOut marks a per-trial wall-clock watchdog expiry.
-	TimedOut bool
-	// Canceled marks a trial cut short by campaign cancellation.
+	// Canceled marks a trial cut short by campaign cancellation: it counts
+	// only as a cancel, not as a trial, and its other fields are ignored.
 	Canceled bool
 	// Deadlocked marks a reported deadlock outcome (subset of Hit).
 	Deadlocked bool
@@ -70,7 +69,7 @@ type TrialObs struct {
 	BehaviorFP uint64
 	// HasBehavior marks a complete execution with a valid BehaviorFP:
 	// coverage was enabled and the run finished without an engine error
-	// (timeouts, step-limit aborts and cancellations carry no behavior).
+	// (step-limit aborts carry no behavior).
 	HasBehavior bool
 }
 
@@ -91,7 +90,6 @@ type Metrics struct {
 
 	deadlocks   atomic.Uint64
 	quarantines atomic.Uint64
-	timeouts    atomic.Uint64
 	cancels     atomic.Uint64
 	interrupts  atomic.Uint64 // campaigns cut short by context cancellation
 
@@ -162,11 +160,16 @@ func (m *Metrics) AddExpected(n int) {
 func (m *Metrics) WorkerStarted() { m.touchStart(); m.workers.Add(1) }
 func (m *Metrics) WorkerDone()    { m.workers.Add(-1) }
 
-// ObserveTrial records one finished trial. Called once per trial by the
-// owning worker; the cost (a dozen atomic adds) is invisible next to the
-// thousands of events the trial executed.
+// ObserveTrial records one finished trial, or a canceled one, which
+// counts only as a cancel. Called once per trial by the owning worker;
+// the cost (a dozen atomic adds) is invisible next to the thousands of
+// events the trial executed.
 func (m *Metrics) ObserveTrial(o TrialObs) {
 	m.touchStart()
+	if o.Canceled {
+		m.cancels.Add(1)
+		return
+	}
 	m.trials.Add(1)
 	if o.Hit {
 		m.hits.Add(1)
@@ -176,12 +179,6 @@ func (m *Metrics) ObserveTrial(o TrialObs) {
 	}
 	if o.Quarantined {
 		m.quarantines.Add(1)
-	}
-	if o.TimedOut {
-		m.timeouts.Add(1)
-	}
-	if o.Canceled {
-		m.cancels.Add(1)
 	}
 	if o.Events > 0 {
 		m.events.Add(uint64(o.Events))
@@ -288,7 +285,6 @@ type Snapshot struct {
 	Events      uint64  `json:"events"`
 	Deadlocks   uint64  `json:"deadlocks"`
 	Quarantines uint64  `json:"quarantines"`
-	Timeouts    uint64  `json:"timeouts"`
 	Cancels     uint64  `json:"cancels"`
 	Interrupts  uint64  `json:"interrupts"`
 	ReproDet    uint64  `json:"repro_deterministic"`
@@ -381,7 +377,6 @@ func (m *Metrics) SnapshotAt(now time.Time) Snapshot {
 		Events:      m.events.Load(),
 		Deadlocks:   m.deadlocks.Load(),
 		Quarantines: m.quarantines.Load(),
-		Timeouts:    m.timeouts.Load(),
 		Cancels:     m.cancels.Load(),
 		Interrupts:  m.interrupts.Load(),
 		ReproDet:    m.reproDeterministic.Load(),

@@ -15,7 +15,7 @@ import (
 //
 // A line looks like
 //
-//	[table2] 12400/48000 trials (2310.5/s, eta 15s) | hits 37, quarantine 0, timeout 0 | workers 8
+//	[table2] 12400/48000 trials (2310.5/s, eta 15s) | hits 37, quarantine 0 | workers 8
 //
 // The rate and ETA are zero-guarded: an idle or empty campaign prints
 // "0.0/s" and omits the ETA rather than emitting Inf/NaN.
@@ -76,7 +76,7 @@ func FormatProgress(s Snapshot) string {
 		cov = fmt.Sprintf(" | behaviors=%d est_unseen=%.1f%%",
 			s.CoverageBehaviors, 100*s.CoverageUnseenMass)
 	}
-	return fmt.Sprintf("[%s] %d%s trials (%.1f/s%s) | hits %d, quarantine %d, timeout %d%s | workers %d",
+	return fmt.Sprintf("[%s] %d%s trials (%.1f/s%s) | hits %d, quarantine %d%s | workers %d",
 		phase, s.Trials, total, s.TrialsPerSec, eta,
-		s.Hits, s.Quarantines, s.Timeouts, cov, s.Workers)
+		s.Hits, s.Quarantines, cov, s.Workers)
 }

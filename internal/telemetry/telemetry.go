@@ -81,16 +81,6 @@ func BucketLabel(i int) string {
 	return strconv.FormatUint(BucketUpper(i), 10)
 }
 
-// BucketLabels returns the labels of all HistBuckets buckets in order
-// (see BucketLabel).
-func BucketLabels() [HistBuckets]string {
-	var out [HistBuckets]string
-	for i := range out {
-		out[i] = BucketLabel(i)
-	}
-	return out
-}
-
 // Observe records one value.
 func (h *Hist) Observe(v uint64) {
 	h.Buckets[histBucket(v)]++

@@ -185,17 +185,16 @@ func TestRateGuard(t *testing.T) {
 }
 
 // TestMetricsObserveTrial: the per-trial taxonomy lands in the right
-// counters and histograms.
+// counters and histograms, and a canceled trial counts only as a cancel.
 func TestMetricsObserveTrial(t *testing.T) {
 	var m Metrics
 	m.ObserveTrial(TrialObs{Duration: time.Millisecond, Events: 1000, Hit: true, Deadlocked: true})
 	m.ObserveTrial(TrialObs{Quarantined: true})
-	m.ObserveTrial(TrialObs{TimedOut: true, Canceled: true})
+	m.ObserveTrial(TrialObs{Canceled: true, Duration: time.Millisecond, Events: 500, Hit: true})
 	m.ReproTriaged("DETERMINISTIC")
 	m.ReproTriaged("NONDETERMINISTIC")
 	s := m.SnapshotAt(time.Now())
-	if s.Trials != 3 || s.Hits != 1 || s.Deadlocks != 1 || s.Quarantines != 1 ||
-		s.Timeouts != 1 || s.Cancels != 1 {
+	if s.Trials != 2 || s.Hits != 1 || s.Deadlocks != 1 || s.Quarantines != 1 || s.Cancels != 1 {
 		t.Fatalf("taxonomy: %+v", s)
 	}
 	if s.ReproDet != 1 || s.ReproNondet != 1 {
@@ -228,7 +227,6 @@ func TestWritePrometheus(t *testing.T) {
 		"pctwm_trials_total 2",
 		"pctwm_trial_hits_total 1",
 		"pctwm_trial_quarantines_total 1",
-		"pctwm_trial_timeouts_total 0",
 		"pctwm_trial_cancels_total 0",
 		"pctwm_events_total 500",
 		"pctwm_repro_bundles_total{triage=\"deterministic\"}",
@@ -259,11 +257,11 @@ func TestFormatProgress(t *testing.T) {
 	}
 	s := Snapshot{
 		Phase: "table2", Expected: 100, Trials: 40, TrialsPerSec: 20,
-		Hits: 3, Quarantines: 1, Timeouts: 2, Workers: 4,
+		Hits: 3, Quarantines: 1, Workers: 4,
 	}
 	line = FormatProgress(s)
 	for _, want := range []string{"[table2]", "40/100", "20.0/s", "eta 3s",
-		"hits 3", "quarantine 1", "timeout 2", "workers 4"} {
+		"hits 3", "quarantine 1", "workers 4"} {
 		if !strings.Contains(line, want) {
 			t.Fatalf("line %q missing %q", line, want)
 		}
